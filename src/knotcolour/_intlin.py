@@ -1,13 +1,10 @@
-"""Exact integer linear algebra: products, determinants, inverses, Smith
-normal form, and linear solves over Z and Z/n.
+"""Exact integer linear algebra: products, determinants, Smith normal
+form, and the inverses and linear solves over Z and Z/n built on it.
 
 Everything here works on plain lists/tuples of Python ints; matrices are
 row-major. Sizes in this package stay small (at most a few dozen rows),
 so clarity wins over asymptotics throughout.
 """
-
-from fractions import Fraction
-from math import gcd
 
 from .errors import NotUnimodular
 
@@ -78,26 +75,16 @@ def det(A):
 
 
 def inverse_unimodular(A):
-    """Exact inverse of an integer matrix with det = +-1.
+    """Exact inverse of a square integer matrix with det = +-1.
 
-    Gauss-Jordan over Fraction, certified back to int entries at the end.
+    From the Smith form U A V = D: A is unimodular exactly when every
+    d_i = 1, and then A^-1 = V U.
     """
-    n = len(A)
-    d = det(A)
-    if d not in (1, -1):
-        raise NotUnimodular(f"determinant {d}, expected +-1")
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [[int(M[i][n + j]) for j in range(n)] for i in range(n)]
+    U, D, V = smith(A)
+    diag = [D[i][i] for i in range(len(D))]
+    if any(d != 1 for d in diag):
+        raise NotUnimodular(f"Smith diagonal {diag}, expected all 1")
+    return mat_mul(V, U)
 
 
 def smith(A):
@@ -234,9 +221,3 @@ def solve_mod(C, target, mods):
         return None
     return sol[:k]
 
-
-def gcd_many(values):
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g

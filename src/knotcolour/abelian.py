@@ -10,7 +10,7 @@ transpose.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 from ._intlin import identity, mat_pow, smith_diagonal
 from .errors import (
@@ -20,8 +20,6 @@ from .errors import (
     NotInvertible,
     NotOrderM,
 )
-
-_CLOSURE_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -153,10 +151,7 @@ def act_pow(a, j):
 
 
 def group_order(spec):
-    n = 1
-    for k in spec.orders:
-        n *= k
-    return n
+    return prod(spec.orders)
 
 
 def elements(spec):
@@ -168,24 +163,12 @@ def elements(spec):
 def _coords_generate(spec, coord_tuples):
     """Whether the given coordinate tuples generate A.
 
-    Closure walk when |A| is small, Smith normal form of the stacked
-    relation matrix otherwise.
+    They do exactly when the relation matrix [g_1 ... g_k | diag(orders)]
+    has r Smith invariant factors equal to 1, i.e. its columns span Z^r.
     """
     if not coord_tuples:
         return False
     r = spec.rank
-    if group_order(spec) <= _CLOSURE_LIMIT:
-        seen = {(0,) * r}
-        frontier = [(0,) * r]
-        gens = list(coord_tuples)
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = tuple((c + d) % n for c, d, n in zip(cur, g, spec.orders))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == group_order(spec)
     stacked = [[g[i] for g in coord_tuples]
                + [spec.orders[i] if j == i else 0 for j in range(r)]
                for i in range(r)]
@@ -330,14 +313,8 @@ def h3_order(spec):
     iterable of cyclic orders (only the orders matter).
     """
     orders = spec.orders if isinstance(spec, GroupSpec) else tuple(spec)
-    out = 1
-    for n in orders:
-        out *= n
-    for a, b in combinations(orders, 2):
-        out *= gcd(a, b)
-    for a, b, c in combinations(orders, 3):
-        out *= gcd(gcd(a, b), c)
-    return out
+    return (prod(orders) * prod(gcd(*p) for p in combinations(orders, 2))
+            * prod(gcd(*p) for p in combinations(orders, 3)))
 
 
 def additive_order(k, n):

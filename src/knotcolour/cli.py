@@ -30,11 +30,21 @@ def _emit(obj):
 
 
 def _load_json(path):
+    """Parse an input file; every leaf must be a JSON integer, so floats,
+    booleans, strings and nulls are usage errors, never coerced."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+            obj = json.load(fh)
+    except (OSError, json.JSONDecodeError, RecursionError) as e:
         raise _UsageError(f"cannot read {path}: {e}") from None
+    stack = [obj]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (dict, list)):
+            stack.extend(x.values() if isinstance(x, dict) else x)
+        elif type(x) is not int:
+            raise _UsageError(f"{path}: {json.dumps(x)} is not an integer")
+    return obj
 
 
 def _convert(src, fn, *args):
@@ -300,10 +310,22 @@ def _build_parser():
     return top
 
 
+def _glue_lambda2(argv):
+    """Rewrite '--lambda2 -2,1' as '--lambda2=-2,1'; argparse would read a
+    value that starts with '-' and is not a plain number as a flag."""
+    out = []
+    for a in argv:
+        if out and out[-1] == "--lambda2" and a[:1] == "-" and a[1:2].isdigit():
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def run(argv):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_lambda2(argv))
         return args.func(args)
     except _UsageError as e:
         _emit({"error": {"type": "UsageError", "message": str(e)}})

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import abelian
-from ._intlin import mat_pow, mat_vec
+from ._intlin import inverse_unimodular, mat_pow, mat_vec
 from .errors import (
     BadParameters,
     DivisibilityFailure,
@@ -20,8 +20,7 @@ from .errors import (
     InvalidData,
     LiftFailure,
 )
-from .surface_data import symplectic_reduce, validate
-from ._intlin import inverse_unimodular
+from .surface_data import _mat_apply, symplectic_reduce, validate
 
 
 def su(data, lifts=None):
@@ -173,13 +172,7 @@ def vector_class(data):
         return abelian.wedge2_zero(spec)
     P = symplectic_reduce(data.matrix)
     Pinv = inverse_unimodular([list(row) for row in P])
-    W = []
-    for i in range(size):
-        acc = abelian.zero(spec)
-        for j, v in enumerate(data.vector):
-            if Pinv[i][j]:
-                acc = abelian.add(acc, abelian.mul(Pinv[i][j], v))
-        W.append(acc)
+    W = _mat_apply(Pinv, data.vector, spec)
     total = abelian.wedge2_zero(spec)
     for b in range(size // 2):
         total = total + abelian.wedge2(W[2 * b], W[2 * b + 1])

@@ -20,7 +20,7 @@ from ._intlin import (
     identity,
     inverse_unimodular,
     mat_mul,
-    mat_vec,
+    smith_diagonal,
     solve_mod,
     transpose,
 )
@@ -32,7 +32,6 @@ from .errors import (
     InvalidData,
     NonGenerating,
     NotSymplecticable,
-    NotUnimodular,
     PatternMismatch,
 )
 
@@ -114,39 +113,19 @@ def _mat_apply(M, vec, spec):
 
 
 @lru_cache(maxsize=None)
-def _s_inverse(matrix):
-    # S = M^T - M, the form used by the redundant check V = S^-1 M (t-1)V
-    size = len(matrix)
-    S = [[matrix[j][i] - matrix[i][j] for j in range(size)] for i in range(size)]
-    return tuple(tuple(row) for row in inverse_unimodular(S))
-
-
-@lru_cache(maxsize=None)
 def _min_generators(spec):
-    """Minimal size of a generating set of A: the maximum over primes p of
-    the number of cyclic factors p divides."""
-    primes = set()
-    for n in spec.orders:
-        d, m = 2, n
-        while d * d <= m:
-            if m % d == 0:
-                primes.add(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            primes.add(m)
-    best = 0
-    for p in primes:
-        best = max(best, sum(1 for n in spec.orders if n % p == 0))
-    return best
+    """Minimal size of a generating set of A: the number of invariant
+    factors > 1 in the Smith form of diag(orders)."""
+    r = spec.rank
+    diag = smith_diagonal([[n if i == j else 0 for j in range(r)]
+                           for i, n in enumerate(spec.orders)])
+    return sum(1 for d in diag if d > 1)
 
 
 def validate(data):
     """Full validity check: entries generate A, the colouring equation
-    M^T V = M (t.V) holds, and the size admits the rank of A. The
-    equivalent reduced form V = S^-1 M (t-1)V is recomputed as a
-    cross-check and any disagreement raises InternalInconsistency.
+    M^T V = M (t.V) holds, and the size admits the rank of A. As
+    S = M^T - M is unimodular, the equation says V = S^-1 M (t-1)V.
     """
     spec, M, V = data.spec, data.matrix, data.vector
     size = len(M)
@@ -154,16 +133,6 @@ def validate(data):
     lhs = _mat_apply(transpose(M), V, spec) if size else ()
     rhs = _mat_apply(M, tV, spec) if size else ()
     equation = lhs == rhs
-    # redundant form
-    if size:
-        w = tuple(abelian.sub(t, v) for t, v in zip(tV, V))
-        u = _mat_apply(M, w, spec)
-        smvv = _mat_apply(_s_inverse(M), u, spec) == V
-    else:
-        smvv = True
-    if smvv != equation:
-        raise InternalInconsistency(
-            "direct colouring equation and S^-1 M (t-1)V form disagree")
     gen = abelian.generates(list(V), spec)
     genus_ok = size >= _min_generators(spec)
     return ValidationReport(gen, equation, genus_ok,
@@ -204,14 +173,12 @@ def enumerate_colourings(matrix, spec, budget=10 ** 7):
 
 
 def lambda1(data, U):
-    """Unimodular congruence: (M, V) -> (U^T M U, U^-1 V)."""
+    """Unimodular congruence: (M, V) -> (U^T M U, U^-1 V); NotUnimodular
+    when det U != +-1."""
     size = data.size
     Ur = _as_matrix(U)
     if len(Ur) != size:
         raise BadParameters(f"U must be {size}x{size}")
-    d = det(Ur)
-    if d not in (1, -1):
-        raise NotUnimodular(f"det U = {d}")
     Uinv = inverse_unimodular(Ur)
     M2 = mat_mul(mat_mul(transpose(Ur), [list(r) for r in data.matrix]), Ur)
     V2 = _mat_apply(Uinv, data.vector, data.spec)
@@ -220,10 +187,7 @@ def lambda1(data, U):
 
 def _lambda2_tail(spec, vector, c, variant):
     """The appended vector entries (0; y) for the chosen variant."""
-    acc = abelian.zero(spec)
-    for ci, v in zip(c, vector):
-        if ci:
-            acc = abelian.add(acc, abelian.mul(ci, v))
+    (acc,) = _mat_apply((c,), vector, spec)
     if variant == 1:
         # (t-1)/t . a = a - t^-1.a
         y = abelian.sub(acc, abelian.act_pow(acc, -1))
@@ -358,16 +322,10 @@ def symplectic_reduce(matrix):
                 colop(k, b + 1, S[b][k])
             if S[b + 1][k]:
                 colop(k, b, -S[b + 1][k])
-    # certify
-    for i in range(size):
-        for j in range(size):
-            want = 0
-            if i == j + 1 and i % 2 == 1:
-                want = 1
-            if j == i + 1 and j % 2 == 1:
-                want = -1
-            if S[i][j] != want:
-                raise NotSymplecticable("reduction failed to reach block form")
+    # certify against the form of standard_matrix
+    std = standard_matrix(size // 2)
+    if S != [[std[i][j] - std[j][i] for j in range(size)] for i in range(size)]:
+        raise NotSymplecticable("reduction failed to reach block form")
     return tuple(tuple(row) for row in P)
 
 

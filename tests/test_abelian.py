@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,20 @@ from knotcolour.errors import (
     GroupMismatch,
     NotOrderM,
 )
+
+
+def closure_generates(spec, coord_tuples):
+    """Brute-force oracle: walk the subgroup the tuples generate."""
+    start = (0,) * spec.rank
+    seen, frontier = {start}, [start]
+    while frontier:
+        cur = frontier.pop()
+        for g in coord_tuples:
+            nxt = tuple((c + d) % n for c, d, n in zip(cur, g, spec.orders))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen) == abelian.group_order(spec)
 
 
 class TestMakeGroup:
@@ -111,6 +127,22 @@ class TestGenerates:
         assert abelian.generates([e1, e2])
         assert not abelian.generates([e1])
         assert abelian.generates([abelian.element(spec, (1, 1))])
+
+    @pytest.mark.parametrize("name", [
+        "d6", "d10", "d14", "c3z7", "c4z5", "a4", "c2_33", "c2_35",
+        "c3_55", "c7_222", "z46", "z333"])
+    def test_matches_closure_walk(self, name, request):
+        spec = request.getfixturevalue(name)
+        assert abelian.group_order(spec) <= 125
+        rng = random.Random(name)
+        elems = abelian.elements(spec)
+        seen = set()
+        for _ in range(60):
+            picked = [rng.choice(elems) for _ in range(rng.randrange(1, 7))]
+            got = abelian.generates(picked)
+            assert got == closure_generates(spec, [e.coords for e in picked])
+            seen.add(got)
+        assert seen == {True, False}
 
 
 class TestWedge:

@@ -153,6 +153,16 @@ class TestMove:
         assert got["seifert"] == [[-1, 1, 2, 0], [0, -1, 1, 0],
                                   [2, 1, 0, -1], [0, 0, 0, 0]]
 
+    def test_lambda2_negative_leading_entry(self, capsys, files):
+        data = files("t.json", TREFOIL_DATA)
+        code, got = run_json(capsys, ["move", "--data", data,
+                                      "--lambda2", "-2,1"])
+        assert code == 0
+        assert got["seifert"] == [[-1, 1, -2, 0], [0, -1, 1, 0],
+                                  [-2, 1, 0, 0], [0, 0, 1, 0]]
+        assert run_json(capsys, ["move", "--data", data,
+                                 "--lambda2=-2,1"]) == (0, got)
+
     def test_bad_c_vector(self, capsys, files):
         code, got = run_json(capsys, [
             "move", "--data", files("t.json", TREFOIL_DATA),
@@ -281,6 +291,12 @@ class TestPlumbing:
         code, got = run_json(capsys, ["validate", "--data", str(p)])
         assert code == 1 and got["error"]["type"] == "UsageError"
 
+    def test_deeply_nested_file(self, capsys, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100000 + "]" * 100000)
+        code, got = run_json(capsys, ["validate", "--data", str(p)])
+        assert code == 1 and got["error"]["type"] == "UsageError"
+
     def test_matrix_as_data_file(self, capsys, files):
         code, got = run_json(capsys, [
             "validate", "--data",
@@ -298,6 +314,33 @@ class TestPlumbing:
         code, got = run_json(capsys, ["h3", "--group",
                                       files("g.json", {"rank": 2})])
         assert code == 1 and got["error"]["type"] == "UsageError"
+
+    @pytest.mark.parametrize("where, leaf", [
+        ("seifert", -1.9), ("vector", 1.5), ("vector", True),
+        ("vector", "1"), ("seifert", None)])
+    def test_non_integer_leaf_is_usage_error(self, capsys, files, where, leaf):
+        data = json.loads(json.dumps(TREFOIL_DATA))
+        data[where][0][0] = leaf
+        code, got = run_json(capsys, ["validate", "--data",
+                                      files("t.json", data)])
+        assert code == 1 and got["error"]["type"] == "UsageError"
+
+    def test_every_input_file_is_integer_only(self, capsys, files):
+        d6 = files("d6.json", D6_JSON)
+        pd = {"base_arc": 0, "crossings": [{"arcs": [0, 1, 2, 1],
+                                             "sign": -1.0}]}
+        for argv in (
+                ["h3", "--group", files("g.json", dict(D6_JSON, m=2.0))],
+                ["validate", "--group", files("g.json", dict(D6_JSON, m=True)),
+                 "--data", files("t.json", TREFOIL_DATA)],
+                ["enumerate", "--group", d6,
+                 "--matrix", files("m.json", [[-1, 1], [0, "-1"]])],
+                ["move", "--data", files("t.json", TREFOIL_DATA),
+                 "--lambda1", files("u.json", [[1, 0], [0, None]])],
+                ["colour-diagram", "--group", d6,
+                 "--pd", files("pd.json", pd)]):
+            code, got = run_json(capsys, argv)
+            assert code == 1 and got["error"]["type"] == "UsageError", argv
 
     def test_group_with_fixed_points_exit_2(self, capsys, files):
         bad = {"m": 2, "orders": [4, 6], "action": [[3, 0], [0, 5]]}

@@ -2,7 +2,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from knotcolour import _intlin as lin
 from knotcolour.errors import NotUnimodular
@@ -37,12 +37,13 @@ def test_det_empty_and_singular():
     assert lin.det([[1, 2], [2, 4]]) == 0
 
 
+@settings(deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_inverse_unimodular(seed):
     rng = random.Random(seed)
-    n = rng.randrange(1, 5)
+    n = rng.randrange(1, 13)
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(8):
+    for _ in range(rng.randrange(8, 4 * n + 9)):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
             t = rng.choice((-2, -1, 1, 2))
@@ -55,6 +56,20 @@ def test_inverse_unimodular(seed):
 def test_inverse_rejects_non_unimodular():
     with pytest.raises(NotUnimodular):
         lin.inverse_unimodular([[2, 0], [0, 1]])
+
+
+def test_inverse_empty():
+    assert lin.inverse_unimodular([]) == []
+
+
+@pytest.mark.parametrize("A", [
+    [[0]], [[2]], [[-2]], [[1, 2], [2, 4]], [[0, 1], [2, 0]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[3, 1], [1, 1]],
+])
+def test_inverse_rejects_det_zero_and_two(A):
+    assert lin.det(A) in (0, 2, -2)
+    with pytest.raises(NotUnimodular):
+        lin.inverse_unimodular(A)
 
 
 @given(st.lists(small, min_size=1, max_size=12))
@@ -113,9 +128,3 @@ def test_mat_pow():
     A = [[1, 1], [0, 1]]
     assert lin.mat_pow(A, 0) == lin.identity(2)
     assert lin.mat_pow(A, 5) == [[1, 5], [0, 1]]
-
-
-def test_gcd_many():
-    assert lin.gcd_many([12, 18, 30]) == 6
-    assert lin.gcd_many([]) == 0
-    assert lin.gcd_many([0, 7]) == 7

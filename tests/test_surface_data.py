@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotcolour import abelian, invariants, surface_data
+from knotcolour._intlin import identity, inverse_unimodular, mat_mul, mat_vec
 from knotcolour.errors import (
     BadParameters,
     BudgetExceeded,
@@ -15,7 +16,7 @@ from knotcolour.errors import (
     NotUnimodular,
     PatternMismatch,
 )
-from util import TREFOIL_L, FIG8_L, rand_unimodular
+from util import TREFOIL_L, FIG8_L, move_pool, rand_unimodular, random_move
 
 
 class TestConstruction:
@@ -72,6 +73,50 @@ class TestValidate:
         # (Z/2)^3 needs three generators; a 2x2 matrix can never carry them
         data = surface_data.make_data(c7_222, TREFOIL_L, [(1, 1, 0), (0, 1, 1)])
         assert not surface_data.validate(data).genus_ok
+
+    def test_equation_matches_s_inverse_form(self, d6, d10, a4, c2_35):
+        """M^T V = M (t.V) is V = S^-1 M (t-1)V for S = M^T - M, computed
+        here per factor over Z on moved data and on random vectors."""
+        pool = move_pool(d6, d10, a4, c2_35)
+        seen = set()
+
+        @settings(deadline=None, max_examples=60, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            data = rng.choice(pool)
+            for _ in range(rng.randrange(4)):
+                data = random_move(rng, data)
+            spec, M, size = data.spec, data.matrix, data.size
+            if rng.random() < 0.5:
+                data = surface_data.make_data(
+                    spec, M, [[rng.randrange(n) for n in spec.orders]
+                              for _ in range(size)])
+            S = [[M[j][i] - M[i][j] for j in range(size)] for i in range(size)]
+            Sinv = inverse_unimodular(S)
+            assert mat_mul(S, Sinv) == identity(size)
+            form = True
+            for c, n in enumerate(spec.orders):
+                x = [v.coords[c] for v in data.vector]
+                tx = [abelian.act(v).coords[c] for v in data.vector]
+                y = mat_vec(Sinv, mat_vec(M, [a - b for a, b in zip(tx, x)]))
+                form &= all((a - b) % n == 0 for a, b in zip(x, y))
+            holds = surface_data.validate(data).equation_holds
+            assert holds == form
+            seen.add(holds)
+
+        check()
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("orders, want", [
+        ((2, 2, 2), 3), ((4, 6), 2), ((3, 5), 1), ((6, 10, 15), 2),
+        ((8, 4, 2), 3)])
+    def test_min_generators_matches_prime_count(self, orders, want):
+        primes = {p for n in orders for p in range(2, n + 1)
+                  if n % p == 0 and all(p % q for q in range(2, p))}
+        prime_count = max(sum(1 for n in orders if n % p == 0) for p in primes)
+        spec = abelian.unsafe_spec(orders)
+        assert surface_data._min_generators(spec) == prime_count == want
 
 
 class TestEnumerate:

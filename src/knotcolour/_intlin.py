@@ -1,12 +1,14 @@
 """Exact integer linear algebra: products, determinants, Smith normal
-form, and the inverses and linear solves over Z and Z/n built on it.
+form, and the inverses, solves and kernels over Z and Z/n built on it.
 
 Everything here works on plain lists/tuples of Python ints; matrices are
 row-major. Sizes in this package stay small (at most a few dozen rows),
 so clarity wins over asymptotics throughout.
 """
 
-from .errors import NotUnimodular
+from math import prod
+
+from .errors import BudgetExceeded, NotUnimodular
 
 
 def identity(n):
@@ -80,6 +82,8 @@ def inverse_unimodular(A):
     From the Smith form U A V = D: A is unimodular exactly when every
     d_i = 1, and then A^-1 = V U.
     """
+    if any(len(row) != len(A) for row in A):
+        raise NotUnimodular(f"{len(A)}x{len(A[0])} matrix is not square")
     U, D, V = smith(A)
     diag = [D[i][i] for i in range(len(D))]
     if any(d != 1 for d in diag):
@@ -221,3 +225,30 @@ def solve_mod(C, target, mods):
         return None
     return sol[:k]
 
+
+
+def kernel_mod(F, mods_in, mods_out, budget):
+    """Every x in prod Z/mods_in with F x = 0 mod mods_out, sorted. F is
+    well defined there (mods_out[i] | F[i][j] mods_in[j]) and has a row
+    if it has a column. In the Smith form U [F | diag(mods_out)] V = D, of
+    rank l = len(mods_out), the last k = len(mods_in) columns of V span the
+    kernel over Z. There are prod(mods_in) d_1 ... d_l / prod(mods_out)
+    solutions; BudgetExceeded, before any is listed, if over budget.
+    """
+    k, l = len(mods_in), len(mods_out)
+    aug = [list(F[i]) + [mods_out[i] if j == i else 0 for j in range(l)]
+           for i in range(l)]
+    _, D, V = smith(aug)
+    order = prod(mods_in) * prod(D[i][i] for i in range(l)) // prod(mods_out)
+    if order > budget:
+        raise BudgetExceeded(f"{order} solutions exceed budget {budget}")
+    span = {(0,) * k}
+    for j in range(l, l + k):
+        g = [V[i][j] % n for i, n in enumerate(mods_in)]
+        steps, x = [], tuple(g)  # coset representatives of span in span+<g>
+        while x not in span:
+            steps.append(x)
+            x = tuple((a + b) % n for a, b, n in zip(x, g, mods_in))
+        span |= {tuple((a + b) % n for a, b, n in zip(s, x, mods_in))
+                 for x in steps for s in span}
+    return sorted(span)

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, prod
 
-from ._intlin import identity, mat_pow, smith_diagonal
+from ._intlin import identity, kernel_mod, mat_pow, smith_diagonal
 from .errors import (
     BadParameters,
     FixedPoints,
@@ -55,6 +55,17 @@ class GroupElement:
             tuple(int(c) % n for c, n in zip(self.coords, orders)))
 
 
+def int_tuple(values, what):
+    """values as a tuple of ints, coercing nothing: TypeError unless values
+    is a list or tuple, BadParameters if an entry is not an int (a bool
+    included)."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"{what} must be a list or tuple, got {values!r}")
+    if any(type(v) is not int for v in values):
+        raise BadParameters(f"{what} must be integers, got {values!r}")
+    return tuple(values)
+
+
 def make_group(m, orders, action):
     """Validating factory for GroupSpec.
 
@@ -63,9 +74,9 @@ def make_group(m, orders, action):
     of the action, and invertibility of action - id (no nonzero fixed
     points).
     """
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise BadParameters(f"m must be a positive integer, got {m!r}")
-    orders = tuple(int(n) for n in orders)
+    orders = int_tuple(orders, "orders")
     if not orders:
         raise BadParameters("orders must be nonempty")
     if any(n < 2 for n in orders):
@@ -73,15 +84,16 @@ def make_group(m, orders, action):
     r = len(orders)
     if len(action) != r or any(len(row) != r for row in action):
         raise BadParameters(f"action must be {r}x{r}")
+    action = tuple(int_tuple(row, "action row") for row in action)
     # homomorphism compatibility: n_j * column j must vanish, i.e.
     # n_i | action[i][j] * n_j
     for i in range(r):
         for j in range(r):
-            if (int(action[i][j]) * orders[j]) % orders[i] != 0:
+            if (action[i][j] * orders[j]) % orders[i] != 0:
                 raise BadParameters(
                     f"action entry ({i},{j}) is not compatible with orders "
                     f"{orders[i]}, {orders[j]}")
-    N = [[int(action[i][j]) % orders[i] for j in range(r)] for i in range(r)]
+    N = [[action[i][j] % orders[i] for j in range(r)] for i in range(r)]
     Nm = mat_pow(N, m)
     for i in range(r):
         for j in range(r):
@@ -99,7 +111,7 @@ def make_group(m, orders, action):
 
 
 def element(spec, coords):
-    return GroupElement(spec, tuple(coords))
+    return GroupElement(spec, int_tuple(coords, "coordinates"))
 
 
 def zero(spec):
@@ -148,6 +160,20 @@ def act_pow(a, j):
     for _ in range(j % a.spec.m):
         out = act(out)
     return out
+
+
+def linear_kernel(P, Q, spec, budget):
+    """Every V in A^n with (P + Q.t) V = 0, for integer matrices P and Q
+    of one shape, as GroupElement tuples in lexicographic order (see
+    kernel_mod). Entry (i, j) acts on A as P_ij I + Q_ij N, N the action.
+    """
+    N, orders, r = spec.action, spec.orders, spec.rank
+    n = len(P[0]) if P else 0
+    F = [[P[i][j] * (c == d) + Q[i][j] * N[c][d]
+          for j in range(n) for d in range(r)]
+         for i in range(len(P)) for c in range(r)]
+    return [tuple(GroupElement(spec, x[j * r:(j + 1) * r]) for j in range(n))
+            for x in kernel_mod(F, orders * n, orders * len(P), budget)]
 
 
 def group_order(spec):

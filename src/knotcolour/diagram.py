@@ -1,10 +1,12 @@
 """Diagram-level colouring oracle.
 
-PD-coded knot diagrams, the coset quandle of G = C_m x| A, and exhaustive
-enumeration of quandle colourings with the basepoint convention that the
-base arc carries the coset t (A-part zero). Counts from this module are
-independent of the Seifert-matrix pipeline, which makes them a useful
-cross-check.
+PD-coded knot diagrams, the coset quandle of G = C_m x| A, and the
+quandle colourings with the basepoint convention that the base arc
+carries the coset t (A-part zero). The quandle is an Alexander quandle,
+so the colourings solve one linear system over A, a relation per
+crossing. That system is built from the diagram alone, never from a
+Seifert matrix, so counts from this module cross-check the surface-data
+pipeline; the two share only the kernel solver.
 
 A crossing is (sign, (a, b, c, d)): the under-strand enters at arc a and
 leaves at arc c, the over-strand is arc b (= d, one arc passes over).
@@ -15,7 +17,7 @@ from functools import lru_cache
 from itertools import count
 
 from . import abelian
-from .errors import BadParameters, BudgetExceeded, GroupMismatch
+from .errors import BadParameters, GroupMismatch
 
 
 @dataclass(frozen=True)
@@ -97,47 +99,22 @@ def _surjective(labels, spec):
 def enumerate_diagram_colourings(diagram, spec, budget=10 ** 7):
     """All colourings with base arc labelled zero, every crossing relation
     satisfied, and the labels generating G; in lexicographic label order
-    over the non-base arcs (ascending arc id)."""
-    arcs = diagram.arcs
-    if abelian.group_order(spec) ** len(arcs) > budget:
-        raise BudgetExceeded(
-            f"{abelian.group_order(spec) ** len(arcs)} assignments exceed "
-            f"budget {budget}")
-    order = [diagram.base_arc] + [a for a in arcs if a != diagram.base_arc]
-    index_of = {a: i for i, a in enumerate(order)}
-    # check each crossing as soon as its last arc gets a label
-    ready = {i: [] for i in range(len(order))}
-    for sign, (a, b, c, _) in diagram.crossings:
-        ready[max(index_of[a], index_of[b], index_of[c])].append((sign, a, b, c))
-    elems = abelian.elements(spec)
-    zero = abelian.zero(spec)
-    labels = {}
-    out = []
-
-    def consistent(depth):
-        for sign, a, b, c in ready[depth]:
-            if sign > 0:
-                want = quandle_op(labels[a], labels[b], spec)
-            else:
-                want = quandle_op_inverse(labels[a], labels[b], spec)
-            if labels[c] != want:
-                return False
-        return True
-
-    def walk(depth):
-        if depth == len(order):
-            if _surjective(list(labels.values()), spec):
-                out.append(QuandleColouring(dict(labels)))
-            return
-        arc = order[depth]
-        for e in ([zero] if depth == 0 else elems):
-            labels[arc] = e
-            if consistent(depth):
-                walk(depth + 1)
-            del labels[arc]
-
-    walk(0)
-    return out
+    over the non-base arcs (ascending arc id). A crossing with out = in *
+    over is the relation out - t.in + (t - 1).over = 0 over A (a negative
+    crossing swaps in and out); BudgetExceeded past budget solutions."""
+    free = [a for a in diagram.arcs if a != diagram.base_arc]
+    col = {a: j for j, a in enumerate(free)}
+    P, Q = ([[0] * len(free) for _ in diagram.crossings] for _ in range(2))
+    for row, (sign, (a, b, c, _)) in enumerate(diagram.crossings):
+        into, out = (a, c) if sign > 0 else (c, a)
+        for arc, p, q in ((out, 1, 0), (into, 0, -1), (b, -1, 1)):
+            if arc in col:
+                P[row][col[arc]] += p
+                Q[row][col[arc]] += q
+    base = {diagram.base_arc: abelian.zero(spec)}
+    return [QuandleColouring({**base, **dict(zip(free, labels))})
+            for labels in abelian.linear_kernel(P, Q, spec, budget)
+            if _surjective(labels, spec)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ class GroupMismatch(ArtifactError):
 
 
 class BudgetExceeded(ArtifactError):
-    """An enumeration would exceed the configured search budget."""
+    """A search would exceed its budget: for the colouring enumerators,
+    the linear system has more solutions than the budget allows."""
 
 
 class NotUnimodular(ArtifactError):

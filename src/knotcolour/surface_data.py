@@ -11,7 +11,6 @@ over a nontrivial A, but keeps connect sums total).
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import lcm
 
 from . import abelian
@@ -37,7 +36,7 @@ from .errors import (
 
 
 def _as_matrix(matrix):
-    rows = tuple(tuple(int(x) for x in row) for row in matrix)
+    rows = tuple(abelian.int_tuple(row, "matrix row") for row in matrix)
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise BadParameters("matrix must be square")
@@ -141,31 +140,13 @@ def validate(data):
 
 def enumerate_colourings(matrix, spec, budget=10 ** 7):
     """All colouring vectors V with validate((matrix, V)).valid, in
-    lexicographic coordinate order."""
+    lexicographic coordinate order: the solutions of (M^T - M.t) V = 0
+    over A that validate. BudgetExceeded when the linear system has
+    more than budget solutions."""
     M = _check_seifert(matrix)
-    size = len(M)
-    total = abelian.group_order(spec) ** size
-    if total > budget:
-        raise BudgetExceeded(f"{total} candidate vectors exceed budget {budget}")
-    elems = abelian.elements(spec)
-    act_of = {e.coords: abelian.act(e).coords for e in elems}
-    orders = spec.orders
-    r = len(orders)
-    out = []
-    for combo in product(elems, repeat=size):
-        ok = True
-        for i in range(size):
-            for c in range(r):
-                lhs = sum(M[j][i] * combo[j].coords[c] for j in range(size))
-                rhs = sum(M[i][j] * act_of[combo[j].coords][c] for j in range(size))
-                if (lhs - rhs) % orders[c]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and validate(SurfaceData(spec, M, combo)).valid:
-            out.append(tuple(combo))
-    return out
+    negM = [[-x for x in row] for row in M]
+    found = abelian.linear_kernel(transpose(M), negM, spec, budget)
+    return [V for V in found if validate(SurfaceData(spec, M, V)).valid]
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,14 @@ class TestMakeGroup:
         with pytest.raises(BadParameters):
             abelian.make_group(2, (4, 2), ((1, 1), (0, 1)))
 
+    @pytest.mark.parametrize("m, orders, action", [
+        (2, (3.7,), ((2.2,),)), (2, (3.0,), ((2,),)), (2, (3,), ((2.0,),)),
+        (True, (3,), ((2,),)), (2, (3,), ((True,),)),
+        (2, (3,), (("2",),)), (2.0, (3,), ((2,),))])
+    def test_rejects_non_integers(self, m, orders, action):
+        with pytest.raises(BadParameters):
+            abelian.make_group(m, orders, action)
+
     def test_rejects_wrong_order(self):
         with pytest.raises(NotOrderM):
             abelian.make_group(2, (5,), ((2,),))
@@ -77,6 +85,12 @@ class TestElements:
     def test_wrong_length(self, d10):
         with pytest.raises(BadParameters):
             abelian.element(d10, (1, 2))
+
+    @pytest.mark.parametrize("coords", [(2.5,), (2.0,), (True,), ("1",),
+                                        (None,)])
+    def test_rejects_non_integers(self, d10, coords):
+        with pytest.raises(BadParameters):
+            abelian.element(d10, coords)
 
     def test_arithmetic(self, c2_35):
         a = abelian.element(c2_35, (2, 3))

@@ -111,7 +111,7 @@ class TestEnumerate:
         code, got = run_json(capsys, [
             "enumerate", "--group", files("d6.json", D6_JSON),
             "--matrix", files("m.json", TREFOIL_DATA["seifert"]),
-            "--max-search", "8"])
+            "--max-search", "2"])
         assert code == 2 and got["error"]["type"] == "BudgetExceeded"
 
     def test_junk_matrix_is_usage_error(self, capsys, files):

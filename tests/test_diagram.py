@@ -1,7 +1,11 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotcolour import abelian, classify, diagram, surface_data
 from knotcolour.errors import BadParameters, BudgetExceeded, GroupMismatch
+from util import FIG8_L, TREFOIL_L, backtrack_colourings
 
 TREFOIL_L_PD = ((-1, (0, 1, 2, 1)), (-1, (1, 2, 0, 2)), (-1, (2, 0, 1, 0)))
 TREFOIL_R_PD = ((1, (1, 0, 2, 0)), (1, (0, 2, 1, 2)), (1, (2, 1, 0, 1)))
@@ -171,7 +175,62 @@ class TestEnumerate:
     def test_budget(self, d6):
         with pytest.raises(BudgetExceeded):
             diagram.enumerate_diagram_colourings(
-                diagram.catalog()["3_1^l"], d6, budget=8)
+                diagram.catalog()["3_1^l"], d6, budget=2)
+
+    def test_budget_bounds_solutions(self, d6):
+        # the crossing relations of 3_1 over D6 have 3 solutions, of
+        # which the 2 non-constant ones generate
+        cols = diagram.enumerate_diagram_colourings(
+            diagram.catalog()["3_1^l"], d6, budget=3)
+        assert len(cols) == 2
+
+    def test_sum_beyond_ambient_size(self, c2_35):
+        # 15^6 labellings of the free arcs, far past the default budget
+        zeros = [(0, 0), (0, 0)]
+        surf = surface_data.connect_sum(
+            surface_data.make_data(c2_35, TREFOIL_L, zeros),
+            surface_data.make_data(c2_35, FIG8_L, zeros)).matrix
+        d = diagram.catalog()["3_1^l#4_1^l"]
+        assert 15 ** (len(d.arcs) - 1) > 10 ** 7
+        dcount = len(diagram.enumerate_diagram_colourings(d, c2_35))
+        scount = len(surface_data.enumerate_colourings(surf, c2_35))
+        assert dcount == scount == 8
+
+    def test_matches_backtracking_oracle(self, d6, d10, a4, c2_33, c3_55,
+                                         c7_222):
+        """Short random braid closures over six groups agree with the
+        backtracking search, colourings and order included. The actions
+        of C3(Z5)^2 and C7(Z2)^3 are not symmetric, so they tell N from
+        N^T."""
+        specs = (d6, d10, a4, c2_33, c3_55, c7_222)
+        seen = set()
+
+        @settings(deadline=None, max_examples=60, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            strands = rng.choice((2, 3))
+            while True:
+                word = [rng.choice((1, -1)) * rng.randrange(1, strands)
+                        for _ in range(rng.randrange(1, 7))]
+                perm = list(range(strands))
+                for letter in word:
+                    i = abs(letter) - 1
+                    perm[i], perm[i + 1] = perm[i + 1], perm[i]
+                cycle, p = 1, perm[0]
+                while p != 0:
+                    cycle, p = cycle + 1, perm[p]
+                if cycle == strands:  # the closure is a knot
+                    break
+            d = diagram.braid_closure(word, strands)
+            spec = rng.choice(specs)
+            got = [{a: x.coords for a, x in c.labels.items()}
+                   for c in diagram.enumerate_diagram_colourings(d, spec)]
+            assert got == backtrack_colourings(d, spec), (word, spec)
+            seen.add(bool(got))
+
+        check()
+        assert seen == {True, False}
 
     def test_base_arc_fixed_at_zero(self, a4):
         cols = diagram.enumerate_diagram_colourings(

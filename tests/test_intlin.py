@@ -1,11 +1,12 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotcolour import _intlin as lin
-from knotcolour.errors import NotUnimodular
+from knotcolour.errors import BudgetExceeded, NotUnimodular
 
 small = st.integers(-9, 9)
 
@@ -56,6 +57,13 @@ def test_inverse_unimodular(seed):
 def test_inverse_rejects_non_unimodular():
     with pytest.raises(NotUnimodular):
         lin.inverse_unimodular([[2, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("A", [[[1, 0, 0], [0, 1, 0]],
+                               [[1, 0], [0, 1], [0, 0]]])
+def test_inverse_rejects_non_square(A):
+    with pytest.raises(NotUnimodular):
+        lin.inverse_unimodular(A)
 
 
 def test_inverse_empty():
@@ -128,3 +136,31 @@ def test_mat_pow():
     A = [[1, 1], [0, 1]]
     assert lin.mat_pow(A, 0) == lin.identity(2)
     assert lin.mat_pow(A, 5) == [[1, 5], [0, 1]]
+
+
+MODS_OUT = ((2,), (3,), (4,), (9,), (2, 4), (3, 3), (6,), (2, 2, 2))
+
+
+@pytest.mark.parametrize("mods_in", [
+    (2, 4), (3, 9), (2, 2, 2), (4, 2, 3), (9, 3, 6), (5,)])
+def test_kernel_mod_matches_brute_force(mods_in):
+    """kernel_mod lists exactly the solutions a walk over every x finds,
+    in the same order, and its Smith-diagonal count is exact: a budget one
+    below the number of solutions raises."""
+    @settings(deadline=None, max_examples=25, derandomize=True)
+    @given(st.integers(0, 10 ** 6))
+    def check(seed):
+        rng = random.Random(seed)
+        mods_out = sum((rng.choice(MODS_OUT)
+                        for _ in range(rng.randrange(1, 3))), ())
+        # F is well defined on prod Z/mods_in: mods_out[i] | F[i][j] mods_in[j]
+        F = [[rng.randrange(-3, 4) * (o // gcd(o, n)) for n in mods_in]
+             for o in mods_out]
+        want = [x for x in product(*(range(n) for n in mods_in))
+                if all(sum(f * v for f, v in zip(row, x)) % o == 0
+                       for row, o in zip(F, mods_out))]
+        assert lin.kernel_mod(F, mods_in, mods_out, len(want)) == want
+        with pytest.raises(BudgetExceeded):
+            lin.kernel_mod(F, mods_in, mods_out, len(want) - 1)
+
+    check()

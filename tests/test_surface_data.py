@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotcolour import abelian, invariants, surface_data
-from knotcolour._intlin import identity, inverse_unimodular, mat_mul, mat_vec
+from knotcolour._intlin import (
+    identity, inverse_unimodular, mat_mul, mat_vec, transpose)
 from knotcolour.errors import (
     BadParameters,
     BudgetExceeded,
@@ -16,6 +17,7 @@ from knotcolour.errors import (
     NotUnimodular,
     PatternMismatch,
 )
+from test_acceptance import brute_force
 from util import TREFOIL_L, FIG8_L, move_pool, rand_unimodular, random_move
 
 
@@ -35,6 +37,17 @@ class TestConstruction:
     def test_rejects_vector_length(self, d6):
         with pytest.raises(BadParameters):
             surface_data.make_data(d6, TREFOIL_L, [(1,)])
+
+    @pytest.mark.parametrize("matrix, coords", [
+        ([[-1.9, 1], [0, True]], [["1"], [2.5]]),
+        ([[-1, 1], [0, True]], [(1,), (2,)]),
+        ([[-1.0, 1], [0, -1]], [(1,), (2,)]),
+        (TREFOIL_L, [(1,), (2.0,)]),
+        (TREFOIL_L, [(1,), (False,)]),
+    ])
+    def test_rejects_non_integers(self, d6, matrix, coords):
+        with pytest.raises(BadParameters):
+            surface_data.make_data(d6, matrix, coords)
 
     def test_rejects_foreign_entries(self, d6, d10):
         with pytest.raises(GroupMismatch):
@@ -141,7 +154,46 @@ class TestEnumerate:
 
     def test_budget(self, d6):
         with pytest.raises(BudgetExceeded):
-            surface_data.enumerate_colourings(TREFOIL_L, d6, budget=8)
+            surface_data.enumerate_colourings(TREFOIL_L, d6, budget=2)
+
+    def test_budget_bounds_solutions(self, d6):
+        # M^T V = M (t.V) has 3 solutions over D6, of which 2 generate
+        found = surface_data.enumerate_colourings(TREFOIL_L, d6, budget=3)
+        assert len(found) == 2
+
+    def test_matches_brute_force(self, d6, d10, a4, c2_33, c3_55):
+        """Random Seifert matrices U^T M U of genus 1 and 2 agree with the
+        brute-force search over every vector, order included. The action
+        of C3(Z5)^2 is not symmetric, so it tells N from N^T; its base
+        ((7, -2), (-1, 7)) has colourings, kept by noise divisible by 5."""
+        specs = ((d6, 2, None), (d10, 2, None), (a4, 2, None),
+                 (c2_33, 1, None), (c3_55, 1, ((7, -2), (-1, 7))))
+        seen = set()
+
+        @settings(deadline=None, max_examples=40, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            spec, max_genus, base = rng.choice(specs)
+            g = rng.randrange(1, max_genus + 1)
+            scale = 1 if base is None or rng.random() < 0.5 else 5
+            base = surface_data.standard_matrix(g) if scale == 1 else base
+            M = [list(r) for r in base]
+            for i in range(2 * g):
+                for j in range(i, 2 * g):
+                    x = scale * rng.randrange(-2, 3)  # symmetric: keeps S
+                    M[i][j] += x
+                    if j != i:
+                        M[j][i] += x
+            U = rand_unimodular(rng, 2 * g)
+            M = mat_mul(mat_mul(transpose(U), M), U)
+            got = [tuple(v.coords for v in vec)
+                   for vec in surface_data.enumerate_colourings(M, spec)]
+            assert got == brute_force(M, spec), (M, spec)
+            seen.add(bool(got))
+
+        check()
+        assert seen == {True, False}
 
     def test_checks_matrix(self, d6):
         with pytest.raises(BadParameters):

@@ -1,7 +1,8 @@
 """Shared test helpers: reference Seifert matrices, random unimodular
-matrices, random S-equivalence moves, and the fixture data pool."""
+matrices, random S-equivalence moves, the fixture data pool, and the
+backtracking oracle for diagram colourings."""
 
-from knotcolour import classify, invariants, surface_data
+from knotcolour import abelian, classify, diagram, invariants, surface_data
 
 TREFOIL_L = ((-1, 1), (0, -1))
 TREFOIL_R = ((1, 0), (-1, 1))
@@ -72,3 +73,43 @@ def lift_pool(d6, d10, d14, c3z7, a4, c2_33, c2_35, c3_55):
     specs = {d.spec for d in pool}
     assert specs == {d6, d10, d14, c3z7, a4, c2_33, c2_35, c3_55}
     return pool
+
+
+def backtrack_colourings(d, spec):
+    """Slow oracle for diagram.enumerate_diagram_colourings: label the base
+    arc zero, then every other arc in ascending order with each element of
+    A, checking a crossing through quandle_op as soon as its last arc is
+    labelled; keep the labellings whose t-orbits generate A. Returns
+    {arc: coords} dicts in search order."""
+    order = [d.base_arc] + [a for a in d.arcs if a != d.base_arc]
+    index_of = {a: i for i, a in enumerate(order)}
+    ready = {i: [] for i in range(len(order))}
+    for sign, (a, b, c, _) in d.crossings:
+        ready[max(index_of[a], index_of[b], index_of[c])].append(
+            (sign, a, b, c))
+    elems = abelian.elements(spec)
+    labels = {}
+    out = []
+
+    def consistent(depth):
+        for sign, a, b, c in ready[depth]:
+            op = diagram.quandle_op if sign > 0 else diagram.quandle_op_inverse
+            if labels[c] != op(labels[a], labels[b], spec):
+                return False
+        return True
+
+    def walk(depth):
+        if depth == len(order):
+            orbit = [abelian.act_pow(x, j)
+                     for x in labels.values() for j in range(spec.m)]
+            if abelian.generates(orbit, spec):
+                out.append({a: x.coords for a, x in labels.items()})
+            return
+        for e in [abelian.zero(spec)] if depth == 0 else elems:
+            labels[order[depth]] = e
+            if consistent(depth):
+                walk(depth + 1)
+            del labels[order[depth]]
+
+    walk(0)
+    return out

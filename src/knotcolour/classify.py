@@ -189,7 +189,7 @@ def rank2_nondiag_table(m, n, N):
     """
     if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 2):
         raise BadParameters("need integers m >= 1, n >= 2")
-    rows = tuple(tuple(int(x) for x in row) for row in N)
+    rows = tuple(abelian.int_tuple(row, "N row") for row in N)
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise BadParameters("N must be 2x2")
     if rows[0] != (0, 1):

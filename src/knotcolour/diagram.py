@@ -29,8 +29,8 @@ class Diagram:
         norm = []
         for cr in self.crossings:
             sign, arcs = cr
-            arcs = tuple(int(x) for x in arcs)
-            if sign not in (1, -1):
+            arcs = abelian.int_tuple(arcs, "arc ids")
+            if type(sign) is not int or sign not in (1, -1):
                 raise BadParameters(f"crossing sign must be +-1, got {sign!r}")
             if len(arcs) != 4:
                 raise BadParameters("crossing needs four arc ids")
@@ -54,7 +54,7 @@ class Diagram:
             raise BadParameters(
                 f"{len(self.crossings)} crossings but {len(ids)} arcs; "
                 "not a one-component diagram")
-        if self.base_arc not in ids:
+        if type(self.base_arc) is not int or self.base_arc not in ids:
             raise BadParameters(f"base arc {self.base_arc} not in diagram")
 
     @property
@@ -129,7 +129,7 @@ def braid_closure(word, strands):
         raise BadParameters("need an integer strand count >= 2")
     word = tuple(word)
     for letter in word:
-        if not isinstance(letter, int) or letter == 0 \
+        if type(letter) is not int or letter == 0 \
                 or abs(letter) >= strands:
             raise BadParameters(f"braid letter {letter!r} out of range")
     arc_at = list(range(strands))

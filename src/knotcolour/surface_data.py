@@ -10,8 +10,9 @@ over a nontrivial A, but keeps connect sums total).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
+from operator import mul
 
 from . import abelian
 from ._intlin import (
@@ -84,6 +85,11 @@ class SurfaceData:
     def genus(self):
         return len(self.matrix) // 2
 
+    @cached_property
+    def _report(self):
+        # every field is immutable, so the report never goes stale
+        return _validate(self)
+
 
 def make_data(spec, matrix, coords):
     """SurfaceData from raw coordinate rows (one row per vector entry)."""
@@ -100,15 +106,11 @@ class ValidationReport:
 
 
 def _mat_apply(M, vec, spec):
-    """Integer matrix acting entrywise on a tuple of group elements."""
-    out = []
-    for i in range(len(M)):
-        acc = abelian.zero(spec)
-        for j, v in enumerate(vec):
-            if M[i][j]:
-                acc = abelian.add(acc, abelian.mul(M[i][j], v))
-        out.append(acc)
-    return tuple(out)
+    """Integer matrix acting entrywise on a tuple of group elements: one
+    integer sum per factor of each row, reduced once into an element."""
+    factors = [[v.coords[c] for v in vec] for c in range(spec.rank)]
+    return tuple(abelian.GroupElement(
+        spec, tuple(sum(map(mul, row, f)) for f in factors)) for row in M)
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +127,12 @@ def validate(data):
     """Full validity check: entries generate A, the colouring equation
     M^T V = M (t.V) holds, and the size admits the rank of A. As
     S = M^T - M is unimodular, the equation says V = S^-1 M (t-1)V.
+    The check runs once per datum; later calls return the same report.
     """
+    return data._report
+
+
+def _validate(data):
     spec, M, V = data.spec, data.matrix, data.vector
     size = len(M)
     tV = tuple(abelian.act(v) for v in V)
@@ -141,12 +148,14 @@ def validate(data):
 def enumerate_colourings(matrix, spec, budget=10 ** 7):
     """All colouring vectors V with validate((matrix, V)).valid, in
     lexicographic coordinate order: the solutions of (M^T - M.t) V = 0
-    over A that validate. BudgetExceeded when the linear system has
-    more than budget solutions."""
+    over A whose entries generate A. Generation implies the genus bound,
+    as fewer entries than the minimal number of generators cannot
+    generate. BudgetExceeded when the linear system has more than budget
+    solutions."""
     M = _check_seifert(matrix)
     negM = [[-x for x in row] for row in M]
     found = abelian.linear_kernel(transpose(M), negM, spec, budget)
-    return [V for V in found if validate(SurfaceData(spec, M, V)).valid]
+    return [V for V in found if abelian.generates(list(V), spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +190,7 @@ def lambda2(data, c, variant):
     """Stabilization: grow the matrix by two rows/columns in one of the two
     patterns and append the transported vector entries."""
     size = data.size
-    c = tuple(int(x) for x in c)
+    c = abelian.int_tuple(c, "c")
     if len(c) != size:
         raise BadParameters(f"c must have length {size}")
     if variant not in (1, 2):

@@ -139,6 +139,12 @@ class TestRank2Nondiag:
                        (1, 4): (0, 0), (1, 5): (2, 2)}
         assert any("count formula" in n for n in t.notes)
 
+    @pytest.mark.parametrize("N", [((0, 1.0), (1.9, True)),
+                                   ((0, 1), (1, True))])
+    def test_rejects_non_integer_action(self, N):
+        with pytest.raises(BadParameters):
+            classify.rank2_nondiag_table(3, 2, N)
+
     def test_a4_companion_family(self):
         t = classify.rank2_nondiag_table(3, 2, ((0, 1), (1, 1)))
         assert len(t.entries) == 8

@@ -257,6 +257,17 @@ class TestColourDiagram:
             "--pd", files("pd.json", {"base_arc": 0})])
         assert code == 2 and got["error"]["type"] == "BadParameters"
 
+    def test_arc_ids_are_not_read_from_object_keys(self, capsys, files):
+        # an object's keys are strings, so " 1" is not taken for arc 1
+        pd = {"base_arc": 0, "crossings": [
+            {"arcs": {"0": 0, "1": 0, "2": 0, " 1": 0}, "sign": -1},
+            {"arcs": [1, 2, 0, 2], "sign": -1},
+            {"arcs": [2, 0, 1, 0], "sign": -1}]}
+        code, got = run_json(capsys, [
+            "colour-diagram", "--group", files("d6.json", D6_JSON),
+            "--pd", files("pd.json", pd)])
+        assert code == 2 and got["error"]["type"] == "BadParameters"
+
 
 class TestCatalog:
     def test_stable_bytes_and_content(self, capsys):

@@ -41,6 +41,20 @@ class TestDiagram:
         with pytest.raises(BadParameters):
             diagram.Diagram(((1, (0, 1, 2, 1)),), 0)
 
+    def test_rejects_non_integer_arc_ids(self):
+        bad = ((-1, (0.2, 1, 2, 1)),) + TREFOIL_L_PD[1:]
+        with pytest.raises(BadParameters):
+            diagram.Diagram(bad, 0)
+
+    @pytest.mark.parametrize("base", [True, 1.0])
+    def test_rejects_non_integer_base(self, base):
+        with pytest.raises(BadParameters):
+            diagram.Diagram(TREFOIL_L_PD, base)
+
+    def test_rejects_bool_sign(self):
+        with pytest.raises(BadParameters):
+            diagram.Diagram(((True, (1, 0, 2, 0)),) + TREFOIL_R_PD[1:], 0)
+
     def test_rejects_foreign_base(self):
         with pytest.raises(BadParameters):
             diagram.Diagram(TREFOIL_L_PD, 7)
@@ -111,6 +125,10 @@ class TestBraidClosure:
             diagram.braid_closure((2,), 2)
         with pytest.raises(BadParameters):
             diagram.braid_closure(("a",), 2)
+
+    def test_rejects_bool_letters(self):
+        with pytest.raises(BadParameters):
+            diagram.braid_closure((True, 1, 1), 2)
 
 
 class TestCatalog:

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotcolour import abelian, invariants, surface_data
+from knotcolour import abelian, classify, invariants, surface_data
 from knotcolour._intlin import (
     identity, inverse_unimodular, mat_mul, mat_vec, transpose)
 from knotcolour.errors import (
@@ -18,7 +18,29 @@ from knotcolour.errors import (
     PatternMismatch,
 )
 from test_acceptance import brute_force
-from util import TREFOIL_L, FIG8_L, move_pool, rand_unimodular, random_move
+from util import (
+    TREFOIL_L, FIG8_L, move_pool, rand_unimodular, random_move,
+    slow_mat_apply)
+
+
+def random_seifert(rng, specs):
+    """A random Seifert matrix U^T M U and its group, for specs of
+    (spec, max_genus, base): M is the standard matrix of a random genus,
+    or half the time the given genus-1 base, plus symmetric noise (which
+    keeps M - M^T), divisible by 5 on a base."""
+    spec, max_genus, base = rng.choice(specs)
+    g = rng.randrange(1, max_genus + 1)
+    scale = 1 if base is None or rng.random() < 0.5 else 5
+    base = surface_data.standard_matrix(g) if scale == 1 else base
+    M = [list(r) for r in base]
+    for i in range(2 * g):
+        for j in range(i, 2 * g):
+            x = scale * rng.randrange(-2, 3)  # symmetric: keeps S
+            M[i][j] += x
+            if j != i:
+                M[j][i] += x
+    U = rand_unimodular(rng, 2 * g)
+    return mat_mul(mat_mul(transpose(U), M), U), spec
 
 
 class TestConstruction:
@@ -132,6 +154,87 @@ class TestValidate:
         assert surface_data._min_generators(spec) == prime_count == want
 
 
+class TestValidateOnce:
+    def test_full_check_runs_once(self, a4, monkeypatch):
+        calls = []
+        body = surface_data._validate
+        monkeypatch.setattr(surface_data, "_validate",
+                            lambda data: calls.append(data) or body(data))
+        data = surface_data.make_data(a4, ((1, 0), (1, 1)), [(1, 1), (0, 1)])
+        invariants.su(data)
+        report = surface_data.validate(data)
+        invariants.cu(data)
+        classify.a4_class(data)
+        assert surface_data.validate(data) is report and report.valid
+        # a4_class may also check its own reference data on a cold cache
+        assert [d for d in calls if d is data] == [data]
+
+    def test_memo_leaves_identity_alone(self, d6):
+        """A validated datum and an equal fresh one compare, hash, print
+        and serialise alike."""
+        done = surface_data.make_data(d6, TREFOIL_L, [(1,), (2,)])
+        fresh = surface_data.make_data(d6, TREFOIL_L, [(1,), (2,)])
+        surface_data.validate(done)
+        assert done == fresh and fresh == done
+        assert hash(done) == hash(fresh)
+        assert repr(done) == repr(fresh)
+        assert surface_data.data_to_json(done) == \
+            surface_data.data_to_json(fresh)
+
+    @pytest.mark.parametrize("coords", [[(0, 0), (0, 0)], [(1, 0), (0, 1)]])
+    @pytest.mark.parametrize("validated_first", [False, True])
+    def test_invalid_data_still_raises(self, a4, coords, validated_first):
+        # the first vector does not generate A, the second breaks the
+        # colouring equation
+        data = surface_data.make_data(a4, ((1, 0), (1, 1)), coords)
+        if validated_first:
+            assert not surface_data.validate(data).valid
+        basis = [abelian.element(a4, (1, 0)), abelian.element(a4, (0, 1))]
+        for call in (invariants.su, invariants.cu, classify.a4_class,
+                     lambda d: surface_data.shorten_vector(d, basis)):
+            with pytest.raises(InvalidData):
+                call(data)
+
+
+class TestMatApply:
+    def test_matches_group_element_loop(self, d6, d10, d14, c3z7, c4z5, a4,
+                                        c2_33, c2_35, c3_55, c7_222, z46,
+                                        z333):
+        """Coordinate-row sums equal the GroupElement loop over every
+        fixture group, mixed orders and rank 3 included, on matrices with
+        negative, large and all-zero rows and on empty vectors."""
+        specs = (d6, d10, d14, c3z7, c4z5, a4, c2_33, c2_35, c3_55, c7_222,
+                 z46, z333)
+        seen = set()
+
+        @settings(deadline=None, max_examples=40, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            for spec in specs:
+                rows, cols = rng.randrange(4), rng.randrange(4)
+                vec = tuple(abelian.element(spec, [rng.randrange(n) for n
+                                                   in spec.orders])
+                            for _ in range(cols))
+                bound = rng.choice((3, 10 ** 12))
+                M = [[rng.randrange(-bound, bound + 1) for _ in range(cols)]
+                     if rng.random() < 0.8 else [0] * cols
+                     for _ in range(rows)]
+                assert surface_data._mat_apply(M, vec, spec) == \
+                    slow_mat_apply(M, vec, spec)
+                seen.update("zero row" for row in M if cols and not any(row))
+                seen.update("large" if x < -3 else "negative"
+                            for row in M for x in row if x < 0)
+
+        check()
+        assert seen == {"zero row", "negative", "large"}
+        for spec in specs:
+            zero = abelian.zero(spec)
+            assert surface_data._mat_apply(((),), (), spec) == (zero,) == \
+                slow_mat_apply(((),), (), spec)
+            assert surface_data._mat_apply((), (), spec) == ()
+
+
 class TestEnumerate:
     def test_d6_trefoil_frozen(self, d6):
         found = surface_data.enumerate_colourings(TREFOIL_L, d6)
@@ -173,20 +276,7 @@ class TestEnumerate:
         @settings(deadline=None, max_examples=40, derandomize=True)
         @given(st.integers(0, 10 ** 6))
         def check(seed):
-            rng = random.Random(seed)
-            spec, max_genus, base = rng.choice(specs)
-            g = rng.randrange(1, max_genus + 1)
-            scale = 1 if base is None or rng.random() < 0.5 else 5
-            base = surface_data.standard_matrix(g) if scale == 1 else base
-            M = [list(r) for r in base]
-            for i in range(2 * g):
-                for j in range(i, 2 * g):
-                    x = scale * rng.randrange(-2, 3)  # symmetric: keeps S
-                    M[i][j] += x
-                    if j != i:
-                        M[j][i] += x
-            U = rand_unimodular(rng, 2 * g)
-            M = mat_mul(mat_mul(transpose(U), M), U)
+            M, spec = random_seifert(random.Random(seed), specs)
             got = [tuple(v.coords for v in vec)
                    for vec in surface_data.enumerate_colourings(M, spec)]
             assert got == brute_force(M, spec), (M, spec)
@@ -194,6 +284,41 @@ class TestEnumerate:
 
         check()
         assert seen == {True, False}
+
+    def test_matches_validate_filter(self, d6, d10, a4, c2_33, c3_55,
+                                     c7_222):
+        """Keeping kernel solutions by generation alone gives exactly the
+        solutions the full validate keeps, in order; C7(Z2)^3 adds data
+        whose genus may be too small for A."""
+        specs = ((d6, 2, None), (d10, 2, None), (a4, 2, None),
+                 (c2_33, 1, None), (c3_55, 1, ((7, -2), (-1, 7))),
+                 (c7_222, 2, None))
+        seen = set()
+
+        @settings(deadline=None, max_examples=60, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            M, spec = random_seifert(random.Random(seed), specs)
+            negM = [[-x for x in row] for row in M]
+            kernel = abelian.linear_kernel(transpose(M), negM, spec, 10 ** 7)
+            want = [V for V in kernel if surface_data.validate(
+                surface_data.SurfaceData(spec, M, V)).valid]
+            assert surface_data.enumerate_colourings(M, spec) == want
+            seen.add(bool(want))
+
+        check()
+        assert seen == {True, False}
+
+    def test_genus_too_small(self, c7_222, z333):
+        # a 2x2 matrix cannot carry generators of a rank-3 group; over
+        # C7(Z2)^3 the trefoil's only solution is zero, over (Z3)^3 it
+        # has 27, none generating
+        for spec, count in ((c7_222, 1), (z333, 27)):
+            negM = [[-x for x in row] for row in TREFOIL_L]
+            kernel = abelian.linear_kernel(
+                transpose(TREFOIL_L), negM, spec, 10 ** 7)
+            assert len(kernel) == count
+            assert surface_data.enumerate_colourings(TREFOIL_L, spec) == []
 
     def test_checks_matrix(self, d6):
         with pytest.raises(BadParameters):
@@ -254,6 +379,13 @@ class TestLambda2:
             surface_data.lambda2(data, (1,), 2)
         with pytest.raises(BadParameters):
             surface_data.lambda2(data, (1, 0), 3)
+
+    @pytest.mark.parametrize("c", [(1.7, True), (1, True), (1, 0.0),
+                                   ("1", 0)])
+    def test_rejects_non_integer_c(self, d6, c):
+        data = surface_data.make_data(d6, TREFOIL_L, [(1,), (2,)])
+        with pytest.raises(BadParameters):
+            surface_data.lambda2(data, c, 2)
 
     def test_inverse_pattern_mismatch(self, d6):
         data = surface_data.make_data(d6, TREFOIL_L, [(1,), (2,)])

@@ -1,6 +1,7 @@
 """Shared test helpers: reference Seifert matrices, random unimodular
-matrices, random S-equivalence moves, the fixture data pool, and the
-backtracking oracle for diagram colourings."""
+matrices, random S-equivalence moves, the fixture data pool, the
+backtracking oracle for diagram colourings, and the GroupElement oracle
+for surface_data._mat_apply."""
 
 from knotcolour import abelian, classify, diagram, invariants, surface_data
 
@@ -113,3 +114,17 @@ def backtrack_colourings(d, spec):
 
     walk(0)
     return out
+
+
+def slow_mat_apply(M, vec, spec):
+    """Slow oracle for surface_data._mat_apply: each output entry built
+    from GroupElement arithmetic, one mul and one add per nonzero matrix
+    entry, starting from zero."""
+    out = []
+    for i in range(len(M)):
+        acc = abelian.zero(spec)
+        for j, v in enumerate(vec):
+            if M[i][j]:
+                acc = abelian.add(acc, abelian.mul(M[i][j], v))
+        out.append(acc)
+    return tuple(out)

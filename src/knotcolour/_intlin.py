@@ -182,64 +182,45 @@ def smith(A):
     return U, D, V
 
 
-def smith_diagonal(A):
-    _, D, _ = smith(A)
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
-
-
-def solve_integer(A, b):
-    """One integer solution x of A x = b, or None if none exists."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    U, D, V = smith(A)
-    c = mat_vec(U, b)
-    y = [0] * cols
-    for i in range(min(rows, cols)):
-        d = D[i][i]
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    for i in range(min(rows, cols), rows):
-        if c[i] != 0:
-            return None
-    return mat_vec(V, y)
+def smith_mod(F, mods):
+    """The Smith form of a system F x = b modulo per-row moduli, which is
+    the integer system [F | diag(mods)]: (U, d, V) with U [F | diag(mods)]
+    V diagonal, its l = len(mods) invariant factors d. F has l rows of k
+    entries each. Every mod is >= 1, so no d_i is 0, and prod(d) is the
+    order of (prod Z/mods) / F(Z^k).
+    """
+    l = len(mods)
+    U, D, V = smith([list(F[i]) + [n if j == i else 0 for j in range(l)]
+                     for i, n in enumerate(mods)])
+    return U, [D[i][i] for i in range(l)], V
 
 
 def solve_mod(C, target, mods):
     """Integer vector x with C x = target modulo per-row moduli.
 
     C is r x k over Z, target and mods have length r. Returns x of
-    length k, or None when no solution exists; solved by augmenting C
-    with diag(mods) and solving over Z.
+    length k, or None when no solution exists. With (U, d, V) =
+    smith_mod(C, mods), y_i = (U target)_i / d_i must be integral, and x
+    is the first k entries of V y.
     """
-    r = len(mods)
-    k = len(C[0]) if r and C else 0
-    aug = [list(C[i]) + [mods[i] if j == i else 0 for j in range(r)]
-           for i in range(r)]
-    sol = solve_integer(aug, list(target))
-    if sol is None:
+    U, d, V = smith_mod(C, mods)
+    c = mat_vec(U, target)
+    if any(ci % di for ci, di in zip(c, d)):
         return None
-    return sol[:k]
-
+    return mat_vec(V[:len(V) - len(d)], [ci // di for ci, di in zip(c, d)])
 
 
 def kernel_mod(F, mods_in, mods_out, budget):
     """Every x in prod Z/mods_in with F x = 0 mod mods_out, sorted. F is
     well defined there (mods_out[i] | F[i][j] mods_in[j]) and has a row
-    if it has a column. In the Smith form U [F | diag(mods_out)] V = D, of
-    rank l = len(mods_out), the last k = len(mods_in) columns of V span the
-    kernel over Z. There are prod(mods_in) d_1 ... d_l / prod(mods_out)
-    solutions; BudgetExceeded, before any is listed, if over budget.
+    if it has a column. In (U, d, V) = smith_mod(F, mods_out), the last
+    k = len(mods_in) columns of V span the kernel over Z. There are
+    prod(mods_in) d_1 ... d_l / prod(mods_out) solutions, l = len(mods_out);
+    BudgetExceeded, before any is listed, if over budget.
     """
     k, l = len(mods_in), len(mods_out)
-    aug = [list(F[i]) + [mods_out[i] if j == i else 0 for j in range(l)]
-           for i in range(l)]
-    _, D, V = smith(aug)
-    order = prod(mods_in) * prod(D[i][i] for i in range(l)) // prod(mods_out)
+    _, d, V = smith_mod(F, mods_out)
+    order = prod(mods_in) * prod(d) // prod(mods_out)
     if order > budget:
         raise BudgetExceeded(f"{order} solutions exceed budget {budget}")
     span = {(0,) * k}

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, prod
 
-from ._intlin import identity, kernel_mod, mat_pow, smith_diagonal
+from ._intlin import identity, kernel_mod, mat_pow, smith_mod
 from .errors import (
     BadParameters,
     FixedPoints,
@@ -194,12 +194,8 @@ def _coords_generate(spec, coord_tuples):
     """
     if not coord_tuples:
         return False
-    r = spec.rank
-    stacked = [[g[i] for g in coord_tuples]
-               + [spec.orders[i] if j == i else 0 for j in range(r)]
-               for i in range(r)]
-    diag = smith_diagonal(stacked)
-    return all(d == 1 for d in diag[:r])
+    F = [[g[i] for g in coord_tuples] for i in range(spec.rank)]
+    return all(d == 1 for d in smith_mod(F, spec.orders)[1])
 
 
 def generates(elems, spec=None):
@@ -367,9 +363,9 @@ def group_from_json(obj):
 
 
 def unsafe_spec(orders, m=1):
-    """Raw abelian-only carrier: GroupSpec with the identity action and no
-    factory validation. Intended for the wedge layer over order tuples
-    that admit no fixed-point-free action; do not feed to su/cu.
+    """Raw abelian-only carrier: GroupSpec with the identity action; only
+    the orders are checked to be integers. For the wedge layer over order
+    tuples that admit no fixed-point-free action; do not feed to su/cu.
     """
-    orders = tuple(int(n) for n in orders)
+    orders = int_tuple(orders, "orders")
     return GroupSpec(m, orders, tuple(tuple(row) for row in identity(len(orders))))

@@ -13,6 +13,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import abelian, invariants, surface_data
+from ._intlin import solve_mod
 from .errors import (
     BadParameters,
     InternalInconsistency,
@@ -128,8 +129,7 @@ def rank2_diag_table(m, n1, n2, xi1, xi2):
         notes.append("no genus-1 classes: the congruences for x "
                      "have no common solution")
     else:
-        x = next(v for v in range(n1 * n2 // g + 1)
-                 if v % n1 == x1 and v % n2 == x2_g1)
+        x = solve_mod([[1], [1]], [x1, x2_g1], (n1, n2))[0] % (n1 * n2 // g)
         for i in range(1, g):
             if gcd(i, n2) != 1:
                 notes.append(f"i={i} skipped: i s2 does not generate Z/{n2}")
@@ -168,17 +168,6 @@ def nondiag_lower_bound(m, n, N):
     return abelian.additive_order(6 * (1 + n22 + n22 * n22 - n21 * n21), n)
 
 
-def _n22_lift(n, n22, xt):
-    """Minimal integer congruent to N22 mod n with 1 - 2 xt + xt N22' = 0
-    mod n (the corner congruence of the genus-1 display)."""
-    cand = n22 % n
-    for _ in range(n * n):
-        if (1 - 2 * xt + xt * cand) % n == 0:
-            return cand
-        cand += n
-    raise BadParameters("no lift of N22 satisfies the corner congruence")
-
-
 def rank2_nondiag_table(m, n, N):
     """Families over A = (Z/n)^2 where the action matrix is the companion
     form [[0, 1], [N21, N22]] (in the row convention phi(s1) = s2).
@@ -208,7 +197,7 @@ def rank2_nondiag_table(m, n, N):
     xt = xi % n
 
     if (n21 + 1) % n == 0:
-        _n22_lift(n, n22, xt)  # the display's congruence must be satisfiable
+        # 1 - 2xt + xt N22 = 1 - xt(2 - N22) = 0 mod n, as xt = (2 - N22)^-1
         for i in range(1, n):
             if gcd(i, n) != 1:
                 notes.append(f"i={i} skipped: i s2 does not generate Z/{n}")

@@ -187,6 +187,9 @@ def y_obstruction(triples):
     total = None
     spec = None
     for triple, mult in items:
+        if type(mult) is not int:
+            raise BadParameters(
+                f"multiplicity must be an integer, got {mult!r}")
         a, b, c = triple
         for e in (a, b, c):
             if not isinstance(e, abelian.GroupElement):
@@ -195,6 +198,6 @@ def y_obstruction(triples):
                 spec = e.spec
             elif e.spec != spec:
                 raise GroupMismatch("triples mix group specs")
-        term = abelian.wedge3_scale(int(mult), abelian.wedge3(a, b, c))
+        term = abelian.wedge3_scale(mult, abelian.wedge3(a, b, c))
         total = term if total is None else total + term
     return total

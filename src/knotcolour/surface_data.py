@@ -20,7 +20,7 @@ from ._intlin import (
     identity,
     inverse_unimodular,
     mat_mul,
-    smith_diagonal,
+    smith_mod,
     solve_mod,
     transpose,
 )
@@ -116,11 +116,9 @@ def _mat_apply(M, vec, spec):
 @lru_cache(maxsize=None)
 def _min_generators(spec):
     """Minimal size of a generating set of A: the number of invariant
-    factors > 1 in the Smith form of diag(orders)."""
-    r = spec.rank
-    diag = smith_diagonal([[n if i == j else 0 for j in range(r)]
-                           for i, n in enumerate(spec.orders)])
-    return sum(1 for d in diag if d > 1)
+    factors > 1 of A = prod Z/orders, a system with no unknowns."""
+    d = smith_mod([()] * spec.rank, spec.orders)[1]
+    return sum(1 for di in d if di > 1)
 
 
 def validate(data):

@@ -77,6 +77,19 @@ class TestMakeGroup:
         assert abelian.act(s2).coords == (1, 1)
 
 
+class TestUnsafeSpec:
+    def test_identity_action(self):
+        spec = abelian.unsafe_spec((4, 6))
+        assert spec.orders == (4, 6)
+        assert spec.action == ((1, 0), (0, 1))
+
+    @pytest.mark.parametrize("orders", [(4.9, 6), (4.0, 6), (True, 6),
+                                        (4, "6")])
+    def test_rejects_non_integers(self, orders):
+        with pytest.raises(BadParameters):
+            abelian.unsafe_spec(orders)
+
+
 class TestElements:
     def test_coords_reduced(self, d10):
         assert abelian.element(d10, (7,)).coords == (2,)

@@ -1,3 +1,5 @@
+from math import gcd, lcm
+
 import pytest
 
 from knotcolour import classify, surface_data
@@ -116,6 +118,32 @@ class TestRank2Diag:
         assert g1_is == {1, 2, 4, 5, 7, 8}
         assert any("does not generate" in n for n in t.notes)
 
+    def test_genus1_x_is_least_crt_solution(self):
+        # the benchmark's odd-order grid; coprime orders have no genus-1
+        # entries
+        odd = (3, 5, 7, 9, 11, 13)
+        seen = 0
+        for n1 in odd:
+            for n2 in odd:
+                if n1 * n2 > 91 or gcd(n1, n2) == 1:
+                    continue
+                for xi1 in range(2, n1):
+                    for xi2 in range(2, n2):
+                        if any(gcd(xi, n) != 1 or gcd(xi - 1, n) != 1
+                               or xi * xi % n != 1
+                               for xi, n in ((xi1, n1), (xi2, n2))):
+                            continue
+                        x1 = xi1 * pow(1 - xi1, -1, n1) % n1
+                        x2 = pow(xi2 - 1, -1, n2)
+                        want = min(v for v in range(lcm(n1, n2))
+                                   if v % n1 == x1 and v % n2 == x2)
+                        t = classify.rank2_diag_table(2, n1, n2, xi1, xi2)
+                        g1 = [e for e in t.entries if e.name == "g1"]
+                        assert g1
+                        assert {e.data.matrix[0][1] for e in g1} == {want}
+                        seen += len(g1)
+        assert seen == 1006
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(BadParameters):
             classify.rank2_diag_table(2, 3, 5, 1, 4)
@@ -171,6 +199,21 @@ class TestRank2Nondiag:
             {(j, j) for j in range(7)}
         for e in t.entries[::23]:
             assert surface_data.validate(e.data).valid
+
+    def test_genus1_corner_congruence_always_holds(self):
+        """On the N21 = -1 branch xt = (1 - N21 - N22)^-1 = (2 - N22)^-1,
+        so the display's corner entry 1 - 2 xt + xt N22 = 1 - xt (2 - N22)
+        vanishes mod n for every admissible (n, N22)."""
+        reached = 0
+        for n in range(2, 200):
+            n21 = n - 1
+            for n22 in range(n):
+                if gcd((1 - n21 - n22) % n, n) != 1:
+                    continue
+                xt = classify._inv(1 - n21 - n22, n) % n
+                assert (1 - 2 * xt + xt * n22) % n == 0
+                reached += 1
+        assert reached == 12151
 
     def test_rejects_non_companion(self):
         with pytest.raises(BadParameters):

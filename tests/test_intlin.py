@@ -1,6 +1,6 @@
 import random
 from itertools import permutations, product
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,20 +103,6 @@ def test_smith_form(flat):
             assert b == 0
 
 
-@given(st.lists(small, min_size=6, max_size=6), st.lists(small, min_size=3, max_size=3))
-def test_solve_integer_on_solvable_system(flat, x):
-    A = [flat[0:3], flat[3:6]]
-    b = lin.mat_vec(A, x)
-    sol = lin.solve_integer(A, b)
-    assert sol is not None
-    assert lin.mat_vec(A, sol) == b
-
-
-def test_solve_integer_unsolvable():
-    assert lin.solve_integer([[2]], [1]) is None
-    assert lin.solve_integer([[0]], [3]) is None
-
-
 @given(st.lists(small, min_size=4, max_size=4), st.lists(small, min_size=2, max_size=2))
 def test_solve_mod(flat, x):
     C = [flat[0:2], flat[2:4]]
@@ -130,6 +116,37 @@ def test_solve_mod(flat, x):
 
 def test_solve_mod_unsolvable():
     assert lin.solve_mod([[2]], [1], [4]) is None
+
+
+@pytest.mark.parametrize("mods", [
+    (4, 6), (3, 9), (2, 2, 2), (6,), (9, 3, 6)])
+def test_smith_mod_and_solve_mod_match_brute_force(mods):
+    """F x modulo mods depends on x only modulo lcm(mods), so a walk over
+    (Z/lcm)^k finds the image of F. smith_mod's prod(d) is the order of
+    (prod Z/mods) / image, and solve_mod returns a vector exactly when the
+    target lies in the image, a vector that solves the system."""
+    @settings(deadline=None, max_examples=25, derandomize=True)
+    @given(st.integers(0, 10 ** 6))
+    def check(seed):
+        rng = random.Random(seed)
+        k = rng.randrange(3)
+        F = [[rng.randrange(-12, 13) for _ in range(k)] for _ in mods]
+        image = {tuple(sum(f * v for f, v in zip(row, x)) % n
+                       for row, n in zip(F, mods))
+                 for x in product(range(lcm(*mods)), repeat=k)}
+        assert prod(lin.smith_mod(F, mods)[1]) * len(image) == prod(mods)
+        targets = [rng.choice(sorted(image)),
+                   [rng.randrange(-2 * n, 2 * n) for n in mods]]
+        for b in targets:
+            sol = lin.solve_mod(F, b, mods)
+            assert (sol is not None) == (
+                tuple(v % n for v, n in zip(b, mods)) in image)
+            if sol is not None:
+                assert len(sol) == k
+                assert all((g - v) % n == 0 for g, v, n in
+                           zip(lin.mat_vec(F, sol), b, mods))
+
+    check()
 
 
 def test_mat_pow():

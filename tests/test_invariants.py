@@ -205,6 +205,14 @@ class TestYObstruction:
              ((e((0, 1, 0)), e((1, 0, 0)), e((0, 0, 1))), 1)])
         assert w.is_zero()
 
+    @pytest.mark.parametrize("mult", [2.7, 2.0, True, "2", None])
+    def test_rejects_non_integer_multiplicity(self, z333, mult):
+        triple = tuple(abelian.element(z333, c)
+                       for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        assert invariants.y_obstruction([(triple, -1)]).coords == (2,)
+        with pytest.raises(BadParameters):
+            invariants.y_obstruction([(triple, mult)])
+
     def test_empty_rejected(self):
         with pytest.raises(BadParameters):
             invariants.y_obstruction([])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -497,6 +498,44 @@ class TestShortenVector:
             c2_35, tuple(b.coords for b in basis))
         assert all(lens[v.coords] <= 1 for v in res.data.vector)
         assert invariants.su(data) == invariants.su(res.data)
+
+    # per seed, each lambda2's c as (length, index, value) of its single
+    # nonzero entry, and a digest of every move and result
+    FROZEN_LAMBDA2 = {
+        0: [(6, 0, 1), (8, 1, 1)], 1: [(4, 0, 3)], 2: [],
+        3: [(8, 0, 3), (10, 0, 2)], 4: [(2, 0, 3)],
+        5: [(8, 0, 1), (10, 1, 1)], 6: [], 7: [(4, 0, 1)],
+        8: [(6, 0, 3), (8, 0, 2)], 9: [(10, 0, 2)], 10: [],
+        11: [(8, 0, 2)], 12: [(8, 0, 2), (10, 2, 3), (12, 2, 3)], 13: [],
+        14: [], 15: [(4, 0, 3), (6, 0, 2)], 16: [(4, 0, 1), (6, 1, 1)],
+        17: [(8, 0, 1), (10, 0, 2), (12, 2, 3)], 18: [(4, 0, 3)], 19: [],
+        20: [], 21: [(6, 0, 3), (8, 0, 3)], 22: [], 23: [(2, 0, 1)],
+    }
+    FROZEN_DIGEST = (
+        "b2fccde1fa8c34078ed2ce78a35e8d351d58c054eb697ce1cabd6d615bffd1ff")
+
+    def test_moves_frozen(self, d6, d10, a4, c2_35):
+        """The recorded moves depend on solve_mod's particular solutions;
+        pinned on pool data after seeded random moves, standard basis."""
+        pool = move_pool(d6, d10, a4, c2_35)
+        digest = hashlib.sha256()
+        for seed, want in self.FROZEN_LAMBDA2.items():
+            rng = random.Random(seed)
+            data = rng.choice(pool)
+            for _ in range(rng.randrange(1, 4)):
+                data = random_move(rng, data)
+            spec = data.spec
+            basis = [abelian.element(spec, [int(i == j)
+                                            for j in range(spec.rank)])
+                     for i in range(spec.rank)]
+            res = surface_data.shorten_vector(data, basis)
+            assert [m[1] for m in res.moves if m[0] == "lambda2"] == [
+                tuple(v * (j == i) for j in range(n)) for n, i, v in want]
+            assert surface_data.apply_moves(data, res.moves) == res.data
+            digest.update(repr((res.moves, res.data.matrix,
+                                [v.coords for v in res.data.vector]))
+                          .encode())
+        assert digest.hexdigest() == self.FROZEN_DIGEST
 
     def test_non_generating_basis(self, a4):
         data = surface_data.make_data(a4, ((1, 0), (1, 1)), [(1, 1), (0, 1)])

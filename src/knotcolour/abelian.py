@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, prod
+from operator import mod
 
 from ._intlin import identity, kernel_mod, mat_pow, smith_mod
 from .errors import (
@@ -50,9 +51,22 @@ class GroupElement:
         if len(self.coords) != len(orders):
             raise BadParameters(
                 f"coordinate length {len(self.coords)} != rank {len(orders)}")
-        object.__setattr__(
-            self, "coords",
-            tuple(int(c) % n for c, n in zip(self.coords, orders)))
+        object.__setattr__(self, "coords", _reduced(self.coords, orders))
+
+
+def _reduced(coords, mods):
+    """Each coordinate mod its modulus; BadParameters if one is not an int
+    (a bool included)."""
+    for c in coords:
+        if type(c) is not int:
+            raise BadParameters(
+                f"coordinates must be integers, got {coords!r}")
+    return tuple(map(mod, coords, mods))
+
+
+def _check_scalar(k):
+    if type(k) is not int:
+        raise BadParameters(f"scalar must be an integer, got {k!r}")
 
 
 def int_tuple(values, what):
@@ -142,6 +156,7 @@ def sub(a, b):
 
 def mul(k, a):
     """Integer multiple k.a, reduced mod each factor order."""
+    _check_scalar(k)
     return GroupElement(a.spec, tuple(k * x for x in a.coords))
 
 
@@ -242,9 +257,7 @@ class WedgeElement2:
         mods = pair_orders(self.spec)
         if len(self.coords) != len(mods):
             raise BadParameters("wrong number of wedge coordinates")
-        object.__setattr__(
-            self, "coords",
-            tuple(int(c) % n for c, n in zip(self.coords, mods)))
+        object.__setattr__(self, "coords", _reduced(self.coords, mods))
 
     def __add__(self, other):
         if other.spec != self.spec:
@@ -270,9 +283,7 @@ class WedgeElement3:
         mods = triple_orders(self.spec)
         if len(self.coords) != len(mods):
             raise BadParameters("wrong number of wedge coordinates")
-        object.__setattr__(
-            self, "coords",
-            tuple(int(c) % n for c, n in zip(self.coords, mods)))
+        object.__setattr__(self, "coords", _reduced(self.coords, mods))
 
     def __add__(self, other):
         if other.spec != self.spec:
@@ -318,10 +329,12 @@ def wedge3(a, b, c):
 
 
 def wedge2_scale(k, w):
+    _check_scalar(k)
     return WedgeElement2(w.spec, tuple(k * c for c in w.coords))
 
 
 def wedge3_scale(k, w):
+    _check_scalar(k)
     return WedgeElement3(w.spec, tuple(k * c for c in w.coords))
 
 

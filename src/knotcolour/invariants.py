@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import abelian
-from ._intlin import inverse_unimodular, mat_pow, mat_vec
+from ._intlin import mat_pow, mat_vec
 from .errors import (
     BadParameters,
     DivisibilityFailure,
@@ -20,7 +20,7 @@ from .errors import (
     InvalidData,
     LiftFailure,
 )
-from .surface_data import _mat_apply, symplectic_reduce, validate
+from .surface_data import _mat_apply, _symplectic_reduce, validate
 
 
 def su(data, lifts=None):
@@ -161,18 +161,16 @@ def cu(data, nlift=None, vlift=None):
 
 
 def vector_class(data):
-    """The symplectic class s: reduce M - M^T to block form by P and wedge
-    the transformed vector in adjacent pairs. Purely structural, so it is
-    also defined on non-validating data (the normal-form round trip feeds
-    it canonical vectors over standard matrices).
+    """The symplectic class s: wedge P^-1 V in adjacent pairs, P reducing
+    M - M^T to block form. The reduction carries P^-1 and the matrix was
+    checked at construction, so no det or inverse is taken. Structural,
+    so defined on non-validating data too (the canonical vectors).
     """
     spec = data.spec
     size = data.size
     if size == 0:
         return abelian.wedge2_zero(spec)
-    P = symplectic_reduce(data.matrix)
-    Pinv = inverse_unimodular([list(row) for row in P])
-    W = _mat_apply(Pinv, data.vector, spec)
+    W = _mat_apply(_symplectic_reduce(data.matrix)[1], data.vector, spec)
     total = abelian.wedge2_zero(spec)
     for b in range(size // 2):
         total = total + abelian.wedge2(W[2 * b], W[2 * b + 1])

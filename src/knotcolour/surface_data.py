@@ -77,6 +77,13 @@ class SurfaceData:
                 raise GroupMismatch("vector entry over a different spec")
         object.__setattr__(self, "vector", vec)
 
+    @classmethod
+    def _moved(cls, spec, matrix, vector):
+        """Unchecked: moves keep det(M - M^T) = 1 on checked inputs."""
+        data = object.__new__(cls)
+        data.__dict__.update(spec=spec, matrix=matrix, vector=vector)
+        return data
+
     @property
     def size(self):
         return len(self.matrix)
@@ -170,7 +177,7 @@ def lambda1(data, U):
     Uinv = inverse_unimodular(Ur)
     M2 = mat_mul(mat_mul(transpose(Ur), [list(r) for r in data.matrix]), Ur)
     V2 = _mat_apply(Uinv, data.vector, data.spec)
-    return SurfaceData(data.spec, tuple(tuple(r) for r in M2), V2)
+    return SurfaceData._moved(data.spec, tuple(tuple(r) for r in M2), V2)
 
 
 def _lambda2_tail(spec, vector, c, variant):
@@ -202,8 +209,8 @@ def lambda2(data, c, variant):
         rows.append(list(c) + [0, 0])
         rows.append([0] * size + [1, 0])
     tail = _lambda2_tail(data.spec, data.vector, c, variant)
-    return SurfaceData(data.spec, tuple(tuple(r) for r in rows),
-                       data.vector + tail)
+    return SurfaceData._moved(
+        data.spec, tuple(tuple(r) for r in rows), data.vector + tail)
 
 
 def lambda2_inverse(data):
@@ -234,7 +241,7 @@ def lambda2_inverse(data):
     if data.vector[inner:] != expect:
         raise PatternMismatch("vector entries do not match the stabilization")
     inner_rows = tuple(tuple(M[i][j] for j in range(inner)) for i in range(inner))
-    return SurfaceData(data.spec, inner_rows, base_vec)
+    return SurfaceData._moved(data.spec, inner_rows, base_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +252,18 @@ def symplectic_reduce(matrix):
     """Unimodular P with P^T (M - M^T) P the g-fold block sum of
     [[0, -1], [1, 0]]. Deterministic: the smallest-index pair with a
     +-1 entry is the pivot; otherwise gcd-reduction column operations
-    are applied first.
+    are applied first. NotSymplecticable unless det(M - M^T) = 1.
     """
     M = _check_seifert(matrix, err=NotSymplecticable)
+    return _symplectic_reduce(M)[0]
+
+
+def _symplectic_reduce(M):
+    """(P, P^-1) for M known to satisfy det(M - M^T) = 1."""
     size = len(M)
     S = [[M[i][j] - M[j][i] for j in range(size)] for i in range(size)]
     P = identity(size)
+    Pinv = identity(size)
 
     def colop(dst, src, t):
         # congruence: column and matching row
@@ -258,8 +271,10 @@ def symplectic_reduce(matrix):
             S[i][dst] += t * S[i][src]
         for j in range(size):
             S[dst][j] += t * S[src][j]
+        # P.(I + t e_src e_dst^T) has inverse (I - t e_src e_dst^T).P^-1
         for i in range(size):
             P[i][dst] += t * P[i][src]
+            Pinv[src][i] -= t * Pinv[dst][i]
 
     def swap(i, j):
         if i == j:
@@ -269,6 +284,7 @@ def symplectic_reduce(matrix):
         S[i], S[j] = S[j], S[i]
         for row in P:
             row[i], row[j] = row[j], row[i]
+        Pinv[i], Pinv[j] = Pinv[j], Pinv[i]
 
     for b in range(0, size, 2):
         while True:
@@ -314,7 +330,7 @@ def symplectic_reduce(matrix):
     std = standard_matrix(size // 2)
     if S != [[std[i][j] - std[j][i] for j in range(size)] for i in range(size)]:
         raise NotSymplecticable("reduction failed to reach block form")
-    return tuple(tuple(row) for row in P)
+    return tuple(tuple(row) for row in P), Pinv
 
 
 def standard_matrix(g):
@@ -336,8 +352,8 @@ def connect_sum(d1, d2):
     n1, n2 = d1.size, d2.size
     rows = [list(d1.matrix[i]) + [0] * n2 for i in range(n1)]
     rows += [[0] * n1 + list(d2.matrix[i]) for i in range(n2)]
-    return SurfaceData(d1.spec, tuple(tuple(r) for r in rows),
-                       d1.vector + d2.vector)
+    return SurfaceData._moved(
+        d1.spec, tuple(tuple(r) for r in rows), d1.vector + d2.vector)
 
 
 def canonical_vector(w):

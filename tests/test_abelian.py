@@ -113,6 +113,19 @@ class TestElements:
         assert abelian.neg(a).coords == (1, 2)
         assert abelian.mul(7, a).coords == (2, 1)
 
+    @pytest.mark.parametrize("coords", [(2.5,), (2.0,), (True,), ("3",),
+                                        (None,)])
+    def test_constructor_rejects_non_integers(self, d10, coords):
+        with pytest.raises(BadParameters):
+            abelian.GroupElement(d10, coords)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+    def test_mul_rejects_non_integer_scalar(self, d10, k):
+        e = abelian.element(d10, (1,))
+        assert abelian.mul(-3, e).coords == (2,)
+        with pytest.raises(BadParameters):
+            abelian.mul(k, e)
+
     def test_mixing_specs_raises(self, d6, d10):
         with pytest.raises(GroupMismatch):
             abelian.add(abelian.zero(d6), abelian.zero(d10))
@@ -211,6 +224,29 @@ class TestWedge:
         w = abelian.wedge2(a, b)
         assert abelian.wedge2_scale(3, w).is_zero()
         assert abelian.wedge2_scale(2, w) == w + w
+
+    @pytest.mark.parametrize("coords", [(1.5,), (1.0,), (True,), ("1",)])
+    def test_wedge2_rejects_non_integers(self, a4, coords):
+        assert abelian.WedgeElement2(a4, (3,)).coords == (1,)
+        with pytest.raises(BadParameters):
+            abelian.WedgeElement2(a4, coords)
+
+    @pytest.mark.parametrize("coords", [(1.5,), (1.0,), (True,), ("1",)])
+    def test_wedge3_rejects_non_integers(self, z333, coords):
+        assert abelian.WedgeElement3(z333, (4,)).coords == (1,)
+        with pytest.raises(BadParameters):
+            abelian.WedgeElement3(z333, coords)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+    def test_scales_reject_non_integer_scalar(self, z333, k):
+        a, b, c = (abelian.element(z333, x)
+                   for x in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        w2, w3 = abelian.wedge2(a, b), abelian.wedge3(a, b, c)
+        assert abelian.wedge3_scale(2, w3).coords == (2,)
+        with pytest.raises(BadParameters):
+            abelian.wedge3_scale(k, w3)
+        with pytest.raises(BadParameters):
+            abelian.wedge2_scale(k, w2)
 
     def test_wrong_coord_count(self, z333):
         with pytest.raises(BadParameters):

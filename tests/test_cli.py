@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -6,6 +8,7 @@ import sys
 import pytest
 
 from knotcolour import abelian, cli, invariants, surface_data
+from util import rand_unimodular
 
 D6_JSON = {"m": 2, "orders": [3], "action": [[2]]}
 A4_JSON = {"m": 3, "orders": [2, 2], "action": [[0, 1], [1, 1]]}
@@ -84,6 +87,17 @@ class TestValidate:
         code, got = run_json(capsys, ["validate", "--data",
                                       files("i.json", bad)])
         assert code == 2 and got["error"]["type"] == "BadParameters"
+
+    @pytest.mark.parametrize("seifert, d", [
+        ([[1, 0], [0, 1]], 0), ([[0, 2], [0, 0]], 4),
+        ([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 3], [0, 0, 0, 0]], 9)])
+    def test_non_seifert_error_bytes(self, capsys, files, seifert, d):
+        bad = dict(TREFOIL_DATA, seifert=seifert, vector=[[0]] * len(seifert))
+        code, out = run(capsys, ["validate", "--data", files("i.json", bad)])
+        assert code == 2
+        assert out == ('{\n  "error": {\n'
+                       f'    "message": "det(M - M^T) = {d}, expected 1",\n'
+                       '    "type": "BadParameters"\n  }\n}\n')
 
 
 class TestInvariant:
@@ -180,6 +194,46 @@ class TestMove:
             "move", "--data", files("t.json", TREFOIL_DATA),
             "--lambda2", "1,2", "--lambda2-inverse"])
         assert code == 1 and got["error"]["type"] == "UsageError"
+
+
+class TestMoveChain:
+    FROZEN_DIGEST = (
+        "7adb3ff39449de001b33918c6d99d2aebee6810ab2706096c945b601e8cb88d3")
+
+    def test_seeded_chain_bytes_frozen(self, capsys, tmp_path):
+        """Seeded chains of --lambda1 and --lambda2 calls from three
+        genus-1 data, each call fed the previous stdout, up to size 12:
+        the SHA-256 of every stdout."""
+        starts = (TREFOIL_DATA,
+                  {"group": A4_JSON, "seifert": [[-1, 1], [0, -1]],
+                   "vector": [[0, 1], [1, 1]]},
+                  {"group": {"m": 2, "orders": [5], "action": [[4]]},
+                   "seifert": [[1, 1], [0, -1]], "vector": [[1], [3]]})
+        digest = hashlib.sha256()
+        calls = 0
+        for seed, start in enumerate(starts):
+            rng = random.Random(seed)
+            data = tmp_path / f"chain{seed}.json"
+            data.write_text(json.dumps(start))
+            size = 2
+            while size < 12:
+                argv = ["move", "--data", str(data)]
+                if rng.random() < 0.5:
+                    u = tmp_path / "u.json"
+                    u.write_text(json.dumps(rand_unimodular(rng, size)))
+                    argv += ["--lambda1", str(u)]
+                else:
+                    argv += ["--lambda2", ",".join(
+                        str(rng.randrange(-3, 4)) for _ in range(size)),
+                        "--variant", str(rng.choice((1, 2)))]
+                code, out = run(capsys, argv)
+                assert code == 0, out
+                digest.update(out.encode())
+                data.write_text(out)
+                size = len(json.loads(out)["seifert"])
+                calls += 1
+        assert calls > 15
+        assert digest.hexdigest() == self.FROZEN_DIGEST
 
 
 class TestClassify:

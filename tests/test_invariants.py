@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotcolour import abelian, classify, invariants, surface_data
 from knotcolour.errors import (
@@ -9,7 +10,13 @@ from knotcolour.errors import (
     GroupMismatch,
     InvalidData,
 )
-from util import TREFOIL_L, FIG8_L, invariant_triple
+from test_surface_data import random_seifert
+from util import (
+    TREFOIL_L, FIG8_L, invariant_triple, move_chain, move_pool,
+    slow_vector_class)
+
+FIXTURE_GROUPS = ("d6", "d10", "d14", "c3z7", "c4z5", "a4", "c2_33",
+                  "c2_35", "c3_55", "c7_222", "z46", "z333")
 
 
 class TestSu:
@@ -189,6 +196,42 @@ class TestVectorClass:
         assert w.coords == (1,)
         moved = surface_data.lambda2(data, (1, 1), 2)
         assert invariants.vector_class(moved) == w
+
+
+    def test_matches_slow_oracle_on_moves(self, d6, d10, a4, c2_35):
+        pool = move_pool(d6, d10, a4, c2_35)
+
+        @settings(deadline=None, max_examples=40, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            for _, out in move_chain(rng, pool, rng.randrange(7)):
+                assert invariants.vector_class(out) == slow_vector_class(out)
+
+        check()
+
+    def test_matches_slow_oracle_on_congruences(self, request):
+        """Random U^T M U of genus 1-4 over every fixture group, with
+        random vectors: the class is structural, so most do not validate."""
+        specs = [(request.getfixturevalue(name), 4, None)
+                 for name in FIXTURE_GROUPS]
+        seen = set()
+
+        @settings(deadline=None, max_examples=200, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            M, spec = random_seifert(rng, specs)
+            coords = [[rng.randrange(-n, 2 * n) for n in spec.orders]
+                      for _ in M]
+            data = surface_data.make_data(spec, M, coords)
+            w = invariants.vector_class(data)
+            assert w == slow_vector_class(data)
+            seen.add((spec, w.is_zero()))
+
+        check()
+        assert len({spec for spec, _ in seen}) == len(FIXTURE_GROUPS)
+        assert {zero for _, zero in seen} == {True, False}
 
 
 class TestYObstruction:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from knotcolour import abelian, classify, invariants, surface_data
 from knotcolour._intlin import (
-    identity, inverse_unimodular, mat_mul, mat_vec, transpose)
+    det, identity, inverse_unimodular, mat_mul, mat_vec, transpose)
 from knotcolour.errors import (
     BadParameters,
     BudgetExceeded,
@@ -20,7 +20,7 @@ from knotcolour.errors import (
 )
 from test_acceptance import brute_force
 from util import (
-    TREFOIL_L, FIG8_L, move_pool, rand_unimodular, random_move,
+    TREFOIL_L, FIG8_L, move_chain, move_pool, rand_unimodular, random_move,
     slow_mat_apply)
 
 
@@ -56,6 +56,19 @@ class TestConstruction:
     def test_rejects_wrong_determinant(self, d6):
         with pytest.raises(BadParameters):
             surface_data.make_data(d6, ((0, 2), (0, 0)), [(0,), (0,)])
+
+    @pytest.mark.parametrize("matrix", [
+        ((0, 2), (0, 0)), ((1, 0), (0, 1)), ((0, 3), (0, 0)),
+        ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))])
+    def test_public_constructors_check_determinant(self, d6, matrix):
+        vec = (abelian.zero(d6),) * len(matrix)
+        with pytest.raises(BadParameters, match="expected 1"):
+            surface_data.SurfaceData(d6, matrix, vec)
+        obj = {"group": abelian.group_to_json(d6),
+               "seifert": [list(row) for row in matrix],
+               "vector": [[0]] * len(matrix)}
+        with pytest.raises(BadParameters, match="expected 1"):
+            surface_data.data_from_json(obj)
 
     def test_rejects_vector_length(self, d6):
         with pytest.raises(BadParameters):
@@ -441,6 +454,62 @@ class TestSymplecticReduce:
     def test_rejects_degenerate(self):
         with pytest.raises(NotSymplecticable):
             surface_data.symplectic_reduce(((0, 2), (0, 0)))
+
+    @pytest.mark.parametrize("matrix", [
+        ((1,),), ((0, 1, 0), (0, 0, 0), (0, 0, 0)),      # odd size
+        ((1, 0), (0, 1)), ((2, 3), (3, 2)),               # det 0
+        ((1, 1), (-1, 1)), ((0, 1), (-1, 0))])            # det 4
+    def test_rejects_non_seifert(self, matrix):
+        with pytest.raises(NotSymplecticable):
+            surface_data.symplectic_reduce(matrix)
+
+    def test_private_reduction_carries_inverse(self, d6):
+        """The unchecked reduction returns the public P and its inverse,
+        built alongside it."""
+        @settings(deadline=None, max_examples=80, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            M, _ = random_seifert(random.Random(seed), [(d6, 4, None)])
+            P, Pinv = surface_data._symplectic_reduce(M)
+            assert P == surface_data.symplectic_reduce(M)
+            assert mat_mul(Pinv, P) == identity(len(M))
+            assert mat_mul(P, Pinv) == identity(len(M))
+
+        check()
+
+
+class TestMoveOutputs:
+    def test_carry_seifert_condition(self, d6, d10, a4, c2_35):
+        """Move outputs skip the determinant check; every output of a
+        random chain still has det(M - M^T) = 1, int rows, and equals the
+        datum that public construction builds from its fields."""
+        pool = move_pool(d6, d10, a4, c2_35)
+        seen = set()
+
+        @settings(deadline=None, max_examples=60, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            for move, out in move_chain(rng, pool, rng.randrange(7)):
+                M, size = out.matrix, out.size
+                assert type(M) is tuple
+                assert all(type(row) is tuple and len(row) == size
+                           and all(type(x) is int for x in row) for row in M)
+                S = [[M[i][j] - M[j][i] for j in range(size)]
+                     for i in range(size)]
+                assert det(S) == 1
+                fresh = surface_data.SurfaceData(out.spec, M, out.vector)
+                assert fresh == out and out == fresh
+                assert hash(fresh) == hash(out)
+                assert surface_data.data_to_json(fresh) == \
+                    surface_data.data_to_json(out)
+                assert surface_data.validate(out) == \
+                    surface_data.validate(fresh)
+                seen.add(move)
+
+        check()
+        assert seen == {"lambda1", "lambda2", "lambda2_inverse",
+                        "connect_sum"}
 
 
 class TestConnectSum:

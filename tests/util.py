@@ -1,9 +1,11 @@
 """Shared test helpers: reference Seifert matrices, random unimodular
 matrices, random S-equivalence moves, the fixture data pool, the
-backtracking oracle for diagram colourings, and the GroupElement oracle
-for surface_data._mat_apply."""
+backtracking oracle for diagram colourings, the GroupElement oracle
+for surface_data._mat_apply, and the inverting oracle for
+invariants.vector_class."""
 
 from knotcolour import abelian, classify, diagram, invariants, surface_data
+from knotcolour._intlin import inverse_unimodular
 
 TREFOIL_L = ((-1, 1), (0, -1))
 TREFOIL_R = ((1, 0), (-1, 1))
@@ -36,6 +38,32 @@ def random_move(rng, data):
         return surface_data.lambda1(data, rand_unimodular(rng, data.size))
     c = [rng.randrange(-3, 4) for _ in range(data.size)]
     return surface_data.lambda2(data, c, 1 if kind == 1 else 2)
+
+
+def move_chain(rng, pool, steps):
+    """(move, output) for each of `steps` random moves from a random pool
+    datum: lambda1, lambda2 in either variant, connect_sum with a pool
+    datum over the same spec, and lambda2_inverse right after a lambda2."""
+    data = rng.choice(pool)
+    out = []
+    for _ in range(steps):
+        stabilised = bool(out) and out[-1][0] == "lambda2"
+        kind = rng.randrange(5 if stabilised else 4)
+        if kind == 0:
+            data = surface_data.lambda1(data, rand_unimodular(rng, data.size))
+            out.append(("lambda1", data))
+        elif kind in (1, 2):
+            c = [rng.randrange(-3, 4) for _ in range(data.size)]
+            data = surface_data.lambda2(data, c, kind)
+            out.append(("lambda2", data))
+        elif kind == 3:
+            other = rng.choice([d for d in pool if d.spec == data.spec])
+            data = surface_data.connect_sum(data, other)
+            out.append(("connect_sum", data))
+        else:
+            data = surface_data.lambda2_inverse(data)
+            out.append(("lambda2_inverse", data))
+    return out
 
 
 def move_pool(d6, d10, a4, c2_35):
@@ -128,3 +156,19 @@ def slow_mat_apply(M, vec, spec):
                 acc = abelian.add(acc, abelian.mul(M[i][j], v))
         out.append(acc)
     return tuple(out)
+
+
+def slow_vector_class(data):
+    """Slow oracle for invariants.vector_class: symplectic_reduce (which
+    checks det(M - M^T) = 1 again), P^-1 by inverse_unimodular, then the
+    transformed vector wedged in adjacent pairs."""
+    spec = data.spec
+    total = abelian.wedge2_zero(spec)
+    if data.size == 0:
+        return total
+    P = surface_data.symplectic_reduce(data.matrix)
+    W = surface_data._mat_apply(
+        inverse_unimodular([list(row) for row in P]), data.vector, spec)
+    for b in range(data.size // 2):
+        total = total + abelian.wedge2(W[2 * b], W[2 * b + 1])
+    return total

@@ -40,15 +40,17 @@ def mat_vec(A, v):
 
 
 def mat_pow(A, k):
-    n = len(A)
-    out = identity(n)
+    """A^k for k >= 0 by binary powering: out starts at the lowest set
+    bit and base is squared only while higher bits remain."""
+    out = None
     base = [list(r) for r in A]
     while k:
         if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
+            out = base if out is None else mat_mul(out, base)
         k >>= 1
-    return out
+        if k:
+            base = mat_mul(base, base)
+    return identity(len(A)) if out is None else out
 
 
 def det(A):

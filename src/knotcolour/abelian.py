@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, prod
+import operator
 from operator import mod
 
 from ._intlin import identity, kernel_mod, mat_pow, smith_mod
@@ -175,6 +176,14 @@ def act_pow(a, j):
     for _ in range(j % a.spec.m):
         out = act(out)
     return out
+
+
+def act_rows(rows, spec):
+    """t applied to each coordinate row, reduced mod the orders: the
+    integer form of act, for loops that never build an element."""
+    pairs = tuple(zip(spec.action, spec.orders))
+    return [tuple(sum(map(operator.mul, Ni, x)) % n for Ni, n in pairs)
+            for x in rows]
 
 
 def linear_kernel(P, Q, spec, budget):

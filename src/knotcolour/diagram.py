@@ -87,13 +87,12 @@ def quandle_op_inverse(x, b, spec):
 def _surjective(labels, spec):
     # subgroup of G generated by the cosets t.a_i equals G iff the
     # phi-orbits of the labels generate A (base label is zero)
-    orbit = []
-    for lab in labels:
-        cur = lab
-        for _ in range(spec.m):
-            orbit.append(cur)
-            cur = abelian.act(cur)
-    return abelian.generates(orbit, spec)
+    rows = [lab.coords for lab in labels]
+    orbit = set()
+    for _ in range(spec.m):
+        orbit.update(rows)
+        rows = abelian.act_rows(rows, spec)
+    return abelian._coords_generate(spec, tuple(sorted(orbit)))
 
 
 def enumerate_diagram_colourings(diagram, spec, budget=10 ** 7):

@@ -4,14 +4,17 @@ vector, and the triple-wedge obstruction.
 su sums the epsilon pairing around the full t-orbit of the vector; cu pairs
 a structured lift of (V; t.V; ...; t^{m-2}.V) against the block tridiagonal
 linking form L(M). Both work per cyclic factor with that factor's modulus
-and return a group element.
+and return a group element. su, cu and vector_class run on the integer
+coordinate matrix X of the vector (one row per entry); GroupElement and
+WedgeElement2 appear only in their return values.
 """
 
 from functools import lru_cache
 from itertools import product
+from operator import add, mul
 
 from . import abelian
-from ._intlin import mat_pow, mat_vec
+from ._intlin import mat_mul, mat_pow, transpose
 from .errors import (
     BadParameters,
     DivisibilityFailure,
@@ -20,62 +23,66 @@ from .errors import (
     InvalidData,
     LiftFailure,
 )
-from .surface_data import _mat_apply, _symplectic_reduce, validate
+from .surface_data import _symplectic_reduce, validate
+
+
+def _pairing(M, MT, x, u, v, n, c, what):
+    """sum_i x_i (M u + M^T v)_i / n, MT the rows of M^T; the division is
+    exact, or DivisibilityFailure names the first entry that is not."""
+    total = 0
+    for xi, row, col in zip(x, M, MT):
+        w = sum(map(mul, row, u)) + sum(map(mul, col, v))
+        if w % n:
+            raise DivisibilityFailure(
+                f"{what} {w} not divisible by {n} in factor {c}")
+        total += xi * (w // n)
+    return total
+
+
+def _int_rows(rows, width, what):
+    """rows as int tuples; BadParameters unless each holds width ints (a
+    bool is not an int)."""
+    rows = [tuple(row) for row in rows]
+    if any(len(row) != width or any(type(x) is not int for x in row)
+           for row in rows):
+        raise BadParameters(f"{what} rows must hold {width} integers")
+    return rows
 
 
 def su(data, lifts=None):
     """Orbit sum of the epsilon pairing: per factor c with modulus n,
-    su_c = sum over j of <lift(t^j V), (M lift(t^{j+1} V) - M^T lift(t^j V)) / n>.
+    su_c = sum over j of <x_j, (M x_{j+1} - M^T x_j) / n>, x_j the column
+    c of an integer lift of t^j V (j mod m). Works on the coordinate
+    matrix X of the vector; the orbit is X acted on row by row.
 
-    ``lifts`` may supply the m integer lift matrices (one row per vector
-    entry) instead of the minimal ones; any choice congruent to the
-    coordinates gives the same value, which the property suite exercises.
+    ``lifts`` may supply the m integer lift matrices (one row of r ints
+    per vector entry) instead of the minimal ones; any choice congruent
+    to the coordinates gives the same value, which the property suite
+    exercises.
     """
     if not validate(data).valid:
         raise InvalidData("su needs valid surface data")
-    spec, M, V = data.spec, data.matrix, data.vector
+    spec, M = data.spec, data.matrix
     m, orders, r = spec.m, spec.orders, spec.rank
     size = len(M)
     if lifts is None:
-        lifts = []
-        for j in range(m):
-            lifts.append([list(abelian.act_pow(v, j).coords) for v in V])
+        lifts = [data._coords]
+        for _ in range(m - 1):
+            lifts.append(abelian.act_rows(lifts[-1], spec))
     else:
-        lifts = [[list(row) for row in block] for block in lifts]
+        lifts = [list(block) for block in lifts]
         if len(lifts) != m or any(len(b) != size for b in lifts):
             raise BadParameters("lifts must give m blocks of one row per entry")
+        lifts = [_int_rows(block, r, "lifts") for block in lifts]
+    MT = tuple(zip(*M))
     out = []
-    for c in range(r):
-        n = orders[c]
-        total = 0
-        for j in range(m):
-            xj = [lifts[j][i][c] for i in range(size)]
-            xj1 = [lifts[(j + 1) % m][i][c] for i in range(size)]
-            for i in range(size):
-                w = sum(M[i][k] * xj1[k] for k in range(size)) \
-                    - sum(M[k][i] * xj[k] for k in range(size))
-                if w % n:
-                    raise DivisibilityFailure(
-                        f"pairing entry {w} not divisible by {n} in factor {c}")
-                total += xj[i] * (w // n)
+    for c, n in enumerate(orders):
+        xs = [[row[c] for row in block] for block in lifts]
+        total = sum(_pairing(M, MT, xs[j], xs[(j + 1) % m],
+                             [-a for a in xs[j]], n, c, "pairing entry")
+                    for j in range(m))
         out.append(total % n)
     return abelian.element(spec, tuple(out))
-
-
-def linking_form_matrix(matrix, m):
-    """L(M): (m-1) x (m-1) blocks, diagonal M + M^T, superdiagonal M^T,
-    subdiagonal M."""
-    size = len(matrix)
-    blocks = m - 1
-    L = [[0] * (blocks * size) for _ in range(blocks * size)]
-    for a in range(blocks):
-        for i in range(size):
-            for j in range(size):
-                L[a * size + i][a * size + j] = matrix[i][j] + matrix[j][i]
-                if a + 1 < blocks:
-                    L[a * size + i][(a + 1) * size + j] = matrix[j][i]
-                    L[(a + 1) * size + i][a * size + j] = matrix[i][j]
-    return L
 
 
 def _structured_lifts(spec):
@@ -114,42 +121,50 @@ def structured_lift(spec):
 
 
 def cu(data, nlift=None, vlift=None):
-    """Pair the structured lift of (V; t.V; ...; t^{m-2}.V) against L(M),
-    per factor c: Q = <x, L x / n>; for odd n return Q mod n, for even n
-    the pairing is even and the value is Q/2 mod n.
+    """Pair the structured lift x = (x_0; ...; x_{m-2}) of
+    (V; t.V; ...; t^{m-2}.V) against the block tridiagonal linking form
+    L(M), per factor c: Q = <x, L x / n>; for odd n return Q mod n, for
+    even n the pairing is even and the value is Q/2 mod n. L(M) has
+    diagonal blocks M + M^T, superdiagonal M^T and subdiagonal M, so
+    block a of L x is M (x_a + x_{a-1}) + M^T (x_a + x_{a+1}) with
+    x_{-1} = x_{m-1} = 0; it is applied block by block, never built.
 
-    ``nlift``/``vlift`` may override the action lift and the minimal
-    vector lift (testing hooks for the well-definedness properties).
+    ``nlift`` (r x r) and ``vlift`` (one row of r ints per entry) may
+    override the action lift and the minimal vector lift (testing hooks
+    for the well-definedness properties).
     """
     if not validate(data).valid:
         raise InvalidData("cu needs valid surface data")
-    spec, M, V = data.spec, data.matrix, data.vector
+    spec, M = data.spec, data.matrix
     m, orders, r = spec.m, spec.orders, spec.rank
     if m < 2:
         raise BadParameters("cu needs m >= 2")
     size = len(M)
-    C = nlift if nlift is not None else structured_lift(spec)
-    C = [list(row) for row in C]
-    base = [list(row) for row in vlift] if vlift is not None \
-        else [list(v.coords) for v in V]
-    if len(base) != size:
-        raise BadParameters("vector lift must have one row per entry")
-    blocks = [[list(row) for row in base]]
+    if nlift is None:
+        C = structured_lift(spec)
+    else:
+        C = _int_rows(nlift, r, "nlift")
+        if len(C) != r:
+            raise BadParameters(f"nlift must have {r} rows")
+    base = data._coords
+    if vlift is not None:
+        base = list(vlift)
+        if len(base) != size:
+            raise BadParameters("vector lift must have one row per entry")
+        base = _int_rows(base, r, "vector lift")
+    blocks = [base]
+    CT = transpose(C)
     for _ in range(m - 2):
-        blocks.append([mat_vec(C, row) for row in blocks[-1]])
-    L = linking_form_matrix(M, m)
-    dim = (m - 1) * size
+        blocks.append(mat_mul(blocks[-1], CT))
+    MT = tuple(zip(*M))
     out = []
-    for c in range(r):
-        n = orders[c]
-        x = [blocks[a][i][c] for a in range(m - 1) for i in range(size)]
-        q = 0
-        for i in range(dim):
-            w = sum(L[i][j] * x[j] for j in range(dim))
-            if w % n:
-                raise DivisibilityFailure(
-                    f"L(M) pairing entry {w} not divisible by {n} in factor {c}")
-            q += x[i] * (w // n)
+    zero = [0] * size
+    for c, n in enumerate(orders):
+        xs = [zero] + [[row[c] for row in b] for b in blocks] + [zero]
+        q = sum(_pairing(M, MT, xs[a], list(map(add, xs[a], xs[a - 1])),
+                         list(map(add, xs[a], xs[a + 1])), n, c,
+                         "L(M) pairing entry")
+                for a in range(1, m))
         if n % 2:
             out.append(q % n)
         else:
@@ -161,20 +176,20 @@ def cu(data, nlift=None, vlift=None):
 
 
 def vector_class(data):
-    """The symplectic class s: wedge P^-1 V in adjacent pairs, P reducing
-    M - M^T to block form. The reduction carries P^-1 and the matrix was
-    checked at construction, so no det or inverse is taken. Structural,
-    so defined on non-validating data too (the canonical vectors).
+    """The symplectic class s: wedge W = P^-1 X in adjacent row pairs, X
+    the coordinate matrix of V and P reducing M - M^T to block form.
+    Coordinate (i, j) is sum_b (W_2b,i W_2b+1,j - W_2b,j W_2b+1,i), taken
+    over the integers and reduced once mod gcd(n_i, n_j), as reduction
+    commutes with the sums. The reduction carries P^-1 and the matrix
+    was checked at construction, so no det or inverse is taken.
+    Structural, so defined on non-validating data too (the canonical
+    vectors).
     """
-    spec = data.spec
-    size = data.size
-    if size == 0:
-        return abelian.wedge2_zero(spec)
-    W = _mat_apply(_symplectic_reduce(data.matrix)[1], data.vector, spec)
-    total = abelian.wedge2_zero(spec)
-    for b in range(size // 2):
-        total = total + abelian.wedge2(W[2 * b], W[2 * b + 1])
-    return total
+    W = mat_mul(_symplectic_reduce(data.matrix)[1], data._coords)
+    pairs = list(zip(W[0::2], W[1::2]))
+    return abelian.WedgeElement2(data.spec, tuple(
+        sum(a[i] * b[j] - a[j] * b[i] for a, b in pairs)
+        for i, j in abelian.pair_indices(data.spec)))
 
 
 def y_obstruction(triples):

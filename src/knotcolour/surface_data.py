@@ -5,7 +5,8 @@ moves and their inverses, symplectic reduction of the intersection form,
 connect sums, and the word-length normal form for colouring vectors.
 
 Matrices are tuples of int tuples; colouring vectors are tuples of
-GroupElement. The empty 0x0 datum is permitted (it can never validate
+GroupElement, which validation and the invariants read as one size x r
+integer coordinate matrix (SurfaceData._coords). The empty 0x0 datum is permitted (it can never validate
 over a nontrivial A, but keeps connect sums total).
 """
 
@@ -97,6 +98,11 @@ class SurfaceData:
         # every field is immutable, so the report never goes stale
         return _validate(self)
 
+    @cached_property
+    def _coords(self):
+        # the vector as a size x r integer matrix X, one row per entry
+        return tuple(v.coords for v in self.vector)
+
 
 def make_data(spec, matrix, coords):
     """SurfaceData from raw coordinate rows (one row per vector entry)."""
@@ -138,14 +144,17 @@ def validate(data):
 
 
 def _validate(data):
-    spec, M, V = data.spec, data.matrix, data.vector
-    size = len(M)
-    tV = tuple(abelian.act(v) for v in V)
-    lhs = _mat_apply(transpose(M), V, spec) if size else ()
-    rhs = _mat_apply(M, tV, spec) if size else ()
-    equation = lhs == rhs
-    gen = abelian.generates(list(V), spec)
-    genus_ok = size >= _min_generators(spec)
+    spec, M, X = data.spec, data.matrix, data._coords
+    cols = tuple(zip(*M))
+    # per factor c: M^T x_c = M (tX)_c mod n_c, x_c the column c of X;
+    # all() stops at the first entry that fails
+    equation = all(
+        not (sum(map(mul, col, x)) - sum(map(mul, row, y))) % n
+        for x, y, n in zip(zip(*X), zip(*abelian.act_rows(X, spec)),
+                           spec.orders)
+        for row, col in zip(M, cols))
+    gen = abelian._coords_generate(spec, tuple(sorted(set(X))))
+    genus_ok = len(M) >= _min_generators(spec)
     return ValidationReport(gen, equation, genus_ok,
                             gen and equation and genus_ok)
 

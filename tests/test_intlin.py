@@ -155,6 +155,25 @@ def test_mat_pow():
     assert lin.mat_pow(A, 5) == [[1, 5], [0, 1]]
 
 
+def test_mat_pow_matches_repeated_product():
+    """mat_pow(A, k) is the k-fold product for k = 0..9 on random 1x1 to
+    4x4 matrices, and leaves A as it was."""
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(st.integers(0, 10 ** 6))
+    def check(seed):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 5)
+        A = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        before = [list(row) for row in A]
+        want = lin.identity(n)
+        for k in range(10):
+            assert lin.mat_pow(A, k) == want
+            assert A == before
+            want = lin.mat_mul(want, A)
+
+    check()
+
+
 MODS_OUT = ((2,), (3,), (4,), (9,), (2, 4), (3, 3), (6,), (2, 2, 2))
 
 

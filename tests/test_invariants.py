@@ -12,8 +12,8 @@ from knotcolour.errors import (
 )
 from test_surface_data import random_seifert
 from util import (
-    TREFOIL_L, FIG8_L, invariant_triple, move_chain, move_pool,
-    slow_vector_class)
+    TREFOIL_L, FIG8_L, invariant_triple, lift_pool, move_chain, move_pool,
+    outcome, slow_cu, slow_su, slow_validate, slow_vector_class)
 
 FIXTURE_GROUPS = ("d6", "d10", "d14", "c3z7", "c4z5", "a4", "c2_33",
                   "c2_35", "c3_55", "c7_222", "z46", "z333")
@@ -60,6 +60,19 @@ class TestSu:
         data = surface_data.make_data(d6, TREFOIL_L, [(1,), (2,)])
         with pytest.raises(BadParameters):
             invariants.su(data, lifts=[[[1], [2]]])
+
+    @pytest.mark.parametrize("lifts", [
+        [[[1.0, 0], [0, 1]]] * 3,
+        [[[1, 0], [0]]] * 3,
+        [[[1, 0, 0], [0, 1]]] * 3,
+        [[[True, 0], [0, 1]]] * 3,
+    ])
+    def test_rejects_untyped_lifts(self, a4, lifts):
+        """Each lift block is size rows of r ints: a float, a bool or a
+        ragged row is refused, not run or silently truncated."""
+        data = surface_data.make_data(a4, TREFOIL_L, [(0, 1), (1, 1)])
+        with pytest.raises(BadParameters):
+            invariants.su(data, lifts=lifts)
 
     def test_additive_under_connect_sum(self, a4):
         t = classify.a4_representatives()
@@ -169,6 +182,28 @@ class TestCu:
         with pytest.raises(BadParameters):
             invariants.cu(data, vlift=[[1]])
 
+    @pytest.mark.parametrize("vlift", [
+        [[1.5, 0], [0, 1]],
+        [[0, 1], [1]],
+        [[0, 1, 0], [1, 1]],
+        [[0, False], [1, 1]],
+    ])
+    def test_rejects_untyped_vlift(self, a4, vlift):
+        data = surface_data.make_data(a4, TREFOIL_L, [(0, 1), (1, 1)])
+        with pytest.raises(BadParameters):
+            invariants.cu(data, vlift=vlift)
+
+    @pytest.mark.parametrize("nlift", [
+        ((1,),),
+        ((0, 1), (3,)),
+        ((0, 1), (3, 3), (0, 0)),
+        ((0, 1.0), (3, 3)),
+    ])
+    def test_rejects_untyped_nlift(self, a4, nlift):
+        data = surface_data.make_data(a4, TREFOIL_L, [(0, 1), (1, 1)])
+        with pytest.raises(BadParameters):
+            invariants.cu(data, nlift=nlift)
+
 
 class TestVectorClass:
     def test_a4_representatives_frozen(self):
@@ -232,6 +267,110 @@ class TestVectorClass:
         check()
         assert len({spec for spec, _ in seen}) == len(FIXTURE_GROUPS)
         assert {zero for _, zero in seen} == {True, False}
+
+
+class TestSlowOracles:
+    """validate, su and cu against the GroupElement oracles of
+    tests/util.py: equal values, or the same error type and message."""
+
+    @staticmethod
+    def assert_agree(data, lifts=None, nlift=None, vlift=None):
+        """Compare all three layers; return the su and cu outcomes."""
+        assert surface_data.validate(data) == slow_validate(data)
+        su_got = outcome(invariants.su, data, lifts)
+        assert su_got == outcome(slow_su, data, lifts)
+        cu_got = outcome(invariants.cu, data, nlift, vlift)
+        assert cu_got == outcome(slow_cu, data, nlift, vlift)
+        return su_got, cu_got
+
+    def test_move_chains(self, d6, d10, a4, c2_35):
+        pool = move_pool(d6, d10, a4, c2_35)
+        for data in pool:
+            self.assert_agree(data)
+
+        @settings(deadline=None, max_examples=40, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            for _, out in move_chain(rng, pool, rng.randrange(1, 7)):
+                self.assert_agree(out)
+
+        check()
+
+    def test_family_entries(self):
+        tables = [classify.metacyclic_table(m, n, xi)
+                  for m, n, xi in ((2, 3, 2), (2, 5, 4), (2, 7, 6),
+                                   (3, 7, 2))]
+        tables += [classify.rank2_diag_table(2, 3, 3, 2, 2),
+                   classify.rank2_diag_table(2, 3, 5, 2, 4),
+                   classify.rank2_nondiag_table(3, 5, ((0, 1), (4, 4))),
+                   classify.a4_representatives()]
+        for t in tables:
+            for e in t.entries:
+                assert self.assert_agree(e.data) == (e.su, e.cu)
+                assert e.s == slow_vector_class(e.data)
+
+    def test_shifted_lifts(self, d6, d10, d14, c3z7, a4, c2_33, c2_35,
+                           c3_55):
+        """su lifts and cu vector lifts shifted by multiples of n_i, the
+        action lift by multiples of n_i^2; one draw in five shifts the
+        vector lifts by anything, which mostly breaks divisibility."""
+        pool = lift_pool(d6, d10, d14, c3z7, a4, c2_33, c2_35, c3_55)
+        seen = set()
+
+        @settings(deadline=None, max_examples=60, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            data = rng.choice(pool)
+            spec = data.spec
+            step = 1 if rng.random() < 0.2 else None
+
+            def shift(coords):
+                return [c + (step or n) * rng.randrange(-3, 4)
+                        for c, n in zip(coords, spec.orders)]
+
+            lifts = [[shift(abelian.act_pow(v, j).coords)
+                      for v in data.vector] for j in range(spec.m)]
+            vlift = [shift(v.coords) for v in data.vector]
+            nlift = [[x + n * n * rng.randrange(-2, 3) for x in row]
+                     for row, n in zip(invariants.structured_lift(spec),
+                                       spec.orders)]
+            got = self.assert_agree(data, lifts=lifts, vlift=vlift,
+                                    nlift=nlift)
+            if step is None:
+                assert got == (invariants.su(data), invariants.cu(data))
+            seen.update(type(x) for x in got)
+
+        check()
+        assert tuple in seen and abelian.GroupElement in seen
+
+    def test_m4_divisibility_failures(self, c4z5):
+        """The m = 4 entries that classify.metacyclic_table(4, 5, 2) and
+        rank2_nondiag_table(4, 5, ((0, 1), (4, 0))) build before cu
+        fails (x = 3, a = 3; xi = xt = 3, p = 2): both sides raise the
+        same DivisibilityFailure, message included."""
+        data = [surface_data.make_data(c4z5, ((3 + 5 * k, 0), (1, 1)),
+                                       [(1,), (3,)]) for k in range(1, 6)]
+        rank2 = abelian.make_group(4, (5, 5), ((0, 4), (1, 0)))
+        for k, l in ((1, 1), (2, 4), (5, 3)):
+            for i in (1, 2):
+                data.append(surface_data.make_data(
+                    rank2, (((3 * i) % 5 + 5 * k, -3),
+                            (-2, (3 * pow(i, -1, 5)) % 5 + 5 * l)),
+                    [(1, 0), (0, i)]))
+            data.append(surface_data.make_data(
+                rank2, ((5 * k, 2, 0, 2), (3, 0, 3, 0), (0, 3, 5 * l, 2),
+                        (2, 0, 3, 0)),
+                [(1, 0), (0, 0), (0, 1), (0, 0)]))
+        failures = []
+        for d in data:
+            assert surface_data.validate(d).valid
+            _, cu_got = self.assert_agree(d)
+            if isinstance(cu_got, tuple):
+                failures.append((d.spec, cu_got))
+        assert {spec for spec, _ in failures} == {c4z5, rank2}
+        assert all(kind is DivisibilityFailure for _, (kind, _) in failures)
 
 
 class TestYObstruction:

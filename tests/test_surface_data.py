@@ -21,7 +21,7 @@ from knotcolour.errors import (
 from test_acceptance import brute_force
 from util import (
     TREFOIL_L, FIG8_L, move_chain, move_pool, rand_unimodular, random_move,
-    slow_mat_apply)
+    slow_mat_apply, slow_validate, slow_vector_class)
 
 
 def random_seifert(rng, specs):
@@ -208,6 +208,40 @@ class TestValidateOnce:
                      lambda d: surface_data.shorten_vector(d, basis)):
             with pytest.raises(InvalidData):
                 call(data)
+
+
+class TestValidateOracle:
+    def test_matches_slow_oracle_on_random_vectors(self, d6, d10, a4, c2_35,
+                                                    c7_222):
+        """Pool data after 0-3 random moves, with their vector or a random
+        one (a shifted lift, any integers): validate equals the
+        GroupElement oracle, and so does vector_class, valid or not."""
+        pool = move_pool(d6, d10, a4, c2_35)
+        pool.append(surface_data.make_data(
+            c7_222, surface_data.standard_matrix(2),
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]))
+        seen = set()
+
+        @settings(deadline=None, max_examples=80, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            data = rng.choice(pool)
+            for _ in range(rng.randrange(4)):
+                data = random_move(rng, data)
+            if rng.random() < 0.7:
+                data = surface_data.make_data(
+                    data.spec, data.matrix,
+                    [[rng.randrange(-2 * n, 2 * n) for n in data.spec.orders]
+                     for _ in range(data.size)])
+            report = surface_data.validate(data)
+            assert report == slow_validate(data)
+            assert invariants.vector_class(data) == slow_vector_class(data)
+            seen.update(f"{k}={v}" for k, v in vars(report).items())
+
+        check()
+        assert seen >= {"valid=True", "valid=False", "generates=False",
+                        "equation_holds=False"}
 
 
 class TestMatApply:

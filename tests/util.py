@@ -1,11 +1,19 @@
 """Shared test helpers: reference Seifert matrices, random unimodular
 matrices, random S-equivalence moves, the fixture data pool, the
 backtracking oracle for diagram colourings, the GroupElement oracle
-for surface_data._mat_apply, and the inverting oracle for
+for surface_data._mat_apply, the GroupElement oracles for validate,
+invariants.su and invariants.cu, and the inverting oracle for
 invariants.vector_class."""
 
 from knotcolour import abelian, classify, diagram, invariants, surface_data
-from knotcolour._intlin import inverse_unimodular
+from knotcolour._intlin import inverse_unimodular, mat_vec, transpose
+from knotcolour.errors import (
+    ArtifactError,
+    BadParameters,
+    DivisibilityFailure,
+    InternalInconsistency,
+    InvalidData,
+)
 
 TREFOIL_L = ((-1, 1), (0, -1))
 TREFOIL_R = ((1, 0), (-1, 1))
@@ -172,3 +180,121 @@ def slow_vector_class(data):
     for b in range(data.size // 2):
         total = total + abelian.wedge2(W[2 * b], W[2 * b + 1])
     return total
+
+
+def slow_validate(data):
+    """Slow oracle for surface_data.validate: both sides of the colouring
+    equation built as GroupElement tuples through _mat_apply and one act
+    per entry, and generation through abelian.generates."""
+    spec, M, V = data.spec, data.matrix, data.vector
+    size = len(M)
+    tV = tuple(abelian.act(v) for v in V)
+    lhs = surface_data._mat_apply(transpose(M), V, spec) if size else ()
+    rhs = surface_data._mat_apply(M, tV, spec) if size else ()
+    equation = lhs == rhs
+    gen = abelian.generates(list(V), spec)
+    genus_ok = size >= surface_data._min_generators(spec)
+    return surface_data.ValidationReport(gen, equation, genus_ok,
+                                         gen and equation and genus_ok)
+
+
+def slow_su(data, lifts=None):
+    """Slow oracle for invariants.su: the orbit lifts from act_pow on each
+    element, and the pairing by explicit index loops over M and M^T."""
+    if not slow_validate(data).valid:
+        raise InvalidData("su needs valid surface data")
+    spec, M, V = data.spec, data.matrix, data.vector
+    m, orders, r = spec.m, spec.orders, spec.rank
+    size = len(M)
+    if lifts is None:
+        lifts = []
+        for j in range(m):
+            lifts.append([list(abelian.act_pow(v, j).coords) for v in V])
+    else:
+        lifts = [[list(row) for row in block] for block in lifts]
+        if len(lifts) != m or any(len(b) != size for b in lifts):
+            raise BadParameters("lifts must give m blocks of one row per entry")
+    out = []
+    for c in range(r):
+        n = orders[c]
+        total = 0
+        for j in range(m):
+            xj = [lifts[j][i][c] for i in range(size)]
+            xj1 = [lifts[(j + 1) % m][i][c] for i in range(size)]
+            for i in range(size):
+                w = sum(M[i][k] * xj1[k] for k in range(size)) \
+                    - sum(M[k][i] * xj[k] for k in range(size))
+                if w % n:
+                    raise DivisibilityFailure(
+                        f"pairing entry {w} not divisible by {n} in factor {c}")
+                total += xj[i] * (w // n)
+        out.append(total % n)
+    return abelian.element(spec, tuple(out))
+
+
+def linking_form_matrix(matrix, m):
+    """L(M): (m-1) x (m-1) blocks, diagonal M + M^T, superdiagonal M^T,
+    subdiagonal M."""
+    size = len(matrix)
+    blocks = m - 1
+    L = [[0] * (blocks * size) for _ in range(blocks * size)]
+    for a in range(blocks):
+        for i in range(size):
+            for j in range(size):
+                L[a * size + i][a * size + j] = matrix[i][j] + matrix[j][i]
+                if a + 1 < blocks:
+                    L[a * size + i][(a + 1) * size + j] = matrix[j][i]
+                    L[(a + 1) * size + i][a * size + j] = matrix[i][j]
+    return L
+
+
+def slow_cu(data, nlift=None, vlift=None):
+    """Slow oracle for invariants.cu: the dense linking form
+    linking_form_matrix(M, m) applied to the stacked lift, one mat_vec
+    per lift block."""
+    if not slow_validate(data).valid:
+        raise InvalidData("cu needs valid surface data")
+    spec, M, V = data.spec, data.matrix, data.vector
+    m, orders, r = spec.m, spec.orders, spec.rank
+    if m < 2:
+        raise BadParameters("cu needs m >= 2")
+    size = len(M)
+    C = nlift if nlift is not None else invariants.structured_lift(spec)
+    C = [list(row) for row in C]
+    base = [list(row) for row in vlift] if vlift is not None \
+        else [list(v.coords) for v in V]
+    if len(base) != size:
+        raise BadParameters("vector lift must have one row per entry")
+    blocks = [[list(row) for row in base]]
+    for _ in range(m - 2):
+        blocks.append([mat_vec(C, row) for row in blocks[-1]])
+    L = linking_form_matrix(M, m)
+    dim = (m - 1) * size
+    out = []
+    for c in range(r):
+        n = orders[c]
+        x = [blocks[a][i][c] for a in range(m - 1) for i in range(size)]
+        q = 0
+        for i in range(dim):
+            w = sum(L[i][j] * x[j] for j in range(dim))
+            if w % n:
+                raise DivisibilityFailure(
+                    f"L(M) pairing entry {w} not divisible by {n} in factor {c}")
+            q += x[i] * (w // n)
+        if n % 2:
+            out.append(q % n)
+        else:
+            if q % 2:
+                raise InternalInconsistency(
+                    "pairing value is odd over an even-order factor")
+            out.append((q // 2) % n)
+    return abelian.element(spec, tuple(out))
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's value, or the type and message of the library error it
+    raised, so a fast path and its oracle compare on failures too."""
+    try:
+        return fn(*args, **kwargs)
+    except ArtifactError as e:
+        return type(e), str(e)

@@ -49,9 +49,13 @@ class GroupElement:
 
     def __post_init__(self):
         orders = self.spec.orders
-        if len(self.coords) != len(orders):
+        try:
+            count = len(self.coords)
+        except TypeError:
+            raise BadParameters("coordinates must be a sequence") from None
+        if count != len(orders):
             raise BadParameters(
-                f"coordinate length {len(self.coords)} != rank {len(orders)}")
+                f"coordinate length {count} != rank {len(orders)}")
         object.__setattr__(self, "coords", _reduced(self.coords, orders))
 
 
@@ -188,15 +192,15 @@ def act_rows(rows, spec):
 
 def linear_kernel(P, Q, spec, budget):
     """Every V in A^n with (P + Q.t) V = 0, for integer matrices P and Q
-    of one shape, as GroupElement tuples in lexicographic order (see
-    kernel_mod). Entry (i, j) acts on A as P_ij I + Q_ij N, N the action.
+    of one shape, as n reduced coordinate rows in lexicographic order
+    (see kernel_mod). Entry (i, j) acts on A as P_ij I + Q_ij N, N the action.
     """
     N, orders, r = spec.action, spec.orders, spec.rank
     n = len(P[0]) if P else 0
     F = [[P[i][j] * (c == d) + Q[i][j] * N[c][d]
           for j in range(n) for d in range(r)]
          for i in range(len(P)) for c in range(r)]
-    return [tuple(GroupElement(spec, x[j * r:(j + 1) * r]) for j in range(n))
+    return [tuple(x[j * r:(j + 1) * r] for j in range(n))
             for x in kernel_mod(F, orders * n, orders * len(P), budget)]
 
 
@@ -246,65 +250,61 @@ def triple_indices(spec):
     return tuple(combinations(range(spec.rank), 3))
 
 
+def _wedge_orders(spec, degree):
+    """Per basis wedge of the degree, the gcd of its factors' orders."""
+    return tuple(gcd(*(spec.orders[i] for i in idx))
+                 for idx in combinations(range(spec.rank), degree))
+
+
 def pair_orders(spec):
-    return tuple(gcd(spec.orders[i], spec.orders[j]) for i, j in pair_indices(spec))
+    return _wedge_orders(spec, 2)
 
 
 def triple_orders(spec):
-    return tuple(gcd(gcd(spec.orders[i], spec.orders[j]), spec.orders[k])
-                 for i, j, k in triple_indices(spec))
+    return _wedge_orders(spec, 3)
 
 
 @dataclass(frozen=True)
-class WedgeElement2:
+class _Wedge:
+    """Element of the degree-fold exterior power of A (the subclass sets
+    the degree); + needs equal degree and spec."""
+
+    spec: GroupSpec
+    coords: tuple
+
+    def __post_init__(self):
+        mods = _wedge_orders(self.spec, self.degree)
+        try:
+            count = len(self.coords)
+        except TypeError:
+            raise BadParameters("coordinates must be a sequence") from None
+        if count != len(mods):
+            raise BadParameters("wrong number of wedge coordinates")
+        object.__setattr__(self, "coords", _reduced(self.coords, mods))
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other.spec != self.spec:
+            raise GroupMismatch("wedges of different degrees or specs")
+        return type(self)(
+            self.spec, tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        return type(self)(self.spec, tuple(-a for a in self.coords))
+
+    def is_zero(self):
+        return all(c == 0 for c in self.coords)
+
+
+@dataclass(frozen=True)
+class WedgeElement2(_Wedge):
     """Element of A ^ A, coordinates over the basis s_i ^ s_j, i < j."""
-
-    spec: GroupSpec
-    coords: tuple
-
-    def __post_init__(self):
-        mods = pair_orders(self.spec)
-        if len(self.coords) != len(mods):
-            raise BadParameters("wrong number of wedge coordinates")
-        object.__setattr__(self, "coords", _reduced(self.coords, mods))
-
-    def __add__(self, other):
-        if other.spec != self.spec:
-            raise GroupMismatch("wedge elements over different specs")
-        return WedgeElement2(
-            self.spec, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return WedgeElement2(self.spec, tuple(-a for a in self.coords))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
+    degree = 2
 
 
 @dataclass(frozen=True)
-class WedgeElement3:
+class WedgeElement3(_Wedge):
     """Element of A ^ A ^ A over the basis s_i ^ s_j ^ s_k, i < j < k."""
-
-    spec: GroupSpec
-    coords: tuple
-
-    def __post_init__(self):
-        mods = triple_orders(self.spec)
-        if len(self.coords) != len(mods):
-            raise BadParameters("wrong number of wedge coordinates")
-        object.__setattr__(self, "coords", _reduced(self.coords, mods))
-
-    def __add__(self, other):
-        if other.spec != self.spec:
-            raise GroupMismatch("wedge elements over different specs")
-        return WedgeElement3(
-            self.spec, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return WedgeElement3(self.spec, tuple(-a for a in self.coords))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
+    degree = 3
 
 
 def wedge2_zero(spec):

@@ -84,10 +84,9 @@ def quandle_op_inverse(x, b, spec):
     return abelian.add(abelian.act_pow(abelian.sub(x, b), -1), b)
 
 
-def _surjective(labels, spec):
+def _surjective(rows, spec):
     # subgroup of G generated by the cosets t.a_i equals G iff the
-    # phi-orbits of the labels generate A (base label is zero)
-    rows = [lab.coords for lab in labels]
+    # phi-orbits of the label rows generate A (base label is zero)
     orbit = set()
     for _ in range(spec.m):
         orbit.update(rows)
@@ -111,9 +110,10 @@ def enumerate_diagram_colourings(diagram, spec, budget=10 ** 7):
                 P[row][col[arc]] += p
                 Q[row][col[arc]] += q
     base = {diagram.base_arc: abelian.zero(spec)}
-    return [QuandleColouring({**base, **dict(zip(free, labels))})
-            for labels in abelian.linear_kernel(P, Q, spec, budget)
-            if _surjective(labels, spec)]
+    return [QuandleColouring({**base, **{
+                a: abelian.GroupElement(spec, x) for a, x in zip(free, rows)}})
+            for rows in abelian.linear_kernel(P, Q, spec, budget)
+            if _surjective(rows, spec)]
 
 
 # ---------------------------------------------------------------------------

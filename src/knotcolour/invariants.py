@@ -4,9 +4,9 @@ vector, and the triple-wedge obstruction.
 su sums the epsilon pairing around the full t-orbit of the vector; cu pairs
 a structured lift of (V; t.V; ...; t^{m-2}.V) against the block tridiagonal
 linking form L(M). Both work per cyclic factor with that factor's modulus
-and return a group element. su, cu and vector_class run on the integer
-coordinate matrix X of the vector (one row per entry); GroupElement and
-WedgeElement2 appear only in their return values.
+and return a group element; s is the form M^T - M on the columns of X.
+All three run on the integer coordinate matrix X of the vector (one row
+per entry); GroupElement and WedgeElement2 appear only in their values.
 """
 
 from functools import lru_cache
@@ -23,7 +23,7 @@ from .errors import (
     InvalidData,
     LiftFailure,
 )
-from .surface_data import _symplectic_reduce, validate
+from .surface_data import validate
 
 
 def _pairing(M, MT, x, u, v, n, c, what):
@@ -176,20 +176,22 @@ def cu(data, nlift=None, vlift=None):
 
 
 def vector_class(data):
-    """The symplectic class s: wedge W = P^-1 X in adjacent row pairs, X
-    the coordinate matrix of V and P reducing M - M^T to block form.
-    Coordinate (i, j) is sum_b (W_2b,i W_2b+1,j - W_2b,j W_2b+1,i), taken
-    over the integers and reduced once mod gcd(n_i, n_j), as reduction
-    commutes with the sums. The reduction carries P^-1 and the matrix
-    was checked at construction, so no det or inverse is taken.
-    Structural, so defined on non-validating data too (the canonical
-    vectors).
+    """The symplectic class s in A ^ A: coordinate (p, q), p < q, is
+    x_p^T (M^T - M) x_q = sum_i (x_iq (MX)_ip - x_ip (MX)_iq), x_p the
+    column p of the coordinate matrix X of V, summed over the integers and
+    reduced once mod gcd(n_p, n_q). It is the adjacent-pair wedge of
+    W = P^-1 X for any P with P^T S P = J (S = M - M^T, J the block sum
+    of [[0, -1], [1, 0]]): S = P^-T J P^-1, and expanding bilinearly,
+    sum_b W_2b ^ W_2b+1 = sum_{i<j} (P^-T (-J) P^-1)_ij X_i ^ X_j =
+    sum_{i<j} -S_ij X_i ^ X_j, with no division by 2, so 2-torsion in
+    A ^ A is safe. Structural, so defined on non-validating data too (the
+    canonical vectors).
     """
-    W = mat_mul(_symplectic_reduce(data.matrix)[1], data._coords)
-    pairs = list(zip(W[0::2], W[1::2]))
+    X = data._coords
+    MX = mat_mul(data.matrix, X)
     return abelian.WedgeElement2(data.spec, tuple(
-        sum(a[i] * b[j] - a[j] * b[i] for a, b in pairs)
-        for i, j in abelian.pair_indices(data.spec)))
+        sum(x[q] * y[p] - x[p] * y[q] for x, y in zip(X, MX))
+        for p, q in abelian.pair_indices(data.spec)))
 
 
 def y_obstruction(triples):

@@ -5,9 +5,10 @@ moves and their inverses, symplectic reduction of the intersection form,
 connect sums, and the word-length normal form for colouring vectors.
 
 Matrices are tuples of int tuples; colouring vectors are tuples of
-GroupElement, which validation and the invariants read as one size x r
-integer coordinate matrix (SurfaceData._coords). The empty 0x0 datum is permitted (it can never validate
-over a nontrivial A, but keeps connect sums total).
+GroupElement, which validation, the enumerator's filter and the
+invariants read as integer coordinate rows (SurfaceData._coords). The
+empty 0x0 datum is permitted (it can never validate over a nontrivial A,
+but keeps connect sums total).
 """
 
 from dataclasses import dataclass
@@ -67,7 +68,10 @@ class SurfaceData:
     def __post_init__(self):
         rows = _check_seifert(self.matrix)
         object.__setattr__(self, "matrix", rows)
-        vec = tuple(self.vector)
+        try:
+            vec = tuple(self.vector)
+        except TypeError:
+            raise BadParameters("vector must be a sequence") from None
         if len(vec) != len(rows):
             raise BadParameters(
                 f"vector length {len(vec)} != matrix size {len(rows)}")
@@ -169,7 +173,8 @@ def enumerate_colourings(matrix, spec, budget=10 ** 7):
     M = _check_seifert(matrix)
     negM = [[-x for x in row] for row in M]
     found = abelian.linear_kernel(transpose(M), negM, spec, budget)
-    return [V for V in found if abelian.generates(list(V), spec)]
+    return [tuple(abelian.GroupElement(spec, x) for x in V) for V in found
+            if abelian._coords_generate(spec, tuple(sorted(set(V))))]
 
 
 # ---------------------------------------------------------------------------
@@ -264,26 +269,17 @@ def symplectic_reduce(matrix):
     are applied first. NotSymplecticable unless det(M - M^T) = 1.
     """
     M = _check_seifert(matrix, err=NotSymplecticable)
-    return _symplectic_reduce(M)[0]
-
-
-def _symplectic_reduce(M):
-    """(P, P^-1) for M known to satisfy det(M - M^T) = 1."""
     size = len(M)
     S = [[M[i][j] - M[j][i] for j in range(size)] for i in range(size)]
     P = identity(size)
-    Pinv = identity(size)
 
     def colop(dst, src, t):
         # congruence: column and matching row
         for i in range(size):
             S[i][dst] += t * S[i][src]
+            P[i][dst] += t * P[i][src]
         for j in range(size):
             S[dst][j] += t * S[src][j]
-        # P.(I + t e_src e_dst^T) has inverse (I - t e_src e_dst^T).P^-1
-        for i in range(size):
-            P[i][dst] += t * P[i][src]
-            Pinv[src][i] -= t * Pinv[dst][i]
 
     def swap(i, j):
         if i == j:
@@ -293,7 +289,6 @@ def _symplectic_reduce(M):
         S[i], S[j] = S[j], S[i]
         for row in P:
             row[i], row[j] = row[j], row[i]
-        Pinv[i], Pinv[j] = Pinv[j], Pinv[i]
 
     for b in range(0, size, 2):
         while True:
@@ -339,7 +334,7 @@ def _symplectic_reduce(M):
     std = standard_matrix(size // 2)
     if S != [[std[i][j] - std[j][i] for j in range(size)] for i in range(size)]:
         raise NotSymplecticable("reduction failed to reach block form")
-    return tuple(tuple(row) for row in P), Pinv
+    return tuple(tuple(row) for row in P)
 
 
 def standard_matrix(g):

@@ -99,6 +99,13 @@ class TestElements:
         with pytest.raises(BadParameters):
             abelian.element(d10, (1, 2))
 
+    @pytest.mark.parametrize("coords", [3, None, 2.5])
+    def test_constructors_reject_non_sequences(self, d10, coords):
+        for cls in (abelian.GroupElement, abelian.WedgeElement2,
+                    abelian.WedgeElement3):
+            with pytest.raises(BadParameters):
+                cls(d10, coords)
+
     @pytest.mark.parametrize("coords", [(2.5,), (2.0,), (True,), ("1",),
                                         (None,)])
     def test_rejects_non_integers(self, d10, coords):
@@ -255,6 +262,18 @@ class TestWedge:
     def test_spec_mismatch(self, z333, a4):
         with pytest.raises(GroupMismatch):
             abelian.wedge2_zero(z333) + abelian.wedge2_zero(a4)
+
+    def test_degree_classes(self, z333):
+        w2, w3 = abelian.wedge2_zero(z333), abelian.wedge3_zero(z333)
+        assert repr(w2).startswith("WedgeElement2(spec=GroupSpec(")
+        assert repr(w3).startswith("WedgeElement3(spec=GroupSpec(")
+        assert w2 == abelian.WedgeElement2(z333, (3, 0, 6))
+        assert hash(w2) == hash(abelian.WedgeElement2(z333, (3, 0, 6)))
+        assert w3 != abelian.WedgeElement2(z333, (0, 0, 0))
+        with pytest.raises(GroupMismatch):
+            w2 + w3
+        with pytest.raises(GroupMismatch):
+            w3 + w2
 
 
 class TestH3:

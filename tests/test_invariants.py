@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotcolour import abelian, classify, invariants, surface_data
+from knotcolour._intlin import inverse_unimodular, mat_mul, mat_vec, transpose
 from knotcolour.errors import (
     BadParameters,
     DivisibilityFailure,
@@ -13,7 +14,8 @@ from knotcolour.errors import (
 from test_surface_data import random_seifert
 from util import (
     TREFOIL_L, FIG8_L, invariant_triple, lift_pool, move_chain, move_pool,
-    outcome, slow_cu, slow_su, slow_validate, slow_vector_class)
+    outcome, rand_unimodular, slow_cu, slow_su, slow_validate,
+    slow_vector_class)
 
 FIXTURE_GROUPS = ("d6", "d10", "d14", "c3z7", "c4z5", "a4", "c2_33",
                   "c2_35", "c3_55", "c7_222", "z46", "z333")
@@ -267,6 +269,70 @@ class TestVectorClass:
         check()
         assert len({spec for spec, _ in seen}) == len(FIXTURE_GROUPS)
         assert {zero for _, zero in seen} == {True, False}
+
+    def test_matches_slow_oracle_up_to_genus_20(self, d6, d10, d14, c3z7,
+                                                a4, c2_33, c2_35, c3_55):
+        """Sparse lambda2 and lambda1 moves, as in the walk benchmark, grow
+        every lift-pool datum to genus 20; at each genus the class equals
+        the inverting oracle and the base datum's class. The C2(Z3)^2 and
+        C3(Z5)^2 data carry classes s with 2s != 0, which a sign or index
+        slip would negate."""
+        pool = lift_pool(d6, d10, d14, c3z7, a4, c2_33, c2_35, c3_55)
+        rng = random.Random(20)
+        for data in pool:
+            want = invariants.vector_class(data)
+            while data.genus < 20:
+                c = [0] * data.size
+                for i in rng.sample(range(data.size), 2):
+                    c[i] = rng.choice((-1, 1))
+                data = surface_data.lambda2(data, c, rng.choice((1, 2)))
+                data = surface_data.lambda1(
+                    data, rand_unimodular(rng, data.size, ops=2))
+                assert invariants.vector_class(data) == \
+                    slow_vector_class(data) == want
+        assert any(not (w + w).is_zero()
+                   for w in map(invariants.vector_class, pool))
+
+    def test_independent_of_reducing_matrix(self, request):
+        """Wedging the rows of P'^-1 X in adjacent pairs gives the class for
+        any P' with P'^T (M - M^T) P' = J, not only the reduction's P:
+        P' = P T, T a product of symplectic transvections I + c u u^T J,
+        which satisfy T^T J T = J as u^T J u = 0."""
+        specs = [(request.getfixturevalue(name), 4, None)
+                 for name in FIXTURE_GROUPS]
+        seen = set()
+
+        @settings(deadline=None, max_examples=100, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            M, spec = random_seifert(rng, specs)
+            size = len(M)
+            X = [[rng.randrange(n) for n in spec.orders] for _ in M]
+            data = surface_data.make_data(spec, M, X)
+            std = surface_data.standard_matrix(size // 2)
+            J = [[std[i][j] - std[j][i] for j in range(size)]
+                 for i in range(size)]
+            P = surface_data.symplectic_reduce(M)
+            for _ in range(rng.randrange(1, 4)):
+                u = [rng.randrange(-2, 3) for _ in range(size)]
+                uJ = mat_vec(transpose(J), u)
+                c = rng.choice((-2, -1, 1, 2))
+                P = mat_mul(P, [[(i == k) + c * u[i] * uJ[k]
+                                 for k in range(size)] for i in range(size)])
+            S = [[M[i][j] - M[j][i] for j in range(size)]
+                 for i in range(size)]
+            assert mat_mul(mat_mul(transpose(P), S), P) == J
+            W = mat_mul(inverse_unimodular(P), X)
+            w = abelian.WedgeElement2(spec, tuple(
+                sum(a[p] * b[q] - a[q] * b[p]
+                    for a, b in zip(W[0::2], W[1::2]))
+                for p, q in abelian.pair_indices(spec)))
+            assert w == invariants.vector_class(data)
+            seen.add((w + w).is_zero())
+
+        check()
+        assert seen == {True, False}
 
 
 class TestSlowOracles:

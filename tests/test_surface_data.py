@@ -74,6 +74,10 @@ class TestConstruction:
         with pytest.raises(BadParameters):
             surface_data.make_data(d6, TREFOIL_L, [(1,)])
 
+    def test_rejects_non_sequence_vector(self, d10):
+        with pytest.raises(BadParameters):
+            surface_data.SurfaceData(d10, ((1, 1), (0, -1)), 5)
+
     @pytest.mark.parametrize("matrix, coords", [
         ([[-1.9, 1], [0, True]], [["1"], [2.5]]),
         ([[-1, 1], [0, True]], [(1,), (2,)]),
@@ -348,7 +352,9 @@ class TestEnumerate:
         def check(seed):
             M, spec = random_seifert(random.Random(seed), specs)
             negM = [[-x for x in row] for row in M]
-            kernel = abelian.linear_kernel(transpose(M), negM, spec, 10 ** 7)
+            kernel = [surface_data.make_data(spec, M, rows).vector
+                      for rows in abelian.linear_kernel(
+                          transpose(M), negM, spec, 10 ** 7)]
             want = [V for V in kernel if surface_data.validate(
                 surface_data.SurfaceData(spec, M, V)).valid]
             assert surface_data.enumerate_colourings(M, spec) == want
@@ -363,8 +369,9 @@ class TestEnumerate:
         # has 27, none generating
         for spec, count in ((c7_222, 1), (z333, 27)):
             negM = [[-x for x in row] for row in TREFOIL_L]
-            kernel = abelian.linear_kernel(
-                transpose(TREFOIL_L), negM, spec, 10 ** 7)
+            kernel = [surface_data.make_data(spec, TREFOIL_L, rows)
+                      for rows in abelian.linear_kernel(
+                          transpose(TREFOIL_L), negM, spec, 10 ** 7)]
             assert len(kernel) == count
             assert surface_data.enumerate_colourings(TREFOIL_L, spec) == []
 
@@ -496,20 +503,6 @@ class TestSymplecticReduce:
     def test_rejects_non_seifert(self, matrix):
         with pytest.raises(NotSymplecticable):
             surface_data.symplectic_reduce(matrix)
-
-    def test_private_reduction_carries_inverse(self, d6):
-        """The unchecked reduction returns the public P and its inverse,
-        built alongside it."""
-        @settings(deadline=None, max_examples=80, derandomize=True)
-        @given(st.integers(0, 10 ** 6))
-        def check(seed):
-            M, _ = random_seifert(random.Random(seed), [(d6, 4, None)])
-            P, Pinv = surface_data._symplectic_reduce(M)
-            assert P == surface_data.symplectic_reduce(M)
-            assert mat_mul(Pinv, P) == identity(len(M))
-            assert mat_mul(P, Pinv) == identity(len(M))
-
-        check()
 
 
 class TestMoveOutputs:

@@ -337,14 +337,20 @@ def wedge3(a, b, c):
     return WedgeElement3(s, tuple(out))
 
 
-def wedge2_scale(k, w):
+def _wedge_scale(k, w, cls):
+    """k w; BadParameters unless k is an int and w a cls."""
     _check_scalar(k)
-    return WedgeElement2(w.spec, tuple(k * c for c in w.coords))
+    if type(w) is not cls:
+        raise BadParameters(f"expected a {cls.__name__}, got {w!r}")
+    return cls(w.spec, tuple(k * c for c in w.coords))
+
+
+def wedge2_scale(k, w):
+    return _wedge_scale(k, w, WedgeElement2)
 
 
 def wedge3_scale(k, w):
-    _check_scalar(k)
-    return WedgeElement3(w.spec, tuple(k * c for c in w.coords))
+    return _wedge_scale(k, w, WedgeElement3)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,15 @@ per entry); GroupElement and WedgeElement2 appear only in their values.
 
 from functools import lru_cache
 from itertools import product
+from math import prod
 from operator import add, mul
 
 from . import abelian
-from ._intlin import mat_mul, mat_pow, transpose
+from ._intlin import (
+    identity, kernel_mod, mat_mul, mat_pow, solve_mod, transpose)
 from .errors import (
     BadParameters,
+    BudgetExceeded,
     DivisibilityFailure,
     GroupMismatch,
     InternalInconsistency,
@@ -24,6 +27,9 @@ from .errors import (
     LiftFailure,
 )
 from .surface_data import validate
+
+# most lift candidates searched, or lift-system solutions listed
+LIFT_BUDGET = 10 ** 7
 
 
 def _pairing(M, MT, x, u, v, n, c, what):
@@ -85,39 +91,72 @@ def su(data, lifts=None):
     return abelian.element(spec, tuple(out))
 
 
-def _structured_lifts(spec):
-    """Yield every integer lift C of the action with C^m = I mod n_i^2
-    (entry (i, j) reduced mod n_i^2), entries in [0, n_i^2), searched in
-    row-major candidate order."""
-    m, orders, r = spec.m, spec.orders, spec.rank
-    cand_lists = []
-    for i in range(r):
-        for j in range(r):
-            base = spec.action[i][j] % orders[i]
-            cand_lists.append(tuple(base + k * orders[i] for k in range(orders[i])))
+def _hensel_lift(m, n, N):
+    """N + n X for the least X with (N + n X)^m = I mod n^2, or None."""
+    r, sq = len(N), n * n
+    powers = [identity(r)]
+    for _ in range(m):
+        powers.append([[x % sq for x in row] for row in mat_mul(powers[-1], N)])
+    residue = [powers[m][i][j] - (i == j) for i in range(r) for j in range(r)]
+    if any(x % n for x in residue):
+        return None
+    F = [[sum(powers[a][i][k] * powers[m - 1 - a][l][j] for a in range(m))
+          for k in range(r) for l in range(r)]
+         for i in range(r) for j in range(r)]
+    mods = [n] * (r * r)
+    x0 = solve_mod(F, [-x // n for x in residue], mods)
+    if x0 is None:
+        return None
+    X = min(tuple((a + b) % n for a, b in zip(x0, k))
+            for k in kernel_mod(F, mods, mods, LIFT_BUDGET))
+    return [[N[i][j] + n * X[i * r + j] for j in range(r)] for i in range(r)]
+
+
+def _searched_lift(m, orders, N):
+    """The first lift in the row-major search, or None."""
+    r = len(orders)
+    count = prod(orders) ** r
+    if count > LIFT_BUDGET:
+        raise BudgetExceeded(
+            f"{count} lift candidates exceed budget {LIFT_BUDGET}")
+    cand_lists = [range(N[i][j], orders[i] ** 2, orders[i])
+                  for i in range(r) for j in range(r)]
     for flat in product(*cand_lists):
         C = [list(flat[i * r:(i + 1) * r]) for i in range(r)]
         P = mat_pow(C, m)
-        ok = True
-        for i in range(r):
-            sq = orders[i] * orders[i]
-            for j in range(r):
-                if (P[i][j] - (1 if i == j else 0)) % sq:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield tuple(tuple(row) for row in C)
+        if all((P[i][j] - (i == j)) % (n * n) == 0
+               for i, n in enumerate(orders) for j in range(r)):
+            return C
+    return None
 
 
 @lru_cache(maxsize=None)
 def structured_lift(spec):
-    """First structured lift in search order; LiftFailure if none exists."""
-    for C in _structured_lifts(spec):
-        return C
-    raise LiftFailure(
-        f"no lift of the action satisfies C^{spec.m} = I mod n_i^2")
+    """The first integer lift C of the action N (reduced mod n_i in row
+    i) with C^m = I mod n_i^2 in row i, searching C_ij = N_ij + k n_i,
+    0 <= k < n_i, in row-major order; LiftFailure if none exists.
+
+    Equal orders n (every rank-1 group among them): write C = N + n X.
+    Each term of (N + n X)^m with X twice carries n^2, so C^m = I mod
+    n^2 is exactly the linear system sum_{a<m} N^a X N^(m-1-a) =
+    -(N^m - I)/n mod n (Hensel's one-step lift), and row-major order on C
+    is lex order on X mod n. So C is N + n X for the least X among a
+    particular solution plus the kernel, both from the Smith core.
+    Unequal orders: with C = N + diag(n_i) X the second-order terms need
+    not vanish mod n_i^2, and the first lift can have cross entries that
+    the linearised system misses, so the box is searched, BudgetExceeded
+    past LIFT_BUDGET candidates.
+    """
+    m, orders = spec.m, spec.orders
+    N = [[x % n for x in row] for row, n in zip(spec.action, orders)]
+    if len(set(orders)) == 1:
+        C = _hensel_lift(m, orders[0], N)
+    else:
+        C = _searched_lift(m, orders, N)
+    if C is None:
+        raise LiftFailure(
+            f"no lift of the action satisfies C^{m} = I mod n_i^2")
+    return tuple(tuple(row) for row in C)
 
 
 def cu(data, nlift=None, vlift=None):
@@ -129,9 +168,16 @@ def cu(data, nlift=None, vlift=None):
     block a of L x is M (x_a + x_{a-1}) + M^T (x_a + x_{a+1}) with
     x_{-1} = x_{m-1} = 0; it is applied block by block, never built.
 
+    The action lift C is read only for m >= 3: at m = 2 there is one
+    block, x_0 = V. Skipping it there hides no LiftFailure, since every
+    m = 2 group has a lift: make_group ensures N^2 = I on A with N - I
+    invertible, so (N - I)(N + I) = 0 forces N = -I on A; then
+    C = diag(n_i^2 - 1) lifts N and C^2 = I mod n_i^2.
+
     ``nlift`` (r x r) and ``vlift`` (one row of r ints per entry) may
     override the action lift and the minimal vector lift (testing hooks
-    for the well-definedness properties).
+    for the well-definedness properties); an ``nlift`` is shape-checked
+    at every m.
     """
     if not validate(data).valid:
         raise InvalidData("cu needs valid surface data")
@@ -140,12 +186,12 @@ def cu(data, nlift=None, vlift=None):
     if m < 2:
         raise BadParameters("cu needs m >= 2")
     size = len(M)
-    if nlift is None:
-        C = structured_lift(spec)
-    else:
+    if nlift is not None:
         C = _int_rows(nlift, r, "nlift")
         if len(C) != r:
             raise BadParameters(f"nlift must have {r} rows")
+    elif m > 2:
+        C = structured_lift(spec)
     base = data._coords
     if vlift is not None:
         base = list(vlift)
@@ -153,9 +199,10 @@ def cu(data, nlift=None, vlift=None):
             raise BadParameters("vector lift must have one row per entry")
         base = _int_rows(base, r, "vector lift")
     blocks = [base]
-    CT = transpose(C)
-    for _ in range(m - 2):
-        blocks.append(mat_mul(blocks[-1], CT))
+    if m > 2:
+        CT = transpose(C)
+        for _ in range(m - 2):
+            blocks.append(mat_mul(blocks[-1], CT))
     MT = tuple(zip(*M))
     out = []
     zero = [0] * size

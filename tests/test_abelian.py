@@ -255,6 +255,23 @@ class TestWedge:
         with pytest.raises(BadParameters):
             abelian.wedge2_scale(k, w2)
 
+    def test_scales_reject_other_degree(self):
+        """A wedge of the other degree is refused, also over a rank-1
+        spec where both degrees have no coordinates at all."""
+        with pytest.raises(BadParameters):
+            abelian.wedge2_scale(2, abelian.wedge3_zero(
+                abelian.unsafe_spec((3,))))
+        with pytest.raises(BadParameters):
+            abelian.wedge3_scale(2, abelian.wedge2_zero(
+                abelian.unsafe_spec((3, 3))))
+
+    @pytest.mark.parametrize("w", [5, None, (1, 2)])
+    def test_scales_reject_non_wedges(self, w):
+        with pytest.raises(BadParameters):
+            abelian.wedge2_scale(2, w)
+        with pytest.raises(BadParameters):
+            abelian.wedge3_scale(2, w)
+
     def test_wrong_coord_count(self, z333):
         with pytest.raises(BadParameters):
             abelian.WedgeElement2(z333, (1,))

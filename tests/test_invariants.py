@@ -4,18 +4,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotcolour import abelian, classify, invariants, surface_data
-from knotcolour._intlin import inverse_unimodular, mat_mul, mat_vec, transpose
+from knotcolour._intlin import (
+    inverse_unimodular, mat_mul, mat_pow, mat_vec, transpose)
 from knotcolour.errors import (
     BadParameters,
+    BudgetExceeded,
     DivisibilityFailure,
     GroupMismatch,
     InvalidData,
+    LiftFailure,
 )
 from test_surface_data import random_seifert
 from util import (
     TREFOIL_L, FIG8_L, invariant_triple, lift_pool, move_chain, move_pool,
-    outcome, rand_unimodular, slow_cu, slow_su, slow_validate,
-    slow_vector_class)
+    outcome, rand_unimodular, random_group_spec, slow_cu, slow_structured_lift,
+    slow_su, slow_validate, slow_vector_class)
 
 FIXTURE_GROUPS = ("d6", "d10", "d14", "c3z7", "c4z5", "a4", "c2_33",
                   "c2_35", "c3_55", "c7_222", "z46", "z333")
@@ -116,6 +119,73 @@ class TestStructuredLift:
         for i in range(2):
             for j in range(2):
                 assert (P[i][j] - (1 if i == j else 0)) % 25 == 0
+
+    def test_matches_slow_oracle(self, request):
+        """structured_lift against the unbudgeted row-major search, lift
+        or LiftFailure, on every fixture group and on random specs: m in
+        {2, 3, 4}, rank <= 2, equal and unequal orders <= 13, from
+        make_group or unvalidated. Unvalidated orders stay <= 7, since a
+        spec with no lift makes the oracle try the whole box."""
+        for name in FIXTURE_GROUPS:
+            spec = request.getfixturevalue(name)
+            assert outcome(invariants.structured_lift, spec) == \
+                outcome(slow_structured_lift, spec)
+        seen = set()
+
+        @settings(deadline=None, max_examples=80, derandomize=True)
+        @given(st.integers(0, 10 ** 6), st.booleans(), st.booleans())
+        def check(seed, equal, validated):
+            rng = random.Random(seed)
+            spec = random_group_spec(rng, equal, validated,
+                                     top=13 if validated else 7)
+            got = outcome(invariants.structured_lift, spec)
+            assert got == outcome(slow_structured_lift, spec)
+            seen.add((equal, got[0] is LiftFailure))
+
+        check()
+        assert seen == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+    def test_m2_lift_exists(self, request):
+        """Every m = 2 group has a lift, and diag(n_i^2 - 1) is one: N is
+        -I on A, so it lifts N and squares to I mod n_i^2."""
+        specs = [request.getfixturevalue(name) for name in FIXTURE_GROUPS]
+        rng = random.Random(23)
+        specs += [random_group_spec(rng, equal, True, m_choices=(2,))
+                  for equal in (True, False) for _ in range(10)]
+        for spec in specs:
+            if spec.m != 2:
+                continue
+            invariants.structured_lift(spec)
+            D = [[n * n - 1 if i == j else 0 for j in range(spec.rank)]
+                 for i, n in enumerate(spec.orders)]
+            P = mat_pow(D, 2)
+            for i, n in enumerate(spec.orders):
+                for j in range(spec.rank):
+                    assert (D[i][j] - spec.action[i][j]) % n == 0
+                    assert (P[i][j] - (i == j)) % (n * n) == 0
+
+    def test_unequal_search_budget(self):
+        """(5 * 7 * 11)^3 = 5.7e7 candidates: refused before searching."""
+        spec = abelian.make_group(2, (5, 7, 11),
+                                  ((-1, 0, 0), (0, -1, 0), (0, 0, -1)))
+        with pytest.raises(BudgetExceeded):
+            invariants.structured_lift(spec)
+
+    def test_cu_reads_lift_from_m3(self, monkeypatch):
+        """cu takes no lift at m = 2, and still shape-checks an nlift."""
+        def refuse(spec):
+            raise LiftFailure("not expected")
+
+        d6_data = classify.metacyclic_table(2, 3, 2).entries[0].data
+        c3z7_data = classify.metacyclic_table(3, 7, 2).entries[0].data
+        want = invariants.cu(d6_data)
+        monkeypatch.setattr(invariants, "structured_lift", refuse)
+        assert invariants.cu(d6_data) == want
+        with pytest.raises(BadParameters):
+            invariants.cu(d6_data, nlift=((8,), (0,)))
+        with pytest.raises(LiftFailure):
+            invariants.cu(c3z7_data)
 
 
 class TestCu:
@@ -235,8 +305,14 @@ class TestVectorClass:
         assert invariants.vector_class(moved) == w
 
 
-    def test_matches_slow_oracle_on_moves(self, d6, d10, a4, c2_35):
+    def test_matches_slow_oracle_on_moves(self, d6, d10, a4, c2_35, c3_55):
+        """The move_pool groups all have s = -s, so C3 x| (Z/5)^2 data
+        with s != -s join the pool, and some chain must reach them."""
         pool = move_pool(d6, d10, a4, c2_35)
+        t = classify.rank2_nondiag_table(3, 5, ((0, 1), (4, 4)))
+        assert t.entries[0].data.spec == c3_55
+        pool += [e.data for e in t.entries if not (e.s + e.s).is_zero()][:4]
+        signed = set()
 
         @settings(deadline=None, max_examples=40, derandomize=True)
         @given(st.integers(0, 10 ** 6))
@@ -244,8 +320,11 @@ class TestVectorClass:
             rng = random.Random(seed)
             for _, out in move_chain(rng, pool, rng.randrange(7)):
                 assert invariants.vector_class(out) == slow_vector_class(out)
+                w = invariants.vector_class(out)
+                signed.add(not (w + w).is_zero())
 
         check()
+        assert True in signed
 
     def test_matches_slow_oracle_on_congruences(self, request):
         """Random U^T M U of genus 1-4 over every fixture group, with

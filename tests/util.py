@@ -2,17 +2,22 @@
 matrices, random S-equivalence moves, the fixture data pool, the
 backtracking oracle for diagram colourings, the GroupElement oracle
 for surface_data._mat_apply, the GroupElement oracles for validate,
-invariants.su and invariants.cu, and the inverting oracle for
-invariants.vector_class."""
+invariants.su and invariants.cu, the inverting oracle for
+invariants.vector_class, the search oracle for
+invariants.structured_lift, and random group specs for it."""
+
+from itertools import product
+from math import gcd
 
 from knotcolour import abelian, classify, diagram, invariants, surface_data
-from knotcolour._intlin import inverse_unimodular, mat_vec, transpose
+from knotcolour._intlin import inverse_unimodular, mat_pow, mat_vec, transpose
 from knotcolour.errors import (
     ArtifactError,
     BadParameters,
     DivisibilityFailure,
     InternalInconsistency,
     InvalidData,
+    LiftFailure,
 )
 
 TREFOIL_L = ((-1, 1), (0, -1))
@@ -232,6 +237,52 @@ def slow_su(data, lifts=None):
     return abelian.element(spec, tuple(out))
 
 
+def slow_structured_lift(spec):
+    """Slow oracle for invariants.structured_lift: every integer lift C of
+    the action with entry (i, j) in [0, n_i^2), C = N mod n_i, tried in
+    row-major order with no budget; the first with C^m = I mod n_i^2
+    (row i), or LiftFailure."""
+    m, orders, r = spec.m, spec.orders, spec.rank
+    cand_lists = []
+    for i in range(r):
+        for j in range(r):
+            base = spec.action[i][j] % orders[i]
+            cand_lists.append(tuple(base + k * orders[i]
+                                    for k in range(orders[i])))
+    for flat in product(*cand_lists):
+        C = [list(flat[i * r:(i + 1) * r]) for i in range(r)]
+        P = mat_pow(C, m)
+        if all((P[i][j] - (1 if i == j else 0)) % (orders[i] ** 2) == 0
+               for i in range(r) for j in range(r)):
+            return tuple(tuple(row) for row in C)
+    raise LiftFailure(
+        f"no lift of the action satisfies C^{m} = I mod n_i^2")
+
+
+def random_group_spec(rng, equal, validated, m_choices=(2, 3, 4),
+                      top=13):
+    """A random spec with m from m_choices and orders in [2, top]: equal
+    orders of rank 1 or 2, or two distinct orders. Validated specs come
+    from make_group, redrawn until one passes; unvalidated ones are
+    GroupSpec with any compatible action, which may have no lift."""
+    while True:
+        m, r = rng.choice(m_choices), rng.choice((1, 2))
+        if equal:
+            orders = (rng.randrange(2, top + 1),) * r
+        else:
+            orders = tuple(rng.sample(range(2, top + 1), 2))
+        for _ in range(50):
+            # n_i | N_ij n_j: N_ij a multiple of n_i / gcd(n_i, n_j)
+            N = tuple(tuple(rng.randrange(0, a, a // gcd(a, b))
+                            for b in orders) for a in orders)
+            if not validated:
+                return abelian.GroupSpec(m, orders, N)
+            try:
+                return abelian.make_group(m, orders, N)
+            except ArtifactError:
+                pass
+
+
 def linking_form_matrix(matrix, m):
     """L(M): (m-1) x (m-1) blocks, diagonal M + M^T, superdiagonal M^T,
     subdiagonal M."""
@@ -259,7 +310,7 @@ def slow_cu(data, nlift=None, vlift=None):
     if m < 2:
         raise BadParameters("cu needs m >= 2")
     size = len(M)
-    C = nlift if nlift is not None else invariants.structured_lift(spec)
+    C = nlift if nlift is not None else slow_structured_lift(spec)
     C = [list(row) for row in C]
     base = [list(row) for row in vlift] if vlift is not None \
         else [list(v.coords) for v in V]

@@ -11,11 +11,13 @@ count formulas are recorded in the table's notes rather than asserted.
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import attrgetter
 
 from . import abelian, invariants, surface_data
 from ._intlin import solve_mod
 from .errors import (
     BadParameters,
+    BudgetExceeded,
     InternalInconsistency,
     InvalidData,
     NotA4,
@@ -27,6 +29,9 @@ from .errors import (
 
 TREFOIL_CLASS = "trefoil_class"
 FIGURE8_CLASS = "figure8_class"
+
+# most entries a table builder may emit
+TABLE_BUDGET = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -59,12 +64,84 @@ def _inv(a, n):
 
 
 def _entry(spec, k, l, i, name, matrix, coords):
-    data = surface_data.make_data(spec, matrix, coords)
-    if not surface_data.validate(data).valid:
-        raise InternalInconsistency(f"family entry {name} failed validation")
+    data = _checked(surface_data.make_data(spec, matrix, coords), name)
     return FamilyEntry(k, l, i, name, data,
                        invariants.su(data), invariants.cu(data),
                        invariants.vector_class(data))
+
+
+def _checked(data, name):
+    if not surface_data.validate(data).valid:
+        raise InternalInconsistency(f"family entry {name} failed validation")
+    return data
+
+
+def _check_budget(count, budget):
+    if count > budget:
+        raise BudgetExceeded(f"{count} table entries exceed budget {budget}")
+
+
+def _block(spec, name, i, coords, matrix_at, rows, cols=None):
+    """The entries (k, l) -> (matrix_at(k, l), coords), k = 1..rows and
+    l = 1..cols (l is None without cols), in table order, named by
+    name.format(k=k). Only the samples (1, 1), (1, 2), (2, 1) (without
+    cols: k = 1, 2) run the full per-entry path; every other entry is
+    validated and takes su and cu from the affine law below, and s from
+    the samples.
+
+    Why this is exact. V, and with it every integer lift the invariants
+    use (the minimal coordinate rows X, their t-orbit, the structured
+    lift C of the action), is fixed on the block, and M depends on
+    (k, l) only through k n_1 and l n_2 on the diagonal, so M is affine
+    in (k, l) and M^T - M is constant:
+    - s = x_p^T (M^T - M) x_q is the samples' value, and det(M - M^T) = 1
+      holds on the block once the first sample passes the constructor.
+    - Every pairing entry w of su and cu is linear in M, so affine in
+      (k, l): w(k, l) = w(1,1) + (k-1) dk + (l-1) dl. If n divides w at
+      the three samples it divides dk and dl, so it divides w on the
+      whole block, and w/n is affine too. So are the totals, and so
+      su(k, l) = su(1,1) + (k-1)(su(2,1) - su(1,1)) + (l-1)(su(1,2) -
+      su(1,1)) mod n_c, per factor c; likewise cu. For even n the total
+      Q is even at the samples, so even everywhere (an affine integer
+      function with even values at three such points has even
+      coefficients), and Q/2 is affine.
+    - The validation residuals are affine mod n_c in the same way, and
+      generation and the genus bound depend on V and the size only.
+    - Failures keep their place. The samples are the first entries in
+      table order but for (2, 1), which the per-entry path reaches after
+      row k = 1. A block that passes at (1, 1) and (1, 2) passes, by
+      affinity in l, on all of row k = 1; so the first entry that raises
+      (a DivisibilityFailure at m = 4, an odd Q over an even factor) is
+      a sample, and it raises the per-entry error and message.
+    Every derived entry is still validated, and InternalInconsistency
+    raised if one fails.
+    """
+    ls = range(1, cols + 1) if cols else (None,)
+    points = [(k, l) for k in range(1, rows + 1) for l in ls]
+    samples = points[:2] + ([(2, 1)] if cols else [])
+    got = {p: _entry(spec, *p, i, name.format(k=p[0]), matrix_at(*p), coords)
+           for p in samples}
+    base, along_k = got[points[0]], got[(2, ls[0])]
+    along_l = got[(1, 2)] if cols else base
+
+    def affine(value):
+        x0, xk, xl = (value(e).coords for e in (base, along_k, along_l))
+        return lambda a, b: abelian.element(spec, tuple(
+            x + a * (y - x) + b * (z - x) for x, y, z in zip(x0, xk, xl)))
+
+    su_at, cu_at = affine(attrgetter("su")), affine(attrgetter("cu"))
+    vector, s = base.data.vector, base.s
+    entries = []
+    for k, l in points:
+        e = got.get((k, l))
+        if e is None:
+            label = name.format(k=k)
+            data = _checked(surface_data.SurfaceData._moved(
+                spec, matrix_at(k, l), vector), label)
+            a, b = k - 1, (l or 1) - 1
+            e = FamilyEntry(k, l, i, label, data, su_at(a, b), cu_at(a, b), s)
+        entries.append(e)
+    return entries
 
 
 def _distinctness_note(entries):
@@ -75,10 +152,11 @@ def _distinctness_note(entries):
     return []
 
 
-def metacyclic_table(m, n, xi):
+def metacyclic_table(m, n, xi, budget=TABLE_BUDGET):
     """The k-twist family over C_m acting on Z/n by the unit xi:
     M_k = [[a + kn, 0], [1, 1]], V = (s; x s) with x = xi/(1-xi) and
-    a the minimal natural congruent to -xi/(1-xi)^2."""
+    a the minimal natural congruent to -xi/(1-xi)^2. BudgetExceeded,
+    before any entry is built, when its n entries exceed budget."""
     if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 2):
         raise BadParameters("need integers m >= 1, n >= 2")
     xi = xi % n
@@ -86,26 +164,26 @@ def metacyclic_table(m, n, xi):
         raise BadParameters("xi and xi - 1 must be units mod n")
     if pow(xi, m, n) != 1 % n:
         raise BadParameters(f"xi^{m} != 1 mod {n}")
+    _check_budget(n, budget)
     spec = abelian.make_group(m, (n,), ((xi,),))
     x = (xi * _inv(1 - xi, n)) % n
     a = (-xi * _inv((1 - xi) ** 2, n)) % n
-    entries = []
-    for k in range(1, n + 1):
-        entries.append(_entry(spec, k, None, None, f"F{k}",
-                              ((a + k * n, 0), (1, 1)), ((1,), (x,))))
+    entries = _block(spec, "F{k}", None, ((1,), (x,)),
+                     lambda k, _: ((a + k * n, 0), (1, 1)), n)
     lower = abelian.additive_order(2 * (1 - pow(xi, -3, n)), n)
     notes = _distinctness_note(entries)
     return FamilyTable("metacyclic", spec, tuple(entries),
                        abelian.h3_order(spec), lower, tuple(notes))
 
 
-def rank2_diag_table(m, n1, n2, xi1, xi2):
+def rank2_diag_table(m, n1, n2, xi1, xi2, budget=TABLE_BUDGET):
     """Families over A = Z/n1 x Z/n2 with diagonal action (xi1, xi2).
 
     Genus-1 classes (s1; i s2), i = 1..gcd-1, exist only when the single
     off-diagonal entry x can satisfy x = xi1/(1-xi1) mod n1 and
     x = 1/(xi2-1) mod n2 simultaneously; the genus-2 (s1;0;s2;0) family
-    always exists.
+    always exists. BudgetExceeded, before any entry is built, when the
+    (#genus-1 i + 1) n1 n2 entries exceed budget.
     """
     if not all(isinstance(v, int) for v in (m, n1, n2)) or m < 1 \
             or n1 < 2 or n2 < 2:
@@ -123,6 +201,7 @@ def rank2_diag_table(m, n1, n2, xi1, xi2):
 
     x1 = (xi1 * _inv(1 - xi1, n1)) % n1
     x2_g1 = _inv(xi2 - 1, n2)
+    g1_is = []
     if g == 1:
         notes.append("gcd(n1, n2) = 1: no genus-1 classes")
     elif x1 % g != x2_g1 % g:
@@ -133,24 +212,21 @@ def rank2_diag_table(m, n1, n2, xi1, xi2):
         for i in range(1, g):
             if gcd(i, n2) != 1:
                 notes.append(f"i={i} skipped: i s2 does not generate Z/{n2}")
-                continue
-            for k in range(1, n1 + 1):
-                for l in range(1, n2 + 1):
-                    entries.append(_entry(
-                        spec, k, l, i, "g1",
-                        ((k * n1, x), (x + 1, l * n2)),
-                        ((1, 0), (0, i))))
+            else:
+                g1_is.append(i)
+    _check_budget((len(g1_is) + 1) * n1 * n2, budget)
+    for i in g1_is:
+        entries += _block(spec, "g1", i, ((1, 0), (0, i)),
+                          lambda k, l: ((k * n1, x), (x + 1, l * n2)),
+                          n1, n2)
 
     x2 = (xi2 * _inv(1 - xi2, n2)) % n2
-    for k in range(1, n1 + 1):
-        for l in range(1, n2 + 1):
-            entries.append(_entry(
-                spec, k, l, None, "g2",
-                ((k * n1, x1, 0, 0),
-                 (x1 + 1, 0, 0, 0),
-                 (0, 0, l * n2, x2),
-                 (0, 0, x2 + 1, 0)),
-                ((1, 0), (0, 0), (0, 1), (0, 0))))
+    entries += _block(spec, "g2", None, ((1, 0), (0, 0), (0, 1), (0, 0)),
+                      lambda k, l: ((k * n1, x1, 0, 0),
+                                    (x1 + 1, 0, 0, 0),
+                                    (0, 0, l * n2, x2),
+                                    (0, 0, x2 + 1, 0)),
+                      n1, n2)
 
     lower = (abelian.additive_order(2 * (1 - pow(xi1, -3, n1)), n1),
              abelian.additive_order(2 * (1 - pow(xi2, -3, n2)), n2))
@@ -168,13 +244,15 @@ def nondiag_lower_bound(m, n, N):
     return abelian.additive_order(6 * (1 + n22 + n22 * n22 - n21 * n21), n)
 
 
-def rank2_nondiag_table(m, n, N):
+def rank2_nondiag_table(m, n, N, budget=TABLE_BUDGET):
     """Families over A = (Z/n)^2 where the action matrix is the companion
     form [[0, 1], [N21, N22]] (in the row convention phi(s1) = s2).
 
     Genus-1 classes (s1; i s2) exist only when N21 = -1 mod n; the genus-2
     (s1;0;s2;0) family always exists. The emitted integer matrices carry
-    the unique det-exact lifts of the displayed residues.
+    the unique det-exact lifts of the displayed residues. BudgetExceeded,
+    before any entry is built, when the (#genus-1 i + 1) n^2 entries
+    exceed budget.
     """
     if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 2):
         raise BadParameters("need integers m >= 1, n >= 2")
@@ -196,33 +274,31 @@ def rank2_nondiag_table(m, n, N):
     notes = []
     xt = xi % n
 
+    g1_is = []
     if (n21 + 1) % n == 0:
-        # 1 - 2xt + xt N22 = 1 - xt(2 - N22) = 0 mod n, as xt = (2 - N22)^-1
         for i in range(1, n):
             if gcd(i, n) != 1:
                 notes.append(f"i={i} skipped: i s2 does not generate Z/{n}")
-                continue
-            ii = _inv(i, n)
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    entries.append(_entry(
-                        spec, k, l, i, "g1",
-                        (((xi * i) % n + k * n, -xt),
-                         (1 - xt, (xi * ii) % n + l * n)),
-                        ((1, 0), (0, i))))
+            else:
+                g1_is.append(i)
     else:
         notes.append("no genus-1 classes: N21 != -1 mod n")
+    _check_budget((len(g1_is) + 1) * n * n, budget)
+    for i in g1_is:
+        # 1 - 2xt + xt N22 = 1 - xt(2 - N22) = 0 mod n, as xt = (2 - N22)^-1
+        d1, d2 = (xi * i) % n, (xi * _inv(i, n)) % n
+        entries += _block(spec, "g1", i, ((1, 0), (0, i)),
+                          lambda k, l: ((d1 + k * n, -xt),
+                                        (1 - xt, d2 + l * n)),
+                          n, n)
 
     p = (n21 * xi) % n
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            entries.append(_entry(
-                spec, k, l, None, "g2",
-                ((k * n, p, 0, p),
-                 (p + 1, 0, xt, 0),
-                 (0, xt, l * n, xt - 1),
-                 (p, 0, xt, 0)),
-                ((1, 0), (0, 0), (0, 1), (0, 0))))
+    entries += _block(spec, "g2", None, ((1, 0), (0, 0), (0, 1), (0, 0)),
+                      lambda k, l: ((k * n, p, 0, p),
+                                    (p + 1, 0, xt, 0),
+                                    (0, xt, l * n, xt - 1),
+                                    (p, 0, xt, 0)),
+                      n, n)
 
     try:
         lower = nondiag_lower_bound(m, n, rows)

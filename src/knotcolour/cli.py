@@ -186,13 +186,14 @@ def _cmd_move(args):
 
 def _cmd_classify(args):
     if args.family == "metacyclic":
-        table = classify.metacyclic_table(args.m, args.n, args.xi)
+        table = classify.metacyclic_table(args.m, args.n, args.xi,
+                                          args.max_search)
     elif args.family == "rank2diag":
         table = classify.rank2_diag_table(args.m, args.n1, args.n2,
-                                          args.xi1, args.xi2)
+                                          args.xi1, args.xi2, args.max_search)
     elif args.family == "rank2nondiag":
         table = classify.rank2_nondiag_table(
-            args.m, args.n, ((0, 1), (args.n21, args.n22)))
+            args.m, args.n, ((0, 1), (args.n21, args.n22)), args.max_search)
     else:
         table = classify.a4_representatives()
     if args.format == "tsv":
@@ -288,6 +289,9 @@ def _build_parser():
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--n21", type=int, required=True)
     q.add_argument("--n22", type=int, required=True)
+    # the parameterised families bound their entry count; a4 has 8 entries
+    for q in fam.choices.values():
+        q.add_argument("--max-search", type=int, default=10 ** 7)
     fam.add_parser("a4")
     for q in fam.choices.values():
         q.add_argument("--format", choices=("json", "tsv"), default="json")

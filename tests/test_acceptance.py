@@ -19,7 +19,7 @@ from knotcolour import abelian, classify, diagram, invariants, surface_data
 from knotcolour.errors import DivisibilityFailure
 
 from util import (FIG8_L, FIG8_R, TREFOIL_L, TREFOIL_R, invariant_triple,
-                  lift_pool, move_pool, random_move)
+                  lift_pool, move_pool, odd_pool, random_move)
 
 
 def report(num, failures):
@@ -282,9 +282,10 @@ def test_criterion_04_a4_family(d6, d10, d14, a4):
     report(4, failures)
 
 
-def test_criterion_05_move_invariance(d6, d10, a4, c2_35):
+def test_criterion_05_move_invariance(d6, d10, a4, c2_35, c3_55):
     failures = []
-    pool = move_pool(d6, d10, a4, c2_35)
+    # the C3 x| (Z/5)^2 data have su, cu and s of odd order
+    pool = move_pool(d6, d10, a4, c2_35) + odd_pool(c3_55)
     frozen = [invariant_triple(d) for d in pool]
     current = list(pool)
     rng = random.Random(20260815)

@@ -2,14 +2,19 @@ from math import gcd, lcm
 
 import pytest
 
-from knotcolour import classify, surface_data
+from knotcolour import classify, invariants, surface_data
 from knotcolour.errors import (
     BadParameters,
+    BudgetExceeded,
     DivisibilityFailure,
+    InternalInconsistency,
     InvalidData,
     NotA4,
     UnsupportedM,
 )
+
+from util import (outcome, per_entry_block, slow_cu, slow_structured_lift,
+                  slow_su)
 
 
 class TestMetacyclic:
@@ -240,6 +245,124 @@ class TestRank2Nondiag:
         assert classify.nondiag_lower_bound(3, 7, ((0, 1), (6, 6))) == 1
         with pytest.raises(UnsupportedM):
             classify.nondiag_lower_bound(2, 5, ((0, 1), (4, 4)))
+
+
+class TestBudget:
+    @pytest.mark.parametrize("build, params, count", [
+        (classify.metacyclic_table, (2, 5, 4), 5),
+        (classify.rank2_diag_table, (2, 3, 3, 2, 2), 27),
+        (classify.rank2_diag_table, (3, 7, 7, 2, 2), 49),
+        (classify.rank2_nondiag_table, (3, 7, ((0, 1), (6, 6))), 343),
+    ])
+    def test_entry_count_against_budget(self, build, params, count,
+                                        monkeypatch):
+        assert len(build(*params, budget=count).entries) == count
+
+        def no_entries(*args):
+            raise AssertionError("an entry was built")
+
+        monkeypatch.setattr(classify, "_entry", no_entries)
+        with pytest.raises(BudgetExceeded,
+                           match=f"{count} table entries exceed budget"):
+            build(*params, budget=count - 1)
+
+    def test_default_budget(self):
+        # 10^7 + 1 entries; none is built
+        with pytest.raises(BudgetExceeded):
+            classify.metacyclic_table(2, 10 ** 7 + 1, 10 ** 7)
+
+
+# every family at m = 2 and 3, genus-1 and genus-2 blocks, and the
+# non-diagonal family over n = 2, 4 and 5
+AFFINE_CASES = [
+    (classify.metacyclic_table, (2, 7, 6)),
+    (classify.metacyclic_table, (3, 7, 2)),
+    (classify.rank2_diag_table, (2, 3, 3, 2, 2)),
+    (classify.rank2_diag_table, (3, 7, 7, 2, 4)),
+    (classify.rank2_nondiag_table, (3, 2, ((0, 1), (1, 1)))),
+    (classify.rank2_nondiag_table, (3, 4, ((0, 1), (3, 3)))),
+    (classify.rank2_nondiag_table, (3, 5, ((0, 1), (4, 4)))),
+]
+
+M4_CASES = [
+    (classify.metacyclic_table, (4, 5, 2)),
+    (classify.rank2_nondiag_table, (4, 5, ((0, 1), (4, 0)))),
+]
+
+
+def case_id(case):
+    return f"{case[0].__name__}{case[1]}"
+
+
+class TestAffineBuild:
+    """The table builders evaluate su and cu at three samples per block
+    and derive the other entries by affinity in (k, l); these checks
+    rebuild every entry independently."""
+
+    @pytest.mark.parametrize("case", AFFINE_CASES, ids=case_id)
+    def test_entries_match_oracles(self, case):
+        build, params = case
+        t = build(*params)
+        names = {e.name for e in t.entries}
+        assert "F1" in names or {"g1", "g2"} <= names
+        C = slow_structured_lift(t.group)
+        for e in t.entries:
+            data = surface_data.SurfaceData(t.group, e.data.matrix,
+                                            e.data.vector)
+            assert surface_data.validate(data).valid
+            got = (e.su, e.cu, e.s)
+            assert got == (invariants.su(data), invariants.cu(data),
+                           invariants.vector_class(data))
+            assert (e.su, e.cu) == (slow_su(data), slow_cu(data, C))
+
+    @pytest.mark.parametrize("case", AFFINE_CASES, ids=case_id)
+    def test_matches_per_entry_build(self, case, monkeypatch):
+        build, params = case
+        got = repr(build(*params))
+        monkeypatch.setattr(classify, "_block", per_entry_block)
+        assert got == repr(build(*params))
+
+    def test_every_entry_is_validated(self, monkeypatch):
+        """validate runs once on every entry, derived ones included, and
+        a derived entry that fails it raises InternalInconsistency."""
+        validate = surface_data.validate
+        seen = []
+
+        def counting(data):
+            seen.append(data)
+            return validate(data)
+
+        monkeypatch.setattr(surface_data, "validate", counting)
+        t = classify.rank2_diag_table(2, 3, 5, 2, 4)
+        assert sorted(map(id, seen)) == sorted(id(e.data) for e in t.entries)
+
+        last = t.entries[-1].data.matrix
+
+        def failing(data):
+            if data.matrix == last:
+                return surface_data.ValidationReport(True, False, True, False)
+            return validate(data)
+
+        monkeypatch.setattr(surface_data, "validate", failing)
+        with pytest.raises(InternalInconsistency,
+                           match="family entry g2 failed validation"):
+            classify.rank2_diag_table(2, 3, 5, 2, 4)
+
+    @pytest.mark.parametrize("case", M4_CASES, ids=case_id)
+    def test_m4_failure_matches_first_entry(self, case, monkeypatch):
+        """The per-entry path fails at the first entry; the affine build
+        raises the same error type and message."""
+        build, params = case
+        got = outcome(build, *params)
+        assert got[0] is DivisibilityFailure
+        monkeypatch.setattr(classify, "_block", per_entry_block)
+        assert outcome(build, *params) == got
+        monkeypatch.setattr(
+            classify, "_block",
+            lambda spec, name, i, coords, matrix_at, rows, cols=None:
+            per_entry_block(spec, name, i, coords, matrix_at, 1,
+                            1 if cols else None))
+        assert outcome(build, *params) == got
 
 
 class TestA4Representatives:

@@ -281,6 +281,18 @@ class TestClassify:
         assert len(got["entries"]) == 125
         assert got["lower_bound"] == 1
 
+    def test_budget_exit_2(self, capsys):
+        code, got = run_json(capsys, ["classify", "rank2nondiag",
+                                      "--m", "3", "--n", "5", "--n21", "4",
+                                      "--n22", "4", "--max-search", "124"])
+        assert code == 2 and got["error"] == {
+            "type": "BudgetExceeded",
+            "message": "125 table entries exceed budget 124"}
+        code, got = run_json(capsys, ["classify", "metacyclic", "--m", "2",
+                                      "--n", "3", "--xi", "2",
+                                      "--max-search", "3"])
+        assert code == 0 and len(got["entries"]) == 3
+
     def test_domain_error_exit_2(self, capsys):
         code, got = run_json(capsys, ["classify", "metacyclic",
                                       "--m", "2", "--n", "3", "--xi", "1"])

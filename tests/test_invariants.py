@@ -17,8 +17,8 @@ from knotcolour.errors import (
 from test_surface_data import random_seifert
 from util import (
     TREFOIL_L, FIG8_L, invariant_triple, lift_pool, move_chain, move_pool,
-    outcome, rand_unimodular, random_group_spec, slow_cu, slow_structured_lift,
-    slow_su, slow_validate, slow_vector_class)
+    odd_pool, outcome, rand_unimodular, random_group_spec, slow_cu,
+    slow_structured_lift, slow_su, slow_validate, slow_vector_class)
 
 FIXTURE_GROUPS = ("d6", "d10", "d14", "c3z7", "c4z5", "a4", "c2_33",
                   "c2_35", "c3_55", "c7_222", "z46", "z333")
@@ -428,10 +428,13 @@ class TestSlowOracles:
         assert cu_got == outcome(slow_cu, data, nlift, vlift)
         return su_got, cu_got
 
-    def test_move_chains(self, d6, d10, a4, c2_35):
-        pool = move_pool(d6, d10, a4, c2_35)
+    def test_move_chains(self, d6, d10, a4, c2_35, c3_55):
+        """The C3 x| (Z/5)^2 data carry su, cu and s of odd order, which
+        a sign slip would change."""
+        pool = move_pool(d6, d10, a4, c2_35) + odd_pool(c3_55)
         for data in pool:
             self.assert_agree(data)
+        odd = []
 
         @settings(deadline=None, max_examples=40, derandomize=True)
         @given(st.integers(0, 10 ** 6))
@@ -439,8 +442,11 @@ class TestSlowOracles:
             rng = random.Random(seed)
             for _, out in move_chain(rng, pool, rng.randrange(1, 7)):
                 self.assert_agree(out)
+                if out.spec == c3_55:
+                    odd.append(out)
 
         check()
+        assert odd
 
     def test_family_entries(self):
         tables = [classify.metacyclic_table(m, n, xi)

@@ -4,7 +4,8 @@ backtracking oracle for diagram colourings, the GroupElement oracle
 for surface_data._mat_apply, the GroupElement oracles for validate,
 invariants.su and invariants.cu, the inverting oracle for
 invariants.vector_class, the search oracle for
-invariants.structured_lift, and random group specs for it."""
+invariants.structured_lift, random group specs for it, and the
+per-entry oracle for classify._block."""
 
 from itertools import product
 from math import gcd
@@ -95,6 +96,17 @@ def move_pool(d6, d10, a4, c2_35):
     return pool
 
 
+def odd_pool(c3_55):
+    """The first genus-1 and genus-2 entries of the C3 x| (Z/5)^2 table:
+    A ^ A has odd exponent there, so their su, cu and s need not equal
+    their negatives, unlike every move_pool group's."""
+    t = classify.rank2_nondiag_table(3, 5, ((0, 1), (4, 4)))
+    pool = [next(e.data for e in t.entries if e.name == name)
+            for name in ("g1", "g2")]
+    assert {d.spec for d in pool} == {c3_55}
+    return pool
+
+
 def lift_pool(d6, d10, d14, c3z7, a4, c2_33, c2_35, c3_55):
     """Valid data over every m in {2, 3} fixture group, for the
     lift-stability sweep."""
@@ -109,9 +121,7 @@ def lift_pool(d6, d10, d14, c3z7, a4, c2_33, c2_35, c3_55):
     t = classify.rank2_diag_table(2, 3, 3, 2, 2)
     pool += [next(e.data for e in t.entries if e.name == "g1"),
              next(e.data for e in t.entries if e.name == "g2")]
-    t = classify.rank2_nondiag_table(3, 5, ((0, 1), (4, 4)))
-    pool += [next(e.data for e in t.entries if e.name == "g1"),
-             next(e.data for e in t.entries if e.name == "g2")]
+    pool += odd_pool(c3_55)
     specs = {d.spec for d in pool}
     assert specs == {d6, d10, d14, c3z7, a4, c2_33, c2_35, c3_55}
     return pool
@@ -349,3 +359,13 @@ def outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ArtifactError as e:
         return type(e), str(e)
+
+
+def per_entry_block(spec, name, i, coords, matrix_at, rows, cols=None):
+    """Oracle for classify._block: every entry of the block through the
+    full per-entry path (make_data, validate, su, cu, vector_class), in
+    table order."""
+    ls = range(1, cols + 1) if cols else (None,)
+    return [classify._entry(spec, k, l, i, name.format(k=k),
+                            matrix_at(k, l), coords)
+            for k in range(1, rows + 1) for l in ls]

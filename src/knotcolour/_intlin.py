@@ -1,9 +1,15 @@
-"""Exact integer linear algebra: products, determinants, Smith normal
-form, and the inverses, solves and kernels over Z and Z/n built on it.
+"""Exact integer linear algebra: products, determinants, the unimodular
+inverse, Smith normal form, and the solves and kernels over Z/n built
+on it.
 
 Everything here works on plain lists/tuples of Python ints; matrices are
 row-major. Sizes in this package stay small (at most a few dozen rows),
-so clarity wins over asymptotics throughout.
+so clarity wins over asymptotics, except for sparsity that costs nothing
+to use: mat_mul skips the zero entries of its left factor, and
+inverse_unimodular touches only the rows that have a nonzero entry in
+the pivot column. So a product whose left factor is a few
+transvections, or the inverse of such a matrix, costs O(n^2), not
+O(n^3).
 """
 
 from math import prod
@@ -81,16 +87,44 @@ def det(A):
 def inverse_unimodular(A):
     """Exact inverse of a square integer matrix with det = +-1.
 
-    From the Smith form U A V = D: A is unimodular exactly when every
-    d_i = 1, and then A^-1 = V U.
+    Gauss-Jordan over Z on [A | I] with unimodular row operations only:
+    in each column k, Euclid-reduce the entries at rows >= k onto the
+    smallest, which must end as a single +-1 pivot, then clear column k
+    in every other row. Only rows with a nonzero entry in column k are
+    touched, so a sparse A (a few transvections) costs O(n^2). On a zero
+    column or a pivot other than +-1, A is not unimodular, and the
+    Smith diagonal names why.
     """
-    if any(len(row) != len(A) for row in A):
+    n = len(A)
+    if any(len(row) != n for row in A):
         raise NotUnimodular(f"{len(A)}x{len(A[0])} matrix is not square")
-    U, D, V = smith(A)
-    diag = [D[i][i] for i in range(len(D))]
-    if any(d != 1 for d in diag):
-        raise NotUnimodular(f"Smith diagonal {diag}, expected all 1")
-    return mat_mul(V, U)
+    R = [list(row) + [0] * n for row in A]
+    for i in range(n):
+        R[i][n + i] = 1
+    for k in range(n):
+        rows = [i for i in range(k, n) if R[i][k]]
+        while len(rows) > 1:
+            p = min(rows, key=lambda i: abs(R[i][k]))
+            Rp, a = R[p], R[p][k]
+            for i in rows:
+                if i != p:
+                    q = R[i][k] // a
+                    R[i] = [x - q * y for x, y in zip(R[i], Rp)]
+            rows = [i for i in rows if R[i][k]]
+        if not rows or abs(R[rows[0]][k]) != 1:
+            D = smith(A)[1]
+            raise NotUnimodular(
+                f"Smith diagonal {[D[i][i] for i in range(n)]}, expected all 1")
+        p = rows[0]
+        R[k], R[p] = R[p], R[k]
+        if R[k][k] < 0:
+            R[k] = [-x for x in R[k]]
+        Rk = R[k]
+        for i in range(k):  # rows below k are already clear
+            q = R[i][k]
+            if q:
+                R[i] = [x - q * y for x, y in zip(R[i], Rk)]
+    return [row[n:] for row in R]
 
 
 def smith(A):

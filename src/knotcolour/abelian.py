@@ -75,11 +75,10 @@ def _check_scalar(k):
 
 
 def int_tuple(values, what):
-    """values as a tuple of ints, coercing nothing: TypeError unless values
-    is a list or tuple, BadParameters if an entry is not an int (a bool
-    included)."""
+    """values as a tuple of ints, coercing nothing: BadParameters unless
+    values is a list or tuple of ints (a bool is not an int here)."""
     if not isinstance(values, (list, tuple)):
-        raise TypeError(f"{what} must be a list or tuple, got {values!r}")
+        raise BadParameters(f"{what} must be a list or tuple, got {values!r}")
     if any(type(v) is not int for v in values):
         raise BadParameters(f"{what} must be integers, got {values!r}")
     return tuple(values)

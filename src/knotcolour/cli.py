@@ -47,6 +47,15 @@ def _load_json(path):
     return obj
 
 
+def _load_matrix(path):
+    """A matrix file holds a JSON array of rows; anything else is a usage
+    error, while malformed rows are the library's domain errors."""
+    obj = _load_json(path)
+    if not isinstance(obj, list):
+        raise _UsageError(f"{path}: expected a JSON array of matrix rows")
+    return obj
+
+
 def _convert(src, fn, *args):
     """Run a JSON-to-object conversion; structural junk is a usage error,
     domain errors pass through untouched."""
@@ -158,7 +167,7 @@ def _cmd_invariant(args):
 
 def _cmd_enumerate(args):
     spec = _load_group(args)
-    matrix = _load_json(args.matrix)
+    matrix = _load_matrix(args.matrix)
     found = _convert(args.matrix, surface_data.enumerate_colourings,
                      matrix, spec, args.max_search)
     _emit({"count": len(found),
@@ -170,7 +179,7 @@ def _cmd_move(args):
     data = _load_data(args)
     if args.lambda1:
         result = _convert(args.lambda1, surface_data.lambda1,
-                          data, _load_json(args.lambda1))
+                          data, _load_matrix(args.lambda1))
     elif args.lambda2 is not None:
         try:
             c = [int(x) for x in args.lambda2.split(",")]

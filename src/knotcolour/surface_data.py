@@ -39,7 +39,12 @@ from .errors import (
 
 
 def _as_matrix(matrix):
-    rows = tuple(abelian.int_tuple(row, "matrix row") for row in matrix)
+    try:
+        it = iter(matrix)
+    except TypeError:
+        raise BadParameters(
+            f"matrix must be a sequence of rows, got {matrix!r}") from None
+    rows = tuple(abelian.int_tuple(row, "matrix row") for row in it)
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise BadParameters("matrix must be square")
@@ -183,13 +188,20 @@ def enumerate_colourings(matrix, spec, budget=10 ** 7):
 
 def lambda1(data, U):
     """Unimodular congruence: (M, V) -> (U^T M U, U^-1 V); NotUnimodular
-    when det U != +-1."""
+    when det U != +-1.
+
+    U^T M U is computed as (U^T (U^T M)^T)^T, which is the same matrix:
+    both products then have U^T on the left, where mat_mul skips zero
+    entries, so a sparse U (the transvections of walks and
+    shorten_vector) costs O(n^2) instead of O(n^3).
+    """
     size = data.size
     Ur = _as_matrix(U)
     if len(Ur) != size:
         raise BadParameters(f"U must be {size}x{size}")
     Uinv = inverse_unimodular(Ur)
-    M2 = mat_mul(mat_mul(transpose(Ur), [list(r) for r in data.matrix]), Ur)
+    Ut = transpose(Ur)
+    M2 = transpose(mat_mul(Ut, transpose(mat_mul(Ut, data.matrix))))
     V2 = _mat_apply(Uinv, data.vector, data.spec)
     return SurfaceData._moved(data.spec, tuple(tuple(r) for r in M2), V2)
 
@@ -430,7 +442,7 @@ def _block_unimodular(size, entries):
     return tuple(tuple(r) for r in U)
 
 
-def shorten_vector(data, ordered_basis):
+def shorten_vector(data, ordered_basis, budget=10 ** 6):
     """Drive every vector entry into {0} u {+-b : b in basis} by recorded
     lambda moves.
 
@@ -439,7 +451,8 @@ def shorten_vector(data, ordered_basis):
     a lambda2 whose new band carries a length-shortening generator b, and
     slide the band into place with three symplectic transvections. Each
     round strictly shrinks the multiset of per-pair excess word lengths,
-    so the loop terminates.
+    so the loop terminates. BudgetExceeded, before the word-length table
+    is built, when |A| exceeds budget.
     """
     spec = data.spec
     basis = tuple(ordered_basis)
@@ -450,7 +463,7 @@ def shorten_vector(data, ordered_basis):
         raise NonGenerating("ordered basis does not generate A")
     if not validate(data).valid:
         raise InvalidData("shorten_vector needs valid surface data")
-    if abelian.group_order(spec) > 10 ** 6:
+    if abelian.group_order(spec) > budget:
         raise BudgetExceeded("word-length table over A would be too large")
 
     dist = _word_lengths(spec, tuple(b.coords for b in basis))

@@ -112,6 +112,11 @@ class TestElements:
         with pytest.raises(BadParameters):
             abelian.element(d10, coords)
 
+    @pytest.mark.parametrize("coords", [3, None, "1", {0: 1}])
+    def test_element_rejects_non_sequences(self, d10, coords):
+        with pytest.raises(BadParameters):
+            abelian.element(d10, coords)
+
     def test_arithmetic(self, c2_35):
         a = abelian.element(c2_35, (2, 3))
         b = abelian.element(c2_35, (2, 4))

@@ -177,6 +177,34 @@ class TestMove:
         assert run_json(capsys, ["move", "--data", data,
                                  "--lambda2=-2,1"]) == (0, got)
 
+    def test_lambda1_not_unimodular_bytes(self, capsys, files):
+        code, out = run(capsys, [
+            "move", "--data", files("t.json", TREFOIL_DATA),
+            "--lambda1", files("u.json", [[2, 0], [0, 1]])])
+        assert code == 2
+        assert out == ('{\n  "error": {\n'
+                       '    "message": "Smith diagonal [1, 2], expected all 1",\n'
+                       '    "type": "NotUnimodular"\n  }\n}\n')
+
+    @pytest.mark.parametrize("u, code, kind", [
+        ({"rows": 2}, 1, "UsageError"), (5, 1, "UsageError"),
+        ([1, 2], 2, "BadParameters")])
+    def test_lambda1_junk_matrix(self, capsys, files, u, code, kind):
+        """A U file that is not a JSON array is a usage error; an array
+        whose rows are not arrays is a domain error."""
+        got = run_json(capsys, [
+            "move", "--data", files("t.json", TREFOIL_DATA),
+            "--lambda1", files("u.json", u)])
+        assert got[0] == code and got[1]["error"]["type"] == kind
+
+    def test_bare_integer_vector_entry(self, capsys, files):
+        data = dict(TREFOIL_DATA, vector=[1, [2]])
+        code, got = run_json(capsys, ["move", "--data", files("t.json", data),
+                                      "--lambda2-inverse"])
+        assert code == 2 and got["error"] == {
+            "type": "BadParameters",
+            "message": "coordinates must be a list or tuple, got 1"}
+
     def test_bad_c_vector(self, capsys, files):
         code, got = run_json(capsys, [
             "move", "--data", files("t.json", TREFOIL_DATA),

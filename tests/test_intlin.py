@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from knotcolour import _intlin as lin
 from knotcolour.errors import BudgetExceeded, NotUnimodular
+from util import dense_unimodular, rand_unimodular, slow_inverse_unimodular
 
 small = st.integers(-9, 9)
 
@@ -78,6 +79,54 @@ def test_inverse_rejects_det_zero_and_two(A):
     assert lin.det(A) in (0, 2, -2)
     with pytest.raises(NotUnimodular):
         lin.inverse_unimodular(A)
+
+
+def random_unimodular(rng, n, dense):
+    """Sparse: 1 to 3 transvections, as walks and shorten_vector build;
+    dense: about 4n of them plus row swaps and sign flips."""
+    if dense:
+        return dense_unimodular(rng, n)
+    return rand_unimodular(rng, n, ops=rng.randrange(1, 4)) if n else ()
+
+
+def raised(fn, A):
+    with pytest.raises(NotUnimodular) as info:
+        fn(A)
+    return str(info.value)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(0, 42), st.booleans(), st.integers(0, 10 ** 6))
+def test_inverse_matches_smith_oracle(n, dense, seed):
+    """The row-reduction inverse equals the Smith-form inverse (the
+    inverse of a unimodular matrix is unique) and leaves A as it was."""
+    U = [list(row) for row in random_unimodular(random.Random(seed), n, dense)]
+    before = [list(row) for row in U]
+    inv = lin.inverse_unimodular(U)
+    assert U == before
+    assert inv == slow_inverse_unimodular(U)
+    assert lin.mat_mul(U, inv) == lin.identity(n)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(1, 42), st.sampled_from((0, 2, -2, 3, -3)),
+       st.booleans(), st.integers(0, 10 ** 6))
+def test_inverse_rejects_like_smith_oracle(n, d, dense, seed):
+    """On det 0, +-2, +-3 (U diag(d, 1, ..., 1) W with U, W unimodular)
+    and on non-square input, both inverses raise NotUnimodular with the
+    same message."""
+    rng = random.Random(seed)
+    D = lin.identity(n)
+    D[0][0] = d
+    A = lin.mat_mul(lin.mat_mul(random_unimodular(rng, n, dense), D),
+                    random_unimodular(rng, n, dense))
+    assert lin.det(A) in (d, -d)
+    assert raised(lin.inverse_unimodular, A) == \
+        raised(slow_inverse_unimodular, A)
+    cols = rng.choice([c for c in range(n + 2) if c != n])
+    B = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(n)]
+    assert raised(lin.inverse_unimodular, B) == \
+        raised(slow_inverse_unimodular, B)
 
 
 @given(st.lists(small, min_size=1, max_size=12))

@@ -20,8 +20,9 @@ from knotcolour.errors import (
 )
 from test_acceptance import brute_force
 from util import (
-    TREFOIL_L, FIG8_L, move_chain, move_pool, rand_unimodular, random_move,
-    slow_mat_apply, slow_validate, slow_vector_class)
+    TREFOIL_L, FIG8_L, dense_unimodular, move_chain, move_pool,
+    rand_unimodular, random_move, slow_inverse_unimodular, slow_mat_apply,
+    slow_validate, slow_vector_class)
 
 
 def random_seifert(rng, specs):
@@ -77,6 +78,20 @@ class TestConstruction:
     def test_rejects_non_sequence_vector(self, d10):
         with pytest.raises(BadParameters):
             surface_data.SurfaceData(d10, ((1, 1), (0, -1)), 5)
+
+    @pytest.mark.parametrize("call", [
+        lambda d10, data: surface_data.make_data(
+            d10, ((1, 1), (0, -1)), [1, 3]),
+        lambda d10, data: surface_data.lambda1(data, 5),
+        lambda d10, data: surface_data.lambda1(data, [1, 2]),
+        lambda d10, data: surface_data.lambda2(data, 5, 1),
+        lambda d10, data: surface_data.enumerate_colourings(5, d10),
+    ], ids=["make_data", "lambda1_int", "lambda1_rows", "lambda2",
+            "enumerate_colourings"])
+    def test_non_sequences_are_bad_parameters(self, d10, call):
+        data = surface_data.make_data(d10, ((1, 1), (0, -1)), [(1,), (3,)])
+        with pytest.raises(BadParameters):
+            call(d10, data)
 
     @pytest.mark.parametrize("matrix, coords", [
         ([[-1.9, 1], [0, True]], [["1"], [2.5]]),
@@ -405,6 +420,40 @@ class TestLambda1:
         with pytest.raises(BadParameters):
             surface_data.lambda1(data, ((1,),))
 
+    def test_matches_dense_formula(self, d6, d10, a4, c2_35):
+        """lambda1 equals the dense (U^T M) U with the Smith-form inverse
+        on V, on move-chain data stabilised up to genus 20, for sparse
+        (1 to 3 transvections) and dense U, and on the 0x0 datum."""
+        pool = move_pool(d6, d10, a4, c2_35)
+
+        def dense_formula(data, U):
+            M = mat_mul(mat_mul(transpose(U), data.matrix), U)
+            V = slow_mat_apply(slow_inverse_unimodular(U), data.vector,
+                               data.spec)
+            return tuple(tuple(r) for r in M), V
+
+        empty = surface_data.make_data(d6, (), [])
+        moved = surface_data.lambda1(empty, ())
+        assert (moved.matrix, moved.vector) == dense_formula(empty, ())
+
+        @settings(deadline=None, max_examples=30, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            chain = move_chain(rng, pool, rng.randrange(4))
+            data = chain[-1][1] if chain else rng.choice(pool)
+            genus = rng.randrange(1, 21)
+            while data.genus < genus:
+                c = [rng.randrange(-2, 3) for _ in range(data.size)]
+                data = surface_data.lambda2(data, c, rng.choice((1, 2)))
+            n = data.size
+            for U in (rand_unimodular(rng, n, ops=rng.randrange(1, 4)),
+                      dense_unimodular(rng, n)):
+                moved = surface_data.lambda1(data, U)
+                assert (moved.matrix, moved.vector) == dense_formula(data, U)
+
+        check()
+
 
 class TestLambda2:
     def test_variant2_frozen(self, d6):
@@ -648,6 +697,15 @@ class TestShortenVector:
         basis = [abelian.element(a4, (1, 0)), abelian.element(a4, (0, 1))]
         with pytest.raises(InvalidData):
             surface_data.shorten_vector(data, basis)
+
+    def test_budget_edges(self, a4):
+        """The word-length table needs budget >= |A| (4 for A4)."""
+        data = surface_data.make_data(a4, ((1, 0), (1, 1)), [(1, 1), (0, 1)])
+        basis = [abelian.element(a4, (1, 0)), abelian.element(a4, (0, 1))]
+        with pytest.raises(BudgetExceeded):
+            surface_data.shorten_vector(data, basis, budget=3)
+        res = surface_data.shorten_vector(data, basis, budget=4)
+        assert res == surface_data.shorten_vector(data, basis)
 
     def test_budget_on_huge_group(self):
         n = 101 ** 3

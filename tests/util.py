@@ -1,5 +1,6 @@
 """Shared test helpers: reference Seifert matrices, random unimodular
-matrices, random S-equivalence moves, the fixture data pool, the
+matrices, the Smith-form oracle for _intlin.inverse_unimodular, random
+S-equivalence moves, the fixture data pool, the
 backtracking oracle for diagram colourings, the GroupElement oracle
 for surface_data._mat_apply, the GroupElement oracles for validate,
 invariants.su and invariants.cu, the inverting oracle for
@@ -11,7 +12,8 @@ from itertools import product
 from math import gcd
 
 from knotcolour import abelian, classify, diagram, invariants, surface_data
-from knotcolour._intlin import inverse_unimodular, mat_pow, mat_vec, transpose
+from knotcolour._intlin import (
+    inverse_unimodular, mat_mul, mat_pow, mat_vec, smith, transpose)
 from knotcolour.errors import (
     ArtifactError,
     BadParameters,
@@ -19,6 +21,7 @@ from knotcolour.errors import (
     InternalInconsistency,
     InvalidData,
     LiftFailure,
+    NotUnimodular,
 )
 
 TREFOIL_L = ((-1, 1), (0, -1))
@@ -38,6 +41,31 @@ def rand_unimodular(rng, n, ops=6):
         for r in range(n):
             U[r][j] += t * U[r][i]
     return tuple(tuple(r) for r in U)
+
+
+def dense_unimodular(rng, n):
+    """About 4n random transvections with multipliers +-1 and +-2, then
+    random row swaps and sign flips; det is +-1."""
+    U = [list(row) for row in rand_unimodular(rng, n, ops=4 * n)]
+    for i in range(n):
+        j = rng.randrange(n)
+        U[i], U[j] = U[j], U[i]
+        if rng.randrange(2):
+            U[i] = [-x for x in U[i]]
+    return tuple(tuple(r) for r in U)
+
+
+def slow_inverse_unimodular(A):
+    """Slow oracle for _intlin.inverse_unimodular: from the Smith form
+    U A V = D, A is unimodular exactly when every d_i = 1, and then
+    A^-1 = V U."""
+    if any(len(row) != len(A) for row in A):
+        raise NotUnimodular(f"{len(A)}x{len(A[0])} matrix is not square")
+    U, D, V = smith(A)
+    diag = [D[i][i] for i in range(len(D))]
+    if any(d != 1 for d in diag):
+        raise NotUnimodular(f"Smith diagonal {diag}, expected all 1")
+    return mat_mul(V, U)
 
 
 def invariant_triple(data):

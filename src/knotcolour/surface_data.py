@@ -442,7 +442,7 @@ def _block_unimodular(size, entries):
     return tuple(tuple(r) for r in U)
 
 
-def shorten_vector(data, ordered_basis, budget=10 ** 6):
+def shorten_vector(data, ordered_basis):
     """Drive every vector entry into {0} u {+-b : b in basis} by recorded
     lambda moves.
 
@@ -451,8 +451,7 @@ def shorten_vector(data, ordered_basis, budget=10 ** 6):
     a lambda2 whose new band carries a length-shortening generator b, and
     slide the band into place with three symplectic transvections. Each
     round strictly shrinks the multiset of per-pair excess word lengths,
-    so the loop terminates. BudgetExceeded, before the word-length table
-    is built, when |A| exceeds budget.
+    so the loop terminates.
     """
     spec = data.spec
     basis = tuple(ordered_basis)
@@ -463,7 +462,7 @@ def shorten_vector(data, ordered_basis, budget=10 ** 6):
         raise NonGenerating("ordered basis does not generate A")
     if not validate(data).valid:
         raise InvalidData("shorten_vector needs valid surface data")
-    if abelian.group_order(spec) > budget:
+    if abelian.group_order(spec) > 10 ** 6:
         raise BudgetExceeded("word-length table over A would be too large")
 
     dist = _word_lengths(spec, tuple(b.coords for b in basis))

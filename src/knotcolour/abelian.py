@@ -100,6 +100,10 @@ def make_group(m, orders, action):
     if any(n < 2 for n in orders):
         raise BadParameters(f"every cyclic order must be >= 2, got {orders}")
     r = len(orders)
+    if not isinstance(action, (list, tuple)) or \
+            any(not isinstance(row, (list, tuple)) for row in action):
+        raise BadParameters(
+            f"action must be a list or tuple of rows, got {action!r}")
     if len(action) != r or any(len(row) != r for row in action):
         raise BadParameters(f"action must be {r}x{r}")
     action = tuple(int_tuple(row, "action row") for row in action)

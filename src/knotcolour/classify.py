@@ -86,12 +86,12 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
     l = 1..cols (l is None without cols), in table order, named by
     name.format(k=k). Only the samples (1, 1), (1, 2), (2, 1) (without
     cols: k = 1, 2) run the full per-entry path; every other entry is
-    validated and takes su and cu from the affine law below, and s from
-    the samples.
+    validated, shares the first sample's coordinate rows, and takes su
+    and cu from the affine law below, and s from the samples.
 
     Why this is exact. V, and with it every integer lift the invariants
-    use (the minimal coordinate rows X, their t-orbit, the structured
-    lift C of the action), is fixed on the block, and M depends on
+    use (the coordinate rows X, su's orbit lifts X (N^T)^j, cu's blocks
+    X (C^T)^a), is fixed on the block, and M depends on
     (k, l) only through k n_1 and l n_2 on the diagonal, so M is affine
     in (k, l) and M^T - M is constant:
     - s = x_p^T (M^T - M) x_q is the samples' value, and det(M - M^T) = 1
@@ -126,20 +126,21 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
 
     def affine(value):
         x0, xk, xl = (value(e).coords for e in (base, along_k, along_l))
-        return lambda a, b: abelian.element(spec, tuple(
-            x + a * (y - x) + b * (z - x) for x, y, z in zip(x0, xk, xl)))
+        deltas = tuple(zip(x0, (y - x for x, y in zip(x0, xk)),
+                           (z - x for x, z in zip(x0, xl))))
+        return lambda a, b: abelian.GroupElement(
+            spec, tuple(x + a * dk + b * dl for x, dk, dl in deltas))
 
     su_at, cu_at = affine(attrgetter("su")), affine(attrgetter("cu"))
-    vector, s = base.data.vector, base.s
     entries = []
     for k, l in points:
         e = got.get((k, l))
         if e is None:
             label = name.format(k=k)
-            data = _checked(surface_data.SurfaceData._moved(
-                spec, matrix_at(k, l), vector), label)
+            data = _checked(base.data._with_matrix(matrix_at(k, l)), label)
             a, b = k - 1, (l or 1) - 1
-            e = FamilyEntry(k, l, i, label, data, su_at(a, b), cu_at(a, b), s)
+            e = FamilyEntry(k, l, i, label, data, su_at(a, b), cu_at(a, b),
+                            base.s)
         entries.append(e)
     return entries
 
@@ -159,6 +160,8 @@ def metacyclic_table(m, n, xi, budget=TABLE_BUDGET):
     before any entry is built, when its n entries exceed budget."""
     if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 2):
         raise BadParameters("need integers m >= 1, n >= 2")
+    if type(xi) is not int:
+        raise BadParameters(f"xi must be an integer, got {xi!r}")
     xi = xi % n
     if gcd(xi, n) != 1 or gcd(xi - 1, n) != 1:
         raise BadParameters("xi and xi - 1 must be units mod n")
@@ -188,6 +191,9 @@ def rank2_diag_table(m, n1, n2, xi1, xi2, budget=TABLE_BUDGET):
     if not all(isinstance(v, int) for v in (m, n1, n2)) or m < 1 \
             or n1 < 2 or n2 < 2:
         raise BadParameters("need integers m >= 1, n1, n2 >= 2")
+    if type(xi1) is not int or type(xi2) is not int:
+        raise BadParameters(
+            f"xi1 and xi2 must be integers, got {xi1!r}, {xi2!r}")
     xi1, xi2 = xi1 % n1, xi2 % n2
     for xi, n in ((xi1, n1), (xi2, n2)):
         if gcd(xi, n) != 1 or gcd(xi - 1, n) != 1:

@@ -6,17 +6,22 @@ a structured lift of (V; t.V; ...; t^{m-2}.V) against the block tridiagonal
 linking form L(M). Both work per cyclic factor with that factor's modulus
 and return a group element; s is the form M^T - M on the columns of X.
 All three run on the integer coordinate matrix X of the vector (one row
-per entry); GroupElement and WedgeElement2 appear only in their values.
+per entry) and read M only through the datum's product pair (MX, M^T X)
+over Z (SurfaceData._products), which validation shares. The lifts that
+su and cu pair are X times an r x r right factor (powers of the action
+N^T for su's orbit, of the structured lift C^T for cu's blocks), so
+their products are the pair times the same factor: no further product
+with M is formed. GroupElement and WedgeElement2 appear only in their
+values.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product, repeat
 from math import prod
-from operator import add, mul
+from operator import floordiv, mod, mul, sub
 
 from . import abelian
-from ._intlin import (
-    identity, kernel_mod, mat_mul, mat_pow, solve_mod, transpose)
+from ._intlin import identity, kernel_mod, mat_mul, mat_pow, solve_mod
 from .errors import (
     BadParameters,
     BudgetExceeded,
@@ -26,31 +31,45 @@ from .errors import (
     InvalidData,
     LiftFailure,
 )
-from .surface_data import validate
+from .surface_data import _product_pair, validate
 
 # most lift candidates searched, or lift-system solutions listed
 LIFT_BUDGET = 10 ** 7
 
 
-def _pairing(M, MT, x, u, v, n, c, what):
-    """sum_i x_i (M u + M^T v)_i / n, MT the rows of M^T; the division is
-    exact, or DivisibilityFailure names the first entry that is not."""
-    total = 0
-    for xi, row, col in zip(x, M, MT):
-        w = sum(map(mul, row, u)) + sum(map(mul, col, v))
-        if w % n:
-            raise DivisibilityFailure(
-                f"{what} {w} not divisible by {n} in factor {c}")
-        total += xi * (w // n)
-    return total
+def _divided_sum(ys, ws, n, c, what):
+    """sum of y w / n over the integers ys and ws in step; the division is
+    exact, or DivisibilityFailure names the first w that is not."""
+    ws = tuple(ws)
+    if any(map(mod, ws, repeat(n))):
+        w = next(w for w in ws if w % n)
+        raise DivisibilityFailure(
+            f"{what} {w} not divisible by {n} in factor {c}")
+    return sum(map(mul, ys, map(floordiv, ws, repeat(n))))
+
+
+def _times(cols, F):
+    """X F^T over Z for X given by its columns, as columns: column c is
+    sum_d F_cd x_d."""
+    return tuple(tuple(map(sum, zip(*[map(mul, x, repeat(f))
+                                      for f, x in zip(Fc, cols)])))
+                 for Fc in F)
+
+
+def _stacked(Y, products):
+    """The columns of (Y; MY; M^T Y), products = (MY, M^T Y): one column
+    per factor, so an r x r right factor applies to all three at once."""
+    MY, MTY = products
+    return tuple(zip(*Y, *MY, *MTY))
 
 
 def _int_rows(rows, width, what):
-    """rows as int tuples; BadParameters unless each holds width ints (a
-    bool is not an int)."""
-    rows = [tuple(row) for row in rows]
-    if any(len(row) != width or any(type(x) is not int for x in row)
-           for row in rows):
+    """rows as int tuples; BadParameters unless rows is a list or tuple
+    of lists or tuples of width ints each (a bool is not an int)."""
+    if not isinstance(rows, (list, tuple)):
+        raise BadParameters(f"{what} must be a list or tuple of rows")
+    rows = [abelian.int_tuple(row, f"{what} row") for row in rows]
+    if any(len(row) != width for row in rows):
         raise BadParameters(f"{what} rows must hold {width} integers")
     return rows
 
@@ -58,36 +77,53 @@ def _int_rows(rows, width, what):
 def su(data, lifts=None):
     """Orbit sum of the epsilon pairing: per factor c with modulus n,
     su_c = sum over j of <x_j, (M x_{j+1} - M^T x_j) / n>, x_j the column
-    c of an integer lift of t^j V (j mod m). Works on the coordinate
-    matrix X of the vector; the orbit is X acted on row by row.
+    c of an integer lift of t^j V (j mod m).
+
+    The lifts are the orbit Y_j = X (N^T)^j for j < m, X the coordinate
+    matrix of V and N the action, closed at Y_0 = X (Y_m = X (N^T)^m is
+    congruent to X, not equal). Then M Y_j and M^T Y_j are the product
+    pair (MX, M^T X) times (N^T)^j, one r x r right factor per step.
+
+    Why su mod n does not depend on the lifts, on valid data: replace
+    x_j by x_j + n k. The term j changes by n k^T (M x_{j+1} - M^T x_j)
+    - n k^T M x_j - n^2 k^T M k (as x^T M^T y = y^T M x), the term j - 1
+    by n k^T M^T x_{j-1}, and no other term holds x_j, so the total
+    changes by
+        k^T (M x_{j+1} - M^T x_j) + k^T (M^T x_{j-1} - M x_j) - n k^T M k,
+    and both brackets are 0 mod n: the colouring equation M^T V = M t.V
+    gives M^T x_i = M x_{i+1} mod n for every i, as x_{i+1} = t.x_i mod
+    n in column c. The same congruence makes every pairing entry
+    divisible by n under any lifts.
 
     ``lifts`` may supply the m integer lift matrices (one row of r ints
-    per vector entry) instead of the minimal ones; any choice congruent
-    to the coordinates gives the same value, which the property suite
-    exercises.
+    per vector entry) instead; their products with M are computed here.
+    Any choice congruent to the coordinates gives the same value, which
+    the property suite exercises.
     """
     if not validate(data).valid:
         raise InvalidData("su needs valid surface data")
-    spec, M = data.spec, data.matrix
-    m, orders, r = spec.m, spec.orders, spec.rank
-    size = len(M)
+    spec = data.spec
+    m, r, size = spec.m, spec.rank, data.size
     if lifts is None:
-        lifts = [data._coords]
+        # orbit step j is the stacked (Y_j; M Y_j; M^T Y_j)
+        orbit = [_stacked(data._coords, data._products)]
         for _ in range(m - 1):
-            lifts.append(abelian.act_rows(lifts[-1], spec))
+            orbit.append(_times(orbit[-1], spec.action))
     else:
-        lifts = [list(block) for block in lifts]
-        if len(lifts) != m or any(len(b) != size for b in lifts):
+        if not isinstance(lifts, (list, tuple)) or len(lifts) != m or \
+                any(not isinstance(b, (list, tuple)) or len(b) != size
+                    for b in lifts):
             raise BadParameters("lifts must give m blocks of one row per entry")
-        lifts = [_int_rows(block, r, "lifts") for block in lifts]
-    MT = tuple(zip(*M))
+        orbit = [_stacked(Y, _product_pair(data.matrix, Y))
+                 for Y in (_int_rows(b, r, "lifts") for b in lifts)]
+    Y, P, Q = slice(size), slice(size, 2 * size), slice(2 * size, None)
     out = []
-    for c, n in enumerate(orders):
-        xs = [[row[c] for row in block] for block in lifts]
-        total = sum(_pairing(M, MT, xs[j], xs[(j + 1) % m],
-                             [-a for a in xs[j]], n, c, "pairing entry")
-                    for j in range(m))
-        out.append(total % n)
+    for c, n in enumerate(spec.orders):
+        cols = [step[c] for step in orbit]
+        ys = chain.from_iterable(col[Y] for col in cols)
+        ws = chain.from_iterable(map(sub, cols[(j + 1) % m][P], cols[j][Q])
+                                 for j in range(m))
+        out.append(_divided_sum(ys, ws, n, c, "pairing entry") % n)
     return abelian.element(spec, tuple(out))
 
 
@@ -167,6 +203,9 @@ def cu(data, nlift=None, vlift=None):
     diagonal blocks M + M^T, superdiagonal M^T and subdiagonal M, so
     block a of L x is M (x_a + x_{a-1}) + M^T (x_a + x_{a+1}) with
     x_{-1} = x_{m-1} = 0; it is applied block by block, never built.
+    Block a is X (C^T)^a, so M x_a and M^T x_a are the product pair
+    (MX, M^T X) times (C^T)^a: the same integers as multiplying by M
+    directly, so a DivisibilityFailure names the same entry.
 
     The action lift C is read only for m >= 3: at m = 2 there is one
     block, x_0 = V. Skipping it there hides no LiftFailure, since every
@@ -176,42 +215,43 @@ def cu(data, nlift=None, vlift=None):
 
     ``nlift`` (r x r) and ``vlift`` (one row of r ints per entry) may
     override the action lift and the minimal vector lift (testing hooks
-    for the well-definedness properties); an ``nlift`` is shape-checked
-    at every m.
+    for the well-definedness properties); a ``vlift``'s products with M
+    are computed here. An ``nlift`` is shape-checked at every m.
     """
     if not validate(data).valid:
         raise InvalidData("cu needs valid surface data")
-    spec, M = data.spec, data.matrix
+    spec = data.spec
     m, orders, r = spec.m, spec.orders, spec.rank
     if m < 2:
         raise BadParameters("cu needs m >= 2")
-    size = len(M)
+    size = data.size
     if nlift is not None:
         C = _int_rows(nlift, r, "nlift")
         if len(C) != r:
             raise BadParameters(f"nlift must have {r} rows")
     elif m > 2:
         C = structured_lift(spec)
-    base = data._coords
-    if vlift is not None:
-        base = list(vlift)
-        if len(base) != size:
+    if vlift is None:
+        base, products = data._coords, data._products
+    else:
+        if not isinstance(vlift, (list, tuple)) or len(vlift) != size:
             raise BadParameters("vector lift must have one row per entry")
-        base = _int_rows(base, r, "vector lift")
-    blocks = [base]
-    if m > 2:
-        CT = transpose(C)
-        for _ in range(m - 2):
-            blocks.append(mat_mul(blocks[-1], CT))
-    MT = tuple(zip(*M))
+        base = _int_rows(vlift, r, "vector lift")
+        products = _product_pair(data.matrix, base)
+    # block a is the stacked (x_a; M x_a; M^T x_a)
+    blocks = [_stacked(base, products)]
+    for _ in range(m - 2):
+        blocks.append(_times(blocks[-1], C))
+    zero = (0,) * (3 * size)
+    Y, P, Q = slice(size), slice(size, 2 * size), slice(2 * size, None)
     out = []
-    zero = [0] * size
     for c, n in enumerate(orders):
-        xs = [zero] + [[row[c] for row in b] for b in blocks] + [zero]
-        q = sum(_pairing(M, MT, xs[a], list(map(add, xs[a], xs[a - 1])),
-                         list(map(add, xs[a], xs[a + 1])), n, c,
-                         "L(M) pairing entry")
-                for a in range(1, m))
+        cols = [zero] + [b[c] for b in blocks] + [zero]
+        ys = chain.from_iterable(col[Y] for col in cols[1:m])
+        ws = chain.from_iterable(
+            map(sum, zip(cols[a][P], cols[a - 1][P], cols[a][Q],
+                         cols[a + 1][Q])) for a in range(1, m))
+        q = _divided_sum(ys, ws, n, c, "L(M) pairing entry")
         if n % 2:
             out.append(q % n)
         else:
@@ -226,7 +266,8 @@ def vector_class(data):
     """The symplectic class s in A ^ A: coordinate (p, q), p < q, is
     x_p^T (M^T - M) x_q = sum_i (x_iq (MX)_ip - x_ip (MX)_iq), x_p the
     column p of the coordinate matrix X of V, summed over the integers and
-    reduced once mod gcd(n_p, n_q). It is the adjacent-pair wedge of
+    reduced once mod gcd(n_p, n_q); MX is read from the datum's product
+    pair. It is the adjacent-pair wedge of
     W = P^-1 X for any P with P^T S P = J (S = M - M^T, J the block sum
     of [[0, -1], [1, 0]]): S = P^-T J P^-1, and expanding bilinearly,
     sum_b W_2b ^ W_2b+1 = sum_{i<j} (P^-T (-J) P^-1)_ij X_i ^ X_j =
@@ -234,8 +275,7 @@ def vector_class(data):
     A ^ A is safe. Structural, so defined on non-validating data too (the
     canonical vectors).
     """
-    X = data._coords
-    MX = mat_mul(data.matrix, X)
+    X, MX = data._coords, data._products[0]
     return abelian.WedgeElement2(data.spec, tuple(
         sum(x[q] * y[p] - x[p] * y[q] for x, y in zip(X, MX))
         for p, q in abelian.pair_indices(data.spec)))

@@ -6,13 +6,17 @@ connect sums, and the word-length normal form for colouring vectors.
 
 Matrices are tuples of int tuples; colouring vectors are tuples of
 GroupElement, which validation, the enumerator's filter and the
-invariants read as integer coordinate rows (SurfaceData._coords). The
-empty 0x0 datum is permitted (it can never validate over a nontrivial A,
-but keeps connect sums total).
+invariants read as integer coordinate rows (SurfaceData._coords, the
+size x r matrix X). A datum also caches one product pair
+(SurfaceData._products = (MX, M^T X) over Z, one row per entry):
+validation and the invariants read M only through it. The empty 0x0
+datum is permitted (it can never validate over a nontrivial A, but
+keeps connect sums total).
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from math import lcm
 from operator import mul
 
@@ -94,6 +98,15 @@ class SurfaceData:
         data.__dict__.update(spec=spec, matrix=matrix, vector=vector)
         return data
 
+    def _with_matrix(self, matrix):
+        """Unchecked: this vector under another matrix of the same size
+        with the same M - M^T, sharing what depends on the vector only
+        (its coordinate rows and whether they generate A)."""
+        data = SurfaceData._moved(self.spec, matrix, self.vector)
+        data.__dict__.update(_coords=self._coords,
+                             _generates=self._generates)
+        return data
+
     @property
     def size(self):
         return len(self.matrix)
@@ -112,6 +125,17 @@ class SurfaceData:
         # the vector as a size x r integer matrix X, one row per entry
         return tuple(v.coords for v in self.vector)
 
+    @cached_property
+    def _generates(self):
+        return abelian._coords_generate(
+            self.spec, tuple(sorted(set(self._coords))))
+
+    @cached_property
+    def _products(self):
+        # (MX, M^T X) over Z, the only products of M that validate, su,
+        # cu and vector_class read
+        return _product_pair(self.matrix, self._coords)
+
 
 def make_data(spec, matrix, coords):
     """SurfaceData from raw coordinate rows (one row per vector entry)."""
@@ -127,12 +151,21 @@ class ValidationReport:
     valid: bool
 
 
-def _mat_apply(M, vec, spec):
-    """Integer matrix acting entrywise on a tuple of group elements: one
-    integer sum per factor of each row, reduced once into an element."""
-    factors = [[v.coords[c] for v in vec] for c in range(spec.rank)]
-    return tuple(abelian.GroupElement(
-        spec, tuple(sum(map(mul, row, f)) for f in factors)) for row in M)
+def _product_pair(M, X):
+    """(MX, M^T X) over Z as tuples of rows, X one integer row per entry
+    of M: one pass over the nonzero entries of M, each M_ik adding
+    M_ik x_k to row i of MX and M_ik x_i to row k of M^T X."""
+    r = len(X[0]) if X else 0
+    P = [[0] * r for _ in X]
+    Q = [[0] * r for _ in X]
+    entries = range(len(X))
+    for Pi, xi, row in zip(P, X, M):
+        for k in compress(entries, row):
+            a, xk, Qk = row[k], X[k], Q[k]
+            for c in range(r):
+                Pi[c] += a * xk[c]
+                Qk[c] += a * xi[c]
+    return tuple(map(tuple, P)), tuple(map(tuple, Q))
 
 
 @lru_cache(maxsize=None)
@@ -153,17 +186,17 @@ def validate(data):
 
 
 def _validate(data):
-    spec, M, X = data.spec, data.matrix, data._coords
-    cols = tuple(zip(*M))
-    # per factor c: M^T x_c = M (tX)_c mod n_c, x_c the column c of X;
+    spec, X = data.spec, data._coords
+    MX, MTX = data._products
+    # per factor c: M^T x_c = M (t.X)_c mod n_c, x_c the column c of X.
+    # (t.X)_c = sum_d N_cd x_d mod n_c, and reducing x_d mod n_d is
+    # harmless as n_c | N_cd n_d, so the right side is sum_d N_cd (MX)_d;
     # all() stops at the first entry that fails
-    equation = all(
-        not (sum(map(mul, col, x)) - sum(map(mul, row, y))) % n
-        for x, y, n in zip(zip(*X), zip(*abelian.act_rows(X, spec)),
-                           spec.orders)
-        for row, col in zip(M, cols))
-    gen = abelian._coords_generate(spec, tuple(sorted(set(X))))
-    genus_ok = len(M) >= _min_generators(spec)
+    factors = tuple(enumerate(zip(spec.action, spec.orders)))
+    equation = all(not (q[c] - sum(map(mul, Nc, p))) % n
+                   for p, q in zip(MX, MTX) for c, (Nc, n) in factors)
+    gen = data._generates
+    genus_ok = len(X) >= _min_generators(spec)
     return ValidationReport(gen, equation, genus_ok,
                             gen and equation and genus_ok)
 
@@ -193,7 +226,8 @@ def lambda1(data, U):
     U^T M U is computed as (U^T (U^T M)^T)^T, which is the same matrix:
     both products then have U^T on the left, where mat_mul skips zero
     entries, so a sparse U (the transvections of walks and
-    shorten_vector) costs O(n^2) instead of O(n^3).
+    shorten_vector) costs O(n^2) instead of O(n^3). U^-1 V is U^-1 times
+    the coordinate rows of V, also with U^-1 on the left.
     """
     size = data.size
     Ur = _as_matrix(U)
@@ -202,13 +236,16 @@ def lambda1(data, U):
     Uinv = inverse_unimodular(Ur)
     Ut = transpose(Ur)
     M2 = transpose(mat_mul(Ut, transpose(mat_mul(Ut, data.matrix))))
-    V2 = _mat_apply(Uinv, data.vector, data.spec)
+    V2 = tuple(abelian.GroupElement(data.spec, row)
+               for row in mat_mul(Uinv, data._coords))
     return SurfaceData._moved(data.spec, tuple(tuple(r) for r in M2), V2)
 
 
-def _lambda2_tail(spec, vector, c, variant):
-    """The appended vector entries (0; y) for the chosen variant."""
-    (acc,) = _mat_apply((c,), vector, spec)
+def _lambda2_tail(spec, X, c, variant):
+    """The appended vector entries (0; y) for the chosen variant, X the
+    coordinate rows of the vector."""
+    acc = abelian.GroupElement(
+        spec, mat_mul((c,), X)[0] if X else (0,) * spec.rank)
     if variant == 1:
         # (t-1)/t . a = a - t^-1.a
         y = abelian.sub(acc, abelian.act_pow(acc, -1))
@@ -224,7 +261,7 @@ def lambda2(data, c, variant):
     c = abelian.int_tuple(c, "c")
     if len(c) != size:
         raise BadParameters(f"c must have length {size}")
-    if variant not in (1, 2):
+    if type(variant) is not int or variant not in (1, 2):
         raise BadParameters(f"variant must be 1 or 2, got {variant!r}")
     M = data.matrix
     rows = [list(M[i]) + [c[i], 0] for i in range(size)]
@@ -234,7 +271,7 @@ def lambda2(data, c, variant):
     else:
         rows.append(list(c) + [0, 0])
         rows.append([0] * size + [1, 0])
-    tail = _lambda2_tail(data.spec, data.vector, c, variant)
+    tail = _lambda2_tail(data.spec, data._coords, c, variant)
     return SurfaceData._moved(
         data.spec, tuple(tuple(r) for r in rows), data.vector + tail)
 
@@ -263,7 +300,7 @@ def lambda2_inverse(data):
     else:
         raise PatternMismatch(f"corner {corner} matches neither pattern")
     base_vec = data.vector[:inner]
-    expect = _lambda2_tail(data.spec, base_vec, col_c, variant)
+    expect = _lambda2_tail(data.spec, data._coords[:inner], col_c, variant)
     if data.vector[inner:] != expect:
         raise PatternMismatch("vector entries do not match the stabilization")
     inner_rows = tuple(tuple(M[i][j] for j in range(inner)) for i in range(inner))

@@ -63,3 +63,15 @@ def z46():
 @pytest.fixture(scope="session")
 def z333():
     return abelian.make_group(2, (3, 3, 3), ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+
+
+@pytest.fixture(scope="session")
+def c6_93():
+    # N^6 != I over Z, and no action lift: cu raises LiftFailure
+    return abelian.make_group(6, (9, 3), ((2, 0), (1, 2)))
+
+
+@pytest.fixture(scope="session")
+def c6_93_lifted():
+    # the same orders with an action that has a structured lift
+    return abelian.make_group(6, (9, 3), ((2, 6), (1, 2)))

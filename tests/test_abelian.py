@@ -43,6 +43,13 @@ class TestMakeGroup:
         with pytest.raises(BadParameters):
             abelian.make_group(2, (3, 3), ((2, 0),))
 
+    @pytest.mark.parametrize("action", [5, [5], ((2,), 5), "22", None])
+    def test_rejects_non_sequence_action(self, action):
+        """A non-sequence action or row is a BadParameters, not a bare
+        TypeError."""
+        with pytest.raises(BadParameters):
+            abelian.make_group(2, (3,), action)
+
     def test_rejects_incompatible_entry(self):
         # entry (0, 1) maps a Z/2 generator into Z/4 with odd coefficient
         with pytest.raises(BadParameters):

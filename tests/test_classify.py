@@ -59,6 +59,11 @@ class TestMetacyclic:
         with pytest.raises(BadParameters):
             classify.metacyclic_table(2, 5, 2)
 
+    @pytest.mark.parametrize("xi", [2.0, "2", True, None])
+    def test_rejects_non_integer_xi(self, xi):
+        with pytest.raises(BadParameters):
+            classify.metacyclic_table(2, 3, xi)
+
     def test_rejects_tiny_modulus(self):
         with pytest.raises(BadParameters):
             classify.metacyclic_table(2, 1, 1)
@@ -154,6 +159,12 @@ class TestRank2Diag:
             classify.rank2_diag_table(2, 3, 5, 1, 4)
         with pytest.raises(BadParameters):
             classify.rank2_diag_table(2, 3, 5, 2, 2)
+
+    @pytest.mark.parametrize("xi1, xi2", [("2", 4), (2, 4.0), (2.0, 4.0),
+                                          (2, None)])
+    def test_rejects_non_integer_xi(self, xi1, xi2):
+        with pytest.raises(BadParameters):
+            classify.rank2_diag_table(2, 3, 5, xi1, xi2)
 
 
 class TestRank2Nondiag:

@@ -59,6 +59,13 @@ class TestH3:
         code, got = run_json(capsys, ["h3", "--orders", "2,x"])
         assert code == 1 and got["error"]["type"] == "UsageError"
 
+    @pytest.mark.parametrize("action", [5, [5]])
+    def test_non_sequence_action_is_domain_error(self, capsys, files,
+                                                 action):
+        group = files("g.json", dict(D6_JSON, action=action))
+        code, got = run_json(capsys, ["h3", "--group", group])
+        assert code == 2 and got["error"]["type"] == "BadParameters"
+
 
 class TestValidate:
     def test_valid_datum(self, capsys, files):

@@ -17,7 +17,8 @@ from knotcolour.errors import (
 from test_surface_data import random_seifert
 from util import (
     TREFOIL_L, FIG8_L, invariant_triple, lift_pool, move_chain, move_pool,
-    odd_pool, outcome, rand_unimodular, random_group_spec, slow_cu,
+    odd_pool, outcome, rand_unimodular, random_group_spec, random_move,
+    slow_cu,
     slow_structured_lift, slow_su, slow_validate, slow_vector_class)
 
 FIXTURE_GROUPS = ("d6", "d10", "d14", "c3z7", "c4z5", "a4", "c2_33",
@@ -71,10 +72,12 @@ class TestSu:
         [[[1, 0], [0]]] * 3,
         [[[1, 0, 0], [0, 1]]] * 3,
         [[[True, 0], [0, 1]]] * 3,
+        5, [5, 5, 5], [[5, 5]] * 3, "abc",
     ])
     def test_rejects_untyped_lifts(self, a4, lifts):
-        """Each lift block is size rows of r ints: a float, a bool or a
-        ragged row is refused, not run or silently truncated."""
+        """Each lift block is size rows of r ints: a float, a bool, a
+        ragged row or a non-sequence is refused, not run or silently
+        truncated."""
         data = surface_data.make_data(a4, TREFOIL_L, [(0, 1), (1, 1)])
         with pytest.raises(BadParameters):
             invariants.su(data, lifts=lifts)
@@ -259,6 +262,7 @@ class TestCu:
         [[0, 1], [1]],
         [[0, 1, 0], [1, 1]],
         [[0, False], [1, 1]],
+        5, [5, 5],
     ])
     def test_rejects_untyped_vlift(self, a4, vlift):
         data = surface_data.make_data(a4, TREFOIL_L, [(0, 1), (1, 1)])
@@ -270,6 +274,7 @@ class TestCu:
         ((0, 1), (3,)),
         ((0, 1), (3, 3), (0, 0)),
         ((0, 1.0), (3, 3)),
+        5, [5, 5],
     ])
     def test_rejects_untyped_nlift(self, a4, nlift):
         data = surface_data.make_data(a4, TREFOIL_L, [(0, 1), (1, 1)])
@@ -522,6 +527,83 @@ class TestSlowOracles:
                 failures.append((d.spec, cu_got))
         assert {spec for spec, _ in failures} == {c4z5, rank2}
         assert all(kind is DivisibilityFailure for _, (kind, _) in failures)
+
+
+class TestProductPair:
+    """validate, su, cu and s read M only through the datum's product pair
+    (MX, M^T X); against the oracles of tests/util.py on C6 x| (Z/9 x Z/3)
+    data. There m = 6, the orders differ, and N^6 != I over Z, so a
+    residue reduced by another factor's order, or an su orbit that ends
+    at X (N^T)^6 instead of closing at X, changes a value."""
+
+    @staticmethod
+    def colourings(spec, matrix):
+        found = surface_data.enumerate_colourings(matrix, spec)
+        assert found
+        return [surface_data.SurfaceData(spec, matrix, V) for V in found]
+
+    @staticmethod
+    def minimal_lifts(data):
+        return [[list(abelian.act_pow(v, j).coords) for v in data.vector]
+                for j in range(data.spec.m)]
+
+    def test_move_chains(self, c6_93):
+        """Genus-1 colourings through lambda1/lambda2 chains: validate, su,
+        s equal the oracles; su equals su on the minimal lifts; cu raises
+        the oracle's LiftFailure, and under the action itself as nlift
+        the oracle's DivisibilityFailure, message included."""
+        pool = self.colourings(c6_93, ((-2, -3), (-2, -2)))
+        pool += self.colourings(c6_93, ((-1, 0), (-1, 2)))
+        nlift = c6_93.action
+        seen = set()
+
+        @settings(deadline=None, max_examples=20, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            chain = move_chain(rng, pool, rng.randrange(5))
+            for data in [rng.choice(pool)] + [out for _, out in chain]:
+                assert surface_data.validate(data) == slow_validate(data)
+                su = invariants.su(data)
+                assert su == slow_su(data)
+                assert su == invariants.su(data,
+                                           lifts=self.minimal_lifts(data))
+                assert invariants.vector_class(data) == \
+                    slow_vector_class(data)
+                lifted = outcome(invariants.cu, data)
+                assert lifted == outcome(slow_cu, data)
+                got = outcome(invariants.cu, data, nlift)
+                assert got == outcome(slow_cu, data, nlift)
+                seen.update((lifted[0], got[0], any(su.coords)))
+
+        check()
+        assert seen == {LiftFailure, DivisibilityFailure, False, True}
+
+    def test_m6_divisibility_failure(self, c6_93_lifted):
+        """With a structured lift, m = 6 cu raises the oracle's
+        DivisibilityFailure, message included, on the colourings and on
+        lambda moves of them."""
+        pool = self.colourings(c6_93_lifted, ((-2, -3), (-4, -2)))
+        rng = random.Random(6)
+        for data in pool + [random_move(rng, d) for d in pool]:
+            got = outcome(invariants.cu, data)
+            assert got[0] is DivisibilityFailure
+            assert got == outcome(slow_cu, data)
+            assert invariants.su(data) == slow_su(data)
+
+    def test_mutated_matrix_fails_validation(self, c6_93):
+        """M + E_00 keeps M - M^T, so the datum constructs, but breaks the
+        colouring equation: the report says so, and su and cu refuse."""
+        for data in self.colourings(c6_93, ((-2, -3), (-2, -2))):
+            M = [list(row) for row in data.matrix]
+            M[0][0] += 1
+            bad = surface_data.SurfaceData(c6_93, M, data.vector)
+            report = surface_data.validate(bad)
+            assert report == slow_validate(bad)
+            assert report.generates and not report.equation_holds
+            for call in (invariants.su, invariants.cu):
+                with pytest.raises(InvalidData):
+                    call(bad)
 
 
 class TestYObstruction:

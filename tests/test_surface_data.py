@@ -263,13 +263,16 @@ class TestValidateOracle:
                         "equation_holds=False"}
 
 
-class TestMatApply:
+class TestVectorTransport:
     def test_matches_group_element_loop(self, d6, d10, d14, c3z7, c4z5, a4,
                                         c2_33, c2_35, c3_55, c7_222, z46,
                                         z333):
-        """Coordinate-row sums equal the GroupElement loop over every
-        fixture group, mixed orders and rank 3 included, on matrices with
-        negative, large and all-zero rows and on empty vectors."""
+        """The vector parts of lambda1 and lambda2, integer matrices on the
+        coordinate rows, equal the GroupElement loop over every fixture
+        group, mixed orders and rank 3 included: U^-1 V for a transvection
+        U with a negative or large multiplier, and lambda2's appended
+        entries for c with negative, large and zero entries, on empty
+        vectors too."""
         specs = (d6, d10, d14, c3z7, c4z5, a4, c2_33, c2_35, c3_55, c7_222,
                  z46, z333)
         seen = set()
@@ -279,27 +282,35 @@ class TestMatApply:
         def check(seed):
             rng = random.Random(seed)
             for spec in specs:
-                rows, cols = rng.randrange(4), rng.randrange(4)
-                vec = tuple(abelian.element(spec, [rng.randrange(n) for n
-                                                   in spec.orders])
-                            for _ in range(cols))
+                size = 2 * rng.randrange(3)
+                data = surface_data.make_data(
+                    spec, surface_data.standard_matrix(size // 2),
+                    [[rng.randrange(n) for n in spec.orders]
+                     for _ in range(size)])
                 bound = rng.choice((3, 10 ** 12))
-                M = [[rng.randrange(-bound, bound + 1) for _ in range(cols)]
-                     if rng.random() < 0.8 else [0] * cols
-                     for _ in range(rows)]
-                assert surface_data._mat_apply(M, vec, spec) == \
-                    slow_mat_apply(M, vec, spec)
-                seen.update("zero row" for row in M if cols and not any(row))
+                c = [rng.randrange(-bound, bound + 1)
+                     if rng.random() < 0.8 else 0 for _ in range(size)]
+                variant = rng.choice((1, 2))
+                (acc,) = slow_mat_apply((c,), data.vector, spec)
+                y = abelian.sub(acc, abelian.act_pow(acc, -1)) \
+                    if variant == 1 else abelian.sub(abelian.act(acc), acc)
+                assert surface_data.lambda2(data, c, variant).vector == \
+                    data.vector + (abelian.zero(spec), y)
+                U = [[int(i == j) for j in range(size)] for i in range(size)]
+                if size:
+                    i, j = rng.sample(range(size), 2)
+                    U[i][j] = rng.randrange(-bound, bound + 1)
+                assert surface_data.lambda1(data, U).vector == \
+                    slow_mat_apply(slow_inverse_unimodular(U), data.vector,
+                                   spec)
+                seen.update("zero" for x in c if x == 0)
                 seen.update("large" if x < -3 else "negative"
-                            for row in M for x in row if x < 0)
+                            for row in (c, *U) for x in row if x < 0)
+                if not size:
+                    seen.add("empty")
 
         check()
-        assert seen == {"zero row", "negative", "large"}
-        for spec in specs:
-            zero = abelian.zero(spec)
-            assert surface_data._mat_apply(((),), (), spec) == (zero,) == \
-                slow_mat_apply(((),), (), spec)
-            assert surface_data._mat_apply((), (), spec) == ()
+        assert seen == {"zero", "negative", "large", "empty"}
 
 
 class TestEnumerate:
@@ -483,6 +494,12 @@ class TestLambda2:
             surface_data.lambda2(data, (1,), 2)
         with pytest.raises(BadParameters):
             surface_data.lambda2(data, (1, 0), 3)
+
+    @pytest.mark.parametrize("variant", [True, 1.0, "1", None])
+    def test_rejects_non_integer_variant(self, d6, variant):
+        data = surface_data.make_data(d6, TREFOIL_L, [(1,), (2,)])
+        with pytest.raises(BadParameters):
+            surface_data.lambda2(data, (1, 0), variant)
 
     @pytest.mark.parametrize("c", [(1.7, True), (1, True), (1, 0.0),
                                    ("1", 0)])

@@ -2,8 +2,8 @@
 matrices, the Smith-form oracle for _intlin.inverse_unimodular, random
 S-equivalence moves, the fixture data pool, the
 backtracking oracle for diagram colourings, the GroupElement oracle
-for surface_data._mat_apply, the GroupElement oracles for validate,
-invariants.su and invariants.cu, the inverting oracle for
+for an integer matrix acting on a vector, the GroupElement oracles for
+validate, invariants.su and invariants.cu, the inverting oracle for
 invariants.vector_class, the search oracle for
 invariants.structured_lift, random group specs for it, and the
 per-entry oracle for classify._block."""
@@ -196,9 +196,10 @@ def backtrack_colourings(d, spec):
 
 
 def slow_mat_apply(M, vec, spec):
-    """Slow oracle for surface_data._mat_apply: each output entry built
-    from GroupElement arithmetic, one mul and one add per nonzero matrix
-    entry, starting from zero."""
+    """Slow oracle for an integer matrix acting on a vector of group
+    elements (the vector parts of lambda1 and lambda2): each output entry
+    built from GroupElement arithmetic, one mul and one add per nonzero
+    matrix entry, starting from zero."""
     out = []
     for i in range(len(M)):
         acc = abelian.zero(spec)
@@ -218,7 +219,7 @@ def slow_vector_class(data):
     if data.size == 0:
         return total
     P = surface_data.symplectic_reduce(data.matrix)
-    W = surface_data._mat_apply(
+    W = slow_mat_apply(
         inverse_unimodular([list(row) for row in P]), data.vector, spec)
     for b in range(data.size // 2):
         total = total + abelian.wedge2(W[2 * b], W[2 * b + 1])
@@ -227,13 +228,13 @@ def slow_vector_class(data):
 
 def slow_validate(data):
     """Slow oracle for surface_data.validate: both sides of the colouring
-    equation built as GroupElement tuples through _mat_apply and one act
-    per entry, and generation through abelian.generates."""
+    equation built as GroupElement tuples through slow_mat_apply and one
+    act per entry, and generation through abelian.generates."""
     spec, M, V = data.spec, data.matrix, data.vector
     size = len(M)
     tV = tuple(abelian.act(v) for v in V)
-    lhs = surface_data._mat_apply(transpose(M), V, spec) if size else ()
-    rhs = surface_data._mat_apply(M, tV, spec) if size else ()
+    lhs = slow_mat_apply(transpose(M), V, spec) if size else ()
+    rhs = slow_mat_apply(M, tV, spec) if size else ()
     equation = lhs == rhs
     gen = abelian.generates(list(V), spec)
     genus_ok = size >= surface_data._min_generators(spec)

@@ -4,10 +4,10 @@ Validation, lexicographic colouring enumeration, the two S-equivalence
 moves and their inverses, symplectic reduction of the intersection form,
 connect sums, and the word-length normal form for colouring vectors.
 
-Matrices are tuples of int tuples; colouring vectors are tuples of
-GroupElement, which validation, the enumerator's filter and the
-invariants read as integer coordinate rows (SurfaceData._coords, the
-size x r matrix X). A datum also caches one product pair
+Matrices are tuples of int tuples. A datum stores its colouring vector
+only as coordinate rows reduced mod the orders (SurfaceData._coords,
+the size x r matrix X); .vector builds the GroupElement tuple from X
+when first read. A datum also caches one product pair
 (SurfaceData._products = (MX, M^T X) over Z, one row per entry):
 validation and the invariants read M only through it. The empty 0x0
 datum is permitted (it can never validate over a nontrivial A, but
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
 from math import lcm
-from operator import mul
+from operator import mod, mul, sub
 
 from . import abelian
 from ._intlin import (
@@ -68,17 +68,16 @@ def _check_seifert(matrix, err=BadParameters):
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SurfaceData:
     spec: abelian.GroupSpec
     matrix: tuple
-    vector: tuple
+    _coords: tuple
 
-    def __post_init__(self):
-        rows = _check_seifert(self.matrix)
-        object.__setattr__(self, "matrix", rows)
+    def __init__(self, spec, matrix, vector):
+        rows = _check_seifert(matrix)
         try:
-            vec = tuple(self.vector)
+            vec = tuple(vector)
         except TypeError:
             raise BadParameters("vector must be a sequence") from None
         if len(vec) != len(rows):
@@ -87,24 +86,28 @@ class SurfaceData:
         for v in vec:
             if not isinstance(v, abelian.GroupElement):
                 raise BadParameters("vector entries must be GroupElement")
-            if v.spec != self.spec:
+            if v.spec != spec:
                 raise GroupMismatch("vector entry over a different spec")
-        object.__setattr__(self, "vector", vec)
+        self.__dict__.update(spec=spec, matrix=rows,
+                             _coords=tuple(v.coords for v in vec))
+
+    def __repr__(self):
+        return (f"SurfaceData(spec={self.spec!r}, matrix={self.matrix!r}, "
+                f"vector={self.vector!r})")
 
     @classmethod
-    def _moved(cls, spec, matrix, vector):
-        """Unchecked: moves keep det(M - M^T) = 1 on checked inputs."""
+    def _moved(cls, spec, matrix, coords):
+        """Unchecked: moves keep det(M - M^T) = 1 on checked inputs, and
+        coords must be reduced mod the orders."""
         data = object.__new__(cls)
-        data.__dict__.update(spec=spec, matrix=matrix, vector=vector)
+        data.__dict__.update(spec=spec, matrix=matrix, _coords=coords)
         return data
 
     def _with_matrix(self, matrix):
         """Unchecked: this vector under another matrix of the same size
-        with the same M - M^T, sharing what depends on the vector only
-        (its coordinate rows and whether they generate A)."""
-        data = SurfaceData._moved(self.spec, matrix, self.vector)
-        data.__dict__.update(_coords=self._coords,
-                             _generates=self._generates)
+        with the same M - M^T, sharing whether its rows generate A."""
+        data = SurfaceData._moved(self.spec, matrix, self._coords)
+        data.__dict__.update(_generates=self._generates)
         return data
 
     @property
@@ -116,14 +119,13 @@ class SurfaceData:
         return len(self.matrix) // 2
 
     @cached_property
+    def vector(self):
+        return tuple(abelian.GroupElement(self.spec, x) for x in self._coords)
+
+    @cached_property
     def _report(self):
         # every field is immutable, so the report never goes stale
         return _validate(self)
-
-    @cached_property
-    def _coords(self):
-        # the vector as a size x r integer matrix X, one row per entry
-        return tuple(v.coords for v in self.vector)
 
     @cached_property
     def _generates(self):
@@ -236,22 +238,21 @@ def lambda1(data, U):
     Uinv = inverse_unimodular(Ur)
     Ut = transpose(Ur)
     M2 = transpose(mat_mul(Ut, transpose(mat_mul(Ut, data.matrix))))
-    V2 = tuple(abelian.GroupElement(data.spec, row)
+    X2 = tuple(tuple(map(mod, row, data.spec.orders))
                for row in mat_mul(Uinv, data._coords))
-    return SurfaceData._moved(data.spec, tuple(tuple(r) for r in M2), V2)
+    return SurfaceData._moved(data.spec, tuple(tuple(r) for r in M2), X2)
 
 
 def _lambda2_tail(spec, X, c, variant):
-    """The appended vector entries (0; y) for the chosen variant, X the
-    coordinate rows of the vector."""
-    acc = abelian.GroupElement(
-        spec, mat_mul((c,), X)[0] if X else (0,) * spec.rank)
-    if variant == 1:
-        # (t-1)/t . a = a - t^-1.a
-        y = abelian.sub(acc, abelian.act_pow(acc, -1))
-    else:
-        y = abelian.sub(abelian.act(acc), acc)
-    return (abelian.zero(spec), y)
+    """The appended coordinate rows (0; y) for the chosen variant, X the
+    coordinate rows of the vector and a = sum c_i x_i: y = t.a - a, or
+    (t-1)/t . a = a - t^(m-1).a for variant 1."""
+    a = mat_mul((c,), X)[0] if X else (0,) * spec.rank
+    b = [a]
+    for _ in range(spec.m - 1 if variant == 1 else 1):
+        b = abelian.act_rows(b, spec)
+    y = map(sub, a, b[0]) if variant == 1 else map(sub, b[0], a)
+    return ((0,) * spec.rank, tuple(map(mod, y, spec.orders)))
 
 
 def lambda2(data, c, variant):
@@ -273,7 +274,7 @@ def lambda2(data, c, variant):
         rows.append([0] * size + [1, 0])
     tail = _lambda2_tail(data.spec, data._coords, c, variant)
     return SurfaceData._moved(
-        data.spec, tuple(tuple(r) for r in rows), data.vector + tail)
+        data.spec, tuple(tuple(r) for r in rows), data._coords + tail)
 
 
 def lambda2_inverse(data):
@@ -299,12 +300,11 @@ def lambda2_inverse(data):
         variant = 2
     else:
         raise PatternMismatch(f"corner {corner} matches neither pattern")
-    base_vec = data.vector[:inner]
-    expect = _lambda2_tail(data.spec, data._coords[:inner], col_c, variant)
-    if data.vector[inner:] != expect:
+    base = data._coords[:inner]
+    if data._coords[inner:] != _lambda2_tail(data.spec, base, col_c, variant):
         raise PatternMismatch("vector entries do not match the stabilization")
     inner_rows = tuple(tuple(M[i][j] for j in range(inner)) for i in range(inner))
-    return SurfaceData._moved(data.spec, inner_rows, base_vec)
+    return SurfaceData._moved(data.spec, inner_rows, base)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +406,7 @@ def connect_sum(d1, d2):
     rows = [list(d1.matrix[i]) + [0] * n2 for i in range(n1)]
     rows += [[0] * n1 + list(d2.matrix[i]) for i in range(n2)]
     return SurfaceData._moved(
-        d1.spec, tuple(tuple(r) for r in rows), d1.vector + d2.vector)
+        d1.spec, tuple(tuple(r) for r in rows), d1._coords + d2._coords)
 
 
 def canonical_vector(w):
@@ -503,11 +503,10 @@ def shorten_vector(data, ordered_basis):
         raise BudgetExceeded("word-length table over A would be too large")
 
     dist = _word_lengths(spec, tuple(b.coords for b in basis))
-    exponent = lcm(*spec.orders)
-    gen_seq = []
-    for b in basis:
-        gen_seq.append(b)
-        gen_seq.append(abelian.neg(b))
+    orders = spec.orders
+    exponent = lcm(*orders)
+    gen_seq = [g for b in basis for g in (
+        b.coords, tuple((-x) % n for x, n in zip(b.coords, orders)))]
 
     NmI = [[(spec.action[i][j] - (1 if i == j else 0))
             for j in range(spec.rank)] for i in range(spec.rank)]
@@ -521,7 +520,7 @@ def shorten_vector(data, ordered_basis):
         moves.append(("lambda1", U))
 
     while True:
-        lens = [dist[v.coords] for v in cur.vector]
+        lens = [dist[x] for x in cur._coords]
         top = max(lens, default=0)
         if top <= 1:
             break
@@ -533,15 +532,16 @@ def shorten_vector(data, ordered_basis):
                            (p + 1, p): 1, (p + 1, p + 1): 0}))
             continue
         q = odd[0]
-        v = cur.vector[q]
-        b = next(g for g in gen_seq if dist[abelian.add(v, g).coords] < top)
+        v = cur._coords[q]
+        b = next(g for g in gen_seq if dist[
+            tuple((x + y) % n for x, y, n in zip(v, g, orders))] < top)
         # lambda2 with (t-1).(sum c_i v_i) = b, i.e. sum c_i v_i = (t-1)^-1 b
-        w = solve_mod(NmI, list(b.coords), list(spec.orders))
+        w = solve_mod(NmI, list(b), list(orders))
         if w is None:
             raise InternalInconsistency("t - 1 is not invertible on A")
-        w = [x % n for x, n in zip(w, spec.orders)]
-        cols = [[v2.coords[i] for v2 in cur.vector] for i in range(spec.rank)]
-        c = solve_mod(cols, w, list(spec.orders))
+        w = [x % n for x, n in zip(w, orders)]
+        cols = transpose(cur._coords)
+        c = solve_mod(cols, w, list(orders))
         if c is None:
             raise InternalInconsistency("valid data stopped generating A")
         # c only matters mod the exponent of A; keep the new band small
@@ -566,7 +566,7 @@ def data_to_json(data):
     return {
         "group": abelian.group_to_json(data.spec),
         "seifert": [list(row) for row in data.matrix],
-        "vector": [list(v.coords) for v in data.vector],
+        "vector": [list(x) for x in data._coords],
     }
 
 

@@ -1,6 +1,20 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from knotcolour import abelian, classify
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """pythonpath in pyproject.toml puts src/ on sys.path of this process
+    only; a child `python -m knotcolour.cli` finds it through PYTHONPATH."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(SRC), prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from knotcolour.errors import (
 )
 from test_acceptance import brute_force
 from util import (
-    TREFOIL_L, FIG8_L, dense_unimodular, move_chain, move_pool,
+    TREFOIL_L, FIG8_L, dense_unimodular, move_chain, move_pool, odd_pool,
     rand_unimodular, random_move, slow_inverse_unimodular, slow_mat_apply,
     slow_validate, slow_vector_class)
 
@@ -603,6 +603,109 @@ class TestMoveOutputs:
         check()
         assert seen == {"lambda1", "lambda2", "lambda2_inverse",
                         "connect_sum"}
+
+
+class TestStoredRows:
+    """A datum stores its vector as reduced coordinate rows; .vector,
+    repr, ==, hash and the JSON form are its public face."""
+
+    FROZEN_DIGEST = (
+        "af1d68cc2c46012df755c7f532f80ac785ab595dd9d58ad26ef7bd2eac67074b")
+
+    def test_public_face(self, d6, d10, a4, c2_35, c3_55):
+        """repr of a seeded chain's outputs and of two tables hashes to
+        the value the GroupElement-stored datum gave; every output equals,
+        hashes and serialises like its rebuild through the public
+        constructor, and .vector holds elements over the datum's spec."""
+        pool = move_pool(d6, d10, a4, c2_35) + odd_pool(c3_55)
+        rng = random.Random(14)
+        h = hashlib.sha256()
+        for _ in range(12):
+            for _, out in move_chain(rng, pool, 6):
+                h.update(repr(out).encode())
+                assert all(type(v) is abelian.GroupElement
+                           and v.spec == out.spec for v in out.vector)
+                fresh = surface_data.SurfaceData(out.spec, out.matrix,
+                                                 out.vector)
+                assert fresh == out and hash(fresh) == hash(out)
+                assert surface_data.data_to_json(fresh) == \
+                    surface_data.data_to_json(out)
+        for t in (classify.metacyclic_table(2, 5, 4),
+                  classify.rank2_nondiag_table(3, 5, ((0, 1), (4, 4)))):
+            h.update(repr(t).encode())
+        assert h.hexdigest() == self.FROZEN_DIGEST
+
+    def test_inverse_round_trip(self, d6, d10, d14, c3z7, c4z5, a4, c2_33,
+                                c2_35, c3_55, c7_222, z46, z333):
+        """lambda2_inverse undoes lambda2 on every fixture group, m = 3,
+        4, 7 and mixed orders included, for c with negative and 10^12
+        entries: the appended rows are reduced, so the inverse compares
+        them with its own recomputation and the JSON form stays in range.
+        """
+        specs = (d6, d10, d14, c3z7, c4z5, a4, c2_33, c2_35, c3_55, c7_222,
+                 z46, z333)
+        rng = random.Random(7)
+        for spec in specs:
+            for variant in (1, 2):
+                size = 2 * rng.randrange(1, 3)
+                data = surface_data.make_data(
+                    spec, surface_data.standard_matrix(size // 2),
+                    [[rng.randrange(n) for n in spec.orders]
+                     for _ in range(size)])
+                c = [rng.choice((-1, 1)) * rng.randrange(10 ** 12)
+                     for _ in range(size)]
+                c[0] = -10 ** 12
+                st_ = surface_data.lambda2(data, c, variant)
+                assert surface_data.lambda2_inverse(st_) == data
+                assert all(0 <= x < n for row in
+                           surface_data.data_to_json(st_)["vector"]
+                           for x, n in zip(row, spec.orders))
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_inverse_rejects_wrong_power(self, c3z7, c4z5, c3_55, variant):
+        """Over m >= 3 groups t^-1 != t, so a tail built with t in place of
+        t^-1 (variant 1) or t^-1 in place of t (variant 2) is no
+        stabilization."""
+        for spec in (c3z7, c4z5, c3_55):
+            data = surface_data.make_data(
+                spec, surface_data.standard_matrix(1),
+                [(1,) * spec.rank, (0,) * spec.rank])
+            st_ = surface_data.lambda2(data, (1, 0), variant)
+            a = data.vector[0]
+            y = abelian.sub(a, abelian.act(a)) if variant == 1 \
+                else abelian.sub(abelian.act_pow(a, -1), a)
+            assert y != st_.vector[-1]
+            tampered = surface_data.SurfaceData(
+                spec, st_.matrix, st_.vector[:-1] + (y,))
+            with pytest.raises(PatternMismatch):
+                surface_data.lambda2_inverse(tampered)
+
+    def test_elements_only_at_the_boundary(self, d6, d10, a4, c2_35, c3_55,
+                                           monkeypatch):
+        """Moves, validate, vector_class, lambda2_inverse and data_to_json
+        build no GroupElement; su and cu build only their return values."""
+        pool = move_pool(d6, d10, a4, c2_35) + odd_pool(c3_55)
+        built = []
+        post_init = abelian.GroupElement.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(abelian.GroupElement, "__post_init__", counting)
+        rng = random.Random(3)
+        outputs = [out for _ in range(8)
+                   for _, out in move_chain(rng, pool, 5)]
+        assert not built
+        for out in outputs:
+            assert surface_data.validate(out).valid
+            su, cu = invariants.su(out), invariants.cu(out)
+            invariants.vector_class(out)
+            stabilised = surface_data.lambda2(out, [1] * out.size, 1)
+            assert surface_data.lambda2_inverse(stabilised) == out
+            surface_data.data_to_json(out)
+            assert built[-2] is su and built[-1] is cu
+        assert len(built) == 2 * len(outputs)
 
 
 class TestConnectSum:

@@ -8,6 +8,7 @@ invariants.vector_class, the search oracle for
 invariants.structured_lift, random group specs for it, and the
 per-entry oracle for classify._block."""
 
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
@@ -280,7 +281,18 @@ def slow_structured_lift(spec):
     """Slow oracle for invariants.structured_lift: every integer lift C of
     the action with entry (i, j) in [0, n_i^2), C = N mod n_i, tried in
     row-major order with no budget; the first with C^m = I mod n_i^2
-    (row i), or LiftFailure."""
+    (row i), or LiftFailure. The outcome is memoised per spec."""
+    C = _slow_lift_search(spec)
+    if C is None:
+        raise LiftFailure(
+            f"no lift of the action satisfies C^{spec.m} = I mod n_i^2")
+    return C
+
+
+@lru_cache(maxsize=None)
+def _slow_lift_search(spec):
+    """The row-major search behind slow_structured_lift; None when no
+    candidate lifts."""
     m, orders, r = spec.m, spec.orders, spec.rank
     cand_lists = []
     for i in range(r):
@@ -294,8 +306,7 @@ def slow_structured_lift(spec):
         if all((P[i][j] - (1 if i == j else 0)) % (orders[i] ** 2) == 0
                for i in range(r) for j in range(r)):
             return tuple(tuple(row) for row in C)
-    raise LiftFailure(
-        f"no lift of the action satisfies C^{m} = I mod n_i^2")
+    return None
 
 
 def random_group_spec(rng, equal, validated, m_choices=(2, 3, 4),

@@ -14,7 +14,7 @@ from math import gcd, prod
 import operator
 from operator import mod
 
-from ._intlin import identity, kernel_mod, mat_pow, smith_mod
+from ._intlin import det, identity, kernel_mod, mat_pow, smith_mod
 from .errors import (
     BadParameters,
     FixedPoints,
@@ -84,6 +84,16 @@ def int_tuple(values, what):
     return tuple(values)
 
 
+def _orders(orders):
+    """orders as a nonempty tuple of ints >= 2; BadParameters otherwise."""
+    orders = int_tuple(orders, "orders")
+    if not orders:
+        raise BadParameters("orders must be nonempty")
+    if any(n < 2 for n in orders):
+        raise BadParameters(f"every cyclic order must be >= 2, got {orders}")
+    return orders
+
+
 def make_group(m, orders, action):
     """Validating factory for GroupSpec.
 
@@ -94,11 +104,7 @@ def make_group(m, orders, action):
     """
     if type(m) is not int or m < 1:
         raise BadParameters(f"m must be a positive integer, got {m!r}")
-    orders = int_tuple(orders, "orders")
-    if not orders:
-        raise BadParameters("orders must be nonempty")
-    if any(n < 2 for n in orders):
-        raise BadParameters(f"every cyclic order must be >= 2, got {orders}")
+    orders = _orders(orders)
     r = len(orders)
     if not isinstance(action, (list, tuple)) or \
             any(not isinstance(row, (list, tuple)) for row in action):
@@ -318,26 +324,22 @@ def wedge3_zero(spec):
     return WedgeElement3(spec, (0,) * len(triple_indices(spec)))
 
 
+def _minors(cls, *elems):
+    """The wedge of elems as a cls: coordinate idx is the determinant of
+    the elements' coordinate rows restricted to the index tuple idx."""
+    s = _same_spec(*elems)
+    return cls(s, tuple(det([[e.coords[i] for i in idx] for e in elems])
+                        for idx in combinations(range(s.rank), cls.degree)))
+
+
 def wedge2(a, b):
     """a ^ b with coordinate (i, j) equal to a_i b_j - a_j b_i mod gcd(n_i, n_j)."""
-    s = _same_spec(a, b)
-    return WedgeElement2(
-        s, tuple(a.coords[i] * b.coords[j] - a.coords[j] * b.coords[i]
-                 for i, j in pair_indices(s)))
+    return _minors(WedgeElement2, a, b)
 
 
 def wedge3(a, b, c):
     """a ^ b ^ c via the 3x3 coordinate determinants mod the triple gcds."""
-    s = _same_spec(a, b, c)
-    out = []
-    for i, j, k in triple_indices(s):
-        ai, aj, ak = a.coords[i], a.coords[j], a.coords[k]
-        bi, bj, bk = b.coords[i], b.coords[j], b.coords[k]
-        ci, cj, ck = c.coords[i], c.coords[j], c.coords[k]
-        out.append(ai * (bj * ck - bk * cj)
-                   - aj * (bi * ck - bk * ci)
-                   + ak * (bi * cj - bj * ci))
-    return WedgeElement3(s, tuple(out))
+    return _minors(WedgeElement3, a, b, c)
 
 
 def _wedge_scale(k, w, cls):
@@ -363,17 +365,18 @@ def wedge3_scale(k, w):
 def h3_order(spec):
     """|H_3(A; Z)| by iterated Kunneth: the product of all n_i, all
     pairwise gcds, and all triple gcds. Accepts a GroupSpec or a bare
-    iterable of cyclic orders (only the orders matter).
+    list or tuple of cyclic orders, each >= 2 (only the orders matter).
     """
-    orders = spec.orders if isinstance(spec, GroupSpec) else tuple(spec)
+    orders = spec.orders if isinstance(spec, GroupSpec) else _orders(spec)
     return (prod(orders) * prod(gcd(*p) for p in combinations(orders, 2))
             * prod(gcd(*p) for p in combinations(orders, 3)))
 
 
 def additive_order(k, n):
-    """Order of k in Z/nZ."""
-    if n < 1:
-        raise BadParameters(f"modulus must be positive, got {n}")
+    """Order of k in Z/nZ; BadParameters unless k and n >= 1 are ints."""
+    _check_scalar(k)
+    if type(n) is not int or n < 1:
+        raise BadParameters(f"modulus must be positive, got {n!r}")
     return n // gcd(k % n, n)
 
 
@@ -393,10 +396,11 @@ def group_from_json(obj):
     return make_group(obj["m"], obj["orders"], obj["action"])
 
 
-def unsafe_spec(orders, m=1):
-    """Raw abelian-only carrier: GroupSpec with the identity action; only
-    the orders are checked to be integers. For the wedge layer over order
-    tuples that admit no fixed-point-free action; do not feed to su/cu.
+def unsafe_spec(orders):
+    """Raw abelian-only carrier: GroupSpec with m = 1 and the identity
+    action; only the orders are checked, as make_group checks them. For
+    the wedge layer over order tuples that admit no fixed-point-free
+    action; do not feed to su/cu.
     """
-    orders = int_tuple(orders, "orders")
-    return GroupSpec(m, orders, tuple(tuple(row) for row in identity(len(orders))))
+    orders = _orders(orders)
+    return GroupSpec(1, orders, tuple(tuple(row) for row in identity(len(orders))))

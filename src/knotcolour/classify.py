@@ -262,6 +262,8 @@ def rank2_nondiag_table(m, n, N, budget=TABLE_BUDGET):
     """
     if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 2):
         raise BadParameters("need integers m >= 1, n >= 2")
+    if not isinstance(N, (list, tuple)):
+        raise BadParameters(f"N must be a list or tuple of rows, got {N!r}")
     rows = tuple(abelian.int_tuple(row, "N row") for row in N)
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise BadParameters("N must be 2x2")

@@ -166,7 +166,6 @@ def _searched_lift(m, orders, N):
     return None
 
 
-@lru_cache(maxsize=None)
 def structured_lift(spec):
     """The first integer lift C of the action N (reduced mod n_i in row
     i) with C^m = I mod n_i^2 in row i, searching C_ij = N_ij + k n_i,
@@ -183,16 +182,24 @@ def structured_lift(spec):
     the linearised system misses, so the box is searched, BudgetExceeded
     past LIFT_BUDGET candidates.
     """
+    C = _lift(spec)
+    if C is None:
+        raise LiftFailure(
+            f"no lift of the action satisfies C^{spec.m} = I mod n_i^2")
+    return C
+
+
+@lru_cache(maxsize=None)
+def _lift(spec):
+    """structured_lift's lift as a tuple of rows, or None when none
+    exists: both outcomes are cached, so a spec is searched once."""
     m, orders = spec.m, spec.orders
     N = [[x % n for x in row] for row, n in zip(spec.action, orders)]
     if len(set(orders)) == 1:
         C = _hensel_lift(m, orders[0], N)
     else:
         C = _searched_lift(m, orders, N)
-    if C is None:
-        raise LiftFailure(
-            f"no lift of the action satisfies C^{m} = I mod n_i^2")
-    return tuple(tuple(row) for row in C)
+    return None if C is None else tuple(tuple(row) for row in C)
 
 
 def cu(data, nlift=None, vlift=None):
@@ -282,17 +289,24 @@ def vector_class(data):
 
 
 def y_obstruction(triples):
-    """Sum of multiplicity-scaled triple wedges: sum n_i (a_i ^ b_i ^ c_i)."""
-    items = list(triples)
-    if not items:
+    """Sum of multiplicity-scaled triple wedges: sum n_i (a_i ^ b_i ^ c_i),
+    from a list or tuple of ((a_i, b_i, c_i), n_i) pairs."""
+    if not isinstance(triples, (list, tuple)):
+        raise BadParameters(f"triples must be a list or tuple, got {triples!r}")
+    if not triples:
         raise BadParameters("need at least one triple")
     total = None
     spec = None
-    for triple, mult in items:
+    for item in triples:
+        try:
+            (a, b, c), mult = item
+        except (TypeError, ValueError):
+            raise BadParameters(
+                f"expected a ((a, b, c), multiplicity) pair, got {item!r}") \
+                from None
         if type(mult) is not int:
             raise BadParameters(
                 f"multiplicity must be an integer, got {mult!r}")
-        a, b, c = triple
         for e in (a, b, c):
             if not isinstance(e, abelian.GroupElement):
                 raise BadParameters("triple entries must be GroupElement")

@@ -313,9 +313,13 @@ def lambda2_inverse(data):
 
 def symplectic_reduce(matrix):
     """Unimodular P with P^T (M - M^T) P the g-fold block sum of
-    [[0, -1], [1, 0]]. Deterministic: the smallest-index pair with a
-    +-1 entry is the pivot; otherwise gcd-reduction column operations
-    are applied first. NotSymplecticable unless det(M - M^T) = 1.
+    [[0, -1], [1, 0]]; NotSymplecticable unless det(M - M^T) = 1.
+
+    P is the product of the congruences on S = M - M^T. Band b runs
+    Euclid on row b past b, pivoting on the first entry of least absolute
+    value; the +-1 entry left moves to column b + 1 (then b swaps with
+    b + 1 if it is +1), and rows b and b + 1 are cleared past b + 1.
+    The result is certified against standard_matrix.
     """
     M = _check_seifert(matrix, err=NotSymplecticable)
     size = len(M)
@@ -331,8 +335,6 @@ def symplectic_reduce(matrix):
             S[dst][j] += t * S[src][j]
 
     def swap(i, j):
-        if i == j:
-            return
         for row in S:
             row[i], row[j] = row[j], row[i]
         S[i], S[j] = S[j], S[i]
@@ -340,37 +342,16 @@ def symplectic_reduce(matrix):
             row[i], row[j] = row[j], row[i]
 
     for b in range(0, size, 2):
-        while True:
-            pivot = None
-            for i in range(b, size):
-                for j in range(i + 1, size):
-                    if abs(S[i][j]) == 1:
-                        pivot = (i, j)
-                        break
-                if pivot:
-                    break
-            if pivot:
-                break
-            # gcd-reduction: use the smallest nonzero entry to shrink its row
-            best = None
-            for i in range(b, size):
-                for j in range(i + 1, size):
-                    if S[i][j] and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                raise NotSymplecticable("form is degenerate on the remaining block")
-            i0, j0 = best
-            progressed = False
-            for j in range(b, size):
-                if j != j0 and j != i0 and S[i0][j] and abs(S[i0][j]) >= abs(S[i0][j0]):
-                    colop(j, j0, -(S[i0][j] // S[i0][j0]))
-                    progressed = True
-            if not progressed:
-                raise NotSymplecticable("gcd reduction stalled; form not unimodular")
-        i, j = pivot
-        swap(b, i)
-        j = i if j == b else j
-        swap(b + 1, j)
+        # Euclid on row b past b; one entry is left, and it is +-1, as
+        # the remaining block is unimodular
+        cols = [j for j in range(b + 1, size) if S[b][j]]
+        while len(cols) > 1:
+            p = min(cols, key=lambda j: abs(S[b][j]))
+            for j in cols:
+                if j != p:
+                    colop(j, p, -(S[b][j] // S[b][p]))
+            cols = [j for j in cols if S[b][j]]
+        swap(b + 1, cols[0])
         if S[b][b + 1] == 1:
             swap(b, b + 1)
         # S[b][b+1] == -1, S[b+1][b] == 1; clear the rest of the two rows
@@ -450,13 +431,10 @@ def apply_moves(data, moves):
 
 
 @lru_cache(maxsize=None)
-def _word_lengths(spec, basis_coords):
-    """Word length of every element of A over the symmetric generating set
-    {+-b}. Breadth-first walk; A is finite."""
-    gens = []
-    for b in basis_coords:
-        gens.append(b)
-        gens.append(tuple((-x) % n for x, n in zip(b, spec.orders)))
+def _word_lengths(spec, gens):
+    """Word length of every element of A over the generating sequence
+    gens of coordinate tuples (shorten_vector passes +-b for each basis
+    entry b). Breadth-first walk; A is finite."""
     dist = {(0,) * spec.rank: 0}
     frontier = [(0,) * spec.rank]
     while frontier:
@@ -502,11 +480,11 @@ def shorten_vector(data, ordered_basis):
     if abelian.group_order(spec) > 10 ** 6:
         raise BudgetExceeded("word-length table over A would be too large")
 
-    dist = _word_lengths(spec, tuple(b.coords for b in basis))
     orders = spec.orders
     exponent = lcm(*orders)
-    gen_seq = [g for b in basis for g in (
-        b.coords, tuple((-x) % n for x, n in zip(b.coords, orders)))]
+    gen_seq = tuple(g for b in basis for g in (
+        b.coords, tuple((-x) % n for x, n in zip(b.coords, orders))))
+    dist = _word_lengths(spec, gen_seq)
 
     NmI = [[(spec.action[i][j] - (1 if i == j else 0))
             for j in range(spec.rank)] for i in range(spec.rank)]

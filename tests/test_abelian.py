@@ -96,6 +96,12 @@ class TestUnsafeSpec:
         with pytest.raises(BadParameters):
             abelian.unsafe_spec(orders)
 
+    @pytest.mark.parametrize("orders", [(0, 3), (1, 3), (-4, 6), (), 5])
+    def test_checks_orders_as_make_group(self, orders):
+        """(0, 3) would build a spec whose elements divide by zero."""
+        with pytest.raises(BadParameters):
+            abelian.unsafe_spec(orders)
+
 
 class TestElements:
     def test_coords_reduced(self, d10):
@@ -321,6 +327,18 @@ class TestH3:
 
     def test_accepts_spec(self, a4):
         assert abelian.h3_order(a4) == 8
+
+    @pytest.mark.parametrize("orders", [(0, 3), (-4, 6), (1,), (True, 3),
+                                        (), 5, (2.0, 3)])
+    def test_rejects_bad_orders(self, orders):
+        with pytest.raises(BadParameters):
+            abelian.h3_order(orders)
+
+    @pytest.mark.parametrize("k, n", [(2.5, 5), (True, 5), ("2", 5),
+                                      (2, 5.0), (2, True), (2, 0)])
+    def test_additive_order_rejects(self, k, n):
+        with pytest.raises(BadParameters):
+            abelian.additive_order(k, n)
 
     def test_additive_order(self):
         assert abelian.additive_order(2, 7) == 7

@@ -237,6 +237,11 @@ class TestRank2Nondiag:
         with pytest.raises(BadParameters):
             classify.rank2_nondiag_table(3, 5, ((0, 1, 0), (4, 4, 0)))
 
+    @pytest.mark.parametrize("N", [7, None, ((0, 1), 4), ((0, 1), (4.0, 4))])
+    def test_rejects_malformed_n(self, N):
+        with pytest.raises(BadParameters):
+            classify.rank2_nondiag_table(3, 5, N)
+
     def test_rejects_non_unit_parameters(self):
         with pytest.raises(BadParameters):
             classify.rank2_nondiag_table(3, 6, ((0, 1), (3, 4)))

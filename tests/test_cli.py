@@ -55,6 +55,12 @@ class TestH3:
         code, got = run_json(capsys, ["h3"])
         assert code == 1 and got["error"]["type"] == "UsageError"
 
+    @pytest.mark.parametrize("argv", [["--orders", "0,3"],
+                                      ["--orders=-4,6"]])
+    def test_orders_below_two(self, capsys, argv):
+        code, got = run_json(capsys, ["h3"] + argv)
+        assert code == 2 and got["error"]["type"] == "BadParameters"
+
     def test_bad_orders_string(self, capsys):
         code, got = run_json(capsys, ["h3", "--orders", "2,x"])
         assert code == 1 and got["error"]["type"] == "UsageError"

@@ -175,6 +175,25 @@ class TestStructuredLift:
         with pytest.raises(BudgetExceeded):
             invariants.structured_lift(spec)
 
+    def test_lift_failure_searched_once(self, c6_93, monkeypatch):
+        """A LiftFailure is cached too: the second call raises the same
+        error without searching again."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return searched(*args)
+
+        searched = invariants._searched_lift
+        monkeypatch.setattr(invariants, "_searched_lift", counted)
+        invariants._lift.cache_clear()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(LiftFailure) as info:
+                invariants.structured_lift(c6_93)
+            messages.append(str(info.value))
+        assert len(calls) == 1 and messages[0] == messages[1]
+
     def test_cu_reads_lift_from_m3(self, monkeypatch):
         """cu takes no lift at m = 2, and still shape-checks an nlift."""
         def refuse(spec):
@@ -631,6 +650,17 @@ class TestYObstruction:
     def test_empty_rejected(self):
         with pytest.raises(BadParameters):
             invariants.y_obstruction([])
+
+    @pytest.mark.parametrize("shape", ["int", "pair", "short", "flat",
+                                       "generator"])
+    def test_rejects_malformed_items(self, z333, shape):
+        a, b, c = (abelian.element(z333, x)
+                   for x in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        triples = {"int": 5, "pair": [((a, b), 3)],
+                   "short": [((a, b, c),)], "flat": [(a, b, c)],
+                   "generator": (t for t in [((a, b, c), 1)])}[shape]
+        with pytest.raises(BadParameters):
+            invariants.y_obstruction(triples)
 
     def test_mixed_specs_rejected(self, z333, a4):
         t1 = ((abelian.zero(z333),) * 3, 1)

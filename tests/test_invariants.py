@@ -179,12 +179,12 @@ class TestStructuredLift:
         """A LiftFailure is cached too: the second call raises the same
         error without searching again."""
         calls = []
+        searched = invariants._searched_lift
 
         def counted(*args):
             calls.append(args)
             return searched(*args)
 
-        searched = invariants._searched_lift
         monkeypatch.setattr(invariants, "_searched_lift", counted)
         invariants._lift.cache_clear()
         messages = []

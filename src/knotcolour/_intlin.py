@@ -14,7 +14,7 @@ O(n^3).
 
 from math import prod
 
-from .errors import BudgetExceeded, NotUnimodular
+from .errors import BadParameters, BudgetExceeded, NotUnimodular
 
 
 def identity(n):
@@ -252,8 +252,11 @@ def kernel_mod(F, mods_in, mods_out, budget):
     if it has a column. In (U, d, V) = smith_mod(F, mods_out), the last
     k = len(mods_in) columns of V span the kernel over Z. There are
     prod(mods_in) d_1 ... d_l / prod(mods_out) solutions, l = len(mods_out);
-    BudgetExceeded, before any is listed, if over budget.
+    BudgetExceeded, before any is listed, if over budget, and
+    BadParameters if budget is not an int (a bool is not an int here).
     """
+    if type(budget) is not int:
+        raise BadParameters(f"budget must be an integer, got {budget!r}")
     k, l = len(mods_in), len(mods_out)
     _, d, V = smith_mod(F, mods_out)
     order = prod(mods_in) * prod(d) // prod(mods_out)

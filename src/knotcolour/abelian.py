@@ -185,6 +185,7 @@ def act(a):
 
 def act_pow(a, j):
     """t^j.a for any integer j (the action has order dividing m)."""
+    _check_scalar(j)
     out = a
     for _ in range(j % a.spec.m):
         out = act(out)

@@ -77,6 +77,8 @@ def _checked(data, name):
 
 
 def _check_budget(count, budget):
+    if type(budget) is not int:
+        raise BadParameters(f"budget must be an integer, got {budget!r}")
     if count > budget:
         raise BudgetExceeded(f"{count} table entries exceed budget {budget}")
 
@@ -111,7 +113,8 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
       table order but for (2, 1), which the per-entry path reaches after
       row k = 1. A block that passes at (1, 1) and (1, 2) passes, by
       affinity in l, on all of row k = 1; so the first entry that raises
-      (a DivisibilityFailure at m = 4, an odd Q over an even factor) is
+      (a DivisibilityFailure, which only m >= 4 can raise and there
+      always does, see invariants.cu; an odd Q over an even factor) is
       a sample, and it raises the per-entry error and message.
     Every derived entry is still validated, and InternalInconsistency
     raised if one fails.
@@ -241,12 +244,22 @@ def rank2_diag_table(m, n1, n2, xi1, xi2, budget=TABLE_BUDGET):
                        abelian.h3_order(spec), lower, tuple(notes))
 
 
+def _rows2x2(N):
+    """N as a 2x2 tuple of int rows; BadParameters otherwise."""
+    if not isinstance(N, (list, tuple)):
+        raise BadParameters(f"N must be a list or tuple of rows, got {N!r}")
+    rows = tuple(abelian.int_tuple(row, "N row") for row in N)
+    if len(rows) != 2 or any(len(r) != 2 for r in rows):
+        raise BadParameters("N must be 2x2")
+    return rows
+
+
 def nondiag_lower_bound(m, n, N):
     """Additive order of 6(1 + N22 + N22^2 - N21^2) mod n; only the m = 3
     case has a proven bound."""
     if m != 3:
         raise UnsupportedM(f"lower bound formula only covers m = 3, got {m}")
-    n21, n22 = N[1][0] % n, N[1][1] % n
+    n21, n22 = (x % n for x in _rows2x2(N)[1])
     return abelian.additive_order(6 * (1 + n22 + n22 * n22 - n21 * n21), n)
 
 
@@ -262,11 +275,7 @@ def rank2_nondiag_table(m, n, N, budget=TABLE_BUDGET):
     """
     if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 2):
         raise BadParameters("need integers m >= 1, n >= 2")
-    if not isinstance(N, (list, tuple)):
-        raise BadParameters(f"N must be a list or tuple of rows, got {N!r}")
-    rows = tuple(abelian.int_tuple(row, "N row") for row in N)
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise BadParameters("N must be 2x2")
+    rows = _rows2x2(N)
     if rows[0] != (0, 1):
         raise BadParameters("N must be in companion form [[0, 1], [N21, N22]]")
     n21, n22 = rows[1][0] % n, rows[1][1] % n

@@ -2,17 +2,18 @@
 vector, and the triple-wedge obstruction.
 
 su sums the epsilon pairing around the full t-orbit of the vector; cu pairs
-a structured lift of (V; t.V; ...; t^{m-2}.V) against the block tridiagonal
-linking form L(M). Both work per cyclic factor with that factor's modulus
-and return a group element; s is the form M^T - M on the columns of X.
+a lift of (V; t.V; ...; t^{m-2}.V) against the block tridiagonal linking
+form L(M), built with the action N at m <= 3 and with the structured lift
+C only at m >= 4, where cu always raises DivisibilityFailure. Both work
+per cyclic factor with that factor's modulus and return a group element;
+s is the form M^T - M on the columns of X.
 All three run on the integer coordinate matrix X of the vector (one row
 per entry) and read M only through the datum's product pair (MX, M^T X)
 over Z (SurfaceData._products), which validation shares. The lifts that
 su and cu pair are X times an r x r right factor (powers of the action
-N^T for su's orbit, of the structured lift C^T for cu's blocks), so
-their products are the pair times the same factor: no further product
-with M is formed. GroupElement and WedgeElement2 appear only in their
-values.
+N^T for su's orbit, of C^T for cu's blocks), so their products are the
+pair times the same factor: no further product with M is formed.
+GroupElement and WedgeElement2 appear only in their values.
 """
 
 from functools import lru_cache
@@ -203,27 +204,49 @@ def _lift(spec):
 
 
 def cu(data, nlift=None, vlift=None):
-    """Pair the structured lift x = (x_0; ...; x_{m-2}) of
-    (V; t.V; ...; t^{m-2}.V) against the block tridiagonal linking form
-    L(M), per factor c: Q = <x, L x / n>; for odd n return Q mod n, for
-    even n the pairing is even and the value is Q/2 mod n. L(M) has
-    diagonal blocks M + M^T, superdiagonal M^T and subdiagonal M, so
-    block a of L x is M (x_a + x_{a-1}) + M^T (x_a + x_{a+1}) with
-    x_{-1} = x_{m-1} = 0; it is applied block by block, never built.
+    """Pair the lift x = (x_0; ...; x_{m-2}) of (V; t.V; ...; t^{m-2}.V)
+    against the block tridiagonal linking form L(M), per factor c:
+    Q = <x, L x / n>; for odd n return Q mod n, for even n the pairing
+    is even and the value is Q/2 mod n. L(M) has diagonal blocks M + M^T,
+    superdiagonal M^T and subdiagonal M, so block a of L x is
+    M (x_a + x_{a-1}) + M^T (x_a + x_{a+1}) with x_{-1} = x_{m-1} = 0;
+    it is applied block by block, never built.
     Block a is X (C^T)^a, so M x_a and M^T x_a are the product pair
     (MX, M^T X) times (C^T)^a: the same integers as multiplying by M
     directly, so a DivisibilityFailure names the same entry.
 
-    The action lift C is read only for m >= 3: at m = 2 there is one
-    block, x_0 = V. Skipping it there hides no LiftFailure, since every
-    m = 2 group has a lift: make_group ensures N^2 = I on A with N - I
-    invertible, so (N - I)(N + I) = 0 forces N = -I on A; then
-    C = diag(n_i^2 - 1) lifts N and C^2 = I mod n_i^2.
+    C is the action N at m <= 3 and the structured lift only at m >= 4.
+    At m = 2 there is one block, x_0 = V, and C is not read. At m = 3
+    the blocks X and X N^T are the first two steps of su's orbit. Both
+    derivations below use the colouring equation M^T V = M t.V, which
+    gives M^T x_a = M x_{a+1} mod n, x_{a+1} any lift of t^{a+1} V in
+    column c (as in su).
+
+    m = 3: cu is the same for every integer C whose row c is N's mod
+    n_c, N itself and every structured lift among them. Here <x, L x> is
+    x_0^T (M + M^T) x_0 + 2 x_1^T M x_0 + x_1^T (M + M^T) x_1; replacing
+    x_1 by x_1 + n e changes it by 2 n e^T (M x_0 + (M + M^T) x_1)
+    + 2 n^2 e^T M e. Here M x_0 + (M + M^T) x_1 = M (1 + t + t^2) V = 0
+    mod n, since N^3 = I with N - I invertible forces N^2 + N + I = 0 on
+    A; call it n w. So Q changes by 2 n (e^T w + e^T M e), and Q mod n,
+    Q/2 mod n for even n and the parity of Q are unchanged. Every entry
+    of L x changes by a multiple of n, so no divisibility verdict moves.
+
+    m >= 4: no valid datum passes the per-entry division, so cu raises
+    DivisibilityFailure (after the lift's own LiftFailure or
+    BudgetExceeded). Suppose every entry divides, in every factor.
+    Block 0 of L x is M (1 + t + t^2) V and block 1 is
+    M (1 + t + t^2 + t^3) V mod n, so M sigma = 0 in A^2g for both sums
+    sigma. Then M^T sigma = t.(M sigma) = 0 by the colouring equation,
+    so (M - M^T) sigma = 0, and M - M^T is unimodular: both sums are 0.
+    Their difference t^3 V is 0, so V = 0, which does not generate A.
+    The lift only picks which entry the message names.
 
     ``nlift`` (r x r) and ``vlift`` (one row of r ints per entry) may
-    override the action lift and the minimal vector lift (testing hooks
-    for the well-definedness properties); a ``vlift``'s products with M
-    are computed here. An ``nlift`` is shape-checked at every m.
+    override C and the minimal vector lift (testing hooks for the
+    well-definedness properties); a ``vlift``'s products with M are
+    computed here. An ``nlift`` overrides C at every m and is
+    shape-checked at every m.
     """
     if not validate(data).valid:
         raise InvalidData("cu needs valid surface data")
@@ -236,8 +259,8 @@ def cu(data, nlift=None, vlift=None):
         C = _int_rows(nlift, r, "nlift")
         if len(C) != r:
             raise BadParameters(f"nlift must have {r} rows")
-    elif m > 2:
-        C = structured_lift(spec)
+    else:
+        C = spec.action if m <= 3 else structured_lift(spec)
     if vlift is None:
         base, products = data._coords, data._products
     else:

@@ -162,6 +162,11 @@ class TestElements:
         assert abelian.act_pow(e, 3).coords == (3,)
         assert abelian.act_pow(e, -1) == abelian.act_pow(e, 2)
 
+    @pytest.mark.parametrize("j", [2.5, True, "1", None])
+    def test_act_pow_rejects_non_int(self, c3z7, j):
+        with pytest.raises(BadParameters):
+            abelian.act_pow(abelian.element(c3z7, (3,)), j)
+
     def test_elements_lex(self, a4):
         assert [e.coords for e in abelian.elements(a4)] == \
             [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -13,8 +13,8 @@ from knotcolour.errors import (
     UnsupportedM,
 )
 
-from util import (outcome, per_entry_block, slow_cu, slow_structured_lift,
-                  slow_su)
+from util import (BAD_BUDGETS, outcome, per_entry_block, slow_cu,
+                  slow_structured_lift, slow_su)
 
 
 class TestMetacyclic:
@@ -256,6 +256,14 @@ class TestRank2Nondiag:
         with pytest.raises(DivisibilityFailure):
             classify.rank2_nondiag_table(4, 5, ((0, 1), (4, 0)))
 
+    @pytest.mark.parametrize("N", [7, None, ((0, 1),), ((0, 1), 4),
+                                   ((0, 1), (4, 4, 0)), ((0, 1), (4.0, 4))])
+    def test_lower_bound_rejects_malformed_n(self, N):
+        """The table's sequence and 2x2 check, with its messages."""
+        got = outcome(classify.nondiag_lower_bound, 3, 5, N)
+        assert got[0] is BadParameters
+        assert got == outcome(classify.rank2_nondiag_table, 3, 5, N)
+
     def test_lower_bound_wants_m3(self):
         assert classify.nondiag_lower_bound(3, 5, ((0, 1), (4, 4))) == 1
         assert classify.nondiag_lower_bound(3, 7, ((0, 1), (6, 6))) == 1
@@ -281,6 +289,16 @@ class TestBudget:
         with pytest.raises(BudgetExceeded,
                            match=f"{count} table entries exceed budget"):
             build(*params, budget=count - 1)
+
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    @pytest.mark.parametrize("build, params", [
+        (classify.metacyclic_table, (3, 7, 2)),
+        (classify.rank2_diag_table, (2, 3, 3, 2, 2)),
+        (classify.rank2_nondiag_table, (3, 5, ((0, 1), (4, 4)))),
+    ])
+    def test_rejects_untyped_budget(self, build, params, budget):
+        with pytest.raises(BadParameters, match="budget must be an integer"):
+            build(*params, budget=budget)
 
     def test_default_budget(self):
         # 10^7 + 1 entries; none is built

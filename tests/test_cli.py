@@ -125,6 +125,18 @@ class TestInvariant:
         assert got["cu"] == list(invariants.cu(data).coords)
         assert got["s"] == {"pairs": []}
 
+    def test_m3_without_searchable_lift(self, capsys, files):
+        """cu reads the action at m = 3, so a group whose lift search is
+        past the budget still gets a value."""
+        data = {"group": {"m": 3, "orders": [19, 361],
+                          "action": [[7, 0], [0, 292]]},
+                "seifert": [[19, 2, 0, 0], [3, 0, 0, 0], [0, 0, 361, 97],
+                            [0, 0, 98, 0]],
+                "vector": [[1, 0], [0, 0], [0, 1], [0, 0]]}
+        code, got = run_json(capsys, ["invariant", "--data",
+                                      files("c3.json", data)])
+        assert code == 0 and got["cu"] == [0, 0]
+
 
 class TestEnumerate:
     def test_trefoil_over_d6(self, capsys, files):

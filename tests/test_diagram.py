@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from knotcolour import abelian, classify, diagram, surface_data
 from knotcolour.errors import BadParameters, BudgetExceeded, GroupMismatch
-from util import FIG8_L, TREFOIL_L, backtrack_colourings
+from util import BAD_BUDGETS, FIG8_L, TREFOIL_L, backtrack_colourings
 
 TREFOIL_L_PD = ((-1, (0, 1, 2, 1)), (-1, (1, 2, 0, 2)), (-1, (2, 0, 1, 0)))
 TREFOIL_R_PD = ((1, (1, 0, 2, 0)), (1, (0, 2, 1, 2)), (1, (2, 1, 0, 1)))
@@ -194,6 +194,12 @@ class TestEnumerate:
         with pytest.raises(BudgetExceeded):
             diagram.enumerate_diagram_colourings(
                 diagram.catalog()["3_1^l"], d6, budget=2)
+
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    def test_rejects_untyped_budget(self, d6, budget):
+        with pytest.raises(BadParameters, match="budget must be an integer"):
+            diagram.enumerate_diagram_colourings(
+                diagram.catalog()["3_1^l"], d6, budget=budget)
 
     def test_budget_bounds_solutions(self, d6):
         # the crossing relations of 3_1 over D6 have 3 solutions, of

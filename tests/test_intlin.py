@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotcolour import _intlin as lin
-from knotcolour.errors import BudgetExceeded, NotUnimodular
-from util import dense_unimodular, rand_unimodular, slow_inverse_unimodular
+from knotcolour.errors import BadParameters, BudgetExceeded, NotUnimodular
+from util import (
+    BAD_BUDGETS, dense_unimodular, rand_unimodular, slow_inverse_unimodular)
 
 small = st.integers(-9, 9)
 
@@ -249,3 +250,9 @@ def test_kernel_mod_matches_brute_force(mods_in):
             lin.kernel_mod(F, mods_in, mods_out, len(want) - 1)
 
     check()
+
+
+@pytest.mark.parametrize("budget", BAD_BUDGETS)
+def test_kernel_mod_rejects_untyped_budget(budget):
+    with pytest.raises(BadParameters, match="budget must be an integer"):
+        lin.kernel_mod([[1]], (3,), (3,), budget)

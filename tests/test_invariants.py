@@ -194,20 +194,23 @@ class TestStructuredLift:
             messages.append(str(info.value))
         assert len(calls) == 1 and messages[0] == messages[1]
 
-    def test_cu_reads_lift_from_m3(self, monkeypatch):
-        """cu takes no lift at m = 2, and still shape-checks an nlift."""
+    def test_cu_reads_lift_from_m4(self, c4z5, monkeypatch):
+        """cu takes no lift at m = 2 or 3, takes one at m = 4, and still
+        shape-checks an nlift."""
         def refuse(spec):
             raise LiftFailure("not expected")
 
         d6_data = classify.metacyclic_table(2, 3, 2).entries[0].data
         c3z7_data = classify.metacyclic_table(3, 7, 2).entries[0].data
-        want = invariants.cu(d6_data)
+        c4z5_data = surface_data.make_data(c4z5, ((8, 0), (1, 1)),
+                                           [(1,), (3,)])
+        want = invariants.cu(d6_data), invariants.cu(c3z7_data)
         monkeypatch.setattr(invariants, "structured_lift", refuse)
-        assert invariants.cu(d6_data) == want
+        assert (invariants.cu(d6_data), invariants.cu(c3z7_data)) == want
         with pytest.raises(BadParameters):
             invariants.cu(d6_data, nlift=((8,), (0,)))
-        with pytest.raises(LiftFailure):
-            invariants.cu(c3z7_data)
+        with pytest.raises(LiftFailure, match="not expected"):
+            invariants.cu(c4z5_data)
 
 
 class TestCu:
@@ -546,6 +549,76 @@ class TestSlowOracles:
                 failures.append((d.spec, cu_got))
         assert {spec for spec, _ in failures} == {c4z5, rank2}
         assert all(kind is DivisibilityFailure for _, (kind, _) in failures)
+
+
+class TestCuDomain:
+    """The two derivations in cu's docstring: at m = 3 any integer C
+    congruent to the action N gives the same value, so cu reads N; at
+    m >= 4 no valid datum passes the per-entry division."""
+
+    def test_m3_any_congruent_action(self, c3z7, a4, c3_55):
+        """Random move chains from m = 3 table data: cu is unchanged when
+        row c of C is N's plus n_c times a random integer row (criterion
+        10 shifts a structured lift by n_c^2 only), and equals the dense
+        oracle under C = N."""
+        pool = [e.data for e in classify.metacyclic_table(3, 7, 2).entries]
+        pool += [e.data for e in classify.a4_representatives().entries]
+        pool += odd_pool(c3_55)
+        seen = set()
+
+        @settings(deadline=None, max_examples=60, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            steps = move_chain(rng, pool, rng.randrange(4))
+            data = steps[-1][1] if steps else rng.choice(pool)
+            spec = data.spec
+            want = invariants.cu(data)
+            assert want == slow_cu(data, spec.action)
+            for _ in range(3):
+                nlift = [[x + n * rng.randrange(-9, 10) for x in row]
+                         for row, n in zip(spec.action, spec.orders)]
+                assert invariants.cu(data, nlift=nlift) == want
+            seen.add(spec)
+
+        check()
+        assert seen == {c3z7, a4, c3_55}
+
+    def test_m5_always_fails_division(self):
+        """Every valid colouring of genus-1 and genus-2 matrices over
+        C5 x| Z/11 raises the oracle's DivisibilityFailure, message
+        included, under the structured lift and under C = N."""
+        spec = abelian.make_group(5, (11,), ((3,),))
+        g1 = [((-2, 0), (-1, -1)), ((-3, 1), (0, 3)), ((-1, 0), (-1, -2))]
+        # block sums, and a congruence of the first
+        g2 = [tuple(r + (0, 0) for r in a) + tuple((0, 0) + r for r in b)
+              for a, b in ((g1[0], g1[1]), (g1[2], g1[2]))]
+        U = rand_unimodular(random.Random(5), 4)
+        g2.append(mat_mul(mat_mul(transpose(U), g2[0]), U))
+        for M in g1 + g2:
+            found = surface_data.enumerate_colourings(M, spec)
+            assert found
+            for V in found:
+                data = surface_data.SurfaceData(spec, M, V)
+                for nlift in (None, spec.action):
+                    got = outcome(invariants.cu, data, nlift)
+                    assert got == outcome(slow_cu, data, nlift)
+                    assert got[0] is DivisibilityFailure
+
+    def test_m3_without_searchable_lift(self):
+        """C3 x| (Z/19 x Z/361): the unequal-order lift search has
+        19^2 * 361^2 = 47,045,881 candidates, past the budget, yet cu has
+        a value, since it reads N at m = 3."""
+        spec = abelian.make_group(3, (19, 361), ((7, 0), (0, 292)))
+        data = surface_data.make_data(
+            spec, ((19, 2, 0, 0), (3, 0, 0, 0), (0, 0, 361, 97),
+                   (0, 0, 98, 0)),
+            ((1, 0), (0, 0), (0, 1), (0, 0)))
+        assert surface_data.validate(data).valid
+        with pytest.raises(BudgetExceeded, match="47045881 lift candidates"):
+            invariants.structured_lift(spec)
+        assert invariants.cu(data) == slow_cu(data, spec.action)
+        assert invariants.cu(data).coords == (0, 0)
 
 
 class TestProductPair:

@@ -20,9 +20,9 @@ from knotcolour.errors import (
 )
 from test_acceptance import brute_force
 from util import (
-    TREFOIL_L, FIG8_L, dense_unimodular, move_chain, move_pool, odd_pool,
-    rand_unimodular, random_move, slow_inverse_unimodular, slow_mat_apply,
-    slow_validate, slow_vector_class)
+    BAD_BUDGETS, TREFOIL_L, FIG8_L, dense_unimodular, move_chain, move_pool,
+    odd_pool, rand_unimodular, random_move, slow_inverse_unimodular,
+    slow_mat_apply, slow_validate, slow_vector_class)
 
 
 def random_seifert(rng, specs):
@@ -336,6 +336,11 @@ class TestEnumerate:
     def test_budget(self, d6):
         with pytest.raises(BudgetExceeded):
             surface_data.enumerate_colourings(TREFOIL_L, d6, budget=2)
+
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    def test_rejects_untyped_budget(self, d6, budget):
+        with pytest.raises(BadParameters, match="budget must be an integer"):
+            surface_data.enumerate_colourings(TREFOIL_L, d6, budget=budget)
 
     def test_budget_bounds_solutions(self, d6):
         # M^T V = M (t.V) has 3 solutions over D6, of which 2 generate

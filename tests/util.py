@@ -29,6 +29,8 @@ TREFOIL_L = ((-1, 1), (0, -1))
 TREFOIL_R = ((1, 0), (-1, 1))
 FIG8_L = ((1, 1), (0, -1))
 FIG8_R = ((-1, 0), (-1, 1))
+# budgets that are not ints: a string, None, a bool and a float
+BAD_BUDGETS = ("x", None, True, 2.5)
 
 
 def rand_unimodular(rng, n, ops=6):

@@ -7,9 +7,10 @@ row-major. Sizes in this package stay small (at most a few dozen rows),
 so clarity wins over asymptotics, except for sparsity that costs nothing
 to use: mat_mul skips the zero entries of its left factor, and
 inverse_unimodular touches only the rows that have a nonzero entry in
-the pivot column. So a product whose left factor is a few
-transvections, or the inverse of such a matrix, costs O(n^2), not
-O(n^3).
+the pivot column. The moves do not lean on either for U:
+surface_data.lambda1 inverts only the block of U on the columns where
+U differs from the identity and reads the rest of U through its
+nonzero entries.
 """
 
 from math import prod
@@ -112,9 +113,7 @@ def inverse_unimodular(A):
                     R[i] = [x - q * y for x, y in zip(R[i], Rp)]
             rows = [i for i in rows if R[i][k]]
         if not rows or abs(R[rows[0]][k]) != 1:
-            D = smith(A)[1]
-            raise NotUnimodular(
-                f"Smith diagonal {[D[i][i] for i in range(n)]}, expected all 1")
+            raise not_unimodular(A)
         p = rows[0]
         R[k], R[p] = R[p], R[k]
         if R[k][k] < 0:
@@ -125,6 +124,14 @@ def inverse_unimodular(A):
             if q:
                 R[i] = [x - q * y for x, y in zip(R[i], Rk)]
     return [row[n:] for row in R]
+
+
+def not_unimodular(A):
+    """The NotUnimodular error for a square A that is not unimodular,
+    naming its Smith diagonal."""
+    D = smith(A)[1]
+    return NotUnimodular(
+        f"Smith diagonal {[D[i][i] for i in range(len(A))]}, expected all 1")
 
 
 def smith(A):

@@ -37,6 +37,15 @@ class GroupSpec:
     orders: tuple
     action: tuple
 
+    def __post_init__(self):
+        # the generated hash re-hashes the nested tuples on every cache
+        # lookup keyed on a spec; the value is the same
+        object.__setattr__(
+            self, "_hash", hash((self.m, self.orders, self.action)))
+
+    def __hash__(self):
+        return self._hash
+
     @property
     def rank(self):
         return len(self.orders)
@@ -74,12 +83,16 @@ def _check_scalar(k):
         raise BadParameters(f"scalar must be an integer, got {k!r}")
 
 
+# the one type int_tuple accepts, for a C-level pass over the entry types
+_INT = frozenset((int,))
+
+
 def int_tuple(values, what):
     """values as a tuple of ints, coercing nothing: BadParameters unless
     values is a list or tuple of ints (a bool is not an int here)."""
     if not isinstance(values, (list, tuple)):
         raise BadParameters(f"{what} must be a list or tuple, got {values!r}")
-    if any(type(v) is not int for v in values):
+    if not _INT.issuperset(map(type, values)):
         raise BadParameters(f"{what} must be integers, got {values!r}")
     return tuple(values)
 
@@ -146,10 +159,17 @@ def zero(spec):
     return GroupElement(spec, (0,) * spec.rank)
 
 
+def _as_element(a):
+    """a itself; BadParameters unless it is a GroupElement."""
+    if not isinstance(a, GroupElement):
+        raise BadParameters(f"expected a GroupElement, got {a!r}")
+    return a
+
+
 def _same_spec(*elems):
-    s = elems[0].spec
+    s = _as_element(elems[0]).spec
     for e in elems[1:]:
-        if e.spec != s:
+        if _as_element(e).spec != s:
             raise GroupMismatch("elements belong to different group specs")
     return s
 
@@ -160,7 +180,7 @@ def add(a, b):
 
 
 def neg(a):
-    return GroupElement(a.spec, tuple(-x for x in a.coords))
+    return GroupElement(_as_element(a).spec, tuple(-x for x in a.coords))
 
 
 def sub(a, b):
@@ -171,20 +191,22 @@ def sub(a, b):
 def mul(k, a):
     """Integer multiple k.a, reduced mod each factor order."""
     _check_scalar(k)
-    return GroupElement(a.spec, tuple(k * x for x in a.coords))
+    return GroupElement(_as_element(a).spec, tuple(k * x for x in a.coords))
 
 
 def act(a):
     """t.a: apply the action matrix once."""
-    N = a.spec.action
-    r = a.spec.rank
+    spec = _as_element(a).spec
+    N = spec.action
+    r = spec.rank
     return GroupElement(
-        a.spec,
+        spec,
         tuple(sum(N[i][j] * a.coords[j] for j in range(r)) for i in range(r)))
 
 
 def act_pow(a, j):
     """t^j.a for any integer j (the action has order dividing m)."""
+    _as_element(a)
     _check_scalar(j)
     out = a
     for _ in range(j % a.spec.m):

@@ -256,9 +256,12 @@ def _rows2x2(N):
 
 def nondiag_lower_bound(m, n, N):
     """Additive order of 6(1 + N22 + N22^2 - N21^2) mod n; only the m = 3
-    case has a proven bound."""
+    case has a proven bound. BadParameters unless n is an int >= 1 (a
+    bool is not an int here), checked before N is reduced mod n."""
     if m != 3:
         raise UnsupportedM(f"lower bound formula only covers m = 3, got {m}")
+    if type(n) is not int or n < 1:
+        raise BadParameters(f"n must be a positive integer, got {n!r}")
     n21, n22 = (x % n for x in _rows2x2(N)[1])
     return abelian.additive_order(6 * (1 + n22 + n22 * n22 - n21 * n21), n)
 

@@ -26,6 +26,7 @@ from ._intlin import (
     identity,
     inverse_unimodular,
     mat_mul,
+    not_unimodular,
     smith_mod,
     solve_mod,
     transpose,
@@ -38,6 +39,7 @@ from .errors import (
     InvalidData,
     NonGenerating,
     NotSymplecticable,
+    NotUnimodular,
     PatternMismatch,
 )
 
@@ -225,22 +227,63 @@ def lambda1(data, U):
     """Unimodular congruence: (M, V) -> (U^T M U, U^-1 V); NotUnimodular
     when det U != +-1.
 
-    U^T M U is computed as (U^T (U^T M)^T)^T, which is the same matrix:
-    both products then have U^T on the left, where mat_mul skips zero
-    entries, so a sparse U (the transvections of walks and
-    shorten_vector) costs O(n^2) instead of O(n^3). U^-1 V is U^-1 times
-    the coordinate rows of V, also with U^-1 on the left.
+    J is the sorted set of columns where U differs from the identity;
+    every column j outside J is e_j. Ordering the columns as (J, J') makes
+    U block lower-triangular, U = [[U_JJ, 0], [U_J'J, I]]. Hence:
+    - det U = det U_JJ, and only U_JJ is inverted;
+    - Y = U^-1 X, X the coordinate rows of V, has Y_J = U_JJ^-1 X_J and
+      Y_i = X_i - sum_{j in J} U_ij Y_j for i outside J;
+    - W = M U differs from M only in the columns in J, and W_ik, k in J,
+      sums M_ij U_jk over the nonzeros of column k of U;
+    - U^T W differs from W only in the rows in J, and row k sums the rows
+      U_jk W_j over the same nonzeros.
+    Past the read of U, a U of a few transvections (walks and
+    shorten_vector) costs O(n |J|), and a dense U what a dense product
+    costs. The failure message names the Smith diagonal of the whole U.
     """
     size = data.size
     Ur = _as_matrix(U)
     if len(Ur) != size:
         raise BadParameters(f"U must be {size}x{size}")
-    Uinv = inverse_unimodular(Ur)
-    Ut = transpose(Ur)
-    M2 = transpose(mat_mul(Ut, transpose(mat_mul(Ut, data.matrix))))
-    X2 = tuple(tuple(map(mod, row, data.spec.orders))
-               for row in mat_mul(Uinv, data._coords))
-    return SurfaceData._moved(data.spec, tuple(tuple(r) for r in M2), X2)
+    entries = range(size)
+    # off[i]: the columns j != i of the nonzero entries of row i
+    off = [[j for j in compress(entries, row) if j != i]
+           for i, row in enumerate(Ur)]
+    J = sorted({j for js in off for j in js}.union(
+        i for i, row in enumerate(Ur) if row[i] != 1))
+    try:
+        inv = inverse_unimodular([[Ur[i][j] for j in J] for i in J])
+    except NotUnimodular:
+        raise not_unimodular(Ur) from None
+    # the nonzero entries (j, U_jk) of each column k in J
+    cols = {k: [(k, Ur[k][k])] if Ur[k][k] else [] for k in J}
+    for i, js in enumerate(off):
+        for j in js:
+            cols[j].append((i, Ur[i][j]))
+    W = []
+    for row in data.matrix:
+        w = list(row)
+        for k, col in cols.items():
+            w[k] = sum(row[j] * a for j, a in col)
+        W.append(w)
+    M2 = list(map(tuple, W))
+    for k, col in cols.items():
+        acc = [0] * size
+        for j, a in col:
+            acc = [x + a * y for x, y in zip(acc, W[j])]
+        M2[k] = tuple(acc)
+    orders, X = data.spec.orders, data._coords
+    Y = list(X)
+    for j, y in zip(J, mat_mul(inv, [X[j] for j in J])):
+        Y[j] = tuple(map(mod, y, orders))
+    for i, js in enumerate(off):
+        if js and i not in cols:  # a row outside J with entries in J
+            y = X[i]
+            for j in js:
+                a = Ur[i][j]
+                y = [x - a * z for x, z in zip(y, Y[j])]
+            Y[i] = tuple(map(mod, y, orders))
+    return SurfaceData._moved(data.spec, tuple(M2), tuple(Y))
 
 
 def _lambda2_tail(spec, X, c, variant):

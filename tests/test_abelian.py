@@ -84,6 +84,33 @@ class TestMakeGroup:
         assert abelian.act(s2).coords == (1, 1)
 
 
+class TestSpecHash:
+    def test_hash_is_the_generated_one(self, d6, a4, c2_35):
+        """The cached hash is the dataclass hash of (m, orders, action),
+        and == still compares the three fields."""
+        raw = abelian.GroupSpec(2, (3,), ((2,),))
+        for spec in (d6, a4, c2_35, raw, abelian.unsafe_spec((4, 6))):
+            assert hash(spec) == hash((spec.m, spec.orders, spec.action))
+        assert raw == d6 and hash(raw) == hash(d6)
+        assert len({raw, d6}) == 1
+        assert abelian.GroupSpec(2, (3,), ((1,),)) != d6
+        assert abelian.GroupSpec(3, (3,), ((2,),)) != d6
+        assert repr(d6) == "GroupSpec(m=2, orders=(3,), action=((2,),))"
+
+
+class TestIntTuple:
+    @pytest.mark.parametrize("values", [(1, True), [2.0], (1, "2"),
+                                        (None,)])
+    def test_rejects_non_ints(self, values):
+        with pytest.raises(BadParameters) as err:
+            abelian.int_tuple(values, "row")
+        assert str(err.value) == f"row must be integers, got {values!r}"
+
+    def test_accepts_ints(self):
+        assert abelian.int_tuple([3, -1, 0], "row") == (3, -1, 0)
+        assert abelian.int_tuple((), "row") == ()
+
+
 class TestUnsafeSpec:
     def test_identity_action(self):
         spec = abelian.unsafe_spec((4, 6))
@@ -150,6 +177,21 @@ class TestElements:
         assert abelian.mul(-3, e).coords == (2,)
         with pytest.raises(BadParameters):
             abelian.mul(k, e)
+
+    @pytest.mark.parametrize("call", [
+        lambda e: abelian.add(5, e), lambda e: abelian.add(e, (1,)),
+        lambda e: abelian.sub(e, None), lambda e: abelian.sub(e.coords, e),
+        lambda e: abelian.neg(5), lambda e: abelian.mul(2, (1,)),
+        lambda e: abelian.act(5), lambda e: abelian.act_pow(5, 1),
+        lambda e: abelian.add(abelian.wedge2_zero(e.spec), e),
+    ], ids=["add_left", "add_right", "sub_right", "sub_coords", "neg",
+            "mul", "act", "act_pow", "add_wedge"])
+    def test_arithmetic_rejects_non_elements(self, d10, call):
+        """An operand that is not a GroupElement is a BadParameters, not
+        a bare AttributeError."""
+        with pytest.raises(BadParameters,
+                           match="^expected a GroupElement, got "):
+            call(abelian.element(d10, (1,)))
 
     def test_mixing_specs_raises(self, d6, d10):
         with pytest.raises(GroupMismatch):

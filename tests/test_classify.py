@@ -264,6 +264,18 @@ class TestRank2Nondiag:
         assert got[0] is BadParameters
         assert got == outcome(classify.rank2_nondiag_table, 3, 5, N)
 
+    @pytest.mark.parametrize("n", [0, -5, 5.0, True, "5", None])
+    def test_lower_bound_rejects_bad_n(self, n):
+        """n is checked before N is reduced mod n: 0 was a bare
+        ZeroDivisionError, and 5.0 named the wrong argument."""
+        with pytest.raises(BadParameters) as err:
+            classify.nondiag_lower_bound(3, n, ((0, 1), (4, 4)))
+        assert str(err.value) == f"n must be a positive integer, got {n!r}"
+        with pytest.raises(BadParameters, match="^n must be"):
+            classify.nondiag_lower_bound(3, n, "not a matrix")
+        with pytest.raises(UnsupportedM):
+            classify.nondiag_lower_bound(2, n, ((0, 1), (4, 4)))
+
     def test_lower_bound_wants_m3(self):
         assert classify.nondiag_lower_bound(3, 5, ((0, 1), (4, 4))) == 1
         assert classify.nondiag_lower_bound(3, 7, ((0, 1), (6, 6))) == 1

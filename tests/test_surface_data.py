@@ -471,6 +471,147 @@ class TestLambda1:
         check()
 
 
+def grown(data, size, seed):
+    """data stabilised by seeded lambda2 moves up to at least size."""
+    rng = random.Random(seed)
+    while data.size < size:
+        c = [rng.randrange(-2, 3) for _ in range(data.size)]
+        data = surface_data.lambda2(data, c, rng.choice((1, 2)))
+    return data
+
+
+def identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+class TestLambda1Split:
+    """lambda1 inverts only the block U_JJ, J the columns where U differs
+    from the identity; checked against the dense (U^T M) U and the
+    Smith-form inverse, with equal repr."""
+
+    @pytest.fixture
+    def pool(self, d10, a4):
+        bases = (surface_data.make_data(d10, FIG8_L, [(1,), (3,)]),
+                 surface_data.make_data(a4, TREFOIL_L, [(0, 1), (1, 1)]))
+        return [grown(base, size, seed) for seed, base in enumerate(bases)
+                for size in (2, 12, 40)]
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """The size of every block lambda1 passes to inverse_unimodular."""
+        sizes = []
+
+        def spy(A):
+            sizes.append(len(A))
+            return inverse_unimodular(A)
+
+        monkeypatch.setattr(surface_data, "inverse_unimodular", spy)
+        return sizes
+
+    @staticmethod
+    def check(data, U):
+        moved = surface_data.lambda1(data, U)
+        M = mat_mul(mat_mul(transpose(U), data.matrix), U)
+        V = slow_mat_apply(slow_inverse_unimodular(U), data.vector, data.spec)
+        want = surface_data.SurfaceData(data.spec, M, V)
+        assert moved == want
+        assert repr(moved) == repr(want)
+        assert surface_data.validate(moved).valid
+        return moved
+
+    def test_identity(self, pool, blocks):
+        for data in pool:
+            assert self.check(data, identity_rows(data.size)) == data
+        assert set(blocks) == {0}
+
+    def test_signed_diagonal(self, pool, blocks):
+        rng = random.Random(1)
+        for data in pool:
+            U = identity_rows(data.size)
+            flips = rng.sample(range(data.size), data.size // 2 or 1)
+            for i in flips:
+                U[i][i] = -1
+            self.check(data, U)
+            assert blocks[-1] == len(flips)
+
+    def test_column_permutation(self, pool, blocks):
+        rng = random.Random(2)
+        for data in pool:
+            n = data.size
+            perm = list(range(n))
+            rng.shuffle(perm)
+            self.check(data, [[int(perm[i] == j) for j in range(n)]
+                              for i in range(n)])
+            assert blocks[-1] == sum(perm[i] != i for i in range(n))
+
+    def test_outside_rows_reach_into_j(self, pool, blocks):
+        """Rows outside J carry entries in the columns of J, so
+        Y_i = X_i - sum_j U_ij Y_j runs with a nontrivial U_JJ^-1."""
+        rng = random.Random(3)
+        for data in pool[1:3] + pool[4:]:
+            n = data.size
+            J = sorted(rng.sample(range(n), 2))
+            U = identity_rows(n)
+            (a, b), (c, d) = (2, 1), (1, 1)  # det 1
+            U[J[0]][J[0]], U[J[0]][J[1]] = a, b
+            U[J[1]][J[0]], U[J[1]][J[1]] = c, d
+            for i in set(range(n)) - set(J):
+                if rng.random() < 0.5:
+                    U[i][rng.choice(J)] = rng.choice((-3, -1, 2, 5))
+            self.check(data, U)
+            assert blocks[-1] == 2
+
+    def test_dense(self, pool, blocks):
+        rng = random.Random(4)
+        for data in pool:
+            U = dense_unimodular(rng, data.size)
+            self.check(data, U)
+            assert blocks[-1] == sum(
+                any(U[i][j] != (i == j) for i in range(data.size))
+                for j in range(data.size))
+
+    def test_empty(self, d6, blocks):
+        empty = surface_data.make_data(d6, (), [])
+        moved = surface_data.lambda1(empty, ())
+        assert moved == empty and repr(moved) == repr(empty)
+        assert blocks == [0]
+
+    @pytest.mark.parametrize("kind", ["zero_column", "two_in_block",
+                                      "singular_block"])
+    def test_not_unimodular_message(self, pool, kind):
+        """The message names the Smith diagonal of the whole U, as the
+        full inverse did, not that of U_JJ."""
+        data = pool[2]
+        assert data.size == 40
+        U = identity_rows(40)
+        U[3][17] = -1
+        if kind == "zero_column":
+            for row in U:
+                row[8] = 0
+            want = [1] * 39 + [0]
+        elif kind == "two_in_block":
+            U[17][17] = 2
+            want = [1] * 39 + [2]
+        else:
+            U[17][3], U[3][3], U[17][17] = 1, 1, -1  # columns 3, 17 equal
+            want = [1] * 39 + [0]
+        with pytest.raises(NotUnimodular) as oracle:
+            slow_inverse_unimodular(U)
+        with pytest.raises(NotUnimodular) as err:
+            surface_data.lambda1(data, U)
+        assert str(err.value) == str(oracle.value) == \
+            f"Smith diagonal {want}, expected all 1"
+
+    def test_one_transvection_inverts_one_entry(self, pool, blocks):
+        """Regression guard for the split: a single transvection at size
+        40 inverts a 1x1 block, not the whole U."""
+        data = pool[2]
+        U = identity_rows(40)
+        U[3][17] = -1
+        self.check(data, U)
+        assert blocks == [1]
+
+
 class TestLambda2:
     def test_variant2_frozen(self, d6):
         data = surface_data.make_data(d6, TREFOIL_L, [(1,), (2,)])

@@ -1,6 +1,7 @@
 """Exact integer linear algebra: products, determinants, the unimodular
-inverse, Smith normal form, and the solves and kernels over Z/n built
-on it.
+inverse, Smith normal form and the solves over Z/n built on it, and one
+column echelon over Z for the kernels over Z/n and their index (which
+decides generation).
 
 Everything here works on plain lists/tuples of Python ints; matrices are
 row-major. Sizes in this package stay small (at most a few dozen rows),
@@ -253,26 +254,66 @@ def solve_mod(C, target, mods):
     return mat_vec(V[:len(V) - len(d)], [ci // di for ci, di in zip(c, d)])
 
 
+def echelon_mod(F, mods):
+    """The index and kernel lattice of F modulo per-row moduli, by one
+    column (Hermite) echelon over Z (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4) instead of Smith's two-sided form.
+
+    F has l = len(mods) rows of k entries each. Column-reduce
+    [[F, diag(mods)], [I_k, 0]] on its top l rows. In row i, Euclid
+    passes reduce the live columns by the one of least |entry| there
+    until a single live column is nonzero in row i; it is that row's
+    pivot and is retired. [F | diag(mods)] has full row rank, so every
+    row gets a pivot and the top rows end lower triangular. Column
+    operations are unimodular, so:
+    - index = prod |pivot| is the order of (prod Z/mods) / F(Z^k), which
+      is prod(smith_mod(F, mods)[1]);
+    - the k columns left over vanish on the top rows, and their bottom
+      rows span {x in Z^k : F x = 0 mod mods} over Z.
+    Returns (index, those k columns as lists of length k).
+    """
+    l = len(mods)
+    k = len(F[0]) if F else 0
+    cols = [[F[i][j] for i in range(l)] + [int(j == c) for c in range(k)]
+            for j in range(k)]
+    cols += [[n if c == i else 0 for c in range(l)] + [0] * k
+             for i, n in enumerate(mods)]
+    index = 1
+    for i in range(l):
+        live = [c for c in cols if c[i]]
+        while len(live) > 1:
+            p = min(live, key=lambda c: abs(c[i]))
+            a = p[i]
+            for c in live:
+                if c is not p:
+                    q = c[i] // a
+                    c[i:] = [x - q * y for x, y in zip(c[i:], p[i:])]
+            live = [c for c in live if c[i]]
+        index *= abs(live[0][i])
+        cols.remove(live[0])
+    return index, [c[l:] for c in cols]
+
+
 def kernel_mod(F, mods_in, mods_out, budget):
     """Every x in prod Z/mods_in with F x = 0 mod mods_out, sorted. F is
     well defined there (mods_out[i] | F[i][j] mods_in[j]) and has a row
-    if it has a column. In (U, d, V) = smith_mod(F, mods_out), the last
-    k = len(mods_in) columns of V span the kernel over Z. There are
-    prod(mods_in) d_1 ... d_l / prod(mods_out) solutions, l = len(mods_out);
-    BudgetExceeded, before any is listed, if over budget, and
-    BadParameters if budget is not an int (a bool is not an int here).
+    if it has a column. In (index, K) = echelon_mod(F, mods_out), the k =
+    len(mods_in) columns of K span the kernel over Z, and there are
+    prod(mods_in) index / prod(mods_out) solutions; BudgetExceeded, before
+    any is listed, if over budget, and BadParameters if budget is not an
+    int (a bool is not an int here).
     """
     if type(budget) is not int:
         raise BadParameters(f"budget must be an integer, got {budget!r}")
-    k, l = len(mods_in), len(mods_out)
-    _, d, V = smith_mod(F, mods_out)
-    order = prod(mods_in) * prod(d) // prod(mods_out)
+    k = len(mods_in)
+    index, K = echelon_mod(F, mods_out)
+    order = prod(mods_in) * index // prod(mods_out)
     if order > budget:
         raise BudgetExceeded(f"{order} solutions exceed budget {budget}")
     span = {(0,) * k}
-    for j in range(l, l + k):
-        g = [V[i][j] % n for i, n in enumerate(mods_in)]
-        steps, x = [], tuple(g)  # coset representatives of span in span+<g>
+    for col in K:
+        g = tuple(v % n for v, n in zip(col, mods_in))
+        steps, x = [], g  # coset representatives of span in span+<g>
         while x not in span:
             steps.append(x)
             x = tuple((a + b) % n for a, b, n in zip(x, g, mods_in))

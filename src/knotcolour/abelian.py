@@ -14,7 +14,7 @@ from math import gcd, prod
 import operator
 from operator import mod
 
-from ._intlin import det, identity, kernel_mod, mat_pow, smith_mod
+from ._intlin import det, echelon_mod, identity, kernel_mod, mat_pow
 from .errors import (
     BadParameters,
     FixedPoints,
@@ -226,14 +226,31 @@ def linear_kernel(P, Q, spec, budget):
     """Every V in A^n with (P + Q.t) V = 0, for integer matrices P and Q
     of one shape, as n reduced coordinate rows in lexicographic order
     (see kernel_mod). Entry (i, j) acts on A as P_ij I + Q_ij N, N the action.
+    BadParameters unless spec is a GroupSpec and P and Q share one shape.
     """
-    N, orders, r = spec.action, spec.orders, spec.rank
+    if not isinstance(spec, GroupSpec):
+        raise BadParameters(f"expected a GroupSpec, got {spec!r}")
     n = len(P[0]) if P else 0
+    if len(Q) != len(P) or any(len(row) != n for row in (*P, *Q)):
+        raise BadParameters("P and Q must be matrices of one shape")
+    N, orders, r = spec.action, spec.orders, spec.rank
     F = [[P[i][j] * (c == d) + Q[i][j] * N[c][d]
           for j in range(n) for d in range(r)]
          for i in range(len(P)) for c in range(r)]
     return [tuple(x[j * r:(j + 1) * r] for j in range(n))
             for x in kernel_mod(F, orders * n, orders * len(P), budget)]
+
+
+def elements_of_rows(spec, vectors):
+    """Each vector of coordinate rows as a tuple of GroupElements, built
+    through the validating constructor once per distinct row; equal rows
+    share one (immutable) element."""
+    made = {}
+    for V in vectors:
+        for x in V:
+            if x not in made:
+                made[x] = GroupElement(spec, x)
+    return [tuple(map(made.__getitem__, V)) for V in vectors]
 
 
 def group_order(spec):
@@ -249,13 +266,13 @@ def elements(spec):
 def _coords_generate(spec, coord_tuples):
     """Whether the given coordinate tuples generate A.
 
-    They do exactly when the relation matrix [g_1 ... g_k | diag(orders)]
-    has r Smith invariant factors equal to 1, i.e. its columns span Z^r.
+    They do exactly when the columns of the relation matrix
+    [g_1 ... g_k | diag(orders)] span Z^r, i.e. its echelon index is 1.
     """
     if not coord_tuples:
         return False
     F = [[g[i] for g in coord_tuples] for i in range(spec.rank)]
-    return all(d == 1 for d in smith_mod(F, spec.orders)[1])
+    return echelon_mod(F, spec.orders)[0] == 1
 
 
 def generates(elems, spec=None):

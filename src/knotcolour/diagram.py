@@ -100,6 +100,8 @@ def enumerate_diagram_colourings(diagram, spec, budget=10 ** 7):
     over the non-base arcs (ascending arc id). A crossing with out = in *
     over is the relation out - t.in + (t - 1).over = 0 over A (a negative
     crossing swaps in and out); BudgetExceeded past budget solutions."""
+    if not isinstance(diagram, Diagram):
+        raise BadParameters(f"expected a Diagram, got {diagram!r}")
     free = [a for a in diagram.arcs if a != diagram.base_arc]
     col = {a: j for j, a in enumerate(free)}
     P, Q = ([[0] * len(free) for _ in diagram.crossings] for _ in range(2))
@@ -109,11 +111,12 @@ def enumerate_diagram_colourings(diagram, spec, budget=10 ** 7):
             if arc in col:
                 P[row][col[arc]] += p
                 Q[row][col[arc]] += q
-    base = {diagram.base_arc: abelian.zero(spec)}
-    return [QuandleColouring({**base, **{
-                a: abelian.GroupElement(spec, x) for a, x in zip(free, rows)}})
-            for rows in abelian.linear_kernel(P, Q, spec, budget)
-            if _surjective(rows, spec)]
+    found = abelian.linear_kernel(P, Q, spec, budget)
+    zero = (0,) * spec.rank
+    kept = [(zero,) + rows for rows in found if _surjective(rows, spec)]
+    arcs = [diagram.base_arc] + free
+    return [QuandleColouring(dict(zip(arcs, labels)))
+            for labels in abelian.elements_of_rows(spec, kept)]
 
 
 # ---------------------------------------------------------------------------

@@ -215,8 +215,9 @@ def enumerate_colourings(matrix, spec, budget=10 ** 7):
     M = _check_seifert(matrix)
     negM = [[-x for x in row] for row in M]
     found = abelian.linear_kernel(transpose(M), negM, spec, budget)
-    return [tuple(abelian.GroupElement(spec, x) for x in V) for V in found
-            if abelian._coords_generate(spec, tuple(sorted(set(V))))]
+    return abelian.elements_of_rows(spec, [
+        V for V in found
+        if abelian._coords_generate(spec, tuple(sorted(set(V))))])
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +347,7 @@ def lambda2_inverse(data):
     base = data._coords[:inner]
     if data._coords[inner:] != _lambda2_tail(data.spec, base, col_c, variant):
         raise PatternMismatch("vector entries do not match the stabilization")
-    inner_rows = tuple(tuple(M[i][j] for j in range(inner)) for i in range(inner))
+    inner_rows = tuple(row[:inner] for row in M[:inner])
     return SurfaceData._moved(data.spec, inner_rows, base)
 
 

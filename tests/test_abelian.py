@@ -257,6 +257,21 @@ class TestGenerates:
         assert seen == {True, False}
 
 
+class TestLinearKernel:
+    @pytest.mark.parametrize("P, Q", [
+        (((1, 0),), ((1,),)),             # other row length
+        (((1,), (0,)), ((1,),)),          # other row count
+        (((1, 0), (0,)), ((1, 0), (0,))),  # one shape, but ragged
+    ])
+    def test_rejects_mismatched_shapes(self, d6, P, Q):
+        with pytest.raises(BadParameters, match="one shape"):
+            abelian.linear_kernel(P, Q, d6, 10 ** 7)
+
+    def test_rejects_missing_spec(self):
+        with pytest.raises(BadParameters, match="expected a GroupSpec"):
+            abelian.linear_kernel(((1,),), ((1,),), None, 10 ** 7)
+
+
 class TestWedge:
     def test_pair_indices(self, z333):
         assert abelian.pair_indices(z333) == ((0, 1), (0, 2), (1, 2))

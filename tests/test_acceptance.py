@@ -333,10 +333,10 @@ def test_criterion_06_enumeration_agreement(d6, d10, a4, c2_33, c2_35,
     for matrix, spec in cases:
         total = abelian.group_order(spec) ** len(matrix)
         assert total <= 10 ** 6
-        want = brute_force(matrix, spec)
-        got = [tuple(v.coords for v in vec)
-               for vec in surface_data.enumerate_colourings(matrix, spec)]
-        if got != want:
+        want = [tuple(abelian.GroupElement(spec, x) for x in vec)
+                for vec in brute_force(matrix, spec)]
+        got = surface_data.enumerate_colourings(matrix, spec)
+        if repr(got) != repr(want):
             failures.append(
                 f"matrix {matrix} over {spec.orders}: enumerate gave "
                 f"{len(got)}, brute force {len(want)}")

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from knotcolour import abelian, classify, diagram, surface_data
 from knotcolour.errors import BadParameters, BudgetExceeded, GroupMismatch
-from util import BAD_BUDGETS, FIG8_L, TREFOIL_L, backtrack_colourings
+from util import (
+    BAD_BUDGETS, FIG8_L, TREFOIL_L, backtrack_colourings, construction_spy)
 
 TREFOIL_L_PD = ((-1, (0, 1, 2, 1)), (-1, (1, 2, 0, 2)), (-1, (2, 0, 1, 0)))
 TREFOIL_R_PD = ((1, (1, 0, 2, 0)), (1, (0, 2, 1, 2)), (1, (2, 1, 0, 1)))
@@ -255,6 +256,30 @@ class TestEnumerate:
 
         check()
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("name", sorted(diagram.catalog()))
+    def test_catalog_matches_backtracking_in_repr(self, d6, d10, a4, name):
+        """Each catalog diagram over D6, D10 and A4 gives colourings
+        repr-equal to the backtracking search, built from one GroupElement
+        per distinct coordinate row per call and without a Smith form."""
+        d = diagram.catalog()[name]
+        for spec in (d6, d10, a4):
+            want = repr([diagram.QuandleColouring(
+                {a: abelian.GroupElement(spec, x) for a, x in c.items()})
+                for c in backtrack_colourings(d, spec)])
+            with construction_spy() as (built, smith_calls):
+                found = diagram.enumerate_diagram_colourings(d, spec)
+            assert repr(found) == want, (name, spec)
+            assert sorted(built) == sorted(
+                {x.coords for c in found for x in c.labels.values()})
+            assert smith_calls == []
+
+    def test_typed_errors(self, d6):
+        d = diagram.catalog()["3_1^l"]
+        with pytest.raises(BadParameters, match="expected a GroupSpec"):
+            diagram.enumerate_diagram_colourings(d, None)
+        with pytest.raises(BadParameters, match="expected a Diagram"):
+            diagram.enumerate_diagram_colourings(5, d6)
 
     def test_base_arc_fixed_at_zero(self, a4):
         cols = diagram.enumerate_diagram_colourings(

@@ -5,10 +5,11 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotcolour import _intlin as lin
+from knotcolour import _intlin as lin, abelian
 from knotcolour.errors import BadParameters, BudgetExceeded, NotUnimodular
 from util import (
-    BAD_BUDGETS, dense_unimodular, rand_unimodular, slow_inverse_unimodular)
+    BAD_BUDGETS, dense_unimodular, rand_unimodular, slow_inverse_unimodular,
+    slow_kernel_mod)
 
 small = st.integers(-9, 9)
 
@@ -231,7 +232,7 @@ MODS_OUT = ((2,), (3,), (4,), (9,), (2, 4), (3, 3), (6,), (2, 2, 2))
     (2, 4), (3, 9), (2, 2, 2), (4, 2, 3), (9, 3, 6), (5,)])
 def test_kernel_mod_matches_brute_force(mods_in):
     """kernel_mod lists exactly the solutions a walk over every x finds,
-    in the same order, and its Smith-diagonal count is exact: a budget one
+    in the same order, and its echelon-index count is exact: a budget one
     below the number of solutions raises."""
     @settings(deadline=None, max_examples=25, derandomize=True)
     @given(st.integers(0, 10 ** 6))
@@ -256,3 +257,67 @@ def test_kernel_mod_matches_brute_force(mods_in):
 def test_kernel_mod_rejects_untyped_budget(budget):
     with pytest.raises(BadParameters, match="budget must be an integer"):
         lin.kernel_mod([[1]], (3,), (3,), budget)
+
+
+def test_echelon_matches_smith_oracle():
+    """Over random F, with mods_in and mods_out unequal (other lengths,
+    other moduli, 1 among them), k = 0 and all-zero F included:
+    kernel_mod equals the Smith-form listing, order included, and
+    echelon_mod's index is the product of smith_mod's invariant factors,
+    for a well-defined F and for an F of arbitrary entries alike."""
+    seen = set()
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(st.integers(0, 10 ** 6))
+    def check(seed):
+        rng = random.Random(seed)
+        mods_in = tuple(rng.randrange(2, 10) for _ in range(rng.randrange(4)))
+        mods_out = tuple(rng.randrange(1, 10)
+                         for _ in range(rng.randrange(1, 4)))
+        zero = rng.randrange(5) == 0
+        # well defined on prod Z/mods_in: mods_out[i] | F[i][j] mods_in[j]
+        F = [[0 if zero else rng.randrange(-4, 5) * (o // gcd(o, n))
+              for n in mods_in] for o in mods_out]
+        assert lin.kernel_mod(F, mods_in, mods_out, 10 ** 6) == \
+            slow_kernel_mod(F, mods_in, mods_out)
+        raw = [[rng.randrange(-30, 31) for _ in mods_in] for _ in mods_out]
+        for G in (F, raw):
+            assert lin.echelon_mod(G, mods_out)[0] == \
+                prod(lin.smith_mod(G, mods_out)[1])
+        seen.add((not mods_in, zero))
+
+    check()
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
+def test_coords_generate_matches_smith_verdict():
+    """_coords_generate agrees with the Smith verdict (some tuple given
+    and every invariant factor 1) on random coordinate tuples over random
+    orders: empty, with repeats, and scaled by a common factor of the
+    orders so that they cannot generate."""
+    seen = set()
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(st.integers(0, 10 ** 6))
+    def check(seed):
+        rng = random.Random(seed)
+        orders = tuple(rng.choice((2, 3, 4, 6, 9))
+                       for _ in range(rng.randrange(1, 4)))
+        gens = [tuple(rng.randrange(n) for n in orders)
+                for _ in range(rng.randrange(5))]
+        if gens and rng.randrange(3) == 0:
+            gens.append(rng.choice(gens))
+        if rng.randrange(4) == 0:
+            p = min(orders)
+            gens = [tuple(p * g % n for g, n in zip(x, orders)) for x in gens]
+        F = [[g[i] for g in gens] for i in range(len(orders))]
+        want = bool(gens) and all(d == 1 for d in lin.smith_mod(F, orders)[1])
+        got = abelian._coords_generate(abelian.unsafe_spec(orders),
+                                       tuple(gens))
+        assert got == want
+        seen.add((bool(gens), len(set(gens)) < len(gens), want))
+
+    check()
+    assert {(False, False, False), (True, True, True), (True, True, False),
+            (True, False, True), (True, False, False)} <= seen

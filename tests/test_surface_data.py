@@ -20,9 +20,10 @@ from knotcolour.errors import (
 )
 from test_acceptance import brute_force
 from util import (
-    BAD_BUDGETS, TREFOIL_L, FIG8_L, dense_unimodular, move_chain, move_pool,
-    odd_pool, rand_unimodular, random_move, slow_inverse_unimodular,
-    slow_mat_apply, slow_validate, slow_vector_class)
+    BAD_BUDGETS, TREFOIL_L, FIG8_L, construction_spy, dense_unimodular,
+    move_chain, move_pool, odd_pool, rand_unimodular, random_move,
+    slow_inverse_unimodular, slow_mat_apply, slow_validate,
+    slow_vector_class)
 
 
 def random_seifert(rng, specs):
@@ -409,6 +410,24 @@ class TestEnumerate:
     def test_checks_matrix(self, d6):
         with pytest.raises(BadParameters):
             surface_data.enumerate_colourings(((1, 0), (0, 1)), d6)
+
+    def test_rejects_missing_spec(self):
+        with pytest.raises(BadParameters, match="expected a GroupSpec"):
+            surface_data.enumerate_colourings(TREFOIL_L, None)
+
+    def test_one_element_per_row_and_no_smith(self, c2_33):
+        """c6_g1 # 3_1^l over C2(Z3)^2, the benchmark's largest kept set:
+        624 colourings repr-equal to the brute-force search, built from one
+        GroupElement per distinct coordinate row (9 of them, not 2,496)
+        and without a Smith form."""
+        M = ((3, 1, 0, 0), (2, 3, 0, 0), (0, 0, -1, 1), (0, 0, 0, -1))
+        want = repr([tuple(abelian.GroupElement(c2_33, x) for x in V)
+                     for V in brute_force(M, c2_33)])
+        with construction_spy() as (built, smith_calls):
+            found = surface_data.enumerate_colourings(M, c2_33)
+        assert len(found) == 624 and repr(found) == want
+        assert sorted(built) == sorted({x.coords for V in found for x in V})
+        assert len(built) == 9 and smith_calls == []
 
 
 class TestLambda1:

@@ -1,20 +1,27 @@
 """Shared test helpers: reference Seifert matrices, random unimodular
-matrices, the Smith-form oracle for _intlin.inverse_unimodular, random
+matrices, the Smith-form oracles for _intlin.inverse_unimodular and
+_intlin.kernel_mod, random
 S-equivalence moves, the fixture data pool, the
 backtracking oracle for diagram colourings, the GroupElement oracle
 for an integer matrix acting on a vector, the GroupElement oracles for
 validate, invariants.su and invariants.cu, the inverting oracle for
 invariants.vector_class, the search oracle for
 invariants.structured_lift, random group specs for it, and the
-per-entry oracle for classify._block."""
+per-entry oracle for classify._block, and a spy on element construction
+and Smith calls."""
 
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from knotcolour import abelian, classify, diagram, invariants, surface_data
+import pytest
+
+from knotcolour import (
+    _intlin, abelian, classify, diagram, invariants, surface_data)
 from knotcolour._intlin import (
-    inverse_unimodular, mat_mul, mat_pow, mat_vec, smith, transpose)
+    inverse_unimodular, mat_mul, mat_pow, mat_vec, smith, smith_mod,
+    transpose)
 from knotcolour.errors import (
     ArtifactError,
     BadParameters,
@@ -69,6 +76,24 @@ def slow_inverse_unimodular(A):
     if any(d != 1 for d in diag):
         raise NotUnimodular(f"Smith diagonal {diag}, expected all 1")
     return mat_mul(V, U)
+
+
+def slow_kernel_mod(F, mods_in, mods_out):
+    """Smith-form oracle for _intlin.kernel_mod: in (U, d, V) =
+    smith_mod(F, mods_out) the last k = len(mods_in) columns of V span the
+    kernel over Z, and the set closure of their residues lists it, sorted."""
+    k, l = len(mods_in), len(mods_out)
+    V = smith_mod(F, mods_out)[2]
+    span = {(0,) * k}
+    for j in range(l, l + k):
+        g = [V[i][j] % n for i, n in enumerate(mods_in)]
+        steps, x = [], tuple(g)  # coset representatives of span in span+<g>
+        while x not in span:
+            steps.append(x)
+            x = tuple((a + b) % n for a, b, n in zip(x, g, mods_in))
+        span |= {tuple((a + b) % n for a, b, n in zip(s, x, mods_in))
+                 for x in steps for s in span}
+    return sorted(span)
 
 
 def invariant_triple(data):
@@ -411,3 +436,22 @@ def per_entry_block(spec, name, i, coords, matrix_at, rows, cols=None):
     return [classify._entry(spec, k, l, i, name.format(k=k),
                             matrix_at(k, l), coords)
             for k in range(1, rows + 1) for l in ls]
+
+
+@contextmanager
+def construction_spy():
+    """Yields (built, smith_calls): inside the block, the coords of every
+    GroupElement constructed and the argument of every _intlin.smith call
+    are appended to them."""
+    built, smith_calls = [], []
+    post, smith = abelian.GroupElement.__post_init__, _intlin.smith
+
+    def spy_post(self):
+        post(self)
+        built.append(self.coords)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abelian.GroupElement, "__post_init__", spy_post)
+        mp.setattr(_intlin, "smith",
+                   lambda A: smith_calls.append(A) or smith(A))
+        yield built, smith_calls

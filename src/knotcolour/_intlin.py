@@ -1,7 +1,10 @@
-"""Exact integer linear algebra: products, determinants, the unimodular
-inverse, Smith normal form and the solves over Z/n built on it, and one
-column echelon over Z for the kernels over Z/n and their index (which
-decides generation).
+"""Exact integer linear algebra over Z and over prod Z/n_i.
+
+One Euclid pass (_euclid) lies under the determinant, the unimodular
+inverse and the column echelon that gives the kernels over prod Z/n_i
+and their index (which decides generation). Smith normal form, built
+on one block matrix [[A, I], [I, 0]], serves the solves over prod
+Z/n_i, the minimal generator count of A and the NotUnimodular message.
 
 Everything here works on plain lists/tuples of Python ints; matrices are
 row-major. Sizes in this package stay small (at most a few dozen rows),
@@ -61,69 +64,74 @@ def mat_pow(A, k):
     return identity(len(A)) if out is None else out
 
 
+def _euclid(vecs, i):
+    """One Euclid pass at position i over vecs, in place: pivot on the
+    first vector of least |entry| at i and subtract floor multiples of
+    it, from position i on, from every other vector nonzero at i, until
+    a single vector is nonzero at i. Returns that vector, or None when
+    every vector is zero at i. Vectors zero at i are not touched.
+    """
+    live = [v for v in vecs if v[i]]
+    while len(live) > 1:
+        p = min(live, key=lambda v: abs(v[i]))
+        a = p[i]
+        for v in live:
+            if v is not p:
+                q = v[i] // a
+                v[i:] = [x - q * y for x, y in zip(v[i:], p[i:])]
+        live = [v for v in live if v[i]]
+    return live[0] if live else None
+
+
 def det(A):
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [list(row) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    """Exact determinant: Euclid-reduce the rows of A position by
+    position (_euclid only adds multiples of one row to another, which
+    keeps det) and retire each position's pivot row. In the order of
+    retirement the rows form an upper triangular matrix with the pivots
+    on its diagonal, so det A is the product of the pivots times the
+    sign of that order, (-1)^(sum of k) with k the place of each retired
+    row among the rows still remaining (its Lehmer code).
+    """
+    vecs = [list(row) for row in A]
+    d = 1
+    for i in range(len(vecs)):
+        p = _euclid(vecs, i)
+        if p is None:
+            return 0
+        k = vecs.index(p)  # every other row is 0 at i
+        d *= -p[i] if k % 2 else p[i]
+        del vecs[k]
+    return d
 
 
 def inverse_unimodular(A):
     """Exact inverse of a square integer matrix with det = +-1.
 
     Gauss-Jordan over Z on [A | I] with unimodular row operations only:
-    in each column k, Euclid-reduce the entries at rows >= k onto the
-    smallest, which must end as a single +-1 pivot, then clear column k
-    in every other row. Only rows with a nonzero entry in column k are
-    touched, so a sparse A (a few transvections) costs O(n^2). On a zero
-    column or a pivot other than +-1, A is not unimodular, and the
-    Smith diagonal names why.
+    in each column k, Euclid-reduce the rows >= k (_euclid), which must
+    leave a single +-1 pivot, then clear column k in every other row.
+    Only rows with a nonzero entry in column k are touched, so a sparse
+    A (a few transvections) costs O(n^2). On a zero column or a pivot
+    other than +-1, A is not unimodular, and the Smith diagonal names
+    why.
     """
     n = len(A)
     if any(len(row) != n for row in A):
         raise NotUnimodular(f"{len(A)}x{len(A[0])} matrix is not square")
-    R = [list(row) + [0] * n for row in A]
-    for i in range(n):
-        R[i][n + i] = 1
+    R = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(A)]
     for k in range(n):
-        rows = [i for i in range(k, n) if R[i][k]]
-        while len(rows) > 1:
-            p = min(rows, key=lambda i: abs(R[i][k]))
-            Rp, a = R[p], R[p][k]
-            for i in rows:
-                if i != p:
-                    q = R[i][k] // a
-                    R[i] = [x - q * y for x, y in zip(R[i], Rp)]
-            rows = [i for i in rows if R[i][k]]
-        if not rows or abs(R[rows[0]][k]) != 1:
+        p = _euclid(R[k:], k)
+        if p is None or abs(p[k]) != 1:
             raise not_unimodular(A)
-        p = rows[0]
-        R[k], R[p] = R[p], R[k]
-        if R[k][k] < 0:
-            R[k] = [-x for x in R[k]]
-        Rk = R[k]
+        j = R.index(p, k)  # every other row >= k is 0 at k
+        R[k], R[j] = p, R[k]
+        if p[k] < 0:
+            R[k] = p = [-x for x in p]
         for i in range(k):  # rows below k are already clear
             q = R[i][k]
             if q:
-                R[i] = [x - q * y for x, y in zip(R[i], Rk)]
+                R[i] = [x - q * y for x, y in zip(R[i], p)]
     return [row[n:] for row in R]
 
 
@@ -138,92 +146,67 @@ def not_unimodular(A):
 def smith(A):
     """Smith normal form with transforms: (U, D, V) with U*A*V = D,
     U and V unimodular, D diagonal, nonnegative, d1 | d2 | ...
+
+    One block matrix B = [[A, I], [I, 0]] carries all three: a row
+    operation on its top rows acts on D and U, and a column operation on
+    its left columns acts on D and V. Step t pivots on the least nonzero
+    |entry| of the trailing block of D and clears its row and column by
+    remainder passes, each remainder becoming the next pivot. If d_t then
+    misses an entry of the trailing block, that entry's row is added to
+    row t and the passes run again, so d_t shrinks until it divides the
+    rest. That step needs a pivot other than +-1.
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
-    D = [list(r) for r in A]
-    U = identity(rows)
-    V = identity(cols)
-
-    def swap_rows(i, j):
-        if i != j:
-            D[i], D[j] = D[j], D[i]
-            U[i], U[j] = U[j], U[i]
+    B = [list(A[i]) + [int(i == j) for j in range(rows)] for i in range(rows)]
+    B += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
 
     def swap_cols(i, j):
-        if i != j:
-            for row in D:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
+        for row in B:
+            row[i], row[j] = row[j], row[i]
 
     def add_row(i, j, t):  # row_i += t * row_j
-        D[i] = [a + t * b for a, b in zip(D[i], D[j])]
-        U[i] = [a + t * b for a, b in zip(U[i], U[j])]
+        B[i] = [a + t * b for a, b in zip(B[i], B[j])]
 
     def add_col(i, j, t):  # col_i += t * col_j
-        for row in D:
-            row[i] += t * row[j]
-        for row in V:
+        for row in B:
             row[i] += t * row[j]
 
-    def neg_row(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
-
-    rank = 0
     for t in range(min(rows, cols)):
         # smallest-magnitude nonzero pivot in the trailing block
         piv = None
         for i in range(t, rows):
             for j in range(t, cols):
-                if D[i][j] and (piv is None or abs(D[i][j]) < abs(D[piv[0]][piv[1]])):
+                if B[i][j] and (piv is None or abs(B[i][j]) < abs(B[piv[0]][piv[1]])):
                     piv = (i, j)
         if piv is None:
             break
-        swap_rows(t, piv[0])
+        B[t], B[piv[0]] = B[piv[0]], B[t]
         swap_cols(t, piv[1])
         while True:
             for i in range(t + 1, rows):
-                if D[i][t]:
-                    add_row(i, t, -(D[i][t] // D[t][t]))
-            rest = [i for i in range(t + 1, rows) if D[i][t]]
-            if rest:
-                swap_rows(t, rest[0])  # strictly smaller remainder as pivot
+                if B[i][t]:
+                    add_row(i, t, -(B[i][t] // B[t][t]))
+            rest = [i for i in range(t + 1, rows) if B[i][t]]
+            if rest:  # strictly smaller remainder as pivot
+                B[t], B[rest[0]] = B[rest[0]], B[t]
                 continue
             for j in range(t + 1, cols):
-                if D[t][j]:
-                    add_col(j, t, -(D[t][j] // D[t][t]))
-            rest = [j for j in range(t + 1, cols) if D[t][j]]
+                if B[t][j]:
+                    add_col(j, t, -(B[t][j] // B[t][t]))
+            rest = [j for j in range(t + 1, cols) if B[t][j]]
             if rest:
                 swap_cols(t, rest[0])
                 continue
-            break
-        if D[t][t] < 0:
-            neg_row(t)
-        rank = t + 1
-
-    # enforce d_i | d_{i+1} by folding adjacent pairs
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if b % a == 0:
-                continue
-            changed = True
-            add_col(i, i + 1, 1)  # corner becomes [[a, 0], [b, b]]
-            while D[i + 1][i]:
-                add_row(i, i + 1, -(D[i][i] // D[i + 1][i]))
-                swap_rows(i, i + 1)
-            # pivot is now +-gcd(a, b); it divides the dirty corner entry
-            if D[i][i + 1]:
-                add_col(i + 1, i, -(D[i][i + 1] // D[i][i]))
-            if D[i][i] < 0:
-                neg_row(i)
-            if D[i + 1][i + 1] < 0:
-                neg_row(i + 1)
-    return U, D, V
+            rest = [i for i in range(t + 1, rows)
+                    if any(B[i][j] % B[t][t] for j in range(t + 1, cols))]
+            if not rest:
+                break
+            add_row(t, rest[0], 1)
+        if B[t][t] < 0:
+            B[t] = [-a for a in B[t]]
+    return ([row[cols:] for row in B[:rows]], [row[:cols] for row in B[:rows]],
+            [row[:cols] for row in B[rows:]])
 
 
 def smith_mod(F, mods):
@@ -260,10 +243,9 @@ def echelon_mod(F, mods):
     Algebraic Number Theory, 2.4) instead of Smith's two-sided form.
 
     F has l = len(mods) rows of k entries each. Column-reduce
-    [[F, diag(mods)], [I_k, 0]] on its top l rows. In row i, Euclid
-    passes reduce the live columns by the one of least |entry| there
-    until a single live column is nonzero in row i; it is that row's
-    pivot and is retired. [F | diag(mods)] has full row rank, so every
+    [[F, diag(mods)], [I_k, 0]] on its top l rows. In row i, _euclid
+    reduces the columns until a single one is nonzero in row i; it is
+    that row's pivot and is retired. [F | diag(mods)] has full row rank, so every
     row gets a pivot and the top rows end lower triangular. Column
     operations are unimodular, so:
     - index = prod |pivot| is the order of (prod Z/mods) / F(Z^k), which
@@ -280,17 +262,9 @@ def echelon_mod(F, mods):
              for i, n in enumerate(mods)]
     index = 1
     for i in range(l):
-        live = [c for c in cols if c[i]]
-        while len(live) > 1:
-            p = min(live, key=lambda c: abs(c[i]))
-            a = p[i]
-            for c in live:
-                if c is not p:
-                    q = c[i] // a
-                    c[i:] = [x - q * y for x, y in zip(c[i:], p[i:])]
-            live = [c for c in live if c[i]]
-        index *= abs(live[0][i])
-        cols.remove(live[0])
+        p = _euclid(cols, i)
+        index *= abs(p[i])
+        cols.remove(p)  # every other column is 0 at i
     return index, [c[l:] for c in cols]
 
 

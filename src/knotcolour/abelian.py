@@ -19,7 +19,6 @@ from .errors import (
     BadParameters,
     FixedPoints,
     GroupMismatch,
-    NotInvertible,
     NotOrderM,
 )
 
@@ -111,9 +110,10 @@ def make_group(m, orders, action):
     """Validating factory for GroupSpec.
 
     Checks, in order: well-formedness of the parameters, that the action
-    is a homomorphism for the given orders, N^m = I on A, invertibility
-    of the action, and invertibility of action - id (no nonzero fixed
-    points).
+    is a homomorphism for the given orders, N^m = I on A, and
+    invertibility of action - id (no nonzero fixed points). The action
+    is then an automorphism of A with no further check: N^(m-1) N = N^m
+    = I on A, so N^(m-1) inverts it.
     """
     if type(m) is not int or m < 1:
         raise BadParameters(f"m must be a positive integer, got {m!r}")
@@ -141,9 +141,6 @@ def make_group(m, orders, action):
             if (Nm[i][j] - (1 if i == j else 0)) % orders[i] != 0:
                 raise NotOrderM(f"action^{m} != identity on A (entry {i},{j})")
     spec = GroupSpec(m, orders, tuple(tuple(row) for row in N))
-    cols = [tuple(N[i][j] for i in range(r)) for j in range(r)]
-    if not _coords_generate(spec, tuple(sorted(set(cols)))):
-        raise NotInvertible("action is not an automorphism of A")
     cols1 = [tuple((N[i][j] - (1 if i == j else 0)) % orders[i]
                    for i in range(r)) for j in range(r)]
     if not _coords_generate(spec, tuple(sorted(set(cols1)))):

@@ -22,6 +22,12 @@ from .errors import BadParameters, GroupMismatch
 
 @dataclass(frozen=True)
 class Diagram:
+    """A one-component diagram: every arc has two under-strand ends, and
+    the under-strand, joined at each crossing from arc a to arc c, runs
+    from the base arc through every arc. Counts cannot tell a knot from
+    a link: each crossing gives two under-strand ends and each arc takes
+    two, so crossings and arcs always number the same."""
+
     crossings: tuple
     base_arc: int
 
@@ -39,23 +45,29 @@ class Diagram:
                     "over-strand arc must repeat in slots 2 and 4")
             norm.append((sign, arcs))
         object.__setattr__(self, "crossings", tuple(norm))
-        under_count = {}
+        ends = {}  # arc -> the arcs its under-strand ends meet
         ids = set()
         for sign, (a, b, c, _) in self.crossings:
             ids.update((a, b, c))
-            under_count[a] = under_count.get(a, 0) + 1
-            under_count[c] = under_count.get(c, 0) + 1
+            ends.setdefault(a, []).append(c)
+            ends.setdefault(c, []).append(a)
         for arc in ids:
-            if under_count.get(arc, 0) != 2:
+            if len(ends.get(arc, ())) != 2:
                 raise BadParameters(
-                    f"arc {arc} has {under_count.get(arc, 0)} under-strand "
+                    f"arc {arc} has {len(ends.get(arc, ()))} under-strand "
                     "endpoints, expected 2")
-        if len(self.crossings) != len(ids):
-            raise BadParameters(
-                f"{len(self.crossings)} crossings but {len(ids)} arcs; "
-                "not a one-component diagram")
         if type(self.base_arc) is not int or self.base_arc not in ids:
             raise BadParameters(f"base arc {self.base_arc} not in diagram")
+        strand, todo = {self.base_arc}, [self.base_arc]
+        while todo:
+            new = set(ends[todo.pop()]) - strand
+            strand |= new
+            todo += new
+        if strand != ids:
+            raise BadParameters(
+                f"{len(self.crossings)} crossings but the strand through arc "
+                f"{self.base_arc} meets {len(strand)} of {len(ids)} arcs; "
+                "not a one-component diagram")
 
     @property
     def arcs(self):
@@ -126,7 +138,9 @@ def enumerate_diagram_colourings(diagram, spec, budget=10 ** 7):
 def braid_closure(word, strands):
     """Close a braid word (letters +-1..+-(strands-1), sigma_i positive
     when the strand at position i crosses over position i+1) and relabel
-    arcs canonically by first occurrence."""
+    arcs canonically by first occurrence. BadParameters unless the
+    closure is a knot: Diagram rejects a link whose components all
+    cross, and a strand that no letter crosses is rejected here."""
     if not isinstance(strands, int) or strands < 2:
         raise BadParameters("need an integer strand count >= 2")
     word = tuple(word)
@@ -134,6 +148,12 @@ def braid_closure(word, strands):
         if type(letter) is not int or letter == 0 \
                 or abs(letter) >= strands:
             raise BadParameters(f"braid letter {letter!r} out of range")
+    # letter i crosses positions i - 1 and i; an uncrossed strand closes
+    # to a split unknot, which no crossing would record
+    if len({abs(x) for x in word} | {abs(x) - 1 for x in word}) < strands:
+        raise BadParameters(
+            f"a strand of {word} is never crossed; not a one-component "
+            "diagram")
     arc_at = list(range(strands))
     fresh = count(strands)
     crossings = []

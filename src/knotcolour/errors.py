@@ -18,7 +18,8 @@ class NotOrderM(ArtifactError):
 
 
 class NotInvertible(ArtifactError):
-    """The action is not an automorphism of A."""
+    """The action is not an automorphism of A. No check raises it any
+    more: make_group's N^m = I on A already makes N invertible."""
 
 
 class FixedPoints(ArtifactError):

@@ -1,10 +1,12 @@
 import random
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from knotcolour import abelian
+from knotcolour import _intlin as lin, abelian
 from knotcolour.errors import (
+    ArtifactError,
     BadParameters,
     FixedPoints,
     GroupMismatch,
@@ -82,6 +84,41 @@ class TestMakeGroup:
         s2 = abelian.element(a4, (0, 1))
         assert abelian.act(s1).coords == (0, 1)
         assert abelian.act(s2).coords == (1, 1)
+
+    def test_accepted_actions_are_automorphisms(self):
+        """Whenever make_group accepts an action, its columns generate A
+        (walked by the closure oracle) and N^(m-1) inverts N on A, so
+        make_group needs no automorphism check of its own. Actions are
+        drawn compatible with the orders, over ranks 1 to 3 and m = 1..6."""
+        seen = set()
+
+        @settings(deadline=None, max_examples=60, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            for _ in range(50):
+                orders = tuple(rng.choice((2, 3, 4, 5, 7, 9))
+                               for _ in range(rng.randrange(1, 4)))
+                m, r = rng.randrange(1, 7), len(orders)
+                # n_i | N_ij n_j: N_ij a multiple of n_i / gcd(n_i, n_j)
+                N = [[rng.randrange(0, a, a // gcd(a, b)) for b in orders]
+                     for a in orders]
+                try:
+                    spec = abelian.make_group(m, orders, N)
+                except ArtifactError:
+                    continue
+                cols = {tuple(row[j] for row in spec.action)
+                        for j in range(r)}
+                assert closure_generates(spec, cols)
+                inv = lin.mat_mul(lin.mat_pow(spec.action, m - 1),
+                                  spec.action)
+                assert all((inv[i][j] - (i == j)) % orders[i] == 0
+                           for i in range(r) for j in range(r))
+                seen.add((r, m))
+
+        check()
+        assert {r for r, _ in seen} == {1, 2, 3}
+        assert len({m for _, m in seen}) >= 4
 
 
 class TestSpecHash:

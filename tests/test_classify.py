@@ -4,6 +4,7 @@ import pytest
 
 from knotcolour import classify, invariants, surface_data
 from knotcolour.errors import (
+    ArtifactError,
     BadParameters,
     BudgetExceeded,
     DivisibilityFailure,
@@ -166,6 +167,13 @@ class TestRank2Diag:
         with pytest.raises(BadParameters):
             classify.rank2_diag_table(2, 3, 5, xi1, xi2)
 
+    @pytest.mark.parametrize("m, n1, n2", [(2.0, 3, 5), (2, 3.0, 5),
+                                           (2, 3, "5"), (None, 3, 5)])
+    def test_rejects_non_integer_sizes(self, m, n1, n2):
+        with pytest.raises(BadParameters,
+                           match="^need integers m >= 1, n1, n2 >= 2$"):
+            classify.rank2_diag_table(m, n1, n2, 2, 4)
+
 
 class TestRank2Nondiag:
     def test_c3_55_table(self, c3_55):
@@ -275,6 +283,35 @@ class TestRank2Nondiag:
             classify.nondiag_lower_bound(3, n, "not a matrix")
         with pytest.raises(UnsupportedM):
             classify.nondiag_lower_bound(2, n, ((0, 1), (4, 4)))
+
+    @pytest.mark.parametrize("m, n", [(3.0, 5), (3, 5.0), ("3", 5),
+                                      (3, None)])
+    def test_rejects_non_integer_sizes(self, m, n):
+        with pytest.raises(BadParameters,
+                           match="^need integers m >= 1, n >= 2$"):
+            classify.rank2_nondiag_table(m, n, ((0, 1), (4, 4)))
+
+    def test_tables_only_at_m3_with_both_minus_one(self):
+        """Over n = 2..8, m = 1..6 and every (N21, N22), a table comes
+        back exactly for m = 3 with N21 = N22 = -1 mod n, and then with
+        genus-1 classes and a proven lower bound; every other case
+        raises an ArtifactError (the derivation is in the docstring)."""
+        tables = []
+        for n in range(2, 9):
+            for m in range(1, 7):
+                for n21 in range(n):
+                    for n22 in range(n):
+                        try:
+                            t = classify.rank2_nondiag_table(
+                                m, n, ((0, 1), (n21, n22)))
+                        except ArtifactError:
+                            continue
+                        assert m == 3 and n21 == n22 == n - 1
+                        assert any(e.name == "g1" for e in t.entries)
+                        assert type(t.lower_bound) is int
+                        tables.append(n)
+        # then 1 - N21 - N22 = 3, which must be a unit mod n
+        assert tables == [n for n in range(2, 9) if n % 3]
 
     def test_lower_bound_wants_m3(self):
         assert classify.nondiag_lower_bound(3, 5, ((0, 1), (4, 4))) == 1

@@ -6,8 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from knotcolour import abelian, cli, invariants, surface_data
+from knotcolour import (
+    abelian, classify, cli, diagram, invariants, surface_data)
 from util import rand_unimodular
 
 D6_JSON = {"m": 2, "orders": [3], "action": [[2]]}
@@ -312,6 +314,18 @@ class TestClassify:
                        "2\t\t\tF2\t0\t0\t\n"
                        "3\t\t\tF3\t2\t2\t\n")
 
+    def test_tsv_note_lines(self, capsys):
+        """Each table note is one '# note' line ahead of the header."""
+        argv = ["classify", "rank2diag", "--m", "2", "--n1", "3", "--n2",
+                "5", "--xi1", "2", "--xi2", "4"]
+        notes = classify.rank2_diag_table(2, 3, 5, 2, 4).notes
+        assert notes
+        code, out = run(capsys, argv + ["--format", "tsv"])
+        assert code == 0
+        lines = out.splitlines()
+        header = lines.index("k\tl\ti\tname\tsu\tcu\ts")
+        assert lines[3:header] == [f"# note\t{n}" for n in notes]
+
     def test_a4_table(self, capsys):
         code, got = run_json(capsys, ["classify", "a4"])
         assert code == 0
@@ -490,3 +504,159 @@ class TestPlumbing:
                                   capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"h3_order": 27}
+
+
+# -- fuzz: malformed files and flags for every subcommand ---------------
+
+def mostly(good, bad):
+    """good seven times in eight, else bad."""
+    return st.integers(0, 7).flatmap(lambda k: good if k else bad)
+
+
+KEYS = ("m", "orders", "action", "group", "seifert", "vector", "crossings",
+        "sign", "arcs", "base_arc", "x")
+small_int = st.integers(-3, 13)
+# ragged and nested arrays, objects with wrong keys, rare non-int leaves
+json_junk = st.recursive(
+    mostly(small_int, st.sampled_from((1.5, True, None, "1"))),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=4),
+    max_leaves=12)
+
+
+def int_matrix(size):
+    return st.lists(st.lists(small_int, min_size=size, max_size=size),
+                    min_size=size, max_size=size)
+
+
+# groups with orders <= 13: valid, or of the right shape, or junk
+C3_55_JSON = {"m": 3, "orders": [5, 5], "action": [[0, 4], [1, 4]]}
+group_json = mostly(
+    st.sampled_from((D6_JSON, A4_JSON, C3_55_JSON))
+    | st.integers(1, 3).flatmap(lambda r: st.fixed_dictionaries({
+        "m": st.integers(-1, 6),
+        "orders": st.lists(st.integers(-1, 13), min_size=r, max_size=r),
+        "action": int_matrix(r)})),
+    json_junk)
+# Seifert matrices of the trefoil, the figure eight and a genus-2 datum
+SEIFERT = (TREFOIL_DATA["seifert"], [[1, 0], [-1, -1]],
+           [[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, 0, -1], [0, 0, 0, 0]])
+matrix_json = mostly(
+    st.sampled_from(SEIFERT) | st.integers(0, 4).flatmap(int_matrix),
+    json_junk)
+data_json = mostly(
+    st.sampled_from(SEIFERT).flatmap(lambda M: st.fixed_dictionaries(
+        {"seifert": st.just(M),
+         "vector": st.lists(mostly(st.lists(small_int, min_size=1,
+                                            max_size=1),
+                                   st.lists(small_int, min_size=2,
+                                            max_size=2)),
+                            min_size=len(M), max_size=len(M))},
+        optional={"group": group_json})),
+    st.fixed_dictionaries({"seifert": matrix_json, "vector": json_junk},
+                          optional={"group": group_json}) | json_junk)
+crossing = st.fixed_dictionaries(
+    {"sign": st.sampled_from((1, -1, 0)),
+     "arcs": st.lists(st.integers(0, 4), min_size=3, max_size=5)})
+# catalog knots, the Hopf link, random crossings, junk
+HOPF_PD = {"base_arc": 0, "crossings": [{"sign": 1, "arcs": [0, 1, 0, 1]},
+                                        {"sign": 1, "arcs": [1, 0, 1, 0]}]}
+pd_json = mostly(
+    st.sampled_from([diagram.diagram_to_json(d)
+                     for d in diagram.catalog().values()] + [HOPF_PD])
+    | st.fixed_dictionaries({"crossings": st.lists(crossing, max_size=5),
+                             "base_arc": st.integers(-1, 4)}),
+    json_junk)
+# unimodular 2x2 and 4x4 matrices for lambda1, or any matrix
+u_json = st.sampled_from(([[1, 0], [1, 1]], [[0, -1], [1, 0]], [
+    [1, 0, 0, 0], [0, 1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 1]])) | matrix_json
+flag_int = mostly(st.integers(-2, 13).map(str),
+                  st.sampled_from(("x", "", "1.5")))
+budget = mostly(st.integers(-1, 1000).map(str), st.sampled_from(("x", "-")))
+csv = st.lists(mostly(st.integers(-3, 13).map(str), st.just("x")),
+               max_size=3).map(",".join)
+
+
+def fuzz_argv(draw, path):
+    """A random subcommand and one argv for it, its files written under
+    path."""
+    def file(strategy):
+        p = path / f"f{len(list(path.iterdir()))}.json"
+        p.write_text(json.dumps(draw(strategy)))
+        return str(p)
+
+    def opt(*argv):
+        return list(argv) if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from((
+        "validate", "invariant", "enumerate", "move", "classify", "h3",
+        "colour-diagram", "catalog")))
+    if command in ("validate", "invariant"):
+        argv = ["--data", file(data_json)] + opt("--group", file(group_json))
+    elif command == "enumerate":
+        argv = ["--group", file(group_json), "--matrix", file(matrix_json),
+                "--max-search", draw(budget)]
+    elif command == "move":
+        argv = ["--data", file(data_json)] + draw(st.sampled_from((
+            ["--lambda1", file(u_json)], ["--lambda2", draw(csv)],
+            ["--lambda2-inverse"]))) + opt("--variant", draw(
+                mostly(st.sampled_from(("1", "2")), flag_int)))
+    elif command == "classify":
+        family = draw(st.sampled_from(
+            ("metacyclic", "rank2diag", "rank2nondiag", "a4", "granny")))
+        names = {"metacyclic": ("m", "n", "xi"),
+                 "rank2diag": ("m", "n1", "n2", "xi1", "xi2"),
+                 "rank2nondiag": ("m", "n", "n21", "n22")}.get(family, ())
+        argv = [family]
+        for name in names:
+            value = draw(flag_int)
+            if name == "m" and value.lstrip("-").isdigit():
+                value = str(int(value) % 7)  # keeps the lift search small
+            argv += [f"--{name}", value]
+        argv += ["--max-search", draw(budget)]
+        argv += opt("--format", draw(st.sampled_from(("json", "tsv", "x"))))
+    elif command == "h3":
+        argv = opt("--group", file(group_json)) + opt("--orders", draw(csv))
+    elif command == "colour-diagram":
+        argv = ["--group", file(group_json), "--pd", file(pd_json),
+                "--max-search", draw(budget)]
+    else:
+        argv = []
+    argv = [command] + argv
+    if draw(st.integers(0, 7)) == 0:  # a token lost or one too many
+        i = draw(st.integers(0, len(argv)))
+        argv = argv[:i] + argv[i + 1:] if draw(st.booleans()) else \
+            argv[:i] + [draw(st.sampled_from(("--bogus", "1", "--group")))] \
+            + argv[i:]
+    return command, argv
+
+
+class TestFuzz:
+    def test_every_call_ends_in_an_exit_code(self, capsys, tmp_path):
+        """Malformed JSON files and flags for every subcommand: each call
+        returns 0, or 1 or 2 with exactly one error object on stdout; no
+        exception escapes run."""
+        seen = set()
+
+        @settings(deadline=None, max_examples=400, derandomize=True)
+        @given(st.data())
+        def check(data):
+            path = tmp_path / str(len(list(tmp_path.iterdir())))
+            path.mkdir()
+            command, argv = fuzz_argv(data.draw, path)
+            code = cli.run(argv)
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2), argv
+            if code:
+                got = json.loads(out)
+                assert list(got) == ["error"], argv
+                assert sorted(got["error"]) == ["message", "type"], argv
+                assert (got["error"]["type"] == "UsageError") == \
+                    (code == 1), argv
+            seen.add((command, code))
+
+        check()
+        assert {c for c, _ in seen} == {
+            "validate", "invariant", "enumerate", "move", "classify", "h3",
+            "colour-diagram", "catalog"}
+        assert {code for _, code in seen} == {0, 1, 2}

@@ -60,6 +60,15 @@ class TestDiagram:
         with pytest.raises(BadParameters):
             diagram.Diagram(TREFOIL_L_PD, 7)
 
+    def test_rejects_split_link(self):
+        """Two disjoint trefoils: as many crossings as arcs, every arc
+        with two under-strand ends, but two components."""
+        other = tuple((s, tuple(a + 3 for a in arcs))
+                      for s, arcs in TREFOIL_L_PD)
+        with pytest.raises(BadParameters,
+                           match="meets 3 of 6 arcs; not a one-component"):
+            diagram.Diagram(TREFOIL_L_PD + other, 0)
+
 
 class TestQuandleOp:
     def test_a4_multiplication_table(self, a4):
@@ -130,6 +139,45 @@ class TestBraidClosure:
     def test_rejects_bool_letters(self):
         with pytest.raises(BadParameters):
             diagram.braid_closure((True, 1, 1), 2)
+
+    @pytest.mark.parametrize("word", [(1, 1), (1, 1, 1, 1)])
+    def test_rejects_links(self, word):
+        """The Hopf link and the (2, 4) torus link close to two
+        components."""
+        with pytest.raises(BadParameters,
+                           match="not a one-component diagram$"):
+            diagram.braid_closure(word, 2)
+
+    def test_builds_exactly_the_knot_words(self):
+        """A braid word closes to a diagram exactly when its permutation
+        is one cycle (the closure is a knot); every link word raises."""
+        seen = set()
+
+        @settings(deadline=None, max_examples=150, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            strands = rng.choice((2, 3, 4))
+            word = [rng.choice((1, -1)) * rng.randrange(1, strands)
+                    for _ in range(rng.randrange(1, 8))]
+            perm = list(range(strands))
+            for letter in word:
+                i = abs(letter) - 1
+                perm[i], perm[i + 1] = perm[i + 1], perm[i]
+            cycle, p = 1, perm[0]
+            while p != 0:
+                cycle, p = cycle + 1, perm[p]
+            knot = cycle == strands
+            try:
+                diagram.braid_closure(word, strands)
+                built = True
+            except BadParameters:
+                built = False
+            assert built == knot, word
+            seen.add(knot)
+
+        check()
+        assert seen == {True, False}
 
 
 class TestCatalog:

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd, lcm, prod
 
 import pytest
@@ -321,3 +321,83 @@ def test_coords_generate_matches_smith_verdict():
     check()
     assert {(False, False, False), (True, True, True), (True, True, False),
             (True, False, True), (True, False, False)} <= seen
+
+
+def test_det_matches_leibniz():
+    """det equals the Leibniz sum for n <= 5 on random matrices, on
+    signed and scaled permutation matrices (which test the sign alone)
+    and on singular ones (a row that is a combination of others, or a
+    zero row), and leaves A as it was."""
+    seen = set()
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(st.integers(0, 10 ** 6))
+    def check(seed):
+        rng = random.Random(seed)
+        n = rng.randrange(6)
+        kind = rng.choice(("random", "permutation", "singular"))
+        A = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
+        if kind == "permutation":
+            perm = rng.sample(range(n), n)
+            A = [[rng.choice((-2, -1, 1, 3)) * (j == perm[i])
+                  for j in range(n)] for i in range(n)]
+        elif kind == "singular" and n:
+            r = rng.randrange(n)
+            others = A[:r] + A[r + 1:]
+            a, b = rng.randrange(-2, 3), rng.randrange(-2, 3)
+            A[r] = [a * x + b * y for x, y in
+                    zip(rng.choice(others), rng.choice(others))] \
+                if others and rng.randrange(3) else [0] * n
+        before = [list(row) for row in A]
+        got = lin.det(A)
+        assert got == naive_det(A)
+        assert A == before
+        assert got == 0 or kind != "singular" or not n
+        seen.add((n, kind, got == 0))
+
+    check()
+    assert {(n, "permutation", False) for n in range(1, 6)} <= seen
+    assert {(n, "singular", True) for n in range(1, 6)} <= seen
+
+
+def determinantal_divisors(A):
+    """D_k = gcd of the k x k minors of A, for k = 1..min(rows, cols)."""
+    rows, cols = len(A), len(A[0]) if A else 0
+    return [gcd(*(naive_det([[A[i][j] for j in cs] for i in rs])
+                  for rs in combinations(range(rows), k)
+                  for cs in combinations(range(cols), k)))
+            for k in range(1, min(rows, cols) + 1)]
+
+
+def test_smith_diagonal_matches_determinantal_divisors():
+    """d_1 ... d_k = D_k, the gcd of the k x k minors, on random matrices
+    up to 4x4, square, rectangular and rank-deficient (a row that is a
+    combination of others): the diagonal is the unique Smith form, and
+    U A V = D with U and V unimodular."""
+    seen = set()
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(st.integers(0, 10 ** 6))
+    def check(seed):
+        rng = random.Random(seed)
+        rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+        A = [[rng.randrange(-12, 13) for _ in range(cols)]
+             for _ in range(rows)]
+        if rows > 1 and rng.randrange(3) == 0:
+            a, b = rng.randrange(-3, 4), rng.randrange(-3, 4)
+            A[-1] = [a * x + b * y for x, y in zip(A[0], A[-2])]
+        U, D, V = lin.smith(A)
+        assert lin.mat_mul(lin.mat_mul(U, A), V) == D
+        assert lin.det(U) in (1, -1) and lin.det(V) in (1, -1)
+        assert all(D[i][j] == 0 for i in range(rows) for j in range(cols)
+                   if i != j)
+        diag = [D[i][i] for i in range(min(rows, cols))]
+        assert [prod(diag[:k]) for k in range(1, len(diag) + 1)] == \
+            determinantal_divisors(A)
+        rank = sum(1 for d in diag if d)
+        seen.add((rows == cols, rank < min(rows, cols),
+                  any(d > 1 for d in diag)))
+
+    check()
+    assert {(True, False, True), (False, False, True), (True, True, True),
+            (False, True, True), (True, False, False)} <= seen

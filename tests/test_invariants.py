@@ -735,6 +735,13 @@ class TestYObstruction:
         with pytest.raises(BadParameters):
             invariants.y_obstruction(triples)
 
+    @pytest.mark.parametrize("entry", [(1, 0, 0), 0, None])
+    def test_rejects_non_element_entries(self, z333, entry):
+        a, b = (abelian.element(z333, x) for x in ((1, 0, 0), (0, 1, 0)))
+        with pytest.raises(BadParameters,
+                           match="^triple entries must be GroupElement$"):
+            invariants.y_obstruction([((a, b, entry), 1)])
+
     def test_mixed_specs_rejected(self, z333, a4):
         t1 = ((abelian.zero(z333),) * 3, 1)
         t2 = ((abelian.zero(a4),) * 3, 1)

@@ -105,6 +105,13 @@ class TestConstruction:
         with pytest.raises(BadParameters):
             surface_data.make_data(d6, matrix, coords)
 
+    @pytest.mark.parametrize("entry", [(1,), 1, None])
+    def test_rejects_non_element_entries(self, d6, entry):
+        with pytest.raises(BadParameters,
+                           match="^vector entries must be GroupElement$"):
+            surface_data.SurfaceData(d6, TREFOIL_L,
+                                     (abelian.zero(d6), entry))
+
     def test_rejects_foreign_entries(self, d6, d10):
         with pytest.raises(GroupMismatch):
             surface_data.SurfaceData(
@@ -682,6 +689,19 @@ class TestLambda2:
             d6, st2.matrix, st2.vector[:3] + (abelian.element(d6, (2,)),))
         with pytest.raises(PatternMismatch):
             surface_data.lambda2_inverse(tampered)
+
+    @pytest.mark.parametrize("M, message", [
+        (((-1, 1, 1, 0), (0, -1, 0, 0), (0, 0, 0, -1), (0, 0, 0, 0)),
+         "penultimate row/column are not symmetric"),
+        (((-1, 1, 0, 1), (0, -1, 0, 0), (0, 0, 0, -1), (0, 0, 0, 0)),
+         "last row/column must vanish off the corner"),
+    ])
+    def test_inverse_rejects_unstabilized_shape(self, d6, M, message):
+        """Seifert matrices (det(M - M^T) = 1) whose last two rows and
+        columns break the stabilized shape before the corner is read."""
+        data = surface_data.make_data(d6, M, [(1,), (2,), (0,), (0,)])
+        with pytest.raises(PatternMismatch, match=f"^{message}$"):
+            surface_data.lambda2_inverse(data)
 
     def test_inverse_needs_room(self, d6):
         with pytest.raises(PatternMismatch):

@@ -116,7 +116,11 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
       always does, see invariants.cu; an odd Q over an even factor) is
       a sample, and it raises the per-entry error and message.
     Every derived entry is still validated, and InternalInconsistency
-    raised if one fails.
+    raised if one fails. Its report comes from its own matrix, through
+    its difference to the first sample (SurfaceData._with_matrix, with
+    the proof there): the colouring equation's residual is linear in M,
+    and only the rows that the difference touches are computed. So only
+    the samples form the product pair (MX, M^T X).
     """
     ls = range(1, cols + 1) if cols else (None,)
     points = [(k, l) for k in range(1, rows + 1) for l in ls]
@@ -410,7 +414,7 @@ def _a4_reference_cu():
 def a4_class(data):
     """Which of the two rho-equivalence classes valid A4 data sits in,
     decided by cu."""
-    if data.spec != a4_spec():
+    if surface_data._as_data(data).spec != a4_spec():
         raise NotA4("data is not coloured by the A4 spec")
     if not surface_data.validate(data).valid:
         raise InvalidData("a4_class needs valid surface data")

@@ -32,7 +32,7 @@ from .errors import (
     InvalidData,
     LiftFailure,
 )
-from .surface_data import _product_pair, validate
+from .surface_data import _as_data, _product_pair, validate
 
 # most lift candidates searched, or lift-system solutions listed
 LIFT_BUDGET = 10 ** 7
@@ -183,6 +183,8 @@ def structured_lift(spec):
     the linearised system misses, so the box is searched, BudgetExceeded
     past LIFT_BUDGET candidates.
     """
+    if not isinstance(spec, abelian.GroupSpec):
+        raise BadParameters(f"expected a GroupSpec, got {spec!r}")
     C = _lift(spec)
     if C is None:
         raise LiftFailure(
@@ -305,7 +307,7 @@ def vector_class(data):
     A ^ A is safe. Structural, so defined on non-validating data too (the
     canonical vectors).
     """
-    X, MX = data._coords, data._products[0]
+    X, MX = _as_data(data)._coords, data._products[0]
     return abelian.WedgeElement2(data.spec, tuple(
         sum(x[q] * y[p] - x[p] * y[q] for x, y in zip(X, MX))
         for p, q in abelian.pair_indices(data.spec)))

@@ -8,10 +8,13 @@ Matrices are tuples of int tuples. A datum stores its colouring vector
 only as coordinate rows reduced mod the orders (SurfaceData._coords,
 the size x r matrix X); .vector builds the GroupElement tuple from X
 when first read. A datum also caches one product pair
-(SurfaceData._products = (MX, M^T X) over Z, one row per entry):
-validation and the invariants read M only through it. The empty 0x0
-datum is permitted (it can never validate over a nontrivial A, but
-keeps connect sums total).
+(SurfaceData._products = (MX, M^T X) over Z, one row per entry). The
+invariants read M only through it, and so does validation, with one
+exception: a datum derived from a valid one by _with_matrix (the family
+tables' entries past their samples) is validated from its matrix
+difference to that datum, and forms no product. The empty 0x0 datum is
+permitted (it can never validate over a nontrivial A, but keeps connect
+sums total).
 """
 
 from dataclasses import dataclass
@@ -107,9 +110,52 @@ class SurfaceData:
 
     def _with_matrix(self, matrix):
         """Unchecked: this vector under another matrix of the same size
-        with the same M - M^T, sharing whether its rows generate A."""
-        data = SurfaceData._moved(self.spec, matrix, self._coords)
-        data.__dict__.update(_generates=self._generates)
+        with the same M - M^T, validated from its difference to this
+        datum, which must be valid (InternalInconsistency otherwise).
+
+        Why this is exact. validate's colouring equation is the residual
+        R(M) = M^T X - M Z = 0 mod n_c in column c, with Z = X N^T (row
+        z_k has entries sum_d N_cd x_kd over Z): row i of M Z in column c
+        is sum_d N_cd (MX)_id, the right side that _validate reads.
+        - R is linear in M over Z. With D = M - M0, M0 this datum's
+          matrix, R(M) = R(M0) + R(D), and R(M0) = 0 mod n_c as this
+          datum is valid. So the equation holds for M exactly when
+          R(D) = 0 mod n_c. This needs no symmetry of D; a symmetric D
+          is what keeps M - M^T, and so det(M - M^T) = 1.
+        - R(D) is read off the nonzeros of D: D_ij = d adds d x_i to row
+          j of D^T X and -d z_j to row i of D Z, and no other row is
+          touched.
+        - Generation and the genus bound depend on X and the size only,
+          so they are this datum's.
+        The new datum's report is this datum's, or the same with the
+        equation and validity false. It is stored as the new datum's
+        _report, so validate returns it, and no product with M is formed.
+        """
+        report = self._report
+        if not report.valid:
+            raise InternalInconsistency(
+                "a datum derived by matrix difference needs a valid base")
+        X, Z, r = self._coords, self._twisted, self.spec.rank
+        residual = {}
+        entries = range(len(X))
+        for i, row, row0 in zip(entries, matrix, self.matrix):
+            if row == row0:
+                continue
+            diff = tuple(map(sub, row, row0))
+            xi = X[i]
+            Ri = residual.setdefault(i, [0] * r)
+            for j in compress(entries, diff):
+                d, zj = diff[j], Z[j]
+                Rj = residual.setdefault(j, [0] * r)
+                for c in range(r):
+                    Rj[c] += d * xi[c]
+                    Ri[c] -= d * zj[c]
+        orders = self.spec.orders
+        if any(any(map(mod, R, orders)) for R in residual.values()):
+            report = ValidationReport(report.generates, False,
+                                      report.genus_ok, False)
+        data = SurfaceData._moved(self.spec, matrix, X)
+        data.__dict__["_report"] = report
         return data
 
     @property
@@ -130,15 +176,24 @@ class SurfaceData:
         return _validate(self)
 
     @cached_property
-    def _generates(self):
-        return abelian._coords_generate(
-            self.spec, tuple(sorted(set(self._coords))))
+    def _twisted(self):
+        # Z = X N^T over Z, the rows of t.X before reduction; read only
+        # by _with_matrix
+        return tuple(tuple(sum(map(mul, Nc, x)) for Nc in self.spec.action)
+                     for x in self._coords)
 
     @cached_property
     def _products(self):
         # (MX, M^T X) over Z, the only products of M that validate, su,
         # cu and vector_class read
         return _product_pair(self.matrix, self._coords)
+
+
+def _as_data(data):
+    """data itself; BadParameters unless it is a SurfaceData."""
+    if not isinstance(data, SurfaceData):
+        raise BadParameters(f"expected a SurfaceData, got {data!r}")
+    return data
 
 
 def make_data(spec, matrix, coords):
@@ -186,7 +241,7 @@ def validate(data):
     S = M^T - M is unimodular, the equation says V = S^-1 M (t-1)V.
     The check runs once per datum; later calls return the same report.
     """
-    return data._report
+    return _as_data(data)._report
 
 
 def _validate(data):
@@ -199,7 +254,7 @@ def _validate(data):
     factors = tuple(enumerate(zip(spec.action, spec.orders)))
     equation = all(not (q[c] - sum(map(mul, Nc, p))) % n
                    for p, q in zip(MX, MTX) for c, (Nc, n) in factors)
-    gen = data._generates
+    gen = abelian._coords_generate(spec, tuple(sorted(set(X))))
     genus_ok = len(X) >= _min_generators(spec)
     return ValidationReport(gen, equation, genus_ok,
                             gen and equation and genus_ok)
@@ -242,7 +297,7 @@ def lambda1(data, U):
     shorten_vector) costs O(n |J|), and a dense U what a dense product
     costs. The failure message names the Smith diagonal of the whole U.
     """
-    size = data.size
+    size = _as_data(data).size
     Ur = _as_matrix(U)
     if len(Ur) != size:
         raise BadParameters(f"U must be {size}x{size}")
@@ -302,7 +357,7 @@ def _lambda2_tail(spec, X, c, variant):
 def lambda2(data, c, variant):
     """Stabilization: grow the matrix by two rows/columns in one of the two
     patterns and append the transported vector entries."""
-    size = data.size
+    size = _as_data(data).size
     c = abelian.int_tuple(c, "c")
     if len(c) != size:
         raise BadParameters(f"c must have length {size}")
@@ -324,7 +379,7 @@ def lambda2(data, c, variant):
 def lambda2_inverse(data):
     """Undo a lambda2 stabilization; PatternMismatch when the last two
     rows/columns (or vector entries) do not match either pattern."""
-    size = data.size
+    size = _as_data(data).size
     if size < 2:
         raise PatternMismatch("no stabilized block to remove")
     M = data.matrix
@@ -425,7 +480,7 @@ def standard_matrix(g):
 
 
 def connect_sum(d1, d2):
-    if d1.spec != d2.spec:
+    if _as_data(d1).spec != _as_data(d2).spec:
         raise GroupMismatch("connect sum requires a common group spec")
     n1, n2 = d1.size, d2.size
     rows = [list(d1.matrix[i]) + [0] * n2 for i in range(n1)]
@@ -438,6 +493,8 @@ def canonical_vector(w):
     """The explicit inverse of the class map: for each basis pair (i, j)
     with coefficient c emit c adjacent pairs (s_i; s_j), then trailing
     pairs (0; s_k) for every factor k."""
+    if not isinstance(w, abelian.WedgeElement2):
+        raise BadParameters(f"expected a WedgeElement2, got {w!r}")
     spec = w.spec
     r = spec.rank
 
@@ -463,7 +520,7 @@ class ShortenResult:
 
 def apply_moves(data, moves):
     """Replay a recorded move list (as produced by shorten_vector)."""
-    cur = data
+    cur = _as_data(data)
     for move in moves:
         if move[0] == "lambda1":
             cur = lambda1(cur, move[1])
@@ -512,7 +569,7 @@ def shorten_vector(data, ordered_basis):
     round strictly shrinks the multiset of per-pair excess word lengths,
     so the loop terminates.
     """
-    spec = data.spec
+    spec = _as_data(data).spec
     basis = tuple(ordered_basis)
     for b in basis:
         if not isinstance(b, abelian.GroupElement) or b.spec != spec:
@@ -586,7 +643,7 @@ def shorten_vector(data, ordered_basis):
 
 def data_to_json(data):
     return {
-        "group": abelian.group_to_json(data.spec),
+        "group": abelian.group_to_json(_as_data(data).spec),
         "seifert": [list(row) for row in data.matrix],
         "vector": [list(x) for x in data._coords],
     }

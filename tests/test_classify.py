@@ -447,6 +447,40 @@ class TestAffineBuild:
                             1 if cols else None))
         assert outcome(build, *params) == got
 
+    @pytest.mark.parametrize("case", AFFINE_CASES, ids=case_id)
+    def test_products_only_at_samples(self, case, monkeypatch):
+        """A derived entry is validated from its matrix difference to the
+        block's first sample, so the product pair (MX, M^T X) is formed
+        only for the samples: 3 per block with columns, 2 without."""
+        build, params = case
+        pair = surface_data._product_pair
+        calls = []
+        monkeypatch.setattr(surface_data, "_product_pair",
+                            lambda M, X: calls.append(M) or pair(M, X))
+        t = build(*params)
+        blocks = sum(e.k == 1 and e.l in (None, 1) for e in t.entries)
+        per_block = 2 if t.family == "metacyclic" else 3
+        assert len(calls) == per_block * blocks
+        assert set(calls) <= {e.data.matrix for e in t.entries}
+
+    def test_derived_failure_is_seen(self, c2_35):
+        """A matrix_at that breaks the colouring equation on one derived
+        entry (1 added to a diagonal entry keeps M - M^T) makes the block
+        raise, with no mocking."""
+
+        def bumped_at(point):
+            return lambda k, l: ((3 * k + ((k, l) == point), 1, 0, 0),
+                                 (2, 0, 0, 0), (0, 0, 5 * l, 2),
+                                 (0, 0, 3, 0))
+
+        coords = ((1, 0), (0, 0), (0, 1), (0, 0))
+        assert len(classify._block(c2_35, "g2", None, coords,
+                                   bumped_at(None), 3, 5)) == 15
+        with pytest.raises(InternalInconsistency,
+                           match="family entry g2 failed validation"):
+            classify._block(c2_35, "g2", None, coords, bumped_at((2, 4)),
+                            3, 5)
+
 
 class TestA4Representatives:
     def test_table_shape(self, a4):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from knotcolour.errors import (
     BadParameters,
     BudgetExceeded,
     GroupMismatch,
+    InternalInconsistency,
     InvalidData,
     NonGenerating,
     NotSymplecticable,
@@ -270,6 +272,93 @@ class TestValidateOracle:
         assert seen >= {"valid=True", "valid=False", "generates=False",
                         "equation_holds=False"}
 
+
+class TestWithMatrix:
+    def test_matches_fresh_validation(self, c2_35):
+        """A datum derived by matrix difference gets the report that a
+        fresh validation of its own matrix gives. Bases are table data of
+        all three families (unequal orders included), half of them moved
+        by up to two random lambda moves. Most changes are symmetric, so
+        keep M - M^T; the residual is linear in M whatever the change, so
+        some one-sided changes are drawn too."""
+        tables = (classify.metacyclic_table(2, 5, 4),
+                  classify.metacyclic_table(3, 7, 2),
+                  classify.rank2_diag_table(2, 3, 5, 2, 4),
+                  classify.rank2_nondiag_table(3, 5, ((0, 1), (4, 4))))
+        assert tables[2].group == c2_35
+        bases = [e.data for t in tables for e in t.entries]
+        rng = random.Random(20)
+        seen = set()
+        for _ in range(3000):
+            base = rng.choice(bases)
+            for _ in range(rng.randrange(3)):
+                base = random_move(rng, base)
+            exponent = lcm(*base.spec.orders)
+            M = [list(row) for row in base.matrix]
+            for _ in range(rng.randrange(1, 4)):
+                i, j = rng.randrange(base.size), rng.randrange(base.size)
+                x = rng.randrange(-exponent, exponent + 1)
+                M[i][j] += x
+                if j != i and rng.random() < 0.75:
+                    M[j][i] += x
+            M = tuple(map(tuple, M))
+            fresh = surface_data.SurfaceData._moved(base.spec, M,
+                                                    base._coords)
+            report = surface_data.validate(base._with_matrix(M))
+            assert report == surface_data._validate(fresh)
+            seen.add(report.valid)
+        assert seen == {True, False}
+
+    def test_needs_a_valid_base(self, d6):
+        base = surface_data.make_data(d6, TREFOIL_L, [(1,), (1,)])
+        assert not surface_data.validate(base).valid
+        with pytest.raises(InternalInconsistency, match="valid base"):
+            base._with_matrix(TREFOIL_L)
+
+
+class TestNotData:
+    """Every public function that takes surface data raises BadParameters
+    on anything else, and so do structured_lift on a non-spec and
+    canonical_vector on a non-class."""
+
+    @pytest.mark.parametrize("call", [
+        surface_data.validate,
+        invariants.su,
+        invariants.cu,
+        invariants.vector_class,
+        lambda d: surface_data.lambda1(d, ((1, 0), (0, 1))),
+        lambda d: surface_data.lambda2(d, (0, 0), 1),
+        surface_data.lambda2_inverse,
+        lambda d: surface_data.connect_sum(d, d),
+        lambda d: surface_data.apply_moves(d, []),
+        lambda d: surface_data.shorten_vector(d, []),
+        surface_data.data_to_json,
+        classify.a4_class,
+    ], ids=["validate", "su", "cu", "vector_class", "lambda1", "lambda2",
+            "lambda2_inverse", "connect_sum", "apply_moves",
+            "shorten_vector", "data_to_json", "a4_class"])
+    @pytest.mark.parametrize("junk", [5, None, ((1, 0), (0, 1))],
+                             ids=["int", "none", "matrix"])
+    def test_rejects_non_data(self, call, junk):
+        with pytest.raises(BadParameters, match="expected a SurfaceData"):
+            call(junk)
+
+    def test_connect_sum_checks_both(self, d6):
+        data = surface_data.make_data(d6, TREFOIL_L, [(1,), (2,)])
+        for args in ((data, 5), (5, data)):
+            with pytest.raises(BadParameters, match="expected a SurfaceData"):
+                surface_data.connect_sum(*args)
+
+    @pytest.mark.parametrize("junk", [5, (3,), None])
+    def test_structured_lift_rejects_non_spec(self, junk):
+        with pytest.raises(BadParameters, match="expected a GroupSpec"):
+            invariants.structured_lift(junk)
+
+    def test_canonical_vector_rejects_non_class(self, d6):
+        for junk in (5, abelian.element(d6, (1,)),
+                     abelian.wedge3_zero(abelian.unsafe_spec((3, 3, 3)))):
+            with pytest.raises(BadParameters, match="expected a WedgeElement2"):
+                surface_data.canonical_vector(junk)
 
 class TestVectorTransport:
     def test_matches_group_element_loop(self, d6, d10, d14, c3z7, c4z5, a4,

@@ -57,7 +57,6 @@ from .errors import (
     LiftFailure,
     NonGenerating,
     NotA4,
-    NotInvertible,
     NotOrderM,
     NotSymplecticable,
     NotUnimodular,

@@ -2,9 +2,10 @@
 
 One Euclid pass (_euclid) lies under the determinant, the unimodular
 inverse and the column echelon that gives the kernels over prod Z/n_i
-and their index (which decides generation). Smith normal form, built
-on one block matrix [[A, I], [I, 0]], serves the solves over prod
-Z/n_i, the minimal generator count of A and the NotUnimodular message.
+and their index (which sizes them). Smith normal form, built on one
+block matrix [[A, I], [I, 0]], serves the solves over prod Z/n_i and
+the NotUnimodular message. Neither decides generation or the minimal
+generator count of A: abelian reads both off the quotients A/pA.
 
 Everything here works on plain lists/tuples of Python ints; matrices are
 row-major. Sizes in this package stay small (at most a few dozen rows),

@@ -14,7 +14,7 @@ from math import gcd, prod
 import operator
 from operator import mod
 
-from ._intlin import det, echelon_mod, identity, kernel_mod, mat_pow
+from ._intlin import det, identity, kernel_mod, mat_pow
 from .errors import (
     BadParameters,
     FixedPoints,
@@ -148,12 +148,19 @@ def make_group(m, orders, action):
     return spec
 
 
+def _as_spec(spec):
+    """spec itself; BadParameters unless it is a GroupSpec."""
+    if not isinstance(spec, GroupSpec):
+        raise BadParameters(f"expected a GroupSpec, got {spec!r}")
+    return spec
+
+
 def element(spec, coords):
-    return GroupElement(spec, int_tuple(coords, "coordinates"))
+    return GroupElement(_as_spec(spec), int_tuple(coords, "coordinates"))
 
 
 def zero(spec):
-    return GroupElement(spec, (0,) * spec.rank)
+    return GroupElement(spec, (0,) * _as_spec(spec).rank)
 
 
 def _as_element(a):
@@ -225,8 +232,7 @@ def linear_kernel(P, Q, spec, budget):
     (see kernel_mod). Entry (i, j) acts on A as P_ij I + Q_ij N, N the action.
     BadParameters unless spec is a GroupSpec and P and Q share one shape.
     """
-    if not isinstance(spec, GroupSpec):
-        raise BadParameters(f"expected a GroupSpec, got {spec!r}")
+    _as_spec(spec)
     n = len(P[0]) if P else 0
     if len(Q) != len(P) or any(len(row) != n for row in (*P, *Q)):
         raise BadParameters("P and Q must be matrices of one shape")
@@ -251,37 +257,101 @@ def elements_of_rows(spec, vectors):
 
 
 def group_order(spec):
-    return prod(spec.orders)
+    return prod(_as_spec(spec).orders)
 
 
 def elements(spec):
     """All of A in lexicographic coordinate order."""
-    return [GroupElement(spec, c) for c in product(*[range(n) for n in spec.orders])]
+    return [GroupElement(spec, c)
+            for c in product(*[range(n) for n in _as_spec(spec).orders])]
+
+
+def _primes(n):
+    """The primes dividing n >= 1, ascending, by trial division up to
+    sqrt(n)."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    return out + [n] if n > 1 else out
 
 
 @lru_cache(maxsize=None)
-def _coords_generate(spec, coord_tuples):
-    """Whether the given coordinate tuples generate A.
+def _frattini(spec):
+    """A/pA per prime p dividing |A|, as (p, I_p, N_p) in ascending p:
+    A/pA = F_p^{I_p} with I_p = (i : p | n_i), and N_p the action on it,
+    the action restricted to I_p mod p. An entry N_ij with j outside I_p
+    vanishes mod p, as n_i | N_ij n_j, so N_p is all of t on A/pA."""
+    orders, N = spec.orders, spec.action
+    out = []
+    for p in sorted({p for n in orders for p in _primes(n)}):
+        I = tuple(i for i, n in enumerate(orders) if n % p == 0)
+        out.append((p, I, tuple(tuple(N[i][j] % p for j in I) for i in I)))
+    return tuple(out)
 
-    They do exactly when the columns of the relation matrix
-    [g_1 ... g_k | diag(orders)] span Z^r, i.e. its echelon index is 1.
+
+def _spans(rows, p, I, Np):
+    """Whether the rows, read mod p on the coordinates I, span F_p^I; with
+    Np given, whether their closure under Np does. One row echelon over
+    F_p, read lazily: each new basis vector b queues Np b, and the test
+    stops as soon as the rank reaches |I|."""
+    basis = []  # (pivot, vector: 1 at its pivot, 0 at earlier pivots)
+    for x in rows:
+        todo = [[x[i] % p for i in I]]
+        while todo:
+            v = todo.pop()
+            for k, b in basis:
+                c = v[k]
+                if c:
+                    v = [(y - c * z) % p for y, z in zip(v, b)]
+            k = next((k for k, y in enumerate(v) if y), None)
+            if k is None:
+                continue
+            if len(basis) == len(I) - 1:
+                return True
+            c = pow(v[k], -1, p)
+            v = [y * c % p for y in v]
+            basis.append((k, v))
+            if Np:
+                todo.append([sum(map(operator.mul, row, v)) % p
+                             for row in Np])
+    return False
+
+
+@lru_cache(maxsize=None)
+def _coords_generate(spec, coord_tuples, orbit=False):
+    """Whether the given coordinate tuples generate A; with orbit, whether
+    their t-orbits do (for a spec from make_group, where N^m = I).
+
+    Burnside's basis theorem (M. Hall, The Theory of Groups, 1959, ch.
+    12): a set generates the finite abelian A exactly when, for every
+    prime p dividing |A|, its image spans A/pA. The t-orbits generate A
+    exactly when those images span A/pA under N_p (see _frattini).
     """
-    if not coord_tuples:
-        return False
-    F = [[g[i] for g in coord_tuples] for i in range(spec.rank)]
-    return echelon_mod(F, spec.orders)[0] == 1
+    return all(_spans(coord_tuples, p, I, Np if orbit else None)
+               for p, I, Np in _frattini(spec))
 
 
 def generates(elems, spec=None):
-    """True iff the listed elements generate A as a group."""
-    if elems:
-        found = _same_spec(*elems)
-        if spec is not None and spec != found:
-            raise GroupMismatch("elements do not belong to the given spec")
-        spec = found
-    if spec is None or not elems:
+    """True iff the elements, any iterable of GroupElements, generate A
+    as a group; with no elements, False. BadParameters unless spec is
+    None or a GroupSpec, GroupMismatch if it is not the elements' spec."""
+    if spec is not None:
+        _as_spec(spec)
+    try:
+        elems = tuple(elems)
+    except TypeError:
+        raise BadParameters(
+            f"expected an iterable of GroupElements, got {elems!r}") from None
+    if not elems:
         return False
-    return _coords_generate(spec, tuple(sorted({e.coords for e in elems})))
+    found = _same_spec(*elems)
+    if spec is not None and spec != found:
+        raise GroupMismatch("elements do not belong to the given spec")
+    return _coords_generate(found, tuple(sorted({e.coords for e in elems})))
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +424,11 @@ class WedgeElement3(_Wedge):
 
 
 def wedge2_zero(spec):
-    return WedgeElement2(spec, (0,) * len(pair_indices(spec)))
+    return WedgeElement2(spec, (0,) * len(pair_indices(_as_spec(spec))))
 
 
 def wedge3_zero(spec):
-    return WedgeElement3(spec, (0,) * len(triple_indices(spec)))
+    return WedgeElement3(spec, (0,) * len(triple_indices(_as_spec(spec))))
 
 
 def _minors(cls, *elems):

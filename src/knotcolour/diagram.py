@@ -97,13 +97,11 @@ def quandle_op_inverse(x, b, spec):
 
 
 def _surjective(rows, spec):
-    # subgroup of G generated by the cosets t.a_i equals G iff the
-    # phi-orbits of the label rows generate A (base label is zero)
-    orbit = set()
-    for _ in range(spec.m):
-        orbit.update(rows)
-        rows = abelian.act_rows(rows, spec)
-    return abelian._coords_generate(spec, tuple(sorted(orbit)))
+    # the cosets t.a_i generate G iff the phi-orbits of the label rows
+    # generate A (the base label is zero); the orbits are closed over
+    # each A/pA inside the cached test, which is keyed on the distinct
+    # rows, so no orbit is formed per solution
+    return abelian._coords_generate(spec, tuple(sorted(set(rows))), True)
 
 
 def enumerate_diagram_colourings(diagram, spec, budget=10 ** 7):

@@ -17,11 +17,6 @@ class NotOrderM(ArtifactError):
     """The action matrix does not satisfy N^m = I on A."""
 
 
-class NotInvertible(ArtifactError):
-    """The action is not an automorphism of A. No check raises it any
-    more: make_group's N^m = I on A already makes N invertible."""
-
-
 class FixedPoints(ArtifactError):
     """The action has a nonzero fixed point (phi - id is singular)."""
 

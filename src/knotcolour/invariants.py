@@ -183,9 +183,7 @@ def structured_lift(spec):
     the linearised system misses, so the box is searched, BudgetExceeded
     past LIFT_BUDGET candidates.
     """
-    if not isinstance(spec, abelian.GroupSpec):
-        raise BadParameters(f"expected a GroupSpec, got {spec!r}")
-    C = _lift(spec)
+    C = _lift(abelian._as_spec(spec))
     if C is None:
         raise LiftFailure(
             f"no lift of the action satisfies C^{spec.m} = I mod n_i^2")

@@ -30,7 +30,6 @@ from ._intlin import (
     inverse_unimodular,
     mat_mul,
     not_unimodular,
-    smith_mod,
     solve_mod,
     transpose,
 )
@@ -227,12 +226,13 @@ def _product_pair(M, X):
     return tuple(map(tuple, P)), tuple(map(tuple, Q))
 
 
-@lru_cache(maxsize=None)
 def _min_generators(spec):
-    """Minimal size of a generating set of A: the number of invariant
-    factors > 1 of A = prod Z/orders, a system with no unknowns."""
-    d = smith_mod([()] * spec.rank, spec.orders)[1]
-    return sum(1 for di in d if di > 1)
+    """Minimal size of a generating set of A: max_p dim A/pA over the
+    primes p dividing |A|. A generating set maps onto each A/pA, and by
+    Burnside's basis theorem (see abelian._coords_generate) that many
+    elements, spanning every A/pA at once by the Chinese remainder
+    theorem, generate."""
+    return max(len(I) for _, I, _ in abelian._frattini(spec))
 
 
 def validate(data):

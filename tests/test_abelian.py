@@ -457,3 +457,18 @@ class TestJson:
         with pytest.raises(NotOrderM):
             abelian.group_from_json(
                 {"m": 2, "orders": [5], "action": [[2]]})
+
+
+class TestAsSpec:
+    @pytest.mark.parametrize("call", [
+        lambda s: abelian.element(s, (1,)), abelian.zero,
+        abelian.group_order, abelian.elements, abelian.wedge2_zero,
+        abelian.wedge3_zero,
+    ], ids=["element", "zero", "group_order", "elements", "wedge2_zero",
+            "wedge3_zero"])
+    @pytest.mark.parametrize("spec", [5, None, (3,)])
+    def test_rejects_non_specs(self, call, spec):
+        """A spec argument that is not a GroupSpec is a BadParameters, not
+        a bare AttributeError."""
+        with pytest.raises(BadParameters, match="^expected a GroupSpec, got "):
+            call(spec)

@@ -1,6 +1,7 @@
 """Shared test helpers: reference Seifert matrices, random unimodular
 matrices, the Smith-form oracles for _intlin.inverse_unimodular and
-_intlin.kernel_mod, random
+_intlin.kernel_mod, the echelon and explicit-orbit oracles for
+abelian._coords_generate, random
 S-equivalence moves, the fixture data pool, the
 backtracking oracle for diagram colourings, the GroupElement oracle
 for an integer matrix acting on a vector, the GroupElement oracles for
@@ -20,8 +21,8 @@ import pytest
 from knotcolour import (
     _intlin, abelian, classify, diagram, invariants, surface_data)
 from knotcolour._intlin import (
-    inverse_unimodular, mat_mul, mat_pow, mat_vec, smith, smith_mod,
-    transpose)
+    echelon_mod, inverse_unimodular, mat_mul, mat_pow, mat_vec, smith,
+    smith_mod, transpose)
 from knotcolour.errors import (
     ArtifactError,
     BadParameters,
@@ -94,6 +95,27 @@ def slow_kernel_mod(F, mods_in, mods_out):
         span |= {tuple((a + b) % n for a, b, n in zip(s, x, mods_in))
                  for x in steps for s in span}
     return sorted(span)
+
+
+def slow_coords_generate(spec, coord_tuples):
+    """Echelon oracle for abelian._coords_generate: the tuples generate A
+    exactly when the columns of the relation matrix
+    [g_1 ... g_k | diag(orders)] span Z^r, i.e. its echelon index is 1."""
+    if not coord_tuples:
+        return False
+    F = [[g[i] for g in coord_tuples] for i in range(spec.rank)]
+    return echelon_mod(F, spec.orders)[0] == 1
+
+
+def slow_orbit_generate(spec, rows):
+    """Explicit-orbit oracle for abelian._coords_generate with orbit: the
+    t-orbits of the rows from m steps of act_rows, then the echelon
+    verdict on the whole orbit."""
+    orbit, rows = set(), list(rows)
+    for _ in range(spec.m):
+        orbit.update(rows)
+        rows = abelian.act_rows(rows, spec)
+    return slow_coords_generate(spec, tuple(sorted(orbit)))
 
 
 def invariant_triple(data):

@@ -269,22 +269,27 @@ def echelon_mod(F, mods):
     return index, [c[l:] for c in cols]
 
 
+def check_budget(count, budget, what):
+    """BadParameters unless budget is an int (a bool is not an int here),
+    and BudgetExceeded if the count of what a search would visit exceeds
+    it."""
+    if type(budget) is not int:
+        raise BadParameters(f"budget must be an integer, got {budget!r}")
+    if count > budget:
+        raise BudgetExceeded(f"{count} {what} exceed budget {budget}")
+
+
 def kernel_mod(F, mods_in, mods_out, budget):
     """Every x in prod Z/mods_in with F x = 0 mod mods_out, sorted. F is
     well defined there (mods_out[i] | F[i][j] mods_in[j]) and has a row
     if it has a column. In (index, K) = echelon_mod(F, mods_out), the k =
     len(mods_in) columns of K span the kernel over Z, and there are
     prod(mods_in) index / prod(mods_out) solutions; BudgetExceeded, before
-    any is listed, if over budget, and BadParameters if budget is not an
-    int (a bool is not an int here).
+    any is listed, if over budget (see check_budget).
     """
-    if type(budget) is not int:
-        raise BadParameters(f"budget must be an integer, got {budget!r}")
     k = len(mods_in)
     index, K = echelon_mod(F, mods_out)
-    order = prod(mods_in) * index // prod(mods_out)
-    if order > budget:
-        raise BudgetExceeded(f"{order} solutions exceed budget {budget}")
+    check_budget(prod(mods_in) * index // prod(mods_out), budget, "solutions")
     span = {(0,) * k}
     for col in K:
         g = tuple(v % n for v, n in zip(col, mods_in))

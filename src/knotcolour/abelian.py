@@ -56,25 +56,39 @@ class GroupElement:
     coords: tuple
 
     def __post_init__(self):
-        orders = self.spec.orders
+        # the spec check costs nothing unless it fails: every GroupSpec
+        # has orders, so _expect raises
         try:
-            count = len(self.coords)
-        except TypeError:
-            raise BadParameters("coordinates must be a sequence") from None
-        if count != len(orders):
-            raise BadParameters(
-                f"coordinate length {count} != rank {len(orders)}")
-        object.__setattr__(self, "coords", _reduced(self.coords, orders))
+            orders = self.spec.orders
+        except AttributeError:
+            _expect(self.spec, GroupSpec)
+            raise
+        _store_coords(self, orders)
 
 
-def _reduced(coords, mods):
-    """Each coordinate mod its modulus; BadParameters if one is not an int
-    (a bool included)."""
+def _expect(x, cls):
+    """x itself; BadParameters unless it is a cls."""
+    if not isinstance(x, cls):
+        raise BadParameters(f"expected a {cls.__name__}, got {x!r}")
+    return x
+
+
+def _store_coords(x, mods):
+    """Store the coordinates of the frozen element x reduced mod mods;
+    BadParameters unless they are a sequence of len(mods) ints (a bool is
+    not an int here)."""
+    coords = x.coords
+    try:
+        count = len(coords)
+    except TypeError:
+        raise BadParameters("coordinates must be a sequence") from None
+    if count != len(mods):
+        raise BadParameters(f"coordinate length {count} != rank {len(mods)}")
     for c in coords:
         if type(c) is not int:
             raise BadParameters(
                 f"coordinates must be integers, got {coords!r}")
-    return tuple(map(mod, coords, mods))
+    object.__setattr__(x, "coords", tuple(map(mod, coords, mods)))
 
 
 def _check_scalar(k):
@@ -94,6 +108,19 @@ def int_tuple(values, what):
     if not _INT.issuperset(map(type, values)):
         raise BadParameters(f"{what} must be integers, got {values!r}")
     return tuple(values)
+
+
+def int_rows(rows, what, count, width):
+    """rows as a tuple of int tuples, coercing nothing: BadParameters
+    unless rows is a list or tuple of count rows, each a list or tuple of
+    width ints (a bool is not an int here)."""
+    if not isinstance(rows, (list, tuple)) or \
+            any(not isinstance(row, (list, tuple)) for row in rows):
+        raise BadParameters(
+            f"{what} must be a list or tuple of rows, got {rows!r}")
+    if len(rows) != count or any(len(row) != width for row in rows):
+        raise BadParameters(f"{what} must be {count}x{width}")
+    return tuple(int_tuple(row, f"{what} row") for row in rows)
 
 
 def _orders(orders):
@@ -119,13 +146,7 @@ def make_group(m, orders, action):
         raise BadParameters(f"m must be a positive integer, got {m!r}")
     orders = _orders(orders)
     r = len(orders)
-    if not isinstance(action, (list, tuple)) or \
-            any(not isinstance(row, (list, tuple)) for row in action):
-        raise BadParameters(
-            f"action must be a list or tuple of rows, got {action!r}")
-    if len(action) != r or any(len(row) != r for row in action):
-        raise BadParameters(f"action must be {r}x{r}")
-    action = tuple(int_tuple(row, "action row") for row in action)
+    action = int_rows(action, "action", r, r)
     # homomorphism compatibility: n_j * column j must vanish, i.e.
     # n_i | action[i][j] * n_j
     for i in range(r):
@@ -148,32 +169,18 @@ def make_group(m, orders, action):
     return spec
 
 
-def _as_spec(spec):
-    """spec itself; BadParameters unless it is a GroupSpec."""
-    if not isinstance(spec, GroupSpec):
-        raise BadParameters(f"expected a GroupSpec, got {spec!r}")
-    return spec
-
-
 def element(spec, coords):
-    return GroupElement(_as_spec(spec), int_tuple(coords, "coordinates"))
+    return GroupElement(spec, int_tuple(coords, "coordinates"))
 
 
 def zero(spec):
-    return GroupElement(spec, (0,) * _as_spec(spec).rank)
-
-
-def _as_element(a):
-    """a itself; BadParameters unless it is a GroupElement."""
-    if not isinstance(a, GroupElement):
-        raise BadParameters(f"expected a GroupElement, got {a!r}")
-    return a
+    return GroupElement(spec, (0,) * _expect(spec, GroupSpec).rank)
 
 
 def _same_spec(*elems):
-    s = _as_element(elems[0]).spec
+    s = _expect(elems[0], GroupElement).spec
     for e in elems[1:]:
-        if _as_element(e).spec != s:
+        if _expect(e, GroupElement).spec != s:
             raise GroupMismatch("elements belong to different group specs")
     return s
 
@@ -184,7 +191,8 @@ def add(a, b):
 
 
 def neg(a):
-    return GroupElement(_as_element(a).spec, tuple(-x for x in a.coords))
+    return GroupElement(_expect(a, GroupElement).spec,
+                        tuple(-x for x in a.coords))
 
 
 def sub(a, b):
@@ -195,12 +203,13 @@ def sub(a, b):
 def mul(k, a):
     """Integer multiple k.a, reduced mod each factor order."""
     _check_scalar(k)
-    return GroupElement(_as_element(a).spec, tuple(k * x for x in a.coords))
+    return GroupElement(_expect(a, GroupElement).spec,
+                        tuple(k * x for x in a.coords))
 
 
 def act(a):
     """t.a: apply the action matrix once."""
-    spec = _as_element(a).spec
+    spec = _expect(a, GroupElement).spec
     N = spec.action
     r = spec.rank
     return GroupElement(
@@ -210,7 +219,7 @@ def act(a):
 
 def act_pow(a, j):
     """t^j.a for any integer j (the action has order dividing m)."""
-    _as_element(a)
+    _expect(a, GroupElement)
     _check_scalar(j)
     out = a
     for _ in range(j % a.spec.m):
@@ -221,7 +230,7 @@ def act_pow(a, j):
 def act_rows(rows, spec):
     """t applied to each coordinate row, reduced mod the orders: the
     integer form of act, for loops that never build an element."""
-    pairs = tuple(zip(spec.action, spec.orders))
+    pairs = tuple(zip(_expect(spec, GroupSpec).action, spec.orders))
     return [tuple(sum(map(operator.mul, Ni, x)) % n for Ni, n in pairs)
             for x in rows]
 
@@ -232,9 +241,13 @@ def linear_kernel(P, Q, spec, budget):
     (see kernel_mod). Entry (i, j) acts on A as P_ij I + Q_ij N, N the action.
     BadParameters unless spec is a GroupSpec and P and Q share one shape.
     """
-    _as_spec(spec)
-    n = len(P[0]) if P else 0
-    if len(Q) != len(P) or any(len(row) != n for row in (*P, *Q)):
+    _expect(spec, GroupSpec)
+    try:
+        n = len(P[0]) if P else 0
+        shaped = len(Q) == len(P) and all(len(row) == n for row in (*P, *Q))
+    except TypeError:
+        shaped = False
+    if not shaped:
         raise BadParameters("P and Q must be matrices of one shape")
     N, orders, r = spec.action, spec.orders, spec.rank
     F = [[P[i][j] * (c == d) + Q[i][j] * N[c][d]
@@ -248,6 +261,7 @@ def elements_of_rows(spec, vectors):
     """Each vector of coordinate rows as a tuple of GroupElements, built
     through the validating constructor once per distinct row; equal rows
     share one (immutable) element."""
+    _expect(spec, GroupSpec)
     made = {}
     for V in vectors:
         for x in V:
@@ -257,13 +271,13 @@ def elements_of_rows(spec, vectors):
 
 
 def group_order(spec):
-    return prod(_as_spec(spec).orders)
+    return prod(_expect(spec, GroupSpec).orders)
 
 
 def elements(spec):
     """All of A in lexicographic coordinate order."""
     return [GroupElement(spec, c)
-            for c in product(*[range(n) for n in _as_spec(spec).orders])]
+            for c in product(*map(range, _expect(spec, GroupSpec).orders))]
 
 
 def _primes(n):
@@ -335,17 +349,23 @@ def _coords_generate(spec, coord_tuples, orbit=False):
                for p, I, Np in _frattini(spec))
 
 
+def _as_tuple(elems):
+    """elems, an iterable of GroupElements, as a tuple; BadParameters if
+    it is not iterable. The caller checks the entries."""
+    try:
+        return tuple(elems)
+    except TypeError:
+        raise BadParameters(
+            f"expected an iterable of GroupElements, got {elems!r}") from None
+
+
 def generates(elems, spec=None):
     """True iff the elements, any iterable of GroupElements, generate A
     as a group; with no elements, False. BadParameters unless spec is
     None or a GroupSpec, GroupMismatch if it is not the elements' spec."""
     if spec is not None:
-        _as_spec(spec)
-    try:
-        elems = tuple(elems)
-    except TypeError:
-        raise BadParameters(
-            f"expected an iterable of GroupElements, got {elems!r}") from None
+        _expect(spec, GroupSpec)
+    elems = _as_tuple(elems)
     if not elems:
         return False
     found = _same_spec(*elems)
@@ -358,18 +378,24 @@ def generates(elems, spec=None):
 # wedge algebra — depends only on spec.orders
 
 
+def _basis(spec, degree):
+    """The basis wedges of the degree as ascending index tuples, in
+    lexicographic order; BadParameters unless spec is a GroupSpec."""
+    return tuple(combinations(range(_expect(spec, GroupSpec).rank), degree))
+
+
 def pair_indices(spec):
-    return tuple(combinations(range(spec.rank), 2))
+    return _basis(spec, 2)
 
 
 def triple_indices(spec):
-    return tuple(combinations(range(spec.rank), 3))
+    return _basis(spec, 3)
 
 
 def _wedge_orders(spec, degree):
     """Per basis wedge of the degree, the gcd of its factors' orders."""
     return tuple(gcd(*(spec.orders[i] for i in idx))
-                 for idx in combinations(range(spec.rank), degree))
+                 for idx in _basis(spec, degree))
 
 
 def pair_orders(spec):
@@ -389,14 +415,7 @@ class _Wedge:
     coords: tuple
 
     def __post_init__(self):
-        mods = _wedge_orders(self.spec, self.degree)
-        try:
-            count = len(self.coords)
-        except TypeError:
-            raise BadParameters("coordinates must be a sequence") from None
-        if count != len(mods):
-            raise BadParameters("wrong number of wedge coordinates")
-        object.__setattr__(self, "coords", _reduced(self.coords, mods))
+        _store_coords(self, _wedge_orders(self.spec, self.degree))
 
     def __add__(self, other):
         if type(other) is not type(self) or other.spec != self.spec:
@@ -424,11 +443,11 @@ class WedgeElement3(_Wedge):
 
 
 def wedge2_zero(spec):
-    return WedgeElement2(spec, (0,) * len(pair_indices(_as_spec(spec))))
+    return WedgeElement2(spec, (0,) * len(pair_indices(spec)))
 
 
 def wedge3_zero(spec):
-    return WedgeElement3(spec, (0,) * len(triple_indices(_as_spec(spec))))
+    return WedgeElement3(spec, (0,) * len(triple_indices(spec)))
 
 
 def _minors(cls, *elems):
@@ -436,7 +455,7 @@ def _minors(cls, *elems):
     the elements' coordinate rows restricted to the index tuple idx."""
     s = _same_spec(*elems)
     return cls(s, tuple(det([[e.coords[i] for i in idx] for e in elems])
-                        for idx in combinations(range(s.rank), cls.degree)))
+                        for idx in _basis(s, cls.degree)))
 
 
 def wedge2(a, b):
@@ -452,9 +471,7 @@ def wedge3(a, b, c):
 def _wedge_scale(k, w, cls):
     """k w; BadParameters unless k is an int and w a cls."""
     _check_scalar(k)
-    if type(w) is not cls:
-        raise BadParameters(f"expected a {cls.__name__}, got {w!r}")
-    return cls(w.spec, tuple(k * c for c in w.coords))
+    return cls(_expect(w, cls).spec, tuple(k * c for c in w.coords))
 
 
 def wedge2_scale(k, w):
@@ -492,6 +509,7 @@ def additive_order(k, n):
 
 
 def group_to_json(spec):
+    _expect(spec, GroupSpec)
     return {
         "m": spec.m,
         "orders": list(spec.orders),

@@ -14,10 +14,9 @@ from math import gcd
 from operator import attrgetter
 
 from . import abelian, invariants, surface_data
-from ._intlin import solve_mod
+from ._intlin import check_budget, solve_mod
 from .errors import (
     BadParameters,
-    BudgetExceeded,
     InternalInconsistency,
     InvalidData,
     NotA4,
@@ -63,7 +62,14 @@ def _inv(a, n):
 
 
 def _entry(spec, k, l, i, name, matrix, coords):
-    data = _checked(surface_data.make_data(spec, matrix, coords), name)
+    return _evaluated(k, l, i, name,
+                      surface_data.make_data(spec, matrix, coords))
+
+
+def _evaluated(k, l, i, name, data):
+    """The entry of a datum through the full per-entry path: validate,
+    su, cu and vector_class."""
+    _checked(data, name)
     return FamilyEntry(k, l, i, name, data,
                        invariants.su(data), invariants.cu(data),
                        invariants.vector_class(data))
@@ -73,13 +79,6 @@ def _checked(data, name):
     if not surface_data.validate(data).valid:
         raise InternalInconsistency(f"family entry {name} failed validation")
     return data
-
-
-def _check_budget(count, budget):
-    if type(budget) is not int:
-        raise BadParameters(f"budget must be an integer, got {budget!r}")
-    if count > budget:
-        raise BudgetExceeded(f"{count} table entries exceed budget {budget}")
 
 
 def _block(spec, name, i, coords, matrix_at, rows, cols=None):
@@ -164,7 +163,7 @@ def metacyclic_table(m, n, xi, budget=TABLE_BUDGET):
     M_k = [[a + kn, 0], [1, 1]], V = (s; x s) with x = xi/(1-xi) and
     a the minimal natural congruent to -xi/(1-xi)^2. BudgetExceeded,
     before any entry is built, when its n entries exceed budget."""
-    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 2):
+    if not (type(m) is type(n) is int and m >= 1 and n >= 2):
         raise BadParameters("need integers m >= 1, n >= 2")
     if type(xi) is not int:
         raise BadParameters(f"xi must be an integer, got {xi!r}")
@@ -173,7 +172,7 @@ def metacyclic_table(m, n, xi, budget=TABLE_BUDGET):
         raise BadParameters("xi and xi - 1 must be units mod n")
     if pow(xi, m, n) != 1 % n:
         raise BadParameters(f"xi^{m} != 1 mod {n}")
-    _check_budget(n, budget)
+    check_budget(n, budget, "table entries")
     spec = abelian.make_group(m, (n,), ((xi,),))
     x = (xi * _inv(1 - xi, n)) % n
     a = (-xi * _inv((1 - xi) ** 2, n)) % n
@@ -194,8 +193,8 @@ def rank2_diag_table(m, n1, n2, xi1, xi2, budget=TABLE_BUDGET):
     always exists. BudgetExceeded, before any entry is built, when the
     (#genus-1 i + 1) n1 n2 entries exceed budget.
     """
-    if not all(isinstance(v, int) for v in (m, n1, n2)) or m < 1 \
-            or n1 < 2 or n2 < 2:
+    if not (type(m) is type(n1) is type(n2) is int and m >= 1
+            and n1 >= 2 and n2 >= 2):
         raise BadParameters("need integers m >= 1, n1, n2 >= 2")
     if type(xi1) is not int or type(xi2) is not int:
         raise BadParameters(
@@ -226,7 +225,7 @@ def rank2_diag_table(m, n1, n2, xi1, xi2, budget=TABLE_BUDGET):
                 notes.append(f"i={i} skipped: i s2 does not generate Z/{n2}")
             else:
                 g1_is.append(i)
-    _check_budget((len(g1_is) + 1) * n1 * n2, budget)
+    check_budget((len(g1_is) + 1) * n1 * n2, budget, "table entries")
     for i in g1_is:
         entries += _block(spec, "g1", i, ((1, 0), (0, i)),
                           lambda k, l: ((k * n1, x), (x + 1, l * n2)),
@@ -247,16 +246,6 @@ def rank2_diag_table(m, n1, n2, xi1, xi2, budget=TABLE_BUDGET):
                        abelian.h3_order(spec), lower, tuple(notes))
 
 
-def _rows2x2(N):
-    """N as a 2x2 tuple of int rows; BadParameters otherwise."""
-    if not isinstance(N, (list, tuple)):
-        raise BadParameters(f"N must be a list or tuple of rows, got {N!r}")
-    rows = tuple(abelian.int_tuple(row, "N row") for row in N)
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise BadParameters("N must be 2x2")
-    return rows
-
-
 def nondiag_lower_bound(m, n, N):
     """Additive order of 6(1 + N22 + N22^2 - N21^2) mod n; only the m = 3
     case has a proven bound. BadParameters unless n is an int >= 1 (a
@@ -265,7 +254,7 @@ def nondiag_lower_bound(m, n, N):
         raise UnsupportedM(f"lower bound formula only covers m = 3, got {m}")
     if type(n) is not int or n < 1:
         raise BadParameters(f"n must be a positive integer, got {n!r}")
-    n21, n22 = (x % n for x in _rows2x2(N)[1])
+    n21, n22 = (x % n for x in abelian.int_rows(N, "N", 2, 2)[1])
     return abelian.additive_order(6 * (1 + n22 + n22 * n22 - n21 * n21), n)
 
 
@@ -290,9 +279,9 @@ def rank2_nondiag_table(m, n, N, budget=TABLE_BUDGET):
       always raises there, see invariants.cu); the N21 = -1 test only
       decides which sample comes first.
     """
-    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 2):
+    if not (type(m) is type(n) is int and m >= 1 and n >= 2):
         raise BadParameters("need integers m >= 1, n >= 2")
-    rows = _rows2x2(N)
+    rows = abelian.int_rows(N, "N", 2, 2)
     if rows[0] != (0, 1):
         raise BadParameters("N must be in companion form [[0, 1], [N21, N22]]")
     n21, n22 = rows[1][0] % n, rows[1][1] % n
@@ -315,7 +304,7 @@ def rank2_nondiag_table(m, n, N, budget=TABLE_BUDGET):
                 notes.append(f"i={i} skipped: i s2 does not generate Z/{n}")
             else:
                 g1_is.append(i)
-    _check_budget((len(g1_is) + 1) * n * n, budget)
+    check_budget((len(g1_is) + 1) * n * n, budget, "table entries")
     for i in g1_is:
         # 1 - 2xt + xt N22 = 1 - xt(2 - N22) = 0 mod n, as xt = (2 - N22)^-1
         d1, d2 = (xi * i) % n, (xi * _inv(i, n)) % n
@@ -387,18 +376,12 @@ def a4_representatives():
     base = {}
     entries = []
     for name, matrix in _A4_MATRICES:
-        data = _lex_coloured(spec, matrix)
-        base[name] = data
-        entries.append(FamilyEntry(None, None, None, name, data,
-                                   invariants.su(data), invariants.cu(data),
-                                   invariants.vector_class(data)))
+        base[name] = _lex_coloured(spec, matrix)
+        entries.append(_evaluated(None, None, None, name, base[name]))
     for nm1, nm2 in _A4_SUMS:
-        data = surface_data.connect_sum(base[nm1], base[nm2])
-        if not surface_data.validate(data).valid:
-            raise InternalInconsistency(f"{nm1}#{nm2} failed validation")
-        entries.append(FamilyEntry(None, None, None, f"{nm1}#{nm2}", data,
-                                   invariants.su(data), invariants.cu(data),
-                                   invariants.vector_class(data)))
+        entries.append(_evaluated(
+            None, None, None, f"{nm1}#{nm2}",
+            surface_data.connect_sum(base[nm1], base[nm2])))
     notes = _distinctness_note(entries)
     return FamilyTable("a4", spec, tuple(entries),
                        abelian.h3_order(spec), 2, tuple(notes))
@@ -414,7 +397,7 @@ def _a4_reference_cu():
 def a4_class(data):
     """Which of the two rho-equivalence classes valid A4 data sits in,
     decided by cu."""
-    if surface_data._as_data(data).spec != a4_spec():
+    if abelian._expect(data, surface_data.SurfaceData).spec != a4_spec():
         raise NotA4("data is not coloured by the A4 spec")
     if not surface_data.validate(data).valid:
         raise InvalidData("a4_class needs valid surface data")

@@ -32,8 +32,14 @@ class Diagram:
     base_arc: int
 
     def __post_init__(self):
+        if not isinstance(self.crossings, (list, tuple)):
+            raise BadParameters(
+                f"crossings must be a list or tuple, got {self.crossings!r}")
         norm = []
         for cr in self.crossings:
+            if not isinstance(cr, (list, tuple)) or len(cr) != 2:
+                raise BadParameters(
+                    f"crossing must be a (sign, arcs) pair, got {cr!r}")
             sign, arcs = cr
             arcs = abelian.int_tuple(arcs, "arc ids")
             if type(sign) is not int or sign not in (1, -1):
@@ -82,17 +88,20 @@ class QuandleColouring:
     labels: dict
 
 
+def _check_operands(a, b, spec):
+    if abelian._same_spec(a, b) != abelian._expect(spec, abelian.GroupSpec):
+        raise GroupMismatch("quandle operands must lie in the given spec")
+
+
 def quandle_op(a, b, spec):
     """Label of the outgoing under-arc: a * b = phi(a - b) + b."""
-    if a.spec != spec or b.spec != spec:
-        raise GroupMismatch("quandle operands must lie in the given spec")
+    _check_operands(a, b, spec)
     return abelian.add(abelian.act(abelian.sub(a, b)), b)
 
 
 def quandle_op_inverse(x, b, spec):
     """The unique a with quandle_op(a, b) = x: phi^-1(x - b) + b."""
-    if x.spec != spec or b.spec != spec:
-        raise GroupMismatch("quandle operands must lie in the given spec")
+    _check_operands(x, b, spec)
     return abelian.add(abelian.act_pow(abelian.sub(x, b), -1), b)
 
 
@@ -110,8 +119,7 @@ def enumerate_diagram_colourings(diagram, spec, budget=10 ** 7):
     over the non-base arcs (ascending arc id). A crossing with out = in *
     over is the relation out - t.in + (t - 1).over = 0 over A (a negative
     crossing swaps in and out); BudgetExceeded past budget solutions."""
-    if not isinstance(diagram, Diagram):
-        raise BadParameters(f"expected a Diagram, got {diagram!r}")
+    abelian._expect(diagram, Diagram)
     free = [a for a in diagram.arcs if a != diagram.base_arc]
     col = {a: j for j, a in enumerate(free)}
     P, Q = ([[0] * len(free) for _ in diagram.crossings] for _ in range(2))
@@ -139,12 +147,11 @@ def braid_closure(word, strands):
     arcs canonically by first occurrence. BadParameters unless the
     closure is a knot: Diagram rejects a link whose components all
     cross, and a strand that no letter crosses is rejected here."""
-    if not isinstance(strands, int) or strands < 2:
+    if type(strands) is not int or strands < 2:
         raise BadParameters("need an integer strand count >= 2")
-    word = tuple(word)
+    word = abelian.int_tuple(word, "braid word")
     for letter in word:
-        if type(letter) is not int or letter == 0 \
-                or abs(letter) >= strands:
+        if letter == 0 or abs(letter) >= strands:
             raise BadParameters(f"braid letter {letter!r} out of range")
     # letter i crosses positions i - 1 and i; an uncrossed strand closes
     # to a split unknot, which no crossing would record
@@ -216,6 +223,7 @@ def catalog():
 
 
 def diagram_to_json(d):
+    abelian._expect(d, Diagram)
     return {
         "crossings": [{"sign": s, "arcs": list(arcs)}
                       for s, arcs in d.crossings],

@@ -22,17 +22,17 @@ from math import prod
 from operator import floordiv, mod, mul, sub
 
 from . import abelian
-from ._intlin import identity, kernel_mod, mat_mul, mat_pow, solve_mod
+from ._intlin import (
+    check_budget, identity, kernel_mod, mat_mul, mat_pow, solve_mod)
 from .errors import (
     BadParameters,
-    BudgetExceeded,
     DivisibilityFailure,
     GroupMismatch,
     InternalInconsistency,
     InvalidData,
     LiftFailure,
 )
-from .surface_data import _as_data, _product_pair, validate
+from .surface_data import SurfaceData, _product_pair, validate
 
 # most lift candidates searched, or lift-system solutions listed
 LIFT_BUDGET = 10 ** 7
@@ -62,17 +62,6 @@ def _stacked(Y, products):
     per factor, so an r x r right factor applies to all three at once."""
     MY, MTY = products
     return tuple(zip(*Y, *MY, *MTY))
-
-
-def _int_rows(rows, width, what):
-    """rows as int tuples; BadParameters unless rows is a list or tuple
-    of lists or tuples of width ints each (a bool is not an int)."""
-    if not isinstance(rows, (list, tuple)):
-        raise BadParameters(f"{what} must be a list or tuple of rows")
-    rows = [abelian.int_tuple(row, f"{what} row") for row in rows]
-    if any(len(row) != width for row in rows):
-        raise BadParameters(f"{what} rows must hold {width} integers")
-    return rows
 
 
 def su(data, lifts=None):
@@ -116,7 +105,8 @@ def su(data, lifts=None):
                     for b in lifts):
             raise BadParameters("lifts must give m blocks of one row per entry")
         orbit = [_stacked(Y, _product_pair(data.matrix, Y))
-                 for Y in (_int_rows(b, r, "lifts") for b in lifts)]
+                 for Y in (abelian.int_rows(b, "lifts", size, r)
+                           for b in lifts)]
     Y, P, Q = slice(size), slice(size, 2 * size), slice(2 * size, None)
     out = []
     for c, n in enumerate(spec.orders):
@@ -152,10 +142,7 @@ def _hensel_lift(m, n, N):
 def _searched_lift(m, orders, N):
     """The first lift in the row-major search, or None."""
     r = len(orders)
-    count = prod(orders) ** r
-    if count > LIFT_BUDGET:
-        raise BudgetExceeded(
-            f"{count} lift candidates exceed budget {LIFT_BUDGET}")
+    check_budget(prod(orders) ** r, LIFT_BUDGET, "lift candidates")
     cand_lists = [range(N[i][j], orders[i] ** 2, orders[i])
                   for i in range(r) for j in range(r)]
     for flat in product(*cand_lists):
@@ -177,13 +164,14 @@ def structured_lift(spec):
     n^2 is exactly the linear system sum_{a<m} N^a X N^(m-1-a) =
     -(N^m - I)/n mod n (Hensel's one-step lift), and row-major order on C
     is lex order on X mod n. So C is N + n X for the least X among a
-    particular solution plus the kernel, both from the Smith core.
+    particular solution (from the Smith form, solve_mod) plus the kernel
+    (from the column echelon, kernel_mod).
     Unequal orders: with C = N + diag(n_i) X the second-order terms need
     not vanish mod n_i^2, and the first lift can have cross entries that
     the linearised system misses, so the box is searched, BudgetExceeded
     past LIFT_BUDGET candidates.
     """
-    C = _lift(abelian._as_spec(spec))
+    C = _lift(abelian._expect(spec, abelian.GroupSpec))
     if C is None:
         raise LiftFailure(
             f"no lift of the action satisfies C^{spec.m} = I mod n_i^2")
@@ -256,9 +244,7 @@ def cu(data, nlift=None, vlift=None):
         raise BadParameters("cu needs m >= 2")
     size = data.size
     if nlift is not None:
-        C = _int_rows(nlift, r, "nlift")
-        if len(C) != r:
-            raise BadParameters(f"nlift must have {r} rows")
+        C = abelian.int_rows(nlift, "nlift", r, r)
     else:
         C = spec.action if m <= 3 else structured_lift(spec)
     if vlift is None:
@@ -266,7 +252,7 @@ def cu(data, nlift=None, vlift=None):
     else:
         if not isinstance(vlift, (list, tuple)) or len(vlift) != size:
             raise BadParameters("vector lift must have one row per entry")
-        base = _int_rows(vlift, r, "vector lift")
+        base = abelian.int_rows(vlift, "vector lift", size, r)
         products = _product_pair(data.matrix, base)
     # block a is the stacked (x_a; M x_a; M^T x_a)
     blocks = [_stacked(base, products)]
@@ -305,7 +291,7 @@ def vector_class(data):
     A ^ A is safe. Structural, so defined on non-validating data too (the
     canonical vectors).
     """
-    X, MX = _as_data(data)._coords, data._products[0]
+    X, MX = abelian._expect(data, SurfaceData)._coords, data._products[0]
     return abelian.WedgeElement2(data.spec, tuple(
         sum(x[q] * y[p] - x[p] * y[q] for x, y in zip(X, MX))
         for p, q in abelian.pair_indices(data.spec)))

@@ -18,12 +18,13 @@ sums total).
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress
 from math import lcm
 from operator import mod, mul, sub
 
 from . import abelian
+from .abelian import _expect
 from ._intlin import (
     det,
     identity,
@@ -79,6 +80,7 @@ class SurfaceData:
     _coords: tuple
 
     def __init__(self, spec, matrix, vector):
+        _expect(spec, abelian.GroupSpec)
         rows = _check_seifert(matrix)
         try:
             vec = tuple(vector)
@@ -188,13 +190,6 @@ class SurfaceData:
         return _product_pair(self.matrix, self._coords)
 
 
-def _as_data(data):
-    """data itself; BadParameters unless it is a SurfaceData."""
-    if not isinstance(data, SurfaceData):
-        raise BadParameters(f"expected a SurfaceData, got {data!r}")
-    return data
-
-
 def make_data(spec, matrix, coords):
     """SurfaceData from raw coordinate rows (one row per vector entry)."""
     return SurfaceData(spec, matrix,
@@ -241,7 +236,7 @@ def validate(data):
     S = M^T - M is unimodular, the equation says V = S^-1 M (t-1)V.
     The check runs once per datum; later calls return the same report.
     """
-    return _as_data(data)._report
+    return _expect(data, SurfaceData)._report
 
 
 def _validate(data):
@@ -297,7 +292,7 @@ def lambda1(data, U):
     shorten_vector) costs O(n |J|), and a dense U what a dense product
     costs. The failure message names the Smith diagonal of the whole U.
     """
-    size = _as_data(data).size
+    size = _expect(data, SurfaceData).size
     Ur = _as_matrix(U)
     if len(Ur) != size:
         raise BadParameters(f"U must be {size}x{size}")
@@ -354,23 +349,25 @@ def _lambda2_tail(spec, X, c, variant):
     return ((0,) * spec.rank, tuple(map(mod, y, spec.orders)))
 
 
+# the corner (M_kk, M_k,k+1, M_k+1,k, M_k+1,k+1) of the new band k, k+1 that
+# lambda2 variant v appends, at _CORNERS[v - 1]
+_CORNERS = ((0, -1, 0, 0), (0, 0, 1, 0))
+
+
 def lambda2(data, c, variant):
     """Stabilization: grow the matrix by two rows/columns in one of the two
     patterns and append the transported vector entries."""
-    size = _as_data(data).size
+    size = _expect(data, SurfaceData).size
     c = abelian.int_tuple(c, "c")
     if len(c) != size:
         raise BadParameters(f"c must have length {size}")
     if type(variant) is not int or variant not in (1, 2):
         raise BadParameters(f"variant must be 1 or 2, got {variant!r}")
     M = data.matrix
+    a, b, d, e = _CORNERS[variant - 1]
     rows = [list(M[i]) + [c[i], 0] for i in range(size)]
-    if variant == 1:
-        rows.append(list(c) + [0, -1])
-        rows.append([0] * size + [0, 0])
-    else:
-        rows.append(list(c) + [0, 0])
-        rows.append([0] * size + [1, 0])
+    rows.append(list(c) + [a, b])
+    rows.append([0] * size + [d, e])
     tail = _lambda2_tail(data.spec, data._coords, c, variant)
     return SurfaceData._moved(
         data.spec, tuple(tuple(r) for r in rows), data._coords + tail)
@@ -379,7 +376,7 @@ def lambda2(data, c, variant):
 def lambda2_inverse(data):
     """Undo a lambda2 stabilization; PatternMismatch when the last two
     rows/columns (or vector entries) do not match either pattern."""
-    size = _as_data(data).size
+    size = _expect(data, SurfaceData).size
     if size < 2:
         raise PatternMismatch("no stabilized block to remove")
     M = data.matrix
@@ -393,12 +390,9 @@ def lambda2_inverse(data):
         raise PatternMismatch("last row/column must vanish off the corner")
     corner = (M[inner][inner], M[inner][inner + 1],
               M[inner + 1][inner], M[inner + 1][inner + 1])
-    if corner == (0, -1, 0, 0):
-        variant = 1
-    elif corner == (0, 0, 1, 0):
-        variant = 2
-    else:
+    if corner not in _CORNERS:
         raise PatternMismatch(f"corner {corner} matches neither pattern")
+    variant = _CORNERS.index(corner) + 1
     base = data._coords[:inner]
     if data._coords[inner:] != _lambda2_tail(data.spec, base, col_c, variant):
         raise PatternMismatch("vector entries do not match the stabilization")
@@ -467,7 +461,10 @@ def symplectic_reduce(matrix):
 
 
 def standard_matrix(g):
-    """The 2g x 2g matrix with M - M^T already in standard block form."""
+    """The 2g x 2g matrix with M - M^T already in standard block form;
+    BadParameters unless g is an int >= 0 (a bool is not an int here)."""
+    if type(g) is not int or g < 0:
+        raise BadParameters(f"genus must be a nonnegative integer, got {g!r}")
     size = 2 * g
     rows = [[0] * size for _ in range(size)]
     for b in range(g):
@@ -480,7 +477,7 @@ def standard_matrix(g):
 
 
 def connect_sum(d1, d2):
-    if _as_data(d1).spec != _as_data(d2).spec:
+    if _expect(d1, SurfaceData).spec != _expect(d2, SurfaceData).spec:
         raise GroupMismatch("connect sum requires a common group spec")
     n1, n2 = d1.size, d2.size
     rows = [list(d1.matrix[i]) + [0] * n2 for i in range(n1)]
@@ -493,9 +490,7 @@ def canonical_vector(w):
     """The explicit inverse of the class map: for each basis pair (i, j)
     with coefficient c emit c adjacent pairs (s_i; s_j), then trailing
     pairs (0; s_k) for every factor k."""
-    if not isinstance(w, abelian.WedgeElement2):
-        raise BadParameters(f"expected a WedgeElement2, got {w!r}")
-    spec = w.spec
+    spec = _expect(w, abelian.WedgeElement2).spec
     r = spec.rank
 
     def basis(i):
@@ -519,19 +514,22 @@ class ShortenResult:
 
 
 def apply_moves(data, moves):
-    """Replay a recorded move list (as produced by shorten_vector)."""
-    cur = _as_data(data)
+    """Replay a recorded move list (as produced by shorten_vector): a list
+    or tuple of moves ("lambda1", U) and ("lambda2", c, variant)."""
+    cur = _expect(data, SurfaceData)
+    if not isinstance(moves, (list, tuple)):
+        raise BadParameters(f"moves must be a list or tuple, got {moves!r}")
     for move in moves:
-        if move[0] == "lambda1":
+        tag = move[0] if isinstance(move, (list, tuple)) and move else None
+        if tag == "lambda1" and len(move) == 2:
             cur = lambda1(cur, move[1])
-        elif move[0] == "lambda2":
+        elif tag == "lambda2" and len(move) == 3:
             cur = lambda2(cur, move[1], move[2])
         else:
-            raise BadParameters(f"unknown move tag {move[0]!r}")
+            raise BadParameters(f"unknown move {move!r}")
     return cur
 
 
-@lru_cache(maxsize=None)
 def _word_lengths(spec, gens):
     """Word length of every element of A over the generating sequence
     gens of coordinate tuples (shorten_vector passes +-b for each basis
@@ -569,8 +567,8 @@ def shorten_vector(data, ordered_basis):
     round strictly shrinks the multiset of per-pair excess word lengths,
     so the loop terminates.
     """
-    spec = _as_data(data).spec
-    basis = tuple(ordered_basis)
+    spec = _expect(data, SurfaceData).spec
+    basis = abelian._as_tuple(ordered_basis)
     for b in basis:
         if not isinstance(b, abelian.GroupElement) or b.spec != spec:
             raise GroupMismatch("basis entries must lie in the data's group")
@@ -643,7 +641,7 @@ def shorten_vector(data, ordered_basis):
 
 def data_to_json(data):
     return {
-        "group": abelian.group_to_json(_as_data(data).spec),
+        "group": abelian.group_to_json(_expect(data, SurfaceData).spec),
         "seifert": [list(row) for row in data.matrix],
         "vector": [list(x) for x in data._coords],
     }

@@ -7,12 +7,11 @@ coordinate). Sources that write the action on row vectors should pass the
 transpose.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, prod
 import operator
-from operator import mod
+from operator import attrgetter, mod
 
 from ._intlin import det, identity, kernel_mod, mat_pow
 from .errors import (
@@ -23,8 +22,72 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class _Record:
+    """Base of the package's record classes. Each class is set up once,
+    with no generated code, so importing the package loads neither
+    dataclasses nor inspect. The fields are the annotated names of the
+    class and its bases, bases first.
+
+    - A record is built by position or keyword, then __post_init__ runs;
+      a subclass with a hot constructor writes its own fixed-signature
+      __init__.
+    - repr is Name(field=value, ...).
+    - == holds only between records of one class with equal fields, and
+      the hash is that of the field tuple.
+    - Assigning or deleting an attribute raises AttributeError, so a
+      constructor stores through __dict__. A mutable subclass restores
+      object's __setattr__ and __delattr__ and sets __hash__ = None.
+    """
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # getattr, not the class __dict__: from Python 3.14 the dict holds
+        # __annotate__ and the annotations are made on first access
+        cls._fields = fields = tuple(dict.fromkeys(
+            name for base in reversed(cls.__mro__)
+            for name in getattr(base, "__annotations__", ())))
+        # attrgetter is no descriptor: self._values(self) is the field
+        # tuple (attrgetter of one name gives the bare value)
+        get = attrgetter(*fields)
+        cls._values = get if len(fields) > 1 else staticmethod(
+            lambda x: (get(x),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs)
+        # a surplus or repeated argument leaves fewer values than given
+        if len(values) != len(args) + len(kwargs) or \
+                values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields "
+                            f"{', '.join(fields)}, each once")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in
+                           zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroupSpec(_Record):
     """Validated by make_group; direct construction performs no checks.
 
     Direct construction is deliberate for abelian-only carriers: some
@@ -37,7 +100,7 @@ class GroupSpec:
     action: tuple
 
     def __post_init__(self):
-        # the generated hash re-hashes the nested tuples on every cache
+        # the record hash re-hashes the nested tuples on every cache
         # lookup keyed on a spec; the value is the same
         object.__setattr__(
             self, "_hash", hash((self.m, self.orders, self.action)))
@@ -50,20 +113,29 @@ class GroupSpec:
         return len(self.orders)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Record):
     spec: GroupSpec
     coords: tuple
 
+    def __init__(self, spec, coords):
+        fields = self.__dict__
+        fields["spec"], fields["coords"] = spec, coords
+        self.__post_init__()
+
     def __post_init__(self):
-        # the spec check costs nothing unless it fails: every GroupSpec
-        # has orders, so _expect raises
-        try:
-            orders = self.spec.orders
-        except AttributeError:
-            _expect(self.spec, GroupSpec)
-            raise
-        _store_coords(self, orders)
+        spec = self.spec
+        if spec.__class__ is not GroupSpec:  # spares a real spec the call
+            _expect(spec, GroupSpec)
+        _store_coords(self, spec.orders)
+
+    @classmethod
+    def _trusted(cls, spec, coords):
+        """Unchecked: coords must be a tuple of ints reduced mod
+        spec.orders, rows the library reduced itself."""
+        e = object.__new__(cls)
+        fields = e.__dict__
+        fields["spec"], fields["coords"] = spec, coords
+        return e
 
 
 def _expect(x, cls):
@@ -112,14 +184,17 @@ def int_tuple(values, what):
 
 def int_rows(rows, what, count, width):
     """rows as a tuple of int tuples, coercing nothing: BadParameters
-    unless rows is a list or tuple of count rows, each a list or tuple of
-    width ints (a bool is not an int here)."""
+    unless rows is a list or tuple of count rows (any number if count is
+    None), each a list or tuple of width ints (a bool is not an int
+    here)."""
     if not isinstance(rows, (list, tuple)) or \
             any(not isinstance(row, (list, tuple)) for row in rows):
         raise BadParameters(
             f"{what} must be a list or tuple of rows, got {rows!r}")
-    if len(rows) != count or any(len(row) != width for row in rows):
-        raise BadParameters(f"{what} must be {count}x{width}")
+    if count not in (None, len(rows)) or \
+            any(len(row) != width for row in rows):
+        raise BadParameters(
+            f"{what} must be {'n' if count is None else count}x{width}")
     return tuple(int_tuple(row, f"{what} row") for row in rows)
 
 
@@ -229,10 +304,12 @@ def act_pow(a, j):
 
 def act_rows(rows, spec):
     """t applied to each coordinate row, reduced mod the orders: the
-    integer form of act, for loops that never build an element."""
+    integer form of act, for loops that never build an element.
+    BadParameters unless rows is a list or tuple of rank-length rows of
+    ints."""
     pairs = tuple(zip(_expect(spec, GroupSpec).action, spec.orders))
     return [tuple(sum(map(operator.mul, Ni, x)) % n for Ni, n in pairs)
-            for x in rows]
+            for x in int_rows(rows, "coordinates", None, spec.rank)]
 
 
 def linear_kernel(P, Q, spec, budget):
@@ -258,15 +335,22 @@ def linear_kernel(P, Q, spec, budget):
 
 
 def elements_of_rows(spec, vectors):
-    """Each vector of coordinate rows as a tuple of GroupElements, built
-    through the validating constructor once per distinct row; equal rows
-    share one (immutable) element."""
+    """Each vector, a sequence of coordinate rows, as a tuple of
+    GroupElements, built through the validating constructor once per
+    distinct row; equal rows share one (immutable) element. BadParameters
+    if vectors, a vector or a row is not iterable, a row not hashable, or
+    the constructor refuses a row."""
     _expect(spec, GroupSpec)
     made = {}
-    for V in vectors:
-        for x in V:
-            if x not in made:
-                made[x] = GroupElement(spec, x)
+    try:
+        for V in vectors:
+            for x in V:
+                if x not in made:
+                    made[x] = GroupElement(spec, x)
+    except TypeError:
+        raise BadParameters(
+            f"expected a list of coordinate row vectors, got {vectors!r}"
+        ) from None
     return [tuple(map(made.__getitem__, V)) for V in vectors]
 
 
@@ -406,16 +490,17 @@ def triple_orders(spec):
     return _wedge_orders(spec, 3)
 
 
-@dataclass(frozen=True)
-class _Wedge:
+class _Wedge(_Record):
     """Element of the degree-fold exterior power of A (the subclass sets
     the degree); + needs equal degree and spec."""
 
     spec: GroupSpec
     coords: tuple
 
-    def __post_init__(self):
-        _store_coords(self, _wedge_orders(self.spec, self.degree))
+    def __init__(self, spec, coords):
+        fields = self.__dict__
+        fields["spec"], fields["coords"] = spec, coords
+        _store_coords(self, _wedge_orders(spec, self.degree))
 
     def __add__(self, other):
         if type(other) is not type(self) or other.spec != self.spec:
@@ -430,13 +515,11 @@ class _Wedge:
         return all(c == 0 for c in self.coords)
 
 
-@dataclass(frozen=True)
 class WedgeElement2(_Wedge):
     """Element of A ^ A, coordinates over the basis s_i ^ s_j, i < j."""
     degree = 2
 
 
-@dataclass(frozen=True)
 class WedgeElement3(_Wedge):
     """Element of A ^ A ^ A over the basis s_i ^ s_j ^ s_k, i < j < k."""
     degree = 3

@@ -8,10 +8,9 @@ the proven lower bound. Observations that deviate from the expected
 count formulas are recorded in the table's notes rather than asserted.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, mod
 
 from . import abelian, invariants, surface_data
 from ._intlin import check_budget, solve_mod
@@ -32,8 +31,7 @@ FIGURE8_CLASS = "figure8_class"
 TABLE_BUDGET = 10 ** 7
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyEntry(abelian._Record):
     k: object
     l: object
     i: object
@@ -43,9 +41,12 @@ class FamilyEntry:
     cu: abelian.GroupElement
     s: abelian.WedgeElement2
 
+    def __init__(self, k, l, i, name, data, su, cu, s):
+        self.__dict__.update(k=k, l=l, i=i, name=name, data=data, su=su,
+                             cu=cu, s=s)
 
-@dataclass(frozen=True)
-class FamilyTable:
+
+class FamilyTable(abelian._Record):
     family: str
     group: abelian.GroupSpec
     entries: tuple
@@ -133,8 +134,8 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
         x0, xk, xl = (value(e).coords for e in (base, along_k, along_l))
         deltas = tuple(zip(x0, (y - x for x, y in zip(x0, xk)),
                            (z - x for x, z in zip(x0, xl))))
-        return lambda a, b: abelian.GroupElement(
-            spec, tuple(x + a * dk + b * dl for x, dk, dl in deltas))
+        return lambda a, b: abelian.GroupElement._trusted(spec, tuple(map(
+            mod, [x + a * dk + b * dl for x, dk, dl in deltas], spec.orders)))
 
     su_at, cu_at = affine(attrgetter("su")), affine(attrgetter("cu"))
     entries = []

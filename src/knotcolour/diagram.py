@@ -12,7 +12,6 @@ A crossing is (sign, (a, b, c, d)): the under-strand enters at arc a and
 leaves at arc c, the over-strand is arc b (= d, one arc passes over).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 
@@ -20,8 +19,7 @@ from . import abelian
 from .errors import BadParameters, GroupMismatch
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(abelian._Record):
     """A one-component diagram: every arc has two under-strand ends, and
     the under-strand, joined at each crossing from arc a to arc c, runs
     from the base arc through every arc. Counts cannot tell a knot from
@@ -83,9 +81,17 @@ class Diagram:
         return tuple(sorted(ids))
 
 
-@dataclass
-class QuandleColouring:
+class QuandleColouring(abelian._Record):
+    """Mutable, so unhashable."""
+
     labels: dict
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, labels):
+        self.labels = labels
 
 
 def _check_operands(a, b, spec):

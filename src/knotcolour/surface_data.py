@@ -17,14 +17,13 @@ permitted (it can never validate over a nontrivial A, but keeps connect
 sums total).
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from math import lcm
 from operator import mod, mul, sub
 
 from . import abelian
-from .abelian import _expect
+from .abelian import _Record, _expect
 from ._intlin import (
     det,
     identity,
@@ -73,8 +72,7 @@ def _check_seifert(matrix, err=BadParameters):
     return rows
 
 
-@dataclass(frozen=True, init=False)
-class SurfaceData:
+class SurfaceData(_Record):
     spec: abelian.GroupSpec
     matrix: tuple
     _coords: tuple
@@ -196,12 +194,16 @@ def make_data(spec, matrix, coords):
                        tuple(abelian.element(spec, c) for c in coords))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     generates: bool
     equation_holds: bool
     genus_ok: bool
     valid: bool
+
+    def __init__(self, generates, equation_holds, genus_ok, valid):
+        self.__dict__.update(generates=generates,
+                             equation_holds=equation_holds,
+                             genus_ok=genus_ok, valid=valid)
 
 
 def _product_pair(M, X):
@@ -507,8 +509,7 @@ def canonical_vector(w):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ShortenResult:
+class ShortenResult(_Record):
     data: SurfaceData
     moves: tuple
 

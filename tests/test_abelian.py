@@ -123,7 +123,7 @@ class TestMakeGroup:
 
 class TestSpecHash:
     def test_hash_is_the_generated_one(self, d6, a4, c2_35):
-        """The cached hash is the dataclass hash of (m, orders, action),
+        """The cached hash is the record hash of (m, orders, action),
         and == still compares the three fields."""
         raw = abelian.GroupSpec(2, (3,), ((2,),))
         for spec in (d6, a4, c2_35, raw, abelian.unsafe_spec((4, 6))):
@@ -252,6 +252,16 @@ class TestElements:
 
     def test_group_order(self, c3_55):
         assert abelian.group_order(c3_55) == 25
+
+    def test_elements_of_rows(self, d10):
+        """One element per distinct row, shared by equal rows."""
+        vectors = [((1,), (7,)), ((2,), (1,)), ()]
+        want = [(abelian.element(d10, (1,)), abelian.element(d10, (2,))),
+                (abelian.element(d10, (2,)), abelian.element(d10, (1,))), ()]
+        for given in (vectors, tuple(vectors)):
+            got = abelian.elements_of_rows(d10, given)
+            assert got == want
+            assert got[0][0] is got[1][1]
 
 
 class TestGenerates:

@@ -3,7 +3,10 @@ abelian.int_rows for integer matrices, _intlin.check_budget for search
 budgets; and the stdlib-only rule for the package's imports."""
 
 import ast
+import os
+import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -35,9 +38,16 @@ MALFORMED = {
     "group_to_json": lambda d6: abelian.group_to_json(5),
     "diagram_to_json": lambda d6: diagram.diagram_to_json(5),
     "act_rows": lambda d6: abelian.act_rows([(1,)], 5),
+    "act_rows_rows": lambda d6: abelian.act_rows(5, d6),
+    "act_rows_float": lambda d6: abelian.act_rows([(1.5,)], d6),
+    "act_rows_width": lambda d6: abelian.act_rows([(1, 2)], d6),
     "elements_of_rows": lambda d6: abelian.elements_of_rows(5, [((1,),)]),
     "elements_of_rows_none": lambda d6: abelian.elements_of_rows(5, []),
+    "elements_of_rows_vectors": lambda d6: abelian.elements_of_rows(d6, 5),
+    "elements_of_rows_vector": lambda d6: abelian.elements_of_rows(d6, [5]),
     "GroupElement": lambda d6: abelian.GroupElement(5, (1,)),
+    "GroupElement_spec_lookalike": lambda d6: abelian.GroupElement(
+        namedtuple("Fake", "m orders action")(2, (3,), ((2,),)), (1,)),
     "WedgeElement2": lambda d6: abelian.WedgeElement2(5, (1,)),
     "WedgeElement3": lambda d6: abelian.WedgeElement3(None, ()),
     "linear_kernel": lambda d6: abelian.linear_kernel(5, 5, d6, 1),
@@ -136,3 +146,15 @@ def test_package_imports_only_the_standard_library():
                         if name.partition(".")[0] not in
                         sys.stdlib_module_names | {"knotcolour"}]
     assert outside == []
+
+
+def test_cli_start_up_loads_no_dataclasses_or_inspect():
+    """The record classes need neither module, and importing them costs a
+    CLI process about a tenth of its start-up. -S keeps site and the
+    environment's .pth files, which are outside the package, out of it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = ("import knotcolour.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         stdout=subprocess.PIPE, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -122,6 +122,16 @@ class GroupElement(_Record):
         fields["spec"], fields["coords"] = spec, coords
         self.__post_init__()
 
+    # the record's == and hash with the field tuple spelt inline, which
+    # costs these hot records about half of _Record's attrgetter call
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.spec, self.coords) == (other.spec, other.coords)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.spec, self.coords))
+
     def __post_init__(self):
         spec = self.spec
         if spec.__class__ is not GroupSpec:  # spares a real spec the call
@@ -501,6 +511,8 @@ class _Wedge(_Record):
         fields = self.__dict__
         fields["spec"], fields["coords"] = spec, coords
         _store_coords(self, _wedge_orders(spec, self.degree))
+
+    __eq__, __hash__ = GroupElement.__eq__, GroupElement.__hash__
 
     def __add__(self, other):
         if type(other) is not type(self) or other.spec != self.spec:

@@ -12,15 +12,19 @@ when first read. A datum also caches one product pair
 invariants read M only through it, and so does validation, with one
 exception: a datum derived from a valid one by _with_matrix (the family
 tables' entries past their samples) is validated from its matrix
-difference to that datum, and forms no product. The empty 0x0 datum is
-permitted (it can never validate over a nontrivial A, but keeps connect
-sums total).
+difference to that datum, and forms no product. The moves and connect
+sums derive their output's pair exactly from their sources' pairs, when
+every source has one, at the cost of the rows they change; a chain of
+moves from a datum without a pair forms none. The validation report is
+not carried: validate still checks each moved datum, from its carried
+pair. The empty 0x0 datum is permitted (it can never validate over a
+nontrivial A, but keeps connect sums total).
 """
 
 from functools import cached_property
 from itertools import compress
 from math import lcm
-from operator import mod, mul, sub
+from operator import add, mod, mul, neg, sub
 
 from . import abelian
 from .abelian import _Record, _expect
@@ -100,11 +104,14 @@ class SurfaceData(_Record):
                 f"vector={self.vector!r})")
 
     @classmethod
-    def _moved(cls, spec, matrix, coords):
+    def _moved(cls, spec, matrix, coords, products=None):
         """Unchecked: moves keep det(M - M^T) = 1 on checked inputs, and
-        coords must be reduced mod the orders."""
+        coords must be reduced mod the orders. products, when given, is
+        the exact pair (MX, M^T X) the move carried."""
         data = object.__new__(cls)
         data.__dict__.update(spec=spec, matrix=matrix, _coords=coords)
+        if products is not None:
+            data.__dict__["_products"] = products
         return data
 
     def _with_matrix(self, matrix):
@@ -206,6 +213,11 @@ class ValidationReport(_Record):
                              genus_ok=genus_ok, valid=valid)
 
 
+def _axpy(u, t, v):
+    """The integer row u + t v."""
+    return tuple(x + t * y for x, y in zip(u, v))
+
+
 def _product_pair(M, X):
     """(MX, M^T X) over Z as tuples of rows, X one integer row per entry
     of M: one pass over the nonzero entries of M, each M_ik adding
@@ -290,9 +302,19 @@ def lambda1(data, U):
       sums M_ij U_jk over the nonzeros of column k of U;
     - U^T W differs from W only in the rows in J, and row k sums the rows
       U_jk W_j over the same nonzeros.
+    The product pair is carried from a source that has one. Y is
+    U^-1 X only mod the orders, so U Y = X + K exactly, with K nonzero
+    only in the rows of U other than e_i (those in J, or with entries
+    in J). With M' = U^T M U:
+    - M' Y = U^T M (X + K) = U^T (MX + M K), and
+      M'^T Y = U^T M^T (X + K) = U^T (M^T X + M^T K);
+    - row i of K adds K_i times column i of M to MX, and times row i
+      of M to M^T X;
+    - U^T changes only the rows in J, as it does W.
     Past the read of U, a U of a few transvections (walks and
-    shorten_vector) costs O(n |J|), and a dense U what a dense product
-    costs. The failure message names the Smith diagonal of the whole U.
+    shorten_vector) costs O(n |J|), the pair O(n |supp K| r), and a
+    dense U what a dense product costs. The failure message names the
+    Smith diagonal of the whole U.
     """
     size = _expect(data, SurfaceData).size
     Ur = _as_matrix(U)
@@ -313,18 +335,13 @@ def lambda1(data, U):
     for i, js in enumerate(off):
         for j in js:
             cols[j].append((i, Ur[i][j]))
+    M = data.matrix
     W = []
-    for row in data.matrix:
+    for row in M:
         w = list(row)
         for k, col in cols.items():
             w[k] = sum(row[j] * a for j, a in col)
         W.append(w)
-    M2 = list(map(tuple, W))
-    for k, col in cols.items():
-        acc = [0] * size
-        for j, a in col:
-            acc = [x + a * y for x, y in zip(acc, W[j])]
-        M2[k] = tuple(acc)
     orders, X = data.spec.orders, data._coords
     Y = list(X)
     for j, y in zip(J, mat_mul(inv, [X[j] for j in J])):
@@ -336,19 +353,51 @@ def lambda1(data, U):
                 a = Ur[i][j]
                 y = [x - a * z for x, z in zip(y, Y[j])]
             Y[i] = tuple(map(mod, y, orders))
-    return SurfaceData._moved(data.spec, tuple(M2), tuple(Y))
+    pair = vars(data).get("_products")
+    if pair is not None:
+        # K = U Y - X, nonzero only in the rows of U other than e_i
+        MX, MTX = map(list, pair)
+        for i, js in enumerate(off):
+            if js or i in cols:
+                k = tuple(map(neg, X[i]))
+                for j in (i, *js):
+                    k = _axpy(k, Ur[i][j], Y[j])
+                if any(k):
+                    # MX + M K and M^T X + M^T K, column and row i of M
+                    for p, (a, b) in enumerate(zip((row[i] for row in M),
+                                                   M[i])):
+                        if a:
+                            MX[p] = _axpy(MX[p], a, k)
+                        if b:
+                            MTX[p] = _axpy(MTX[p], b, k)
+        pair = _ut_times(cols, MX), _ut_times(cols, MTX)
+    return SurfaceData._moved(data.spec, _ut_times(cols, W),
+                              tuple(Y), pair)
+
+
+def _ut_times(cols, R):
+    """U^T R for the integer rows R, U given by the nonzeros (j, U_jk) of
+    each column k in cols: every other column of U is e_k, so the other
+    rows are R's."""
+    out = list(map(tuple, R))
+    for k, col in cols.items():
+        acc = (0,) * len(R[0])
+        for j, a in col:
+            acc = _axpy(acc, a, R[j])
+        out[k] = acc
+    return tuple(out)
 
 
 def _lambda2_tail(spec, X, c, variant):
-    """The appended coordinate rows (0; y) for the chosen variant, X the
-    coordinate rows of the vector and a = sum c_i x_i: y = t.a - a, or
-    (t-1)/t . a = a - t^(m-1).a for variant 1."""
+    """a = sum c_i x_i over Z, X the coordinate rows of the vector, and
+    the appended coordinate rows (0; y) for the chosen variant:
+    y = t.a - a, or (t-1)/t . a = a - t^(m-1).a for variant 1."""
     a = mat_mul((c,), X)[0] if X else (0,) * spec.rank
     b = [a]
     for _ in range(spec.m - 1 if variant == 1 else 1):
         b = abelian.act_rows(b, spec)
     y = map(sub, a, b[0]) if variant == 1 else map(sub, b[0], a)
-    return ((0,) * spec.rank, tuple(map(mod, y, spec.orders)))
+    return a, ((0,) * spec.rank, tuple(map(mod, y, spec.orders)))
 
 
 # the corner (M_kk, M_k,k+1, M_k+1,k, M_k+1,k+1) of the new band k, k+1 that
@@ -358,7 +407,9 @@ _CORNERS = ((0, -1, 0, 0), (0, 0, 1, 0))
 
 def lambda2(data, c, variant):
     """Stabilization: grow the matrix by two rows/columns in one of the two
-    patterns and append the transported vector entries."""
+    patterns and append the transported vector entries. With the new rows
+    (0; y) and corner (p, q; u, w), a carried MX keeps its rows and gains
+    a + q y and w y, and M^T X gains a + u y and w y (a = sum c_i x_i)."""
     size = _expect(data, SurfaceData).size
     c = abelian.int_tuple(c, "c")
     if len(c) != size:
@@ -366,13 +417,19 @@ def lambda2(data, c, variant):
     if type(variant) is not int or variant not in (1, 2):
         raise BadParameters(f"variant must be 1 or 2, got {variant!r}")
     M = data.matrix
-    a, b, d, e = _CORNERS[variant - 1]
+    p, q, u, w = _CORNERS[variant - 1]
     rows = [list(M[i]) + [c[i], 0] for i in range(size)]
-    rows.append(list(c) + [a, b])
-    rows.append([0] * size + [d, e])
-    tail = _lambda2_tail(data.spec, data._coords, c, variant)
+    rows.append(list(c) + [p, q])
+    rows.append([0] * size + [u, w])
+    a, tail = _lambda2_tail(data.spec, data._coords, c, variant)
+    pair = vars(data).get("_products")
+    if pair is not None:
+        zero, y = tail
+        wy = _axpy(zero, w, y)
+        pair = (pair[0] + (_axpy(a, q, y), wy),
+                pair[1] + (_axpy(a, u, y), wy))
     return SurfaceData._moved(
-        data.spec, tuple(tuple(r) for r in rows), data._coords + tail)
+        data.spec, tuple(tuple(r) for r in rows), data._coords + tail, pair)
 
 
 def lambda2_inverse(data):
@@ -396,10 +453,16 @@ def lambda2_inverse(data):
         raise PatternMismatch(f"corner {corner} matches neither pattern")
     variant = _CORNERS.index(corner) + 1
     base = data._coords[:inner]
-    if data._coords[inner:] != _lambda2_tail(data.spec, base, col_c, variant):
+    if data._coords[inner:] != _lambda2_tail(data.spec, base, col_c,
+                                             variant)[1]:
         raise PatternMismatch("vector entries do not match the stabilization")
     inner_rows = tuple(row[:inner] for row in M[:inner])
-    return SurfaceData._moved(data.spec, inner_rows, base)
+    # the pattern holds, so the last two rows (0; y) meet the first inner
+    # rows of M and M^T in zeros: the inner pair is the truncated pair
+    pair = vars(data).get("_products")
+    if pair is not None:
+        pair = pair[0][:inner], pair[1][:inner]
+    return SurfaceData._moved(data.spec, inner_rows, base, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +547,12 @@ def connect_sum(d1, d2):
     n1, n2 = d1.size, d2.size
     rows = [list(d1.matrix[i]) + [0] * n2 for i in range(n1)]
     rows += [[0] * n1 + list(d2.matrix[i]) for i in range(n2)]
+    # the block sum's pair is the two pairs stacked, when both are formed
+    pairs = vars(d1).get("_products"), vars(d2).get("_products")
+    pair = None if None in pairs else tuple(map(add, *pairs))
     return SurfaceData._moved(
-        d1.spec, tuple(tuple(r) for r in rows), d1._coords + d2._coords)
+        d1.spec, tuple(tuple(r) for r in rows), d1._coords + d2._coords,
+        pair)
 
 
 def canonical_vector(w):

@@ -2,6 +2,7 @@ import hashlib
 import random
 from itertools import product
 from math import lcm
+from operator import ne
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from knotcolour._intlin import (
 from knotcolour.errors import (
     BadParameters,
     BudgetExceeded,
+    DivisibilityFailure,
     GroupMismatch,
     InternalInconsistency,
     InvalidData,
@@ -23,7 +25,7 @@ from knotcolour.errors import (
 from test_acceptance import brute_force
 from util import (
     BAD_BUDGETS, TREFOIL_L, FIG8_L, construction_spy, dense_unimodular,
-    move_chain, move_pool, odd_pool, rand_unimodular, random_move,
+    move_chain, move_pool, odd_pool, outcome, rand_unimodular, random_move,
     slow_inverse_unimodular, slow_mat_apply, slow_validate,
     slow_vector_class)
 
@@ -314,6 +316,159 @@ class TestWithMatrix:
         assert not surface_data.validate(base).valid
         with pytest.raises(InternalInconsistency, match="valid base"):
             base._with_matrix(TREFOIL_L)
+
+
+def fresh_copy(data):
+    """data rebuilt through the public constructor, with nothing cached."""
+    return surface_data.SurfaceData(data.spec, data.matrix, data.vector)
+
+
+def carry_unimodular(rng, n):
+    """A U of 1 to 3 transvections, a dense U, or a U with a diagonal
+    entry -1 or 0 inside J (a sign flip, or a rotation of two basis
+    vectors), maybe with a row outside J reaching into it. Y = U^-1 X
+    reduced mod the orders then often leaves K = U Y - X nonzero."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rand_unimodular(rng, n, ops=rng.randrange(1, 4))
+    if kind == 1:
+        return dense_unimodular(rng, n)
+    U = identity_rows(n)
+    i, j = rng.sample(range(n), 2)
+    if rng.randrange(2):
+        U[i][i] = -1
+    else:
+        U[i][i], U[i][j], U[j][i], U[j][j] = 0, -1, 1, 0
+    k = rng.randrange(n)
+    if k not in (i, j):
+        U[k][i] = rng.choice((-2, 1, 3))
+    return U
+
+
+class TestCarriedPair:
+    """lambda1, lambda2, lambda2_inverse and connect_sum carry the product
+    pair (MX, M^T X) over Z from a source that has formed one, in place of
+    forming it again for their output."""
+
+    @staticmethod
+    def pool(d6, d10, a4, c2_35, c6_93):
+        """Fresh validated data over D10, A4, C2 x| (Z/3 x Z/5) and
+        C6 x| (Z/9 x Z/3) (m = 6, unequal orders), each holding the pair
+        its validation formed."""
+        pool = [fresh_copy(d) for d in move_pool(d6, d10, a4, c2_35)
+                if d.spec != d6]
+        for M in (((-2, -3), (-2, -2)), ((-1, 0), (-1, 2))):
+            found = surface_data.enumerate_colourings(M, c6_93)
+            pool += [surface_data.SurfaceData(c6_93, M, V)
+                     for V in found[::6]]
+        for data in pool:
+            assert surface_data.validate(data).valid
+            assert "_products" in vars(data)
+        return pool
+
+    def test_exact_over_move_chains(self, d6, d10, a4, c2_35, c6_93):
+        """After every move of a random chain the carried pair equals a
+        fresh _product_pair, and the output still validates. lambda1 draws
+        the U of carry_unimodular, and K = U Y - X is seen both zero and
+        nonzero; lambda2 runs in both variants, lambda2_inverse right
+        after it, and connect_sum with a pool datum on either side."""
+        pool = self.pool(d6, d10, a4, c2_35, c6_93)
+        seen = set()
+
+        @settings(deadline=None, max_examples=150, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            data = rng.choice(pool)
+            stabilised = False
+            for _ in range(rng.randrange(1, 7)):
+                kind = rng.randrange(5 if stabilised else 4)
+                if kind == 0:
+                    U = carry_unimodular(rng, data.size)
+                    moved = surface_data.lambda1(data, U)
+                    UY = map(tuple, mat_mul(U, moved._coords))
+                    seen.add(("K != 0", any(map(ne, UY, data._coords))))
+                elif kind in (1, 2):
+                    c = [rng.randrange(-3, 4) for _ in range(data.size)]
+                    moved = surface_data.lambda2(data, c, kind)
+                elif kind == 3:
+                    other = rng.choice([d for d in pool
+                                        if d.spec == data.spec])
+                    pair = (data, other) if rng.randrange(2) else \
+                        (other, data)
+                    moved = surface_data.connect_sum(*pair)
+                else:
+                    moved = surface_data.lambda2_inverse(data)
+                assert "_products" in vars(moved)
+                assert moved._products == surface_data._product_pair(
+                    moved.matrix, moved._coords)
+                assert surface_data.validate(moved).valid
+                seen.update((kind, moved.spec))
+                data, stabilised = moved, kind in (1, 2)
+
+        check()
+        assert seen == {0, 1, 2, 3, 4, d10, a4, c2_35, c6_93,
+                        ("K != 0", False), ("K != 0", True)}
+
+    def test_pair_formed_once_per_chain(self, d6, d10, a4, c2_35, c6_93,
+                                        monkeypatch):
+        """Counted as test_products_only_at_samples counts them: a chain
+        of moves from a validated base, each output validated and paired
+        by su and vector_class, forms the pair once, for the base. From a
+        base with no pair, apply_moves, connect_sum and lambda2_inverse
+        form none, and their outputs hold none."""
+        pool = self.pool(d6, d10, a4, c2_35, c6_93)
+        pair = surface_data._product_pair
+        calls = []
+        monkeypatch.setattr(surface_data, "_product_pair",
+                            lambda M, X: calls.append(M) or pair(M, X))
+        rng = random.Random(24)
+        for base in pool:
+            calls.clear()
+            data = fresh_copy(base)
+            assert surface_data.validate(data).valid
+            moves = []
+            for _ in range(6):
+                if rng.randrange(2):
+                    moves.append(("lambda1",
+                                  carry_unimodular(rng, data.size)))
+                    data = surface_data.lambda1(data, moves[-1][1])
+                else:
+                    moves.append(("lambda2", [rng.randrange(-3, 4) for _ in
+                                              range(data.size)],
+                                  rng.choice((1, 2))))
+                    data = surface_data.lambda2(data, *moves[-1][1:])
+                assert surface_data.validate(data).valid
+                invariants.su(data)
+                invariants.vector_class(data)
+            assert calls == [base.matrix]
+            calls.clear()
+            bare = fresh_copy(base)
+            replayed = surface_data.apply_moves(bare, moves)
+            assert replayed == data
+            stabilised = surface_data.lambda2(bare, [1] * bare.size, 2)
+            for out in (replayed, stabilised,
+                        surface_data.lambda2_inverse(stabilised),
+                        surface_data.connect_sum(data, bare),
+                        surface_data.connect_sum(bare, data)):
+                assert "_products" not in vars(out)
+            assert calls == []
+
+    def test_m6_divisibility_failure(self, c6_93_lifted):
+        """On moved C6 x| (Z/9 x Z/3) data, cu reads the carried pair and
+        raises the DivisibilityFailure, message included, of the same
+        datum built fresh."""
+        M = ((-2, -3), (-4, -2))
+        rng = random.Random(6)
+        for V in surface_data.enumerate_colourings(M, c6_93_lifted):
+            data = surface_data.SurfaceData(c6_93_lifted, M, V)
+            assert surface_data.validate(data).valid
+            for _ in range(3):
+                data = random_move(rng, data)
+            assert "_products" in vars(data)
+            got = outcome(invariants.cu, data)
+            assert got[0] is DivisibilityFailure
+            assert got == outcome(invariants.cu, fresh_copy(data))
 
 
 class TestNotData:

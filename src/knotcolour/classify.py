@@ -9,8 +9,9 @@ count formulas are recorded in the table's notes rather than asserted.
 """
 
 from functools import lru_cache
+from itertools import chain
 from math import gcd
-from operator import attrgetter, mod
+from operator import mod, sub
 
 from . import abelian, invariants, surface_data
 from ._intlin import check_budget, solve_mod
@@ -76,8 +77,8 @@ def _evaluated(k, l, i, name, data):
                        invariants.vector_class(data))
 
 
-def _checked(data, name):
-    if not surface_data.validate(data).valid:
+def _checked(data, name, certified=True):
+    if not (certified and surface_data.validate(data).valid):
         raise InternalInconsistency(f"family entry {name} failed validation")
     return data
 
@@ -86,15 +87,19 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
     """The entries (k, l) -> (matrix_at(k, l), coords), k = 1..rows and
     l = 1..cols (l is None without cols), in table order, named by
     name.format(k=k). Only the samples (1, 1), (1, 2), (2, 1) (without
-    cols: k = 1, 2) run the full per-entry path; every other entry is
-    validated, shares the first sample's coordinate rows, and takes su
-    and cu from the affine law below, and s from the samples.
+    cols: k = 1, 2) run the full per-entry path. Every other entry shares
+    the first sample's coordinate rows and validation report, takes su
+    and cu from the affine law below and s from the samples, and is
+    certified first: the steps D_k = M(2, 1) - M(1, 1) and
+    D_l = M(1, 2) - M(1, 1) must be symmetric, and M(k, l) must equal
+    M(1, 1) + (k-1) D_k + (l-1) D_l exactly (InternalInconsistency
+    otherwise, as for a failed validation). The builders' M moves with
+    (k, l) only through k n_1 and l n_2 on the diagonal, so they pass.
 
     Why this is exact. V, and with it every integer lift the invariants
     use (the coordinate rows X, su's orbit lifts X (N^T)^j, cu's blocks
-    X (C^T)^a), is fixed on the block, and M depends on
-    (k, l) only through k n_1 and l n_2 on the diagonal, so M is affine
-    in (k, l) and M^T - M is constant:
+    X (C^T)^a), is fixed on the block, and on a certified block M is
+    affine in (k, l) and M^T - M is constant:
     - s = x_p^T (M^T - M) x_q is the samples' value, and det(M - M^T) = 1
       holds on the block once the first sample passes the constructor.
     - Every pairing entry w of su and cu is linear in M, so affine in
@@ -106,8 +111,11 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
       Q is even at the samples, so even everywhere (an affine integer
       function with even values at three such points has even
       coefficients), and Q/2 is affine.
-    - The validation residuals are affine mod n_c in the same way, and
-      generation and the genus bound depend on V and the size only.
+    - The colouring equation's residual is linear in M, so affine, and
+      vanishes mod n_c at the three valid samples, so on the whole
+      block; generation and the genus bound depend on X and the size
+      only. So the first sample's report is every entry's, and only the
+      samples form the product pair (MX, M^T X).
     - Failures keep their place. The samples are the first entries in
       table order but for (2, 1), which the per-entry path reaches after
       row k = 1. A block that passes at (1, 1) and (1, 2) passes, by
@@ -115,12 +123,6 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
       (a DivisibilityFailure, which only m >= 4 can raise and there
       always does, see invariants.cu; an odd Q over an even factor) is
       a sample, and it raises the per-entry error and message.
-    Every derived entry is still validated, and InternalInconsistency
-    raised if one fails. Its report comes from its own matrix, through
-    its difference to the first sample (SurfaceData._with_matrix, with
-    the proof there): the colouring equation's residual is linear in M,
-    and only the rows that the difference touches are computed. So only
-    the samples form the product pair (MX, M^T X).
     """
     ls = range(1, cols + 1) if cols else (None,)
     points = [(k, l) for k in range(1, rows + 1) for l in ls]
@@ -131,22 +133,34 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
     along_l = got[(1, 2)] if cols else base
 
     def affine(value):
-        x0, xk, xl = (value(e).coords for e in (base, along_k, along_l))
-        deltas = tuple(zip(x0, (y - x for x, y in zip(x0, xk)),
-                           (z - x for x, z in zip(x0, xl))))
-        return lambda a, b: abelian.GroupElement._trusted(spec, tuple(map(
-            mod, [x + a * dk + b * dl for x, dk, dl in deltas], spec.orders)))
+        # (a, b) -> x0 + a dk + b dl, from the int rows value(e) of samples
+        x0, xk, xl = (value(e) for e in (base, along_k, along_l))
+        steps = tuple(zip(x0, map(sub, xk, x0), map(sub, xl, x0)))
+        return lambda a, b: [x + a * dk + b * dl for x, dk, dl in steps]
 
-    su_at, cu_at = affine(attrgetter("su")), affine(attrgetter("cu"))
+    def element(row):
+        return abelian.GroupElement._trusted(
+            spec, tuple(map(mod, row, spec.orders)))
+
+    su_at = affine(lambda e: e.su.coords)
+    cu_at = affine(lambda e: e.cu.coords)
+    flat_at = affine(lambda e: list(chain(*e.data.matrix)))
+    # the steps are symmetric exactly when the samples share M - M^T
+    symmetric = len({tuple(map(sub, chain(*M), chain(*zip(*M))))
+                     for M in (e.data.matrix for e in got.values())}) == 1
+    X, report = base.data._coords, base.data._report
     entries = []
     for k, l in points:
         e = got.get((k, l))
         if e is None:
             label = name.format(k=k)
-            data = _checked(base.data._with_matrix(matrix_at(k, l)), label)
             a, b = k - 1, (l or 1) - 1
-            e = FamilyEntry(k, l, i, label, data, su_at(a, b), cu_at(a, b),
-                            base.s)
+            M = matrix_at(k, l)
+            data = _checked(
+                surface_data.SurfaceData._moved(spec, M, X, report=report),
+                label, symmetric and list(chain(*M)) == flat_at(a, b))
+            e = FamilyEntry(k, l, i, label, data, element(su_at(a, b)),
+                            element(cu_at(a, b)), base.s)
         entries.append(e)
     return entries
 

@@ -10,8 +10,8 @@ s is the form M^T - M on the columns of X.
 All three run on the integer coordinate matrix X of the vector (one row
 per entry) and read M only through the datum's product pair (MX, M^T X)
 over Z (SurfaceData._products), which validation shares. The moves carry
-the pair from a source that has one, so a moved datum forms no product
-of its own; it is still validated before an invariant reads it. The
+the pair from their source's, so a moved datum forms no product of its
+own; it is still validated before an invariant reads it. The
 lifts that su and cu pair are X times an r x r right factor (powers of
 the action N^T for su's orbit, of C^T for cu's blocks), so their
 products are the pair times the same factor: no further product with M

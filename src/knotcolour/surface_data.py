@@ -8,14 +8,11 @@ Matrices are tuples of int tuples. A datum stores its colouring vector
 only as coordinate rows reduced mod the orders (SurfaceData._coords,
 the size x r matrix X); .vector builds the GroupElement tuple from X
 when first read. A datum also caches one product pair
-(SurfaceData._products = (MX, M^T X) over Z, one row per entry). The
-invariants read M only through it, and so does validation, with one
-exception: a datum derived from a valid one by _with_matrix (the family
-tables' entries past their samples) is validated from its matrix
-difference to that datum, and forms no product. The moves and connect
-sums derive their output's pair exactly from their sources' pairs, when
-every source has one, at the cost of the rows they change; a chain of
-moves from a datum without a pair forms none. The validation report is
+(SurfaceData._products = (MX, M^T X) over Z, one row per entry), formed
+when first read. Validation and the invariants read M only through it.
+The moves and connect sums derive their output's pair exactly from
+their sources' pairs, at the cost of the rows they change, so a chain
+of moves forms the pair once, for its head. The validation report is
 not carried: validate still checks each moved datum, from its carried
 pair. The empty 0x0 datum is permitted (it can never validate over a
 nontrivial A, but keeps connect sums total).
@@ -104,64 +101,18 @@ class SurfaceData(_Record):
                 f"vector={self.vector!r})")
 
     @classmethod
-    def _moved(cls, spec, matrix, coords, products=None):
+    def _moved(cls, spec, matrix, coords, products=None, report=None):
         """Unchecked: moves keep det(M - M^T) = 1 on checked inputs, and
         coords must be reduced mod the orders. products, when given, is
-        the exact pair (MX, M^T X) the move carried."""
+        the exact pair (MX, M^T X) the move carried; report, when given,
+        is the datum's ValidationReport, which the caller has proved (the
+        family tables' derived entries, see classify._block)."""
         data = object.__new__(cls)
         data.__dict__.update(spec=spec, matrix=matrix, _coords=coords)
         if products is not None:
             data.__dict__["_products"] = products
-        return data
-
-    def _with_matrix(self, matrix):
-        """Unchecked: this vector under another matrix of the same size
-        with the same M - M^T, validated from its difference to this
-        datum, which must be valid (InternalInconsistency otherwise).
-
-        Why this is exact. validate's colouring equation is the residual
-        R(M) = M^T X - M Z = 0 mod n_c in column c, with Z = X N^T (row
-        z_k has entries sum_d N_cd x_kd over Z): row i of M Z in column c
-        is sum_d N_cd (MX)_id, the right side that _validate reads.
-        - R is linear in M over Z. With D = M - M0, M0 this datum's
-          matrix, R(M) = R(M0) + R(D), and R(M0) = 0 mod n_c as this
-          datum is valid. So the equation holds for M exactly when
-          R(D) = 0 mod n_c. This needs no symmetry of D; a symmetric D
-          is what keeps M - M^T, and so det(M - M^T) = 1.
-        - R(D) is read off the nonzeros of D: D_ij = d adds d x_i to row
-          j of D^T X and -d z_j to row i of D Z, and no other row is
-          touched.
-        - Generation and the genus bound depend on X and the size only,
-          so they are this datum's.
-        The new datum's report is this datum's, or the same with the
-        equation and validity false. It is stored as the new datum's
-        _report, so validate returns it, and no product with M is formed.
-        """
-        report = self._report
-        if not report.valid:
-            raise InternalInconsistency(
-                "a datum derived by matrix difference needs a valid base")
-        X, Z, r = self._coords, self._twisted, self.spec.rank
-        residual = {}
-        entries = range(len(X))
-        for i, row, row0 in zip(entries, matrix, self.matrix):
-            if row == row0:
-                continue
-            diff = tuple(map(sub, row, row0))
-            xi = X[i]
-            Ri = residual.setdefault(i, [0] * r)
-            for j in compress(entries, diff):
-                d, zj = diff[j], Z[j]
-                Rj = residual.setdefault(j, [0] * r)
-                for c in range(r):
-                    Rj[c] += d * xi[c]
-                    Ri[c] -= d * zj[c]
-        orders = self.spec.orders
-        if any(any(map(mod, R, orders)) for R in residual.values()):
-            report = ValidationReport(report.generates, False,
-                                      report.genus_ok, False)
-        data = SurfaceData._moved(self.spec, matrix, X)
-        data.__dict__["_report"] = report
+        if report is not None:
+            data.__dict__["_report"] = report
         return data
 
     @property
@@ -180,13 +131,6 @@ class SurfaceData(_Record):
     def _report(self):
         # every field is immutable, so the report never goes stale
         return _validate(self)
-
-    @cached_property
-    def _twisted(self):
-        # Z = X N^T over Z, the rows of t.X before reduction; read only
-        # by _with_matrix
-        return tuple(tuple(sum(map(mul, Nc, x)) for Nc in self.spec.action)
-                     for x in self._coords)
 
     @cached_property
     def _products(self):
@@ -302,7 +246,7 @@ def lambda1(data, U):
       sums M_ij U_jk over the nonzeros of column k of U;
     - U^T W differs from W only in the rows in J, and row k sums the rows
       U_jk W_j over the same nonzeros.
-    The product pair is carried from a source that has one. Y is
+    The product pair is carried from the source's. Y is
     U^-1 X only mod the orders, so U Y = X + K exactly, with K nonzero
     only in the rows of U other than e_i (those in J, or with entries
     in J). With M' = U^T M U:
@@ -353,26 +297,22 @@ def lambda1(data, U):
                 a = Ur[i][j]
                 y = [x - a * z for x, z in zip(y, Y[j])]
             Y[i] = tuple(map(mod, y, orders))
-    pair = vars(data).get("_products")
-    if pair is not None:
-        # K = U Y - X, nonzero only in the rows of U other than e_i
-        MX, MTX = map(list, pair)
-        for i, js in enumerate(off):
-            if js or i in cols:
-                k = tuple(map(neg, X[i]))
-                for j in (i, *js):
-                    k = _axpy(k, Ur[i][j], Y[j])
-                if any(k):
-                    # MX + M K and M^T X + M^T K, column and row i of M
-                    for p, (a, b) in enumerate(zip((row[i] for row in M),
-                                                   M[i])):
-                        if a:
-                            MX[p] = _axpy(MX[p], a, k)
-                        if b:
-                            MTX[p] = _axpy(MTX[p], b, k)
-        pair = _ut_times(cols, MX), _ut_times(cols, MTX)
-    return SurfaceData._moved(data.spec, _ut_times(cols, W),
-                              tuple(Y), pair)
+    # K = U Y - X, nonzero only in the rows of U other than e_i
+    MX, MTX = map(list, data._products)
+    for i, js in enumerate(off):
+        if js or i in cols:
+            k = tuple(map(neg, X[i]))
+            for j in (i, *js):
+                k = _axpy(k, Ur[i][j], Y[j])
+            if any(k):
+                # MX + M K and M^T X + M^T K, column and row i of M
+                for p, (a, b) in enumerate(zip((row[i] for row in M), M[i])):
+                    if a:
+                        MX[p] = _axpy(MX[p], a, k)
+                    if b:
+                        MTX[p] = _axpy(MTX[p], b, k)
+    return SurfaceData._moved(data.spec, _ut_times(cols, W), tuple(Y),
+                              (_ut_times(cols, MX), _ut_times(cols, MTX)))
 
 
 def _ut_times(cols, R):
@@ -422,14 +362,12 @@ def lambda2(data, c, variant):
     rows.append(list(c) + [p, q])
     rows.append([0] * size + [u, w])
     a, tail = _lambda2_tail(data.spec, data._coords, c, variant)
-    pair = vars(data).get("_products")
-    if pair is not None:
-        zero, y = tail
-        wy = _axpy(zero, w, y)
-        pair = (pair[0] + (_axpy(a, q, y), wy),
-                pair[1] + (_axpy(a, u, y), wy))
+    zero, y = tail
+    wy = _axpy(zero, w, y)
+    MX, MTX = data._products
     return SurfaceData._moved(
-        data.spec, tuple(tuple(r) for r in rows), data._coords + tail, pair)
+        data.spec, tuple(tuple(r) for r in rows), data._coords + tail,
+        (MX + (_axpy(a, q, y), wy), MTX + (_axpy(a, u, y), wy)))
 
 
 def lambda2_inverse(data):
@@ -459,10 +397,9 @@ def lambda2_inverse(data):
     inner_rows = tuple(row[:inner] for row in M[:inner])
     # the pattern holds, so the last two rows (0; y) meet the first inner
     # rows of M and M^T in zeros: the inner pair is the truncated pair
-    pair = vars(data).get("_products")
-    if pair is not None:
-        pair = pair[0][:inner], pair[1][:inner]
-    return SurfaceData._moved(data.spec, inner_rows, base, pair)
+    MX, MTX = data._products
+    return SurfaceData._moved(data.spec, inner_rows, base,
+                              (MX[:inner], MTX[:inner]))
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +484,10 @@ def connect_sum(d1, d2):
     n1, n2 = d1.size, d2.size
     rows = [list(d1.matrix[i]) + [0] * n2 for i in range(n1)]
     rows += [[0] * n1 + list(d2.matrix[i]) for i in range(n2)]
-    # the block sum's pair is the two pairs stacked, when both are formed
-    pairs = vars(d1).get("_products"), vars(d2).get("_products")
-    pair = None if None in pairs else tuple(map(add, *pairs))
+    # the block sum's pair is the two pairs stacked
     return SurfaceData._moved(
         d1.spec, tuple(tuple(r) for r in rows), d1._coords + d2._coords,
-        pair)
+        tuple(map(add, d1._products, d2._products)))
 
 
 def canonical_vector(w):

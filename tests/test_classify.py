@@ -449,9 +449,10 @@ class TestAffineBuild:
 
     @pytest.mark.parametrize("case", AFFINE_CASES, ids=case_id)
     def test_products_only_at_samples(self, case, monkeypatch):
-        """A derived entry is validated from its matrix difference to the
-        block's first sample, so the product pair (MX, M^T X) is formed
-        only for the samples: 3 per block with columns, 2 without."""
+        """A derived entry, certified affine with symmetric steps, takes
+        the first sample's report, so the product pair (MX, M^T X) is
+        formed only for the samples: 3 per block with columns, 2
+        without."""
         build, params = case
         pair = surface_data._product_pair
         calls = []
@@ -480,6 +481,58 @@ class TestAffineBuild:
                            match="family entry g2 failed validation"):
             classify._block(c2_35, "g2", None, coords, bumped_at((2, 4)),
                             3, 5)
+
+    @pytest.mark.parametrize("case", AFFINE_CASES, ids=case_id)
+    def test_reports_match_fresh_validation(self, case):
+        """Each entry's report, a derived entry's taken from its block's
+        first sample, is the one a fresh datum of its matrix and vector
+        validates to."""
+        build, params = case
+        for e in build(*params).entries:
+            fresh = surface_data.SurfaceData(e.data.spec, e.data.matrix,
+                                             e.data.vector)
+            assert surface_data.validate(e.data) == \
+                surface_data._validate(fresh)
+
+    def test_valid_non_affine_entry_raises(self, c2_35):
+        """3 added to M_00 at (3, 2) only keeps the entry valid (it is
+        the (4, 2) matrix of the same family) and M - M^T, but takes it
+        off the affine law, and its su off the derived value: the block
+        refuses it rather than record that value."""
+
+        def matrix_at(k, l, bumped=(3, 2)):
+            return ((3 * k + 3 * ((k, l) == bumped), 1, 0, 0),
+                    (2, 0, 0, 0), (0, 0, 5 * l, 2), (0, 0, 3, 0))
+
+        coords = ((1, 0), (0, 0), (0, 1), (0, 0))
+        odd = surface_data.make_data(c2_35, matrix_at(3, 2), coords)
+        assert surface_data.validate(odd).valid
+        affine = classify._block(c2_35, "g2", None, coords,
+                                 lambda k, l: matrix_at(k, l, None), 3, 5)
+        assert (affine[11].k, affine[11].l) == (3, 2)
+        assert invariants.su(odd) != affine[11].su
+        with pytest.raises(InternalInconsistency,
+                           match="family entry g2 failed validation"):
+            classify._block(c2_35, "g2", None, coords, matrix_at, 3, 5)
+
+    def test_asymmetric_step_raises(self, a4):
+        """A k-step of 2 in M_01 alone, over the m = 3, n = 2 companion
+        spec, keeps the three samples valid with det(M - M^T) = 1, but
+        gives det(M - M^T) = 9 at k = 3: the block refuses its derived
+        entries."""
+
+        def matrix_at(k, l):
+            return ((1 + 2 * k, 2 * k - 3), (0, 1 + 2 * l))
+
+        coords = ((1, 0), (0, 1))
+        for k, l in ((1, 1), (1, 2), (2, 1)):
+            data = surface_data.make_data(a4, matrix_at(k, l), coords)
+            assert surface_data.validate(data).valid
+        with pytest.raises(BadParameters, match=r"det\(M - M\^T\) = 9"):
+            surface_data.make_data(a4, matrix_at(3, 1), coords)
+        with pytest.raises(InternalInconsistency,
+                           match="family entry g1 failed validation"):
+            classify._block(a4, "g1", 1, coords, matrix_at, 3, 2)
 
 
 class TestA4Representatives:

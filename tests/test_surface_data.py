@@ -1,7 +1,6 @@
 import hashlib
 import random
 from itertools import product
-from math import lcm
 from operator import ne
 
 import pytest
@@ -15,7 +14,6 @@ from knotcolour.errors import (
     BudgetExceeded,
     DivisibilityFailure,
     GroupMismatch,
-    InternalInconsistency,
     InvalidData,
     NonGenerating,
     NotSymplecticable,
@@ -275,49 +273,6 @@ class TestValidateOracle:
                         "equation_holds=False"}
 
 
-class TestWithMatrix:
-    def test_matches_fresh_validation(self, c2_35):
-        """A datum derived by matrix difference gets the report that a
-        fresh validation of its own matrix gives. Bases are table data of
-        all three families (unequal orders included), half of them moved
-        by up to two random lambda moves. Most changes are symmetric, so
-        keep M - M^T; the residual is linear in M whatever the change, so
-        some one-sided changes are drawn too."""
-        tables = (classify.metacyclic_table(2, 5, 4),
-                  classify.metacyclic_table(3, 7, 2),
-                  classify.rank2_diag_table(2, 3, 5, 2, 4),
-                  classify.rank2_nondiag_table(3, 5, ((0, 1), (4, 4))))
-        assert tables[2].group == c2_35
-        bases = [e.data for t in tables for e in t.entries]
-        rng = random.Random(20)
-        seen = set()
-        for _ in range(3000):
-            base = rng.choice(bases)
-            for _ in range(rng.randrange(3)):
-                base = random_move(rng, base)
-            exponent = lcm(*base.spec.orders)
-            M = [list(row) for row in base.matrix]
-            for _ in range(rng.randrange(1, 4)):
-                i, j = rng.randrange(base.size), rng.randrange(base.size)
-                x = rng.randrange(-exponent, exponent + 1)
-                M[i][j] += x
-                if j != i and rng.random() < 0.75:
-                    M[j][i] += x
-            M = tuple(map(tuple, M))
-            fresh = surface_data.SurfaceData._moved(base.spec, M,
-                                                    base._coords)
-            report = surface_data.validate(base._with_matrix(M))
-            assert report == surface_data._validate(fresh)
-            seen.add(report.valid)
-        assert seen == {True, False}
-
-    def test_needs_a_valid_base(self, d6):
-        base = surface_data.make_data(d6, TREFOIL_L, [(1,), (1,)])
-        assert not surface_data.validate(base).valid
-        with pytest.raises(InternalInconsistency, match="valid base"):
-            base._with_matrix(TREFOIL_L)
-
-
 def fresh_copy(data):
     """data rebuilt through the public constructor, with nothing cached."""
     return surface_data.SurfaceData(data.spec, data.matrix, data.vector)
@@ -347,8 +302,8 @@ def carry_unimodular(rng, n):
 
 class TestCarriedPair:
     """lambda1, lambda2, lambda2_inverse and connect_sum carry the product
-    pair (MX, M^T X) over Z from a source that has formed one, in place of
-    forming it again for their output."""
+    pair (MX, M^T X) over Z from their sources' pairs, in place of forming
+    it again for their output."""
 
     @staticmethod
     def pool(d6, d10, a4, c2_35, c6_93):
@@ -415,8 +370,9 @@ class TestCarriedPair:
         """Counted as test_products_only_at_samples counts them: a chain
         of moves from a validated base, each output validated and paired
         by su and vector_class, forms the pair once, for the base. From a
-        base with no pair, apply_moves, connect_sum and lambda2_inverse
-        form none, and their outputs hold none."""
+        bare base (nothing cached), apply_moves, lambda2, lambda2_inverse
+        and connect_sum also form it once, for the base, and every output
+        holds the exact pair."""
         pool = self.pool(d6, d10, a4, c2_35, c6_93)
         pair = surface_data._product_pair
         calls = []
@@ -447,12 +403,14 @@ class TestCarriedPair:
             replayed = surface_data.apply_moves(bare, moves)
             assert replayed == data
             stabilised = surface_data.lambda2(bare, [1] * bare.size, 2)
-            for out in (replayed, stabilised,
-                        surface_data.lambda2_inverse(stabilised),
-                        surface_data.connect_sum(data, bare),
-                        surface_data.connect_sum(bare, data)):
-                assert "_products" not in vars(out)
-            assert calls == []
+            outs = (replayed, stabilised,
+                    surface_data.lambda2_inverse(stabilised),
+                    surface_data.connect_sum(data, bare),
+                    surface_data.connect_sum(bare, data))
+            assert calls == [base.matrix]
+            for out in outs:
+                assert vars(out)["_products"] == pair(out.matrix,
+                                                      out._coords)
 
     def test_m6_divisibility_failure(self, c6_93_lifted):
         """On moved C6 x| (Z/9 x Z/3) data, cu reads the carried pair and

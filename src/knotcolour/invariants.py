@@ -9,13 +9,12 @@ per cyclic factor with that factor's modulus and return a group element;
 s is the form M^T - M on the columns of X.
 All three run on the integer coordinate matrix X of the vector (one row
 per entry) and read M only through the datum's product pair (MX, M^T X)
-over Z (SurfaceData._products), which validation shares. The moves carry
-the pair from their source's, so a moved datum forms no product of its
-own; it is still validated before an invariant reads it. The
-lifts that su and cu pair are X times an r x r right factor (powers of
-the action N^T for su's orbit, of C^T for cu's blocks), so their
-products are the pair times the same factor: no further product with M
-is formed.
+over Z (SurfaceData._products). The moves carry the pair from their
+source's, so a moved datum forms no product of its own; it is still
+validated before an invariant reads it. The lifts that su and cu pair
+are X times an r x r right factor (powers of N^T for su's orbit, of C^T
+for cu's blocks), so their products are the pair times the same factor,
+stacked by surface_data._steps: su reads the datum's cached orbit.
 GroupElement and WedgeElement2 appear only in their values.
 """
 
@@ -35,7 +34,7 @@ from .errors import (
     InvalidData,
     LiftFailure,
 )
-from .surface_data import SurfaceData, _product_pair, validate
+from .surface_data import SurfaceData, _product_pair, _steps, validate
 
 # most lift candidates searched, or lift-system solutions listed
 LIFT_BUDGET = 10 ** 7
@@ -52,21 +51,6 @@ def _divided_sum(ys, ws, n, c, what):
     return sum(map(mul, ys, map(floordiv, ws, repeat(n))))
 
 
-def _times(cols, F):
-    """X F^T over Z for X given by its columns, as columns: column c is
-    sum_d F_cd x_d."""
-    return tuple(tuple(map(sum, zip(*[map(mul, x, repeat(f))
-                                      for f, x in zip(Fc, cols)])))
-                 for Fc in F)
-
-
-def _stacked(Y, products):
-    """The columns of (Y; MY; M^T Y), products = (MY, M^T Y): one column
-    per factor, so an r x r right factor applies to all three at once."""
-    MY, MTY = products
-    return tuple(zip(*Y, *MY, *MTY))
-
-
 def su(data, lifts=None):
     """Orbit sum of the epsilon pairing: per factor c with modulus n,
     su_c = sum over j of <x_j, (M x_{j+1} - M^T x_j) / n>, x_j the column
@@ -75,7 +59,7 @@ def su(data, lifts=None):
     The lifts are the orbit Y_j = X (N^T)^j for j < m, X the coordinate
     matrix of V and N the action, closed at Y_0 = X (Y_m = X (N^T)^m is
     congruent to X, not equal). Then M Y_j and M^T Y_j are the product
-    pair (MX, M^T X) times (N^T)^j, one r x r right factor per step.
+    pair (MX, M^T X) times (N^T)^j: the datum's cached orbit, read here.
 
     Why su mod n does not depend on the lifts, on valid data: replace
     x_j by x_j + n k. The term j changes by n k^T (M x_{j+1} - M^T x_j)
@@ -98,16 +82,13 @@ def su(data, lifts=None):
     spec = data.spec
     m, r, size = spec.m, spec.rank, data.size
     if lifts is None:
-        # orbit step j is the stacked (Y_j; M Y_j; M^T Y_j)
-        orbit = [_stacked(data._coords, data._products)]
-        for _ in range(m - 1):
-            orbit.append(_times(orbit[-1], spec.action))
+        orbit = data._orbit[:m]
     else:
         if not isinstance(lifts, (list, tuple)) or len(lifts) != m or \
                 any(not isinstance(b, (list, tuple)) or len(b) != size
                     for b in lifts):
             raise BadParameters("lifts must give m blocks of one row per entry")
-        orbit = [_stacked(Y, _product_pair(data.matrix, Y))
+        orbit = [_steps(Y, _product_pair(data.matrix, Y), spec.action, 1)[0]
                  for Y in (abelian.int_rows(b, "lifts", size, r)
                            for b in lifts)]
     Y, P, Q = slice(size), slice(size, 2 * size), slice(2 * size, None)
@@ -203,8 +184,9 @@ def cu(data, nlift=None, vlift=None):
     M (x_a + x_{a-1}) + M^T (x_a + x_{a+1}) with x_{-1} = x_{m-1} = 0;
     it is applied block by block, never built.
     Block a is X (C^T)^a, so M x_a and M^T x_a are the product pair
-    (MX, M^T X) times (C^T)^a: the same integers as multiplying by M
-    directly, so a DivisibilityFailure names the same entry.
+    (MX, M^T X) times (C^T)^a (_steps under C): the same integers as
+    multiplying by M directly, so a DivisibilityFailure names the same
+    entry.
 
     C is the action N at m <= 3 and the structured lift only at m >= 4.
     At m = 2 there is one block, x_0 = V, and C is not read. At m = 3
@@ -257,10 +239,7 @@ def cu(data, nlift=None, vlift=None):
             raise BadParameters("vector lift must have one row per entry")
         base = abelian.int_rows(vlift, "vector lift", size, r)
         products = _product_pair(data.matrix, base)
-    # block a is the stacked (x_a; M x_a; M^T x_a)
-    blocks = [_stacked(base, products)]
-    for _ in range(m - 2):
-        blocks.append(_times(blocks[-1], C))
+    blocks = _steps(base, products, C, m - 1)
     zero = (0,) * (3 * size)
     Y, P, Q = slice(size), slice(size, 2 * size), slice(2 * size, None)
     out = []

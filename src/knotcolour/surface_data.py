@@ -12,14 +12,16 @@ when first read. A datum also caches one product pair
 when first read. Validation and the invariants read M only through it.
 The moves and connect sums derive their output's pair exactly from
 their sources' pairs, at the cost of the rows they change, so a chain
-of moves forms the pair once, for its head. The validation report is
-not carried: validate still checks each moved datum, from its carried
-pair. The empty 0x0 datum is permitted (it can never validate over a
-nontrivial A, but keeps connect sums total).
+of moves forms the pair once, for its head. _steps stacks it into the
+orbit SurfaceData._orbit, (Y_j; M Y_j; M^T Y_j) for Y_j = X (N^T)^j,
+that validation and su read. The validation report is not carried:
+validate still checks each moved datum, from its carried pair. The
+empty 0x0 datum is permitted (it can never validate over a nontrivial
+A, but keeps connect sums total).
 """
 
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from math import lcm
 from operator import add, mod, mul, neg, sub
 
@@ -134,9 +136,15 @@ class SurfaceData(_Record):
 
     @cached_property
     def _products(self):
-        # (MX, M^T X) over Z, the only products of M that validate, su,
-        # cu and vector_class read
+        # (MX, M^T X) over Z, the only products of M that the orbit, cu
+        # and vector_class read
         return _product_pair(self.matrix, self._coords)
+
+    @cached_property
+    def _orbit(self):
+        # max(m, 2) steps: validation reads step 1 even at m = 1
+        return _steps(self._coords, self._products, self.spec.action,
+                      max(self.spec.m, 2))
 
 
 def make_data(spec, matrix, coords):
@@ -179,6 +187,20 @@ def _product_pair(M, X):
     return tuple(map(tuple, P)), tuple(map(tuple, Q))
 
 
+def _steps(Y, products, F, count):
+    """The first count steps (Y_j; M Y_j; M^T Y_j), Y_j = Y (F^T)^j and
+    products = (MY, M^T Y), as one stacked column per factor (r empty
+    ones for an empty Y): column c of step j + 1 is sum_d F_cd times
+    column d of step j, so F applies to all three parts at once."""
+    MY, MTY = products
+    steps = [tuple(zip(*Y, *MY, *MTY)) if Y else ((),) * len(F)]
+    for _ in range(count - 1):
+        steps.append(tuple(tuple(map(sum, zip(*[
+            map(mul, x, repeat(f)) for f, x in zip(Fc, steps[-1])])))
+            for Fc in F))
+    return tuple(steps)
+
+
 def _min_generators(spec):
     """Minimal size of a generating set of A: max_p dim A/pA over the
     primes p dividing |A|. A generating set maps onto each A/pA, and by
@@ -199,14 +221,13 @@ def validate(data):
 
 def _validate(data):
     spec, X = data.spec, data._coords
-    MX, MTX = data._products
     # per factor c: M^T x_c = M (t.X)_c mod n_c, x_c the column c of X.
     # (t.X)_c = sum_d N_cd x_d mod n_c, and reducing x_d mod n_d is
-    # harmless as n_c | N_cd n_d, so the right side is sum_d N_cd (MX)_d;
-    # all() stops at the first entry that fails
-    factors = tuple(enumerate(zip(spec.action, spec.orders)))
-    equation = all(not (q[c] - sum(map(mul, Nc, p))) % n
-                   for p, q in zip(MX, MTX) for c, (Nc, n) in factors)
+    # harmless as n_c | N_cd n_d, so the sides are the M^T part of step 0
+    # and the M part of step 1; all() stops at the first factor failing
+    P, Q = slice(len(X), 2 * len(X)), slice(2 * len(X), None)
+    equation = all(not any(map(mod, map(sub, b[P], a[Q]), repeat(n)))
+                   for a, b, n in zip(*data._orbit[:2], spec.orders))
     gen = abelian._coords_generate(spec, tuple(sorted(set(X))))
     genus_ok = len(X) >= _min_generators(spec)
     return ValidationReport(gen, equation, genus_ok,

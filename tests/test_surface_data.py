@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from knotcolour import abelian, classify, invariants, surface_data
 from knotcolour._intlin import (
-    det, identity, inverse_unimodular, mat_mul, mat_vec, transpose)
+    det, identity, inverse_unimodular, mat_mul, mat_pow, mat_vec, transpose)
 from knotcolour.errors import (
     BadParameters,
     BudgetExceeded,
@@ -212,6 +212,36 @@ class TestValidateOnce:
         # a4_class may also check its own reference data on a cold cache
         assert [d for d in calls if d is data] == [data]
 
+    def test_orbit_formed_once(self, a4, c6_93, monkeypatch):
+        """On a fresh datum, validate forms the N-orbit, max(m, 2) steps,
+        in one call of surface_data._steps; su reads it and forms no step
+        of its own; cu stacks its m - 1 blocks through the same builder."""
+        body = surface_data._steps
+        calls = []
+
+        def spy(Y, products, F, count):
+            calls.append((F, count))
+            return body(Y, products, F, count)
+
+        monkeypatch.setattr(surface_data, "_steps", spy)
+        monkeypatch.setattr(invariants, "_steps", spy)
+        M = ((-2, -3), (-2, -2))
+        for data in (surface_data.make_data(a4, ((1, 0), (1, 1)),
+                                            [(1, 1), (0, 1)]),
+                     surface_data.SurfaceData(
+                         c6_93, M, surface_data.enumerate_colourings(
+                             M, c6_93)[0])):
+            calls.clear()
+            assert surface_data.validate(data).valid
+            invariants.su(data)
+            assert calls == [(data.spec.action, data.spec.m)]
+            assert len(data._orbit) == data.spec.m
+        data = surface_data.make_data(a4, ((1, 0), (1, 1)), [(1, 1), (0, 1)])
+        calls.clear()
+        assert surface_data.validate(data).valid
+        invariants.cu(data)
+        assert calls == [(a4.action, 3), (a4.action, 2)]
+
     def test_memo_leaves_identity_alone(self, d6):
         """A validated datum and an equal fresh one compare, hash, print
         and serialise alike."""
@@ -244,7 +274,19 @@ class TestValidateOracle:
                                                     c7_222):
         """Pool data after 0-3 random moves, with their vector or a random
         one (a shifted lift, any integers): validate equals the
-        GroupElement oracle, and so does vector_class, valid or not."""
+        GroupElement oracle, and so does vector_class, valid or not. So
+        does validate at the edges of the orbit's step count: an m = 1
+        datum that generates but fails the equation (validation reads
+        step 1 all the same) and the 0x0 datum (r empty columns)."""
+        m1 = surface_data.make_data(abelian.unsafe_spec((3,)), TREFOIL_L,
+                                    [(1,), (0,)])
+        empty = surface_data.make_data(a4, (), [])
+        for data in (m1, empty):
+            assert surface_data.validate(data) == slow_validate(data)
+        report = surface_data.validate(m1)
+        assert report.generates and not report.equation_holds
+        assert surface_data.validate(empty).equation_holds
+        assert all(len(step) == a4.rank for step in empty._orbit)
         pool = move_pool(d6, d10, a4, c2_35)
         pool.append(surface_data.make_data(
             c7_222, surface_data.standard_matrix(2),
@@ -323,9 +365,11 @@ class TestCarriedPair:
 
     def test_exact_over_move_chains(self, d6, d10, a4, c2_35, c6_93):
         """After every move of a random chain the carried pair equals a
-        fresh _product_pair, and the output still validates. lambda1 draws
-        the U of carry_unimodular, and K = U Y - X is seen both zero and
-        nonzero; lambda2 runs in both variants, lambda2_inverse right
+        fresh _product_pair, the output still validates, and each of the
+        max(m, 2) steps of its cached orbit equals the stacked
+        (Y_j; M Y_j; M^T Y_j), Y_j = X (N^T)^j, formed densely. lambda1
+        draws the U of carry_unimodular, and K = U Y - X is seen both zero
+        and nonzero; lambda2 runs in both variants, lambda2_inverse right
         after it, and connect_sum with a pool datum on either side."""
         pool = self.pool(d6, d10, a4, c2_35, c6_93)
         seen = set()
@@ -358,12 +402,20 @@ class TestCarriedPair:
                 assert moved._products == surface_data._product_pair(
                     moved.matrix, moved._coords)
                 assert surface_data.validate(moved).valid
-                seen.update((kind, moved.spec))
+                M, X, spec = moved.matrix, moved._coords, moved.spec
+                assert len(moved._orbit) == max(spec.m, 2)
+                for j, step in enumerate(moved._orbit):
+                    Y = mat_mul(X, mat_pow(transpose(spec.action), j))
+                    rows = Y + mat_mul(M, Y) + mat_mul(transpose(M), Y)
+                    assert step == tuple(tuple(row[c] for row in rows)
+                                         for c in range(spec.rank))
+                seen.update((kind, moved.spec, ("steps", len(moved._orbit))))
                 data, stabilised = moved, kind in (1, 2)
 
         check()
         assert seen == {0, 1, 2, 3, 4, d10, a4, c2_35, c6_93,
-                        ("K != 0", False), ("K != 0", True)}
+                        ("K != 0", False), ("K != 0", True),
+                        ("steps", 2), ("steps", 3), ("steps", 6)}
 
     def test_pair_formed_once_per_chain(self, d6, d10, a4, c2_35, c6_93,
                                         monkeypatch):

@@ -93,8 +93,9 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
     certified first: the steps D_k = M(2, 1) - M(1, 1) and
     D_l = M(1, 2) - M(1, 1) must be symmetric, and M(k, l) must equal
     M(1, 1) + (k-1) D_k + (l-1) D_l exactly (InternalInconsistency
-    otherwise, as for a failed validation). The builders' M moves with
-    (k, l) only through k n_1 and l n_2 on the diagonal, so they pass.
+    otherwise, as for a failed validation). The builders list their
+    blocks for _entries, and their M moves with (k, l) only through
+    k n_1 and l n_2 on the diagonal, so they pass.
 
     Why this is exact. V, and with it every integer lift the invariants
     use (the coordinate rows X, su's orbit lifts X (N^T)^j, cu's blocks
@@ -165,12 +166,38 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
     return entries
 
 
-def _distinctness_note(entries):
-    pairs = set((e.s, e.su) for e in entries)
-    if len(pairs) != len(entries):
-        return [f"only {len(pairs)} distinct (s, su) pairs among "
-                f"{len(entries)} entries"]
-    return []
+def _entries(spec, blocks, budget):
+    """The entries of blocks, each the tuple of _block's arguments after
+    spec, in order; BudgetExceeded, before any entry is built, when their
+    rows * (cols or 1) entries exceed budget."""
+    check_budget(sum(rows * (cols or 1) for *_, rows, cols in blocks),
+                 budget, "table entries")
+    return [e for b in blocks for e in _block(spec, *b)]
+
+
+def _table(family, spec, entries, lower, notes):
+    """The table, bounded above by h3_order of the kernel; its notes are
+    the builder's, then one on repeated (s, su) pairs."""
+    pairs = len(set((e.s, e.su) for e in entries))
+    if pairs != len(entries):
+        notes.append(f"only {pairs} distinct (s, su) pairs among "
+                     f"{len(entries)} entries")
+    return FamilyTable(family, spec, tuple(entries), abelian.h3_order(spec),
+                       lower, tuple(notes))
+
+
+def _rank2_blocks(g, n1, n2, notes, g1_at, g2_at):
+    """The rank-2 blocks over k <= n1, l <= n2: (s1; i s2) at g1_at(i) for
+    each i < g prime to n2 (a note in notes skips every other i), then
+    (s1; 0; s2; 0) at g2_at."""
+    blocks = []
+    for i in range(1, g):
+        if gcd(i, n2) != 1:
+            notes.append(f"i={i} skipped: i s2 does not generate Z/{n2}")
+        else:
+            blocks.append(("g1", i, ((1, 0), (0, i)), g1_at(i), n1, n2))
+    return blocks + [("g2", None, ((1, 0), (0, 0), (0, 1), (0, 0)), g2_at,
+                      n1, n2)]
 
 
 def metacyclic_table(m, n, xi, budget=TABLE_BUDGET):
@@ -187,16 +214,14 @@ def metacyclic_table(m, n, xi, budget=TABLE_BUDGET):
         raise BadParameters("xi and xi - 1 must be units mod n")
     if pow(xi, m, n) != 1 % n:
         raise BadParameters(f"xi^{m} != 1 mod {n}")
-    check_budget(n, budget, "table entries")
     spec = abelian.make_group(m, (n,), ((xi,),))
     x = (xi * _inv(1 - xi, n)) % n
     a = (-xi * _inv((1 - xi) ** 2, n)) % n
-    entries = _block(spec, "F{k}", None, ((1,), (x,)),
-                     lambda k, _: ((a + k * n, 0), (1, 1)), n)
+    entries = _entries(spec, [("F{k}", None, ((1,), (x,)),
+                               lambda k, _: ((a + k * n, 0), (1, 1)), n,
+                               None)], budget)
     lower = abelian.additive_order(2 * (1 - pow(xi, -3, n)), n)
-    notes = _distinctness_note(entries)
-    return FamilyTable("metacyclic", spec, tuple(entries),
-                       abelian.h3_order(spec), lower, tuple(notes))
+    return _table("metacyclic", spec, entries, lower, [])
 
 
 def rank2_diag_table(m, n1, n2, xi1, xi2, budget=TABLE_BUDGET):
@@ -222,43 +247,27 @@ def rank2_diag_table(m, n1, n2, xi1, xi2, budget=TABLE_BUDGET):
             raise BadParameters(f"xi^{m} != 1 mod {n}")
     spec = abelian.make_group(m, (n1, n2), ((xi1, 0), (0, xi2)))
     g = gcd(n1, n2)
-    entries = []
     notes = []
-
     x1 = (xi1 * _inv(1 - xi1, n1)) % n1
     x2_g1 = _inv(xi2 - 1, n2)
-    g1_is = []
     if g == 1:
         notes.append("gcd(n1, n2) = 1: no genus-1 classes")
     elif x1 % g != x2_g1 % g:
         notes.append("no genus-1 classes: the congruences for x "
                      "have no common solution")
+        g = 1  # so no genus-1 block
     else:
         x = solve_mod([[1], [1]], [x1, x2_g1], (n1, n2))[0] % (n1 * n2 // g)
-        for i in range(1, g):
-            if gcd(i, n2) != 1:
-                notes.append(f"i={i} skipped: i s2 does not generate Z/{n2}")
-            else:
-                g1_is.append(i)
-    check_budget((len(g1_is) + 1) * n1 * n2, budget, "table entries")
-    for i in g1_is:
-        entries += _block(spec, "g1", i, ((1, 0), (0, i)),
-                          lambda k, l: ((k * n1, x), (x + 1, l * n2)),
-                          n1, n2)
-
     x2 = (xi2 * _inv(1 - xi2, n2)) % n2
-    entries += _block(spec, "g2", None, ((1, 0), (0, 0), (0, 1), (0, 0)),
-                      lambda k, l: ((k * n1, x1, 0, 0),
-                                    (x1 + 1, 0, 0, 0),
-                                    (0, 0, l * n2, x2),
-                                    (0, 0, x2 + 1, 0)),
-                      n1, n2)
-
+    blocks = _rank2_blocks(
+        g, n1, n2, notes,
+        lambda i: lambda k, l: ((k * n1, x), (x + 1, l * n2)),
+        lambda k, l: ((k * n1, x1, 0, 0), (x1 + 1, 0, 0, 0),
+                      (0, 0, l * n2, x2), (0, 0, x2 + 1, 0)))
+    entries = _entries(spec, blocks, budget)
     lower = (abelian.additive_order(2 * (1 - pow(xi1, -3, n1)), n1),
              abelian.additive_order(2 * (1 - pow(xi2, -3, n2)), n2))
-    notes.extend(_distinctness_note(entries))
-    return FamilyTable("rank2diag", spec, tuple(entries),
-                       abelian.h3_order(spec), lower, tuple(notes))
+    return _table("rank2diag", spec, entries, lower, notes)
 
 
 def nondiag_lower_bound(m, n, N):
@@ -308,34 +317,19 @@ def rank2_nondiag_table(m, n, N, budget=TABLE_BUDGET):
         spec = abelian.make_group(m, (n, n), ((0, n21), (1, n22)))
     except (NotOrderM, FixedPoints) as e:
         raise BadParameters(f"companion action rejected: {e}") from None
-    entries = []
     notes = []
-    xt = xi % n
 
-    g1_is = []
-    if (n21 + 1) % n == 0:
-        for i in range(1, n):
-            if gcd(i, n) != 1:
-                notes.append(f"i={i} skipped: i s2 does not generate Z/{n}")
-            else:
-                g1_is.append(i)
-    check_budget((len(g1_is) + 1) * n * n, budget, "table entries")
-    for i in g1_is:
-        # 1 - 2xt + xt N22 = 1 - xt(2 - N22) = 0 mod n, as xt = (2 - N22)^-1
+    def g1_at(i):
+        # 1 - 2xi + xi N22 = 1 - xi(2 - N22) = 0 mod n, as xi = (2 - N22)^-1
         d1, d2 = (xi * i) % n, (xi * _inv(i, n)) % n
-        entries += _block(spec, "g1", i, ((1, 0), (0, i)),
-                          lambda k, l: ((d1 + k * n, -xt),
-                                        (1 - xt, d2 + l * n)),
-                          n, n)
+        return lambda k, l: ((d1 + k * n, -xi), (1 - xi, d2 + l * n))
 
     p = (n21 * xi) % n
-    entries += _block(spec, "g2", None, ((1, 0), (0, 0), (0, 1), (0, 0)),
-                      lambda k, l: ((k * n, p, 0, p),
-                                    (p + 1, 0, xt, 0),
-                                    (0, xt, l * n, xt - 1),
-                                    (p, 0, xt, 0)),
-                      n, n)
-
+    blocks = _rank2_blocks(
+        n if (n21 + 1) % n == 0 else 1, n, n, notes, g1_at,
+        lambda k, l: ((k * n, p, 0, p), (p + 1, 0, xi, 0),
+                      (0, xi, l * n, xi - 1), (p, 0, xi, 0)))
+    entries = _entries(spec, blocks, budget)
     lower = nondiag_lower_bound(m, n, rows)
     # both families are present: only m = 3 gets here
     for g, formula in ((1, n * sum(n // gcd(n, j) for j in range(1, n))),
@@ -344,9 +338,7 @@ def rank2_nondiag_table(m, n, N, budget=TABLE_BUDGET):
         if seen != formula:
             notes.append(f"genus-{g} su takes {seen} distinct values; the "
                          f"expected count formula gives {formula}")
-    notes.extend(_distinctness_note(entries))
-    return FamilyTable("rank2nondiag", spec, tuple(entries),
-                       abelian.h3_order(spec), lower, tuple(notes))
+    return _table("rank2nondiag", spec, entries, lower, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +389,7 @@ def a4_representatives():
         entries.append(_evaluated(
             None, None, None, f"{nm1}#{nm2}",
             surface_data.connect_sum(base[nm1], base[nm2])))
-    notes = _distinctness_note(entries)
-    return FamilyTable("a4", spec, tuple(entries),
-                       abelian.h3_order(spec), 2, tuple(notes))
+    return _table("a4", spec, entries, 2, [])
 
 
 @lru_cache(maxsize=None)

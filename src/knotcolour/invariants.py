@@ -25,7 +25,7 @@ from operator import floordiv, mod, mul, sub
 
 from . import abelian
 from ._intlin import (
-    check_budget, identity, kernel_mod, mat_mul, mat_pow, solve_mod)
+    _euclid, check_budget, echelon_mod, identity, mat_mul, mat_pow, solve_mod)
 from .errors import (
     BadParameters,
     DivisibilityFailure,
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .surface_data import SurfaceData, _product_pair, _steps, validate
 
-# most lift candidates searched, or lift-system solutions listed
+# most lift candidates searched over unequal orders
 LIFT_BUDGET = 10 ** 7
 
 
@@ -103,7 +103,11 @@ def su(data, lifts=None):
 
 
 def _hensel_lift(m, n, N):
-    """N + n X for the least X with (N + n X)^m = I mod n^2, or None."""
+    """N + n X for the least X with (N + n X)^m = I mod n^2, or None:
+    X runs over x0 (solve_mod) plus L = {X : F X = 0 mod n}, which holds
+    n Z^(r^2). A _euclid pass at each position i over L's echelon_mod span,
+    retiring each pivot p, leaves a triangular basis (p[i] | n), so X[i]
+    mod |p[i]| in order of i is the lex-least X; no point of L is listed."""
     r, sq = len(N), n * n
     powers = [identity(r)]
     for _ in range(m):
@@ -118,8 +122,13 @@ def _hensel_lift(m, n, N):
     x0 = solve_mod(F, [-x // n for x in residue], mods)
     if x0 is None:
         return None
-    X = min(tuple((a + b) % n for a, b in zip(x0, k))
-            for k in kernel_mod(F, mods, mods, LIFT_BUDGET))
+    X, K = x0, echelon_mod(F, mods)[1]
+    for i in range(r * r):
+        p = _euclid(K, i)
+        K.remove(p)
+        p = [-x for x in p] if p[i] < 0 else p
+        q = X[i] // p[i]
+        X = [a - q * b for a, b in zip(X, p)]
     return [[N[i][j] + n * X[i * r + j] for j in range(r)] for i in range(r)]
 
 
@@ -147,9 +156,9 @@ def structured_lift(spec):
     Each term of (N + n X)^m with X twice carries n^2, so C^m = I mod
     n^2 is exactly the linear system sum_{a<m} N^a X N^(m-1-a) =
     -(N^m - I)/n mod n (Hensel's one-step lift), and row-major order on C
-    is lex order on X mod n. So C is N + n X for the least X among a
-    particular solution (from the Smith form, solve_mod) plus the kernel
-    (from the column echelon, kernel_mod).
+    is lex order on X mod n. So C is N + n X for the least X in a
+    particular solution (solve_mod) plus the kernel lattice, read off its
+    triangular basis with no listing and so no budget (_hensel_lift).
     Unequal orders: with C = N + diag(n_i) X the second-order terms need
     not vanish mod n_i^2, and the first lift can have cross entries that
     the linearised system misses, so the box is searched, BudgetExceeded

@@ -370,6 +370,79 @@ class TestClassify:
         assert code == 1 and got["error"]["type"] == "UsageError"
 
 
+class TestClassifyCorpus:
+    FROZEN_DIGEST = (
+        "0804eb46530bb1eec695d776f20f5d2bad284fd24e9dd5e56bb887db891376bf")
+    TABLES = (
+        ("metacyclic", {"m": 2, "n": 3, "xi": 2}),
+        ("metacyclic", {"m": 2, "n": 9, "xi": 8}),
+        ("metacyclic", {"m": 3, "n": 7, "xi": 2}),
+        ("metacyclic", {"m": 3, "n": 13, "xi": 9}),
+        ("rank2diag", {"m": 2, "n1": 3, "n2": 5, "xi1": 2, "xi2": 4}),
+        ("rank2diag", {"m": 2, "n1": 3, "n2": 3, "xi1": 2, "xi2": 2}),
+        ("rank2diag", {"m": 2, "n1": 9, "n2": 9, "xi1": 8, "xi2": 8}),
+        ("rank2diag", {"m": 2, "n1": 3, "n2": 9, "xi1": 2, "xi2": 8}),
+        ("rank2diag", {"m": 3, "n1": 7, "n2": 7, "xi1": 2, "xi2": 2}),
+        ("rank2diag", {"m": 3, "n1": 7, "n2": 7, "xi1": 2, "xi2": 4}),
+        ("rank2nondiag", {"m": 3, "n": 2, "n21": 1, "n22": 1}),
+        ("rank2nondiag", {"m": 3, "n": 4, "n21": 3, "n22": 3}),
+        ("rank2nondiag", {"m": 3, "n": 7, "n21": 6, "n22": 6}),
+        ("a4", {}),
+    )
+    DIV, LIFT = "DivisibilityFailure", "LiftFailure"
+    FAILURES = (
+        ("metacyclic", {"m": 4, "n": 7, "xi": 6}, DIV),
+        ("metacyclic", {"m": 6, "n": 7, "xi": 3}, DIV),
+        ("metacyclic", {"m": 6, "n": 27, "xi": 17}, LIFT),
+        ("rank2diag", {"m": 4, "n1": 5, "n2": 5, "xi1": 3, "xi2": 3}, DIV),
+        ("rank2diag", {"m": 6, "n1": 3, "n2": 9, "xi1": 2, "xi2": 8}, DIV),
+        ("rank2diag", {"m": 6, "n1": 9, "n2": 9, "xi1": 5, "xi2": 5}, LIFT),
+        ("rank2nondiag", {"m": 4, "n": 3, "n21": 2, "n22": 0}, DIV),
+        ("rank2nondiag", {"m": 6, "n": 3, "n21": 2, "n22": 1}, DIV),
+        ("rank2nondiag", {"m": 6, "n": 4, "n21": 1, "n22": 1}, LIFT),
+    )
+
+    def test_classify_bytes_frozen(self, capsys):
+        """The SHA-256 of (argv, exit code, stdout) over classify calls:
+        every family in JSON and TSV, tables at m = 2 and 3 (the gcd,
+        congruence, skip, count-formula and distinctness notes among
+        them), each parameterised table again with a budget one entry
+        short, and the m >= 4 failures: DivisibilityFailure at m = 4 and
+        6 in every family, LiftFailure at m = 6. These families have no
+        LiftFailure at m = 4: N - I invertible mod 2 with N^4 = I cannot
+        hold, as (N - I)^4 = N^4 - I mod 2, so n is odd, prime to m, and
+        the rank-1 lift always exists; the rank-2 families had none for
+        odd n < 60 either."""
+        digest = hashlib.sha256()
+        seen = set()
+
+        def call(family, params, *extra):
+            argv = ["classify", family] + [
+                x for k, v in params.items() for x in (f"--{k}", str(v))]
+            argv += list(extra)
+            code, out = run(capsys, argv)
+            digest.update(json.dumps([argv, code, out]).encode())
+            if code:
+                seen.add((family, params.get("m"),
+                          json.loads(out)["error"]["type"]))
+            return code, out
+
+        for family, params in self.TABLES:
+            code, out = call(family, params)
+            assert code == 0, out
+            call(family, params, "--format", "tsv")
+            if family != "a4":
+                size = len(json.loads(out)["entries"])
+                call(family, params, "--max-search", str(size - 1))
+        for family, params, _ in self.FAILURES:
+            for fmt in ("json", "tsv"):
+                call(family, params, "--format", fmt)
+        assert seen == {(f, p["m"], "BudgetExceeded")
+                        for f, p in self.TABLES if f != "a4"} | {
+            (f, p["m"], kind) for f, p, kind in self.FAILURES}
+        assert digest.hexdigest() == self.FROZEN_DIGEST
+
+
 class TestColourDiagram:
     def test_trefoil_over_d6(self, capsys, files):
         pd = {"base_arc": 0, "crossings": [

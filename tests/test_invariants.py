@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotcolour import abelian, classify, invariants, surface_data
+from knotcolour import _intlin, abelian, classify, invariants, surface_data
 from knotcolour._intlin import (
     inverse_unimodular, mat_mul, mat_pow, mat_vec, transpose)
 from knotcolour.errors import (
@@ -18,7 +18,7 @@ from test_surface_data import random_seifert
 from util import (
     TREFOIL_L, FIG8_L, invariant_triple, lift_pool, move_chain, move_pool,
     odd_pool, outcome, rand_unimodular, random_group_spec, random_move,
-    slow_cu,
+    slow_cu, slow_hensel_lift,
     slow_structured_lift, slow_su, slow_validate, slow_vector_class)
 
 FIXTURE_GROUPS = ("d6", "d10", "d14", "c3z7", "c4z5", "a4", "c2_33",
@@ -148,6 +148,78 @@ class TestStructuredLift:
         check()
         assert seen == {(True, True), (True, False), (False, True),
                         (False, False)}
+
+    def test_hensel_lift_matches_listing(self):
+        """_hensel_lift against the kernel listing and min, on random
+        equal-order actions of rank 1 to 3 (orders small enough to list
+        every solution): half of them at a multiple of N's order mod n,
+        where the system is set up and may still have no solution, the
+        rest at a random m, where N^m = I mod n mostly fails."""
+        seen = set()
+
+        @settings(deadline=None, max_examples=150, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            r = rng.choice((1, 2, 3))
+            n = rng.randrange(2, (31, 8, 4)[r - 1])
+            N = [[rng.randrange(n) for _ in range(r)] for _ in range(r)]
+            m = rng.randrange(2, 7)
+            ordered = rng.random() < 0.5
+            if ordered:
+                P = N
+                for k in range(1, 13):
+                    if all((P[i][j] - (i == j)) % n == 0
+                           for i in range(r) for j in range(r)):
+                        m = k * rng.choice((1, 2, 3)) if k > 1 else m
+                        break
+                    P = [[x % n for x in row] for row in mat_mul(P, N)]
+                else:
+                    ordered = False
+            got = invariants._hensel_lift(m, n, N)
+            assert got == slow_hensel_lift(m, n, N), (m, n, N)
+            seen.add((ordered, got is None))
+
+        check()
+        assert seen == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+    def test_lift_past_the_listing_budget(self):
+        """At m = 4 over (Z/17)^3 with diag(4, 13, 16) the lift system has
+        17^6 = 24,137,569 solutions, more than LIFT_BUDGET: no budget
+        applies, as the lift is read off the lattice basis."""
+        spec = abelian.make_group(4, (17,) * 3,
+                                  ((4, 0, 0), (0, 13, 0), (0, 0, 16)))
+        C = invariants.structured_lift(spec)
+        assert C == ((38, 0, 0), (0, 251, 0), (0, 0, 288))
+        P = mat_pow([list(row) for row in C], 4)
+        for i, (row, action) in enumerate(zip(C, spec.action)):
+            assert all((c - a) % 17 == 0 for c, a in zip(row, action))
+            assert all((P[i][j] - (i == j)) % 17 ** 2 == 0
+                       for j in range(3))
+
+    def test_equal_orders_list_no_kernel(self, monkeypatch, request):
+        """structured_lift over equal orders never calls kernel_mod, from
+        any module: the fixture groups, and (Z/13)^3 at m = 4 with
+        diag(5, 8, 12), whose lift system has 4,826,809 solutions."""
+        calls, listing = [], _intlin.kernel_mod
+
+        def spy(*args):
+            calls.append(args)
+            return listing(*args)
+
+        for module in (_intlin, invariants, abelian):
+            monkeypatch.setattr(module, "kernel_mod", spy, raising=False)
+        invariants._lift.cache_clear()
+        specs = [request.getfixturevalue(name) for name in FIXTURE_GROUPS]
+        specs = [s for s in specs if len(set(s.orders)) == 1]
+        specs.append(abelian.make_group(
+            4, (13,) * 3, ((5, 0, 0), (0, 8, 0), (0, 0, 12))))
+        for spec in specs:
+            outcome(invariants.structured_lift, spec)
+        assert outcome(invariants.structured_lift, specs[-1]) == \
+            ((70, 0, 0), (0, 99, 0), (0, 0, 168))
+        assert len(specs) > 5 and calls == []
 
     def test_m2_lift_exists(self, request):
         """Every m = 2 group has a lift, and diag(n_i^2 - 1) is one: N is

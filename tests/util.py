@@ -7,7 +7,8 @@ backtracking oracle for diagram colourings, the GroupElement oracle
 for an integer matrix acting on a vector, the GroupElement oracles for
 validate, invariants.su and invariants.cu, the inverting oracle for
 invariants.vector_class, the search oracle for
-invariants.structured_lift, random group specs for it, and the
+invariants.structured_lift, the listing oracle for
+invariants._hensel_lift, random group specs for them, and the
 per-entry oracle for classify._block, and a spy on element construction
 and Smith calls."""
 
@@ -21,8 +22,8 @@ import pytest
 from knotcolour import (
     _intlin, abelian, classify, diagram, invariants, surface_data)
 from knotcolour._intlin import (
-    echelon_mod, inverse_unimodular, mat_mul, mat_pow, mat_vec, smith,
-    smith_mod, transpose)
+    echelon_mod, inverse_unimodular, kernel_mod, mat_mul, mat_pow, mat_vec,
+    smith, smith_mod, solve_mod, transpose)
 from knotcolour.errors import (
     ArtifactError,
     BadParameters,
@@ -356,6 +357,28 @@ def _slow_lift_search(spec):
                for i in range(r) for j in range(r)):
             return tuple(tuple(row) for row in C)
     return None
+
+
+def slow_hensel_lift(m, n, N):
+    """Listing oracle for invariants._hensel_lift: the same one-step
+    system sum_{a<m} N^a X N^(m-1-a) = -(N^m - I)/n mod n over plain
+    powers of N, every solution x0 + k listed through kernel_mod, and
+    N + n X for the least, or None when there is none."""
+    r = len(N)
+    powers = [mat_pow(N, a) for a in range(m + 1)]
+    residue = [powers[m][i][j] - (i == j) for i in range(r) for j in range(r)]
+    if any(x % n for x in residue):
+        return None
+    F = [[sum(powers[a][i][k] * powers[m - 1 - a][l][j] for a in range(m))
+          for k in range(r) for l in range(r)]
+         for i in range(r) for j in range(r)]
+    mods = [n] * (r * r)
+    x0 = solve_mod(F, [-x // n for x in residue], mods)
+    if x0 is None:
+        return None
+    X = min(tuple((a + b) % n for a, b in zip(x0, k))
+            for k in kernel_mod(F, mods, mods, 10 ** 7))
+    return [[N[i][j] + n * X[i * r + j] for j in range(r)] for i in range(r)]
 
 
 def random_group_spec(rng, equal, validated, m_choices=(2, 3, 4),

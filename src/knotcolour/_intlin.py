@@ -12,10 +12,12 @@ row-major. Sizes in this package stay small (at most a few dozen rows),
 so clarity wins over asymptotics, except for sparsity that costs nothing
 to use: mat_mul skips the zero entries of its left factor, and
 inverse_unimodular touches only the rows that have a nonzero entry in
-the pivot column. The moves do not lean on either for U:
-surface_data.lambda1 inverts only the block of U on the columns where
-U differs from the identity and reads the rest of U through its
-nonzero entries.
+the pivot column. mat_mul and mat_vec are every dense integer product
+in the package (the product pair, the orbit steps, the action on
+coordinates). The moves' sparse U is the one exception:
+surface_data._ut_times forms U^T R from the nonzero entries of U's
+columns where U differs from the identity, and surface_data.lambda1
+inverts only the block of U on those columns.
 """
 
 from math import prod

@@ -13,7 +13,8 @@ from math import gcd, prod
 import operator
 from operator import attrgetter, mod
 
-from ._intlin import det, identity, kernel_mod, mat_pow
+from ._intlin import (
+    det, identity, kernel_mod, mat_mul, mat_pow, mat_vec, transpose)
 from .errors import (
     BadParameters,
     FixedPoints,
@@ -295,11 +296,7 @@ def mul(k, a):
 def act(a):
     """t.a: apply the action matrix once."""
     spec = _expect(a, GroupElement).spec
-    N = spec.action
-    r = spec.rank
-    return GroupElement(
-        spec,
-        tuple(sum(N[i][j] * a.coords[j] for j in range(r)) for i in range(r)))
+    return GroupElement(spec, mat_vec(spec.action, a.coords))
 
 
 def act_pow(a, j):
@@ -317,9 +314,9 @@ def act_rows(rows, spec):
     integer form of act, for loops that never build an element.
     BadParameters unless rows is a list or tuple of rank-length rows of
     ints."""
-    pairs = tuple(zip(_expect(spec, GroupSpec).action, spec.orders))
-    return [tuple(sum(map(operator.mul, Ni, x)) % n for Ni, n in pairs)
-            for x in int_rows(rows, "coordinates", None, spec.rank)]
+    X = int_rows(rows, "coordinates", None, _expect(spec, GroupSpec).rank)
+    return [tuple(map(mod, row, spec.orders))
+            for row in mat_mul(X, transpose(spec.action))]
 
 
 def linear_kernel(P, Q, spec, budget):

@@ -56,13 +56,6 @@ class FamilyTable(abelian._Record):
     notes: tuple
 
 
-def _inv(a, n):
-    try:
-        return pow(a % n, -1, n)
-    except ValueError:
-        raise BadParameters(f"{a} is not invertible mod {n}") from None
-
-
 def _entry(spec, k, l, i, name, matrix, coords):
     return _evaluated(k, l, i, name,
                       surface_data.make_data(spec, matrix, coords))
@@ -166,13 +159,14 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
     return entries
 
 
-def _entries(spec, blocks, budget):
-    """The entries of blocks, each the tuple of _block's arguments after
-    spec, in order; BudgetExceeded, before any entry is built, when their
-    rows * (cols or 1) entries exceed budget."""
+def _entries(blocks, budget):
+    """The function of a spec that builds the entries of blocks in order,
+    each block the tuple of _block's arguments after spec; BudgetExceeded
+    here, before any entry (or, in metacyclic_table, the group) is built,
+    when their rows * (cols or 1) entries exceed budget."""
     check_budget(sum(rows * (cols or 1) for *_, rows, cols in blocks),
                  budget, "table entries")
-    return [e for b in blocks for e in _block(spec, *b)]
+    return lambda spec: [e for b in blocks for e in _block(spec, *b)]
 
 
 def _table(family, spec, entries, lower, notes):
@@ -204,7 +198,8 @@ def metacyclic_table(m, n, xi, budget=TABLE_BUDGET):
     """The k-twist family over C_m acting on Z/n by the unit xi:
     M_k = [[a + kn, 0], [1, 1]], V = (s; x s) with x = xi/(1-xi) and
     a the minimal natural congruent to -xi/(1-xi)^2. BudgetExceeded,
-    before any entry is built, when its n entries exceed budget."""
+    before the group or any entry is built, when its n entries exceed
+    budget."""
     if not (type(m) is type(n) is int and m >= 1 and n >= 2):
         raise BadParameters("need integers m >= 1, n >= 2")
     if type(xi) is not int:
@@ -214,12 +209,16 @@ def metacyclic_table(m, n, xi, budget=TABLE_BUDGET):
         raise BadParameters("xi and xi - 1 must be units mod n")
     if pow(xi, m, n) != 1 % n:
         raise BadParameters(f"xi^{m} != 1 mod {n}")
+    x = (xi * pow(1 - xi, -1, n)) % n
+    a = (-xi * pow((1 - xi) ** 2, -1, n)) % n
+    # make_group cannot fail here (compatibility is trivial at rank 1,
+    # xi^m = 1 gives N^m = I, and xi - 1 is a unit), so the budget is
+    # checked first: make_group factors n
+    build = _entries([("F{k}", None, ((1,), (x,)),
+                       lambda k, _: ((a + k * n, 0), (1, 1)), n, None)],
+                     budget)
     spec = abelian.make_group(m, (n,), ((xi,),))
-    x = (xi * _inv(1 - xi, n)) % n
-    a = (-xi * _inv((1 - xi) ** 2, n)) % n
-    entries = _entries(spec, [("F{k}", None, ((1,), (x,)),
-                               lambda k, _: ((a + k * n, 0), (1, 1)), n,
-                               None)], budget)
+    entries = build(spec)
     lower = abelian.additive_order(2 * (1 - pow(xi, -3, n)), n)
     return _table("metacyclic", spec, entries, lower, [])
 
@@ -248,8 +247,8 @@ def rank2_diag_table(m, n1, n2, xi1, xi2, budget=TABLE_BUDGET):
     spec = abelian.make_group(m, (n1, n2), ((xi1, 0), (0, xi2)))
     g = gcd(n1, n2)
     notes = []
-    x1 = (xi1 * _inv(1 - xi1, n1)) % n1
-    x2_g1 = _inv(xi2 - 1, n2)
+    x1 = (xi1 * pow(1 - xi1, -1, n1)) % n1
+    x2_g1 = pow(xi2 - 1, -1, n2)
     if g == 1:
         notes.append("gcd(n1, n2) = 1: no genus-1 classes")
     elif x1 % g != x2_g1 % g:
@@ -258,13 +257,13 @@ def rank2_diag_table(m, n1, n2, xi1, xi2, budget=TABLE_BUDGET):
         g = 1  # so no genus-1 block
     else:
         x = solve_mod([[1], [1]], [x1, x2_g1], (n1, n2))[0] % (n1 * n2 // g)
-    x2 = (xi2 * _inv(1 - xi2, n2)) % n2
+    x2 = (xi2 * pow(1 - xi2, -1, n2)) % n2
     blocks = _rank2_blocks(
         g, n1, n2, notes,
         lambda i: lambda k, l: ((k * n1, x), (x + 1, l * n2)),
         lambda k, l: ((k * n1, x1, 0, 0), (x1 + 1, 0, 0, 0),
                       (0, 0, l * n2, x2), (0, 0, x2 + 1, 0)))
-    entries = _entries(spec, blocks, budget)
+    entries = _entries(blocks, budget)(spec)
     lower = (abelian.additive_order(2 * (1 - pow(xi1, -3, n1)), n1),
              abelian.additive_order(2 * (1 - pow(xi2, -3, n2)), n2))
     return _table("rank2diag", spec, entries, lower, notes)
@@ -311,7 +310,7 @@ def rank2_nondiag_table(m, n, N, budget=TABLE_BUDGET):
     n21, n22 = rows[1][0] % n, rows[1][1] % n
     if gcd(n21, n) != 1 or gcd((1 - n21 - n22) % n, n) != 1:
         raise BadParameters("N and N - I must be invertible mod n")
-    xi = _inv(1 - n21 - n22, n)
+    xi = pow(1 - n21 - n22, -1, n)
     try:
         # stored action is the transpose of the row-convention matrix
         spec = abelian.make_group(m, (n, n), ((0, n21), (1, n22)))
@@ -321,7 +320,7 @@ def rank2_nondiag_table(m, n, N, budget=TABLE_BUDGET):
 
     def g1_at(i):
         # 1 - 2xi + xi N22 = 1 - xi(2 - N22) = 0 mod n, as xi = (2 - N22)^-1
-        d1, d2 = (xi * i) % n, (xi * _inv(i, n)) % n
+        d1, d2 = (xi * i) % n, (xi * pow(i, -1, n)) % n
         return lambda k, l: ((d1 + k * n, -xi), (1 - xi, d2 + l * n))
 
     p = (n21 * xi) % n
@@ -329,7 +328,7 @@ def rank2_nondiag_table(m, n, N, budget=TABLE_BUDGET):
         n if (n21 + 1) % n == 0 else 1, n, n, notes, g1_at,
         lambda k, l: ((k * n, p, 0, p), (p + 1, 0, xi, 0),
                       (0, xi, l * n, xi - 1), (p, 0, xi, 0)))
-    entries = _entries(spec, blocks, budget)
+    entries = _entries(blocks, budget)(spec)
     lower = nondiag_lower_bound(m, n, rows)
     # both families are present: only m = 3 gets here
     for g, formula in ((1, n * sum(n // gcd(n, j) for j in range(1, n))),

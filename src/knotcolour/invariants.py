@@ -162,7 +162,13 @@ def structured_lift(spec):
     Unequal orders: with C = N + diag(n_i) X the second-order terms need
     not vanish mod n_i^2, and the first lift can have cross entries that
     the linearised system misses, so the box is searched, BudgetExceeded
-    past LIFT_BUDGET candidates.
+    past LIFT_BUDGET candidates. Nor does the first lift split over the
+    factors: for make_group(4, (3, 5), ((2, 0), (0, 4))) it is
+    ((2, 3), (5, 4)), while the per-factor Hensel lifts give diag(8, 24),
+    a lift that comes later in row-major order. Over coprime orders
+    2..11 with diagonal actions and m = 2..6, 52 of the 130 specs have a
+    split first lift, 50 a non-split one and 28 none; so the search
+    stays the definition here.
     """
     C = _lift(abelian._expect(spec, abelian.GroupSpec))
     if C is None:

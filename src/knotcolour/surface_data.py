@@ -10,20 +10,24 @@ the size x r matrix X); .vector builds the GroupElement tuple from X
 when first read. A datum also caches one product pair
 (SurfaceData._products = (MX, M^T X) over Z, one row per entry), formed
 when first read. Validation and the invariants read M only through it.
-The moves and connect sums derive their output's pair exactly from
-their sources' pairs, at the cost of the rows they change, so a chain
-of moves forms the pair once, for its head. _steps stacks it into the
-orbit SurfaceData._orbit, (Y_j; M Y_j; M^T Y_j) for Y_j = X (N^T)^j,
-that validation and su read. The validation report is not carried:
-validate still checks each moved datum, from its carried pair. The
-empty 0x0 datum is permitted (it can never validate over a nontrivial
-A, but keeps connect sums total).
+_steps stacks it into the orbit SurfaceData._orbit, (Y_j; M Y_j;
+M^T Y_j) for Y_j = X (N^T)^j, that validation and su read. The empty
+0x0 datum is permitted (it can never validate over a nontrivial A, but
+keeps connect sums total).
+
+The pair and the orbit steps are _intlin.mat_mul products. The moves
+and connect sums derive their output's pair exactly from their sources'
+pairs, at the cost of the rows they change, so a chain of moves forms
+the pair once, for its head. The validation report is not carried:
+validate still checks each moved datum, from its carried pair. lambda1
+reads U only on the columns J where U differs from the identity:
+_ut_times forms U^T R there, and M U is (U^T M^T)^T.
 """
 
 from functools import cached_property
 from itertools import compress, repeat
 from math import lcm
-from operator import add, mod, mul, neg, sub
+from operator import add, mod, neg, sub
 
 from . import abelian
 from .abelian import _Record, _expect
@@ -67,11 +71,10 @@ def _check_seifert(matrix, err=BadParameters):
     size = len(rows)
     if size % 2 != 0:
         raise err(f"Seifert matrix size must be even, got {size}")
-    if size:
-        S = [[rows[i][j] - rows[j][i] for j in range(size)] for i in range(size)]
-        d = det(S)
-        if d != 1:
-            raise err(f"det(M - M^T) = {d}, expected 1")
+    d = det([[rows[i][j] - rows[j][i] for j in range(size)]
+             for i in range(size)])
+    if d != 1:
+        raise err(f"det(M - M^T) = {d}, expected 1")
     return rows
 
 
@@ -172,32 +175,20 @@ def _axpy(u, t, v):
 
 def _product_pair(M, X):
     """(MX, M^T X) over Z as tuples of rows, X one integer row per entry
-    of M: one pass over the nonzero entries of M, each M_ik adding
-    M_ik x_k to row i of MX and M_ik x_i to row k of M^T X."""
-    r = len(X[0]) if X else 0
-    P = [[0] * r for _ in X]
-    Q = [[0] * r for _ in X]
-    entries = range(len(X))
-    for Pi, xi, row in zip(P, X, M):
-        for k in compress(entries, row):
-            a, xk, Qk = row[k], X[k], Q[k]
-            for c in range(r):
-                Pi[c] += a * xk[c]
-                Qk[c] += a * xi[c]
-    return tuple(map(tuple, P)), tuple(map(tuple, Q))
+    of M."""
+    return (tuple(map(tuple, mat_mul(M, X))),
+            tuple(map(tuple, mat_mul(transpose(M), X))))
 
 
 def _steps(Y, products, F, count):
     """The first count steps (Y_j; M Y_j; M^T Y_j), Y_j = Y (F^T)^j and
     products = (MY, M^T Y), as one stacked column per factor (r empty
-    ones for an empty Y): column c of step j + 1 is sum_d F_cd times
-    column d of step j, so F applies to all three parts at once."""
+    ones for an empty Y): step j + 1 is F times step j, so F applies to
+    all three parts at once."""
     MY, MTY = products
     steps = [tuple(zip(*Y, *MY, *MTY)) if Y else ((),) * len(F)]
     for _ in range(count - 1):
-        steps.append(tuple(tuple(map(sum, zip(*[
-            map(mul, x, repeat(f)) for f, x in zip(Fc, steps[-1])])))
-            for Fc in F))
+        steps.append(tuple(map(tuple, mat_mul(F, steps[-1]))))
     return tuple(steps)
 
 
@@ -263,10 +254,11 @@ def lambda1(data, U):
     - det U = det U_JJ, and only U_JJ is inverted;
     - Y = U^-1 X, X the coordinate rows of V, has Y_J = U_JJ^-1 X_J and
       Y_i = X_i - sum_{j in J} U_ij Y_j for i outside J;
-    - W = M U differs from M only in the columns in J, and W_ik, k in J,
-      sums M_ij U_jk over the nonzeros of column k of U;
-    - U^T W differs from W only in the rows in J, and row k sums the rows
-      U_jk W_j over the same nonzeros.
+    - U^T R, for any rows R, differs from R only in the rows in J, and
+      row k sums the rows U_jk R_j over the nonzeros of column k of U
+      (_ut_times);
+    - so W = M U = (U^T M^T)^T differs from M only in the columns in J,
+      and U^T W is _ut_times on W.
     The product pair is carried from the source's. Y is
     U^-1 X only mod the orders, so U Y = X + K exactly, with K nonzero
     only in the rows of U other than e_i (those in J, or with entries
@@ -301,12 +293,7 @@ def lambda1(data, U):
         for j in js:
             cols[j].append((i, Ur[i][j]))
     M = data.matrix
-    W = []
-    for row in M:
-        w = list(row)
-        for k, col in cols.items():
-            w[k] = sum(row[j] * a for j, a in col)
-        W.append(w)
+    W = transpose(_ut_times(cols, transpose(M)))
     orders, X = data.spec.orders, data._coords
     Y = list(X)
     for j, y in zip(J, mat_mul(inv, [X[j] for j in J])):

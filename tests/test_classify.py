@@ -2,7 +2,7 @@ from math import gcd, lcm
 
 import pytest
 
-from knotcolour import classify, invariants, surface_data
+from knotcolour import abelian, classify, invariants, surface_data
 from knotcolour.errors import (
     ArtifactError,
     BadParameters,
@@ -234,7 +234,7 @@ class TestRank2Nondiag:
             for n22 in range(n):
                 if gcd((1 - n21 - n22) % n, n) != 1:
                     continue
-                xt = classify._inv(1 - n21 - n22, n) % n
+                xt = pow(1 - n21 - n22, -1, n)
                 assert (1 - 2 * xt + xt * n22) % n == 0
                 reached += 1
         assert reached == 12151
@@ -338,6 +338,19 @@ class TestBudget:
         with pytest.raises(BudgetExceeded,
                            match=f"{count} table entries exceed budget"):
             build(*params, budget=count - 1)
+
+    @pytest.mark.parametrize("n", [5, 10 ** 14 + 31])
+    def test_metacyclic_budget_before_group(self, n, monkeypatch):
+        """A refusing budget never builds the group: make_group runs a
+        generation test that factors n, and at rank 1 it cannot fail once
+        the builder's own checks pass."""
+        def no_group(*args):
+            raise AssertionError("the group was built")
+
+        monkeypatch.setattr(abelian, "make_group", no_group)
+        with pytest.raises(BudgetExceeded,
+                           match=f"{n} table entries exceed budget 1"):
+            classify.metacyclic_table(2, n, -1, budget=1)
 
     @pytest.mark.parametrize("budget", BAD_BUDGETS)
     @pytest.mark.parametrize("build, params", [

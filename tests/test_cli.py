@@ -443,6 +443,97 @@ class TestClassifyCorpus:
         assert digest.hexdigest() == self.FROZEN_DIGEST
 
 
+class TestInvariantCorpus:
+    FROZEN_DIGEST = (
+        "093b86844e5cc4aa89216f580e9961e9741dd040e28fe3321a61862a8bb6fcf1")
+    GROUPS = (
+        {"m": 2, "orders": [5], "action": [[4]]},
+        {"m": 2, "orders": [3, 5], "action": [[2, 0], [0, 4]]},
+        {"m": 3, "orders": [7], "action": [[2]]},
+        {"m": 3, "orders": [2, 2], "action": [[0, 1], [1, 1]]},
+        {"m": 4, "orders": [5], "action": [[2]]},
+        {"m": 4, "orders": [5, 5], "action": [[2, 0], [0, 3]]},
+        {"m": 6, "orders": [7], "action": [[3]]},
+        {"m": 6, "orders": [27], "action": [[17]]},
+    )
+
+    def test_invariant_validate_move_bytes_frozen(self, capsys, tmp_path):
+        """The SHA-256 of (argv, exit code, stdout) over invariant,
+        validate and move calls, with each file argument replaced by its
+        contents: per group (m = 2, 3, 4 and 6), colourings of genus-1
+        matrices moved by seeded random lambda moves and connect sums,
+        a tampered copy of each, and every move subcommand on the moved
+        datum. cu raises DivisibilityFailure at m = 4 and 6, naming an
+        integer entry of the stacked blocks; C_6 acting on Z/27 by 17 has
+        no lift, so cu raises LiftFailure there."""
+        rng = random.Random(28)
+        digest = hashlib.sha256()
+        seen = set()
+
+        def write(obj):
+            path = tmp_path / f"f{len(list(tmp_path.iterdir()))}.json"
+            path.write_text(json.dumps(obj))
+            return str(path), obj
+
+        def call(*argv):
+            code, out = run(capsys, [a[0] if isinstance(a, tuple) else a
+                                     for a in argv])
+            shown = [a[1] if isinstance(a, tuple) else a for a in argv]
+            digest.update(json.dumps([shown, code, out]).encode())
+            seen.add((argv[0], code, json.loads(out)["error"]["type"]
+                      if code else None))
+            return code, out
+
+        for group in self.GROUPS:
+            spec = abelian.group_from_json(group)
+            # ((7, 0), (1, 1)) is metacyclic_table's base over Z/27
+            matrices = [M for a in range(-3, 4) for b in range(-3, 4)
+                        for M in (((a, 1), (0, b)), ((a, 0), (1, b)))]
+            pool = [surface_data.SurfaceData(spec, M, V)
+                    for M in matrices + [((7, 0), (1, 1))]
+                    for V in surface_data.enumerate_colourings(M, spec)[:2]]
+            assert pool, group
+            for data in rng.sample(pool, min(4, len(pool))):
+                for _ in range(rng.randrange(1, 4)):
+                    kind = rng.randrange(3)
+                    if kind == 0:
+                        data = surface_data.lambda1(
+                            data, rand_unimodular(rng, data.size))
+                    elif kind == 1:
+                        data = surface_data.lambda2(
+                            data, [rng.randrange(-2, 3)
+                                   for _ in range(data.size)],
+                            rng.choice((1, 2)))
+                    else:
+                        data = surface_data.connect_sum(data,
+                                                        rng.choice(pool))
+                obj = surface_data.data_to_json(data)
+                bad = json.loads(json.dumps(obj))
+                bad["vector"][0][0] += 1
+                for body in (obj, bad):
+                    f = write(body)
+                    call("validate", "--data", f)
+                    call("invariant", "--data", f)
+                f = write(obj)
+                U = write([list(r) for r in rand_unimodular(rng, data.size)])
+                c = ",".join(str(rng.randrange(-2, 3))
+                             for _ in range(data.size))
+                call("move", "--data", f, "--lambda1", U)
+                for v in ("1", "2"):
+                    code, out = call("move", "--data", f, "--lambda2", c,
+                                     "--variant", v)
+                    call("move", "--data", write(json.loads(out)),
+                         "--lambda2-inverse")
+                call("move", "--data", f, "--lambda2-inverse")
+        assert {k for k in seen if k[0] == "invariant"} >= {
+            ("invariant", 0, None), ("invariant", 2, "InvalidData"),
+            ("invariant", 2, "DivisibilityFailure"),
+            ("invariant", 2, "LiftFailure")}
+        assert ("validate", 0, None) in seen
+        assert ("move", 2, "PatternMismatch") in seen
+        assert digest.hexdigest() == self.FROZEN_DIGEST
+
+
 class TestColourDiagram:
     def test_trefoil_over_d6(self, capsys, files):
         pd = {"base_arc": 0, "crossings": [

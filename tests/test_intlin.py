@@ -9,7 +9,7 @@ from knotcolour import _intlin as lin, abelian
 from knotcolour.errors import BadParameters, BudgetExceeded, NotUnimodular
 from util import (
     BAD_BUDGETS, dense_unimodular, rand_unimodular, slow_inverse_unimodular,
-    slow_kernel_mod)
+    slow_kernel_mod, slow_mat_mul)
 
 small = st.integers(-9, 9)
 
@@ -198,6 +198,75 @@ def test_smith_mod_and_solve_mod_match_brute_force(mods):
                            zip(lin.mat_vec(F, sol), b, mods))
 
     check()
+
+
+def test_mat_mul_matches_index_loop():
+    """mat_mul against the index-loop oracle on rectangular shapes with
+    inner dimension 0 to 5, left factors from dense to all zero, lists
+    and tuples of tuples; the empty product and an empty inner dimension
+    are drawn too."""
+    seen = set()
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(st.integers(0, 10 ** 6))
+    def check(seed):
+        rng = random.Random(seed)
+        rows, inner, cols = (rng.randrange(6) for _ in range(3))
+        zeros = rng.choice((0.0, 0.5, 0.9, 1.0))
+        A = [[0 if rng.random() < zeros else rng.randrange(-9, 10)
+              for _ in range(inner)] for _ in range(rows)]
+        B = [[rng.randrange(-10 ** 12, 10 ** 12) for _ in range(cols)]
+             for _ in range(inner)]
+        if rng.randrange(2):
+            A, B = tuple(map(tuple, A)), tuple(map(tuple, B))
+        got = lin.mat_mul(A, B)
+        assert got == slow_mat_mul(A, B)
+        assert all(type(row) is list for row in got)
+        seen.update((("rows", min(rows, 1)), ("inner", min(inner, 1)),
+                     ("zeros", zeros), type(A)))
+        if inner and rows and not any(map(any, A)):
+            seen.add("all-zero left factor")
+
+    check()
+    assert seen == {("rows", 0), ("rows", 1), ("inner", 0), ("inner", 1),
+                    ("zeros", 0.0), ("zeros", 0.5), ("zeros", 0.9),
+                    ("zeros", 1.0), list, tuple, "all-zero left factor"}
+
+
+@pytest.mark.parametrize("A, B, want", [
+    ([], [], []),
+    ((), ((1, 2),), []),
+    ([[], []], [], [[], []]),
+    ([[0, 0]], [[5], [7]], [[0]]),
+    (((1, 0, 2),), ((1,), (9,), (3,)), [[7]]),
+])
+def test_mat_mul_edge_shapes(A, B, want):
+    assert lin.mat_mul(A, B) == slow_mat_mul(A, B) == want
+
+
+def test_mat_mul_skips_zeros_of_left_factor():
+    """A zero entry of the left factor never reads its row of B (row 0
+    of B is read once, for the width)."""
+    class Unread:
+        def __getitem__(self, j):
+            raise AssertionError("a row met only by zeros was read")
+
+    A = [[0, 2, 0], [0, -1, 0]]
+    B = [[1, 1], [3, 4], Unread()]
+    assert lin.mat_mul(A, B) == [[6, 8], [-3, -4]]
+
+
+def test_mat_vec_matches_index_loop():
+    rng = random.Random(7)
+    for _ in range(200):
+        rows, inner = rng.randrange(5), rng.randrange(1, 5)
+        A = [[rng.randrange(-9, 10) for _ in range(inner)]
+             for _ in range(rows)]
+        v = [rng.randrange(-99, 100) for _ in range(inner)]
+        want = [row[0] for row in slow_mat_mul(A, [[x] for x in v])]
+        assert lin.mat_vec(A, v) == lin.mat_vec(tuple(A), tuple(v)) == want
+    assert lin.mat_vec([[], []], []) == [0, 0]
+    assert lin.mat_vec([], [1, 2]) == []
 
 
 def test_mat_pow():

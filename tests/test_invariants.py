@@ -115,6 +115,25 @@ class TestStructuredLift:
             got = invariants.structured_lift(spec)
             assert got == want, (spec.orders, got, want)
 
+    def test_unequal_first_lift_does_not_split(self):
+        """The counterexample of structured_lift's docstring: over
+        Z/3 x Z/5 with diagonal action (2, 4) and m = 4 the first lift
+        has cross entries, while the per-factor Hensel lifts give
+        diag(8, 24), also a lift but later in row-major order."""
+        from knotcolour._intlin import mat_pow
+        spec = abelian.make_group(4, (3, 5), ((2, 0), (0, 4)))
+        first = ((2, 3), (5, 4))
+        assert invariants.structured_lift(spec) == first
+        assert slow_structured_lift(spec) == first
+        parts = [invariants._hensel_lift(4, n, [[xi]])
+                 for n, xi in ((3, 2), (5, 4))]
+        assert parts == [[[8]], [[24]]]
+        for C in (first, ((8, 0), (0, 24))):
+            P = mat_pow([list(r) for r in C], 4)
+            assert all((P[i][j] - (i == j)) % n ** 2 == 0
+                       for i, n in enumerate((3, 5)) for j in range(2))
+        assert first < ((8, 0), (0, 24))
+
     def test_lift_is_structured(self, c3_55):
         from knotcolour._intlin import mat_pow
         C = invariants.structured_lift(c3_55)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from knotcolour import abelian, classify, invariants, surface_data
 from knotcolour._intlin import (
-    det, identity, inverse_unimodular, mat_mul, mat_pow, mat_vec, transpose)
+    det, identity, inverse_unimodular, mat_mul, mat_vec, transpose)
 from knotcolour.errors import (
     BadParameters,
     BudgetExceeded,
@@ -24,7 +24,7 @@ from test_acceptance import brute_force
 from util import (
     BAD_BUDGETS, TREFOIL_L, FIG8_L, construction_spy, dense_unimodular,
     move_chain, move_pool, odd_pool, outcome, rand_unimodular, random_move,
-    slow_inverse_unimodular, slow_mat_apply, slow_validate,
+    slow_inverse_unimodular, slow_mat_apply, slow_mat_mul, slow_validate,
     slow_vector_class)
 
 
@@ -365,9 +365,11 @@ class TestCarriedPair:
 
     def test_exact_over_move_chains(self, d6, d10, a4, c2_35, c6_93):
         """After every move of a random chain the carried pair equals a
-        fresh _product_pair, the output still validates, and each of the
+        fresh (MX, M^T X), the output still validates, and each of the
         max(m, 2) steps of its cached orbit equals the stacked
-        (Y_j; M Y_j; M^T Y_j), Y_j = X (N^T)^j, formed densely. lambda1
+        (Y_j; M Y_j; M^T Y_j), Y_j = X (N^T)^j; the pair and the orbit
+        come from the index-loop oracle slow_mat_mul, not mat_mul, which
+        _product_pair and _steps call. lambda1
         draws the U of carry_unimodular, and K = U Y - X is seen both zero
         and nonzero; lambda2 runs in both variants, lambda2_inverse right
         after it, and connect_sum with a pool datum on either side."""
@@ -399,16 +401,18 @@ class TestCarriedPair:
                 else:
                     moved = surface_data.lambda2_inverse(data)
                 assert "_products" in vars(moved)
-                assert moved._products == surface_data._product_pair(
-                    moved.matrix, moved._coords)
-                assert surface_data.validate(moved).valid
                 M, X, spec = moved.matrix, moved._coords, moved.spec
+                MT, NT = transpose(M), transpose(spec.action)
+                assert moved._products == tuple(
+                    tuple(map(tuple, slow_mat_mul(P, X))) for P in (M, MT))
+                assert surface_data.validate(moved).valid
                 assert len(moved._orbit) == max(spec.m, 2)
-                for j, step in enumerate(moved._orbit):
-                    Y = mat_mul(X, mat_pow(transpose(spec.action), j))
-                    rows = Y + mat_mul(M, Y) + mat_mul(transpose(M), Y)
+                Y = X
+                for step in moved._orbit:
+                    rows = [*Y, *slow_mat_mul(M, Y), *slow_mat_mul(MT, Y)]
                     assert step == tuple(tuple(row[c] for row in rows)
                                          for c in range(spec.rank))
+                    Y = slow_mat_mul(Y, NT)
                 seen.update((kind, moved.spec, ("steps", len(moved._orbit))))
                 data, stabilised = moved, kind in (1, 2)
 

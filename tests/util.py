@@ -1,11 +1,11 @@
 """Shared test helpers: reference Seifert matrices, random unimodular
-matrices, the Smith-form oracles for _intlin.inverse_unimodular and
-_intlin.kernel_mod, the echelon and explicit-orbit oracles for
-abelian._coords_generate, random
-S-equivalence moves, the fixture data pool, the
-backtracking oracle for diagram colourings, the GroupElement oracle
-for an integer matrix acting on a vector, the GroupElement oracles for
-validate, invariants.su and invariants.cu, the inverting oracle for
+matrices, the index-loop oracle for _intlin.mat_mul, the Smith-form
+oracles for _intlin.inverse_unimodular and _intlin.kernel_mod, the
+echelon and explicit-orbit oracles for abelian._coords_generate, random
+S-equivalence moves, the fixture data pool, the backtracking oracle for
+diagram colourings, the GroupElement oracle for an integer matrix
+acting on a vector, the GroupElement oracles for validate,
+invariants.su and invariants.cu, the inverting oracle for
 invariants.vector_class, the search oracle for
 invariants.structured_lift, the listing oracle for
 invariants._hensel_lift, random group specs for them, and the
@@ -65,6 +65,16 @@ def dense_unimodular(rng, n):
         if rng.randrange(2):
             U[i] = [-x for x in U[i]]
     return tuple(tuple(r) for r in U)
+
+
+def slow_mat_mul(A, B):
+    """Index-loop oracle for _intlin.mat_mul: entry (i, j) sums
+    A[i][k] B[k][j] over every k, zeros included. An empty A gives no
+    rows, and an empty B (a zero inner dimension) one empty row per row
+    of A, as mat_mul does."""
+    cols = len(B[0]) if B else 0
+    return [[sum(A[i][k] * B[k][j] for k in range(len(B)))
+             for j in range(cols)] for i in range(len(A))]
 
 
 def slow_inverse_unimodular(A):

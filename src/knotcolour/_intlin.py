@@ -14,13 +14,14 @@ to use: mat_mul skips the zero entries of its left factor, and
 inverse_unimodular touches only the rows that have a nonzero entry in
 the pivot column. mat_mul and mat_vec are every dense integer product
 in the package (the product pair, the orbit steps, the action on
-coordinates). The moves' sparse U is the one exception:
-surface_data._ut_times forms U^T R from the nonzero entries of U's
-columns where U differs from the identity, and surface_data.lambda1
-inverts only the block of U on those columns.
+coordinates, the F_p action in abelian's generation test). The moves'
+sparse U is the one exception: surface_data._ut_times forms U^T R from
+the nonzero entries of U's columns where U differs from the identity,
+and surface_data.lambda1 inverts only the block of U on those columns.
 """
 
 from math import prod
+from operator import mul
 
 from .errors import BadParameters, BudgetExceeded, NotUnimodular
 
@@ -50,7 +51,8 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, v):
-    return [sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A))]
+    """A v; a row of A longer than v is read only on v's length."""
+    return [sum(map(mul, row, v)) for row in A]
 
 
 def mat_pow(A, k):

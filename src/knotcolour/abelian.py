@@ -8,15 +8,15 @@ transpose.
 """
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd, prod
-import operator
 from operator import attrgetter, mod
 
 from ._intlin import (
     det, identity, kernel_mod, mat_mul, mat_pow, mat_vec, transpose)
 from .errors import (
     BadParameters,
+    BudgetExceeded,
     FixedPoints,
     GroupMismatch,
     NotOrderM,
@@ -373,15 +373,22 @@ def elements(spec):
 
 def _primes(n):
     """The primes dividing n >= 1, ascending, by trial division up to
-    sqrt(n)."""
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
+    sqrt(n) with divisors at most 10^7: BudgetExceeded when the cofactor
+    left has no prime factor up to 10^7 and is at least (10^7 + 1)^2, as
+    it could then be composite. Every n below 10^14 factors."""
+    # the last candidate, 10^7 + 1 = 11 * 909091, divides no cofactor
+    # and only closes the loop
+    out, m = [], n
+    for p in chain((2,), range(3, 10 ** 7 + 2, 2)):
+        if p * p > m:
+            return out + [m] if m > 1 else out
+        if m % p == 0:
             out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    return out + [n] if n > 1 else out
+            while m % p == 0:
+                m //= p
+    raise BudgetExceeded(
+        f"cannot factor {n}: its cofactor {m} has no prime factor up to "
+        f"10^7 and could be composite")
 
 
 @lru_cache(maxsize=None)
@@ -421,8 +428,7 @@ def _spans(rows, p, I, Np):
             v = [y * c % p for y in v]
             basis.append((k, v))
             if Np:
-                todo.append([sum(map(operator.mul, row, v)) % p
-                             for row in Np])
+                todo.append([y % p for y in mat_vec(Np, v)])
     return False
 
 

@@ -21,13 +21,15 @@ pairs, at the cost of the rows they change, so a chain of moves forms
 the pair once, for its head. The validation report is not carried:
 validate still checks each moved datum, from its carried pair. lambda1
 reads U only on the columns J where U differs from the identity:
-_ut_times forms U^T R there, and M U is (U^T M^T)^T.
+_ut_times forms U^T R from those columns, M U is (U^T M^T)^T, and the
+carried pair is corrected only by the residue of reducing U^-1 X mod
+the orders.
 """
 
 from functools import cached_property
 from itertools import compress, repeat
 from math import lcm
-from operator import add, mod, neg, sub
+from operator import add, mod, sub
 
 from . import abelian
 from .abelian import _Record, _expect
@@ -252,24 +254,22 @@ def lambda1(data, U):
     every column j outside J is e_j. Ordering the columns as (J, J') makes
     U block lower-triangular, U = [[U_JJ, 0], [U_J'J, I]]. Hence:
     - det U = det U_JJ, and only U_JJ is inverted;
-    - Y = U^-1 X, X the coordinate rows of V, has Y_J = U_JJ^-1 X_J and
-      Y_i = X_i - sum_{j in J} U_ij Y_j for i outside J;
+    - E = U^-1 X over Z, X the coordinate rows of V, has
+      E_J = U_JJ^-1 X_J and E_i = X_i - sum_{j in J} U_ij E_j for the
+      rows i outside J with entries in J; every other row is X_i;
     - U^T R, for any rows R, differs from R only in the rows in J, and
       row k sums the rows U_jk R_j over the nonzeros of column k of U
       (_ut_times);
     - so W = M U = (U^T M^T)^T differs from M only in the columns in J,
-      and U^T W is _ut_times on W.
-    The product pair is carried from the source's. Y is
-    U^-1 X only mod the orders, so U Y = X + K exactly, with K nonzero
-    only in the rows of U other than e_i (those in J, or with entries
-    in J). With M' = U^T M U:
-    - M' Y = U^T M (X + K) = U^T (MX + M K), and
-      M'^T Y = U^T M^T (X + K) = U^T (M^T X + M^T K);
-    - row i of K adds K_i times column i of M to MX, and times row i
-      of M to M^T X;
-    - U^T changes only the rows in J, as it does W.
+      and M' = U^T M U is _ut_times on W.
+    The output's rows are Y = E mod the orders, and the product pair is
+    carried from the source's through the residue R = E - Y, nonzero
+    only in the rows E changed:
+    - M' Y = U^T (MX) - M' R and M'^T Y = U^T (M^T X) - M'^T R;
+    - row i of R subtracts R_i times column i of M' from the first, and
+      times row i of M' from the second.
     Past the read of U, a U of a few transvections (walks and
-    shorten_vector) costs O(n |J|), the pair O(n |supp K| r), and a
+    shorten_vector) costs O(n |J|), the pair O(n |supp R| r), and a
     dense U what a dense product costs. The failure message names the
     Smith diagonal of the whole U.
     """
@@ -278,49 +278,36 @@ def lambda1(data, U):
     if len(Ur) != size:
         raise BadParameters(f"U must be {size}x{size}")
     entries = range(size)
-    # off[i]: the columns j != i of the nonzero entries of row i
-    off = [[j for j in compress(entries, row) if j != i]
-           for i, row in enumerate(Ur)]
-    J = sorted({j for js in off for j in js}.union(
+    J = sorted({j for i, row in enumerate(Ur)
+                for j in compress(entries, row) if j != i}.union(
         i for i, row in enumerate(Ur) if row[i] != 1))
     try:
         inv = inverse_unimodular([[Ur[i][j] for j in J] for i in J])
     except NotUnimodular:
         raise not_unimodular(Ur) from None
     # the nonzero entries (j, U_jk) of each column k in J
-    cols = {k: [(k, Ur[k][k])] if Ur[k][k] else [] for k in J}
-    for i, js in enumerate(off):
-        for j in js:
-            cols[j].append((i, Ur[i][j]))
+    cols = {k: [(j, Ur[j][k]) for j in entries if Ur[j][k]] for k in J}
     M = data.matrix
-    W = transpose(_ut_times(cols, transpose(M)))
+    Mp = _ut_times(cols, transpose(_ut_times(cols, transpose(M))))
     orders, X = data.spec.orders, data._coords
+    E = dict(zip(J, mat_mul(inv, [X[j] for j in J])))
+    for k in J:
+        for i, a in cols[k]:
+            if i not in cols:  # a row outside J with an entry in J
+                E[i] = _axpy(E.get(i, X[i]), -a, E[k])
     Y = list(X)
-    for j, y in zip(J, mat_mul(inv, [X[j] for j in J])):
-        Y[j] = tuple(map(mod, y, orders))
-    for i, js in enumerate(off):
-        if js and i not in cols:  # a row outside J with entries in J
-            y = X[i]
-            for j in js:
-                a = Ur[i][j]
-                y = [x - a * z for x, z in zip(y, Y[j])]
-            Y[i] = tuple(map(mod, y, orders))
-    # K = U Y - X, nonzero only in the rows of U other than e_i
-    MX, MTX = map(list, data._products)
-    for i, js in enumerate(off):
-        if js or i in cols:
-            k = tuple(map(neg, X[i]))
-            for j in (i, *js):
-                k = _axpy(k, Ur[i][j], Y[j])
-            if any(k):
-                # MX + M K and M^T X + M^T K, column and row i of M
-                for p, (a, b) in enumerate(zip((row[i] for row in M), M[i])):
-                    if a:
-                        MX[p] = _axpy(MX[p], a, k)
-                    if b:
-                        MTX[p] = _axpy(MTX[p], b, k)
-    return SurfaceData._moved(data.spec, _ut_times(cols, W), tuple(Y),
-                              (_ut_times(cols, MX), _ut_times(cols, MTX)))
+    MX, MTX = (list(_ut_times(cols, P)) for P in data._products)
+    for i, e in E.items():
+        Y[i] = y = tuple(map(mod, e, orders))
+        r = tuple(map(sub, y, e))  # -R_i
+        if any(r):
+            for p, (a, b) in enumerate(zip((row[i] for row in Mp), Mp[i])):
+                if a:
+                    MX[p] = _axpy(MX[p], a, r)
+                if b:
+                    MTX[p] = _axpy(MTX[p], b, r)
+    return SurfaceData._moved(data.spec, Mp, tuple(Y),
+                              (tuple(MX), tuple(MTX)))
 
 
 def _ut_times(cols, R):

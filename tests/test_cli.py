@@ -4,6 +4,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +74,20 @@ class TestH3:
         group = files("g.json", dict(D6_JSON, action=action))
         code, got = run_json(capsys, ["h3", "--group", group])
         assert code == 2 and got["error"]["type"] == "BadParameters"
+
+    def test_unfactorable_order_is_budget_error(self, capsys, files):
+        """A prime order past the trial-division bound, 10^24 + 7, is
+        refused within a second, as an error object with exit code 2."""
+        n = 10 ** 24 + 7
+        group = files("g.json", {"m": 2, "orders": [n],
+                                 "action": [[n - 1]]})
+        start = time.perf_counter()
+        code, got = run_json(capsys, ["h3", "--group", group])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and got["error"] == {
+            "type": "BudgetExceeded",
+            "message": f"cannot factor {n}: its cofactor {n} has no prime "
+                       "factor up to 10^7 and could be composite"}
 
 
 class TestValidate:

@@ -4,6 +4,7 @@ oracles, _min_generators against the Smith count, what the two colouring
 enumerators run, and generates on any iterable."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from knotcolour import _intlin, abelian, classify, diagram, errors, \
     surface_data
 from knotcolour._intlin import (
     inverse_unimodular, mat_mul, mat_pow, smith_mod)
-from knotcolour.errors import BadParameters
+from knotcolour.errors import BadParameters, BudgetExceeded
 
 from util import (
     TREFOIL_L, construction_spy, rand_unimodular, slow_coords_generate,
@@ -86,6 +87,20 @@ def test_primes_by_trial_division():
     assert abelian._primes(999983) == [999983]
     assert abelian._primes(2 * 3 * 5 * 7 * 11 * 13) == [2, 3, 5, 7, 11, 13]
     assert abelian._primes(999983 ** 2 * 4) == [2, 999983]
+
+
+def test_primes_bounded_trial_division():
+    """Trial division stops at 10^7: the square of the largest prime
+    below it still factors, and the prime 10^24 + 7 is refused, by
+    _primes and by make_group, in well under a second each."""
+    assert abelian._primes(9999991 ** 2) == [9999991]
+    for call in (lambda: abelian._primes(10 ** 24 + 7),
+                 lambda: abelian.make_group(2, (10 ** 24 + 7,),
+                                            ((10 ** 24 + 6,),))):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="no prime factor up to"):
+            call()
+        assert time.perf_counter() - start < 1
 
 
 def test_plain_generation_matches_echelon():

@@ -711,6 +711,16 @@ class TestCuDomain:
         assert invariants.cu(data) == slow_cu(data, spec.action)
         assert invariants.cu(data).coords == (0, 0)
 
+    def test_needs_m_at_least_two(self):
+        """Over the raw m = 1 spec GroupSpec(1, (3,), ((2,),)), which
+        make_group would refuse, the trefoil with V = (1; 2) validates,
+        and cu refuses m = 1."""
+        spec = abelian.GroupSpec(1, (3,), ((2,),))
+        data = surface_data.make_data(spec, TREFOIL_L, [(1,), (2,)])
+        assert surface_data.validate(data).valid
+        with pytest.raises(BadParameters, match="cu needs m >= 2"):
+            invariants.cu(data)
+
 
 class TestProductPair:
     """validate, su, cu and s read M only through the datum's product pair

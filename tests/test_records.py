@@ -107,6 +107,16 @@ def test_equality_needs_one_class():
     assert elem != (elem.spec, elem.coords)
 
 
+def test_equality_across_record_classes():
+    """A GroupSpec against a ValidationReport: __eq__ gives
+    NotImplemented both ways, so the two are unequal."""
+    d6 = abelian.make_group(2, (3,), ((2,),))
+    report = surface_data.ValidationReport(True, True, True, True)
+    assert d6.__eq__(report) is NotImplemented
+    assert report.__eq__(d6) is NotImplemented
+    assert d6 != report and report != d6 and not d6 == report
+
+
 def test_frozen(records):
     for x, fields in records:
         if isinstance(x, diagram.QuandleColouring):

@@ -468,6 +468,34 @@ class TestCarriedPair:
                 assert vars(out)["_products"] == pair(out.matrix,
                                                       out._coords)
 
+    def test_lambda1_residue_at_walk_sizes(self, d10, a4):
+        """At sizes 20 to 40 over D10 (rank 1) and A4 (rank 2), a
+        one-transvection and a dense U each give lambda1 an output whose
+        carried pair equals slow_mat_mul of its matrix and coordinates.
+        The residue R = U^-1 X - Y over Z, Y the output's rows, is seen
+        both zero and nonzero."""
+        bases = (surface_data.make_data(d10, FIG8_L, [(1,), (3,)]),
+                 surface_data.make_data(a4, TREFOIL_L, [(0, 1), (1, 1)]))
+        rng = random.Random(29)
+        seen = set()
+        for seed, base in enumerate(bases):
+            for size in (20, 30, 40):
+                data = grown(base, size, seed)
+                n = data.size
+                U = identity_rows(n)
+                i, j = rng.sample(range(n), 2)
+                U[i][j] = rng.choice((-2, -1, 1, 2))
+                for U in (U, dense_unimodular(rng, n)):
+                    moved = surface_data.lambda1(data, U)
+                    M, Y = moved.matrix, moved._coords
+                    assert moved._products == tuple(
+                        tuple(map(tuple, slow_mat_mul(P, Y)))
+                        for P in (M, transpose(M)))
+                    E = slow_mat_mul(slow_inverse_unimodular(U),
+                                     data._coords)
+                    seen.add(any(map(ne, map(tuple, E), Y)))
+        assert seen == {False, True}
+
     def test_m6_divisibility_failure(self, c6_93_lifted):
         """On moved C6 x| (Z/9 x Z/3) data, cu reads the carried pair and
         raises the DivisibilityFailure, message included, of the same

@@ -14,7 +14,8 @@ to use: mat_mul skips the zero entries of its left factor, and
 inverse_unimodular touches only the rows that have a nonzero entry in
 the pivot column. mat_mul and mat_vec are every dense integer product
 in the package (the product pair, the orbit steps, the action on
-coordinates, the F_p action in abelian's generation test). The moves'
+coordinates, the F_p action in abelian's generation test); mat_pow is
+every single power of an action, reduced row by row. The moves'
 sparse U is the one exception: surface_data._ut_times forms U^T R from
 the nonzero entries of U's columns where U differs from the identity,
 and surface_data.lambda1 inverts only the block of U on those columns.
@@ -55,18 +56,18 @@ def mat_vec(A, v):
     return [sum(map(mul, row, v)) for row in A]
 
 
-def mat_pow(A, k):
-    """A^k for k >= 0 by binary powering: out starts at the lowest set
-    bit and base is squared only while higher bits remain."""
-    out = None
-    base = [list(r) for r in A]
-    while k:
-        if k & 1:
-            out = base if out is None else mat_mul(out, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return identity(len(A)) if out is None else out
+def mat_pow(A, k, mods):
+    """A^k for k >= 0 by repeated squaring, row i of every product
+    reduced mod mods[i]: exact on prod Z/mods when A is well defined
+    there (mods[i] | A_ij mods[j]); one common modulus fits every A."""
+    if k < 2:
+        P = A if k else identity(len(A))
+    elif k & 1:
+        P = mat_mul(mat_pow(A, k - 1, mods), mat_pow(A, 1, mods))
+    else:
+        P = mat_pow(A, k >> 1, mods)
+        P = mat_mul(P, P)
+    return [[x % n for x in row] for row, n in zip(P, mods)]
 
 
 def _euclid(vecs, i):

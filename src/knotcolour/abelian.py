@@ -223,10 +223,10 @@ def make_group(m, orders, action):
     """Validating factory for GroupSpec.
 
     Checks, in order: well-formedness of the parameters, that the action
-    is a homomorphism for the given orders, N^m = I on A, and
-    invertibility of action - id (no nonzero fixed points). The action
-    is then an automorphism of A with no further check: N^(m-1) N = N^m
-    = I on A, so N^(m-1) inverts it.
+    is a homomorphism for the given orders, N^m = I on A (by mat_pow,
+    reduced mod the orders), and invertibility of action - id (no
+    nonzero fixed points). The action is then an automorphism of A with
+    no further check: N^(m-1) N = N^m = I on A, so N^(m-1) inverts it.
     """
     if type(m) is not int or m < 1:
         raise BadParameters(f"m must be a positive integer, got {m!r}")
@@ -242,10 +242,9 @@ def make_group(m, orders, action):
                     f"action entry ({i},{j}) is not compatible with orders "
                     f"{orders[i]}, {orders[j]}")
     N = [[action[i][j] % orders[i] for j in range(r)] for i in range(r)]
-    Nm = mat_pow(N, m)
-    for i in range(r):
-        for j in range(r):
-            if (Nm[i][j] - (1 if i == j else 0)) % orders[i] != 0:
+    for i, row in enumerate(mat_pow(N, m, orders)):
+        for j, x in enumerate(row):
+            if x != (i == j):
                 raise NotOrderM(f"action^{m} != identity on A (entry {i},{j})")
     spec = GroupSpec(m, orders, tuple(tuple(row) for row in N))
     cols1 = [tuple((N[i][j] - (1 if i == j else 0)) % orders[i]
@@ -300,13 +299,11 @@ def act(a):
 
 
 def act_pow(a, j):
-    """t^j.a for any integer j (the action has order dividing m)."""
-    _expect(a, GroupElement)
+    """t^j.a for any integer j: one product by N^(j mod m), as N^m = I."""
+    spec = _expect(a, GroupElement).spec
     _check_scalar(j)
-    out = a
-    for _ in range(j % a.spec.m):
-        out = act(out)
-    return out
+    return GroupElement(spec, mat_vec(
+        mat_pow(spec.action, j % spec.m, spec.orders), a.coords))
 
 
 def act_rows(rows, spec):

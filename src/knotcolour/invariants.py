@@ -20,7 +20,7 @@ GroupElement and WedgeElement2 appear only in their values.
 
 from functools import lru_cache
 from itertools import chain, product, repeat
-from math import prod
+from math import lcm, prod
 from operator import floordiv, mod, mul, sub
 
 from . import abelian
@@ -133,14 +133,15 @@ def _hensel_lift(m, n, N):
 
 
 def _searched_lift(m, orders, N):
-    """The first lift in the row-major search, or None."""
-    r = len(orders)
+    """The first lift in the row-major search, or None. Powers are reduced
+    mod lcm(orders)^2, as a candidate need not act on prod Z/n_i^2."""
+    r, mods = len(orders), [lcm(*orders) ** 2] * len(orders)
     check_budget(prod(orders) ** r, LIFT_BUDGET, "lift candidates")
     cand_lists = [range(N[i][j], orders[i] ** 2, orders[i])
                   for i in range(r) for j in range(r)]
     for flat in product(*cand_lists):
         C = [list(flat[i * r:(i + 1) * r]) for i in range(r)]
-        P = mat_pow(C, m)
+        P = mat_pow(C, m, mods)
         if all((P[i][j] - (i == j)) % (n * n) == 0
                for i, n in enumerate(orders) for j in range(r)):
             return C

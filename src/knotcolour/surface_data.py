@@ -38,6 +38,8 @@ from ._intlin import (
     identity,
     inverse_unimodular,
     mat_mul,
+    mat_pow,
+    mat_vec,
     not_unimodular,
     solve_mod,
     transpose,
@@ -324,14 +326,13 @@ def _ut_times(cols, R):
 
 
 def _lambda2_tail(spec, X, c, variant):
-    """a = sum c_i x_i over Z, X the coordinate rows of the vector, and
-    the appended coordinate rows (0; y) for the chosen variant:
-    y = t.a - a, or (t-1)/t . a = a - t^(m-1).a for variant 1."""
+    """a = sum c_i x_i over Z (X the coordinate rows of the vector) and
+    the appended rows (0; y) for the chosen variant: y = t.a - a, or
+    (t-1)/t . a = a - t^(m-1).a for variant 1, each t^k one mat_pow."""
     a = mat_mul((c,), X)[0] if X else (0,) * spec.rank
-    b = [a]
-    for _ in range(spec.m - 1 if variant == 1 else 1):
-        b = abelian.act_rows(b, spec)
-    y = map(sub, a, b[0]) if variant == 1 else map(sub, b[0], a)
+    b = mat_vec(mat_pow(spec.action, spec.m - 1 if variant == 1 else 1,
+                        spec.orders), a)
+    y = map(sub, a, b) if variant == 1 else map(sub, b, a)
     return a, ((0,) * spec.rank, tuple(map(mod, y, spec.orders)))
 
 
@@ -548,7 +549,7 @@ def _word_lengths(spec, gens):
 
 def _block_unimodular(size, entries):
     """Identity with the given (i, j) -> value entries written in."""
-    U = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    U = identity(size)
     for (i, j), val in entries.items():
         U[i][j] = val
     return tuple(tuple(r) for r in U)

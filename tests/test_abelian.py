@@ -1,10 +1,11 @@
 import random
+import time
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotcolour import _intlin as lin, abelian
+from knotcolour import _intlin as lin, abelian, diagram, surface_data
 from knotcolour.errors import (
     ArtifactError,
     BadParameters,
@@ -12,6 +13,7 @@ from knotcolour.errors import (
     GroupMismatch,
     NotOrderM,
 )
+from util import TREFOIL_L, mat_mul_spy, slow_mat_pow
 
 
 def closure_generates(spec, coord_tuples):
@@ -110,7 +112,7 @@ class TestMakeGroup:
                 cols = {tuple(row[j] for row in spec.action)
                         for j in range(r)}
                 assert closure_generates(spec, cols)
-                inv = lin.mat_mul(lin.mat_pow(spec.action, m - 1),
+                inv = lin.mat_mul(slow_mat_pow(spec.action, m - 1),
                                   spec.action)
                 assert all((inv[i][j] - (i == j)) % orders[i] == 0
                            for i in range(r) for j in range(r))
@@ -119,6 +121,42 @@ class TestMakeGroup:
         check()
         assert {r for r, _ in seen} == {1, 2, 3}
         assert len({m for _, m in seen}) >= 4
+
+
+class TestPowerScaling:
+    """Each single power of the action is one _intlin.mat_pow: at most
+    2 m.bit_length() products, each of two factors reduced mod the orders
+    row by row, and well under a second at m = 6 * 10^5 and 6 * 10^6,
+    where an unreduced power or one act per step grows with m."""
+
+    def check(self, m, orders, call):
+        start = time.perf_counter()
+        with mat_mul_spy() as calls:
+            call()
+        elapsed = time.perf_counter() - start
+        top = len(orders) * (max(orders) - 1) ** 2
+        assert 0 < len(calls) <= 2 * m.bit_length()
+        for A, B, P in calls:
+            for F in (A, B):
+                assert all(0 <= x < n
+                           for row, n in zip(F, orders) for x in row)
+            assert all(0 <= x <= top for row in P for x in row)
+        assert elapsed < 0.25
+
+    def test_make_group(self):
+        m = 6 * 10 ** 6
+        self.check(m, (7,), lambda: abelian.make_group(m, (7,), ((3,),)))
+
+    def test_act_pow_quandle_inverse_and_lambda2(self):
+        spec = abelian.make_group(6 * 10 ** 5, (7,), ((3,),))
+        a, b = abelian.element(spec, (2,)), abelian.element(spec, (5,))
+        data = surface_data.SurfaceData(spec, TREFOIL_L, (a, b))
+        for call in (lambda: abelian.act_pow(a, -1),
+                     lambda: diagram.quandle_op_inverse(a, b, spec),
+                     lambda: surface_data.lambda2(data, (1, 2), 1)):
+            self.check(spec.m, spec.orders, call)
+        # t^-1 = t^5 on Z/7 under x -> 3x: 2 -> 2 * 5 = 3
+        assert abelian.act_pow(a, -1).coords == (3,)
 
 
 class TestSpecHash:

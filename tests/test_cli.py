@@ -5,13 +5,15 @@ import shutil
 import subprocess
 import sys
 import time
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotcolour import (
     abelian, classify, cli, diagram, invariants, surface_data)
-from util import rand_unimodular
+from util import (
+    FIG8_L, TREFOIL_L, outcome, rand_unimodular, random_group_spec)
 
 D6_JSON = {"m": 2, "orders": [3], "action": [[2]]}
 A4_JSON = {"m": 3, "orders": [2, 2], "action": [[0, 1], [1, 1]]}
@@ -547,6 +549,120 @@ class TestInvariantCorpus:
         assert ("validate", 0, None) in seen
         assert ("move", 2, "PatternMismatch") in seen
         assert digest.hexdigest() == self.FROZEN_DIGEST
+
+
+class TestPowerCorpus:
+    FROZEN_DIGEST = (
+        "39b667afd34b8ef3575e1faeaebf6bec41e22c325ec696b3f6ac8bbd1e872086")
+    # m = 4, 6 and 12 over equal and unequal orders, one action not
+    # diagonal
+    GROUPS = (
+        (4, (5,), ((2,),)),
+        (4, (5, 5), ((2, 0), (0, 3))),
+        (4, (5, 13), ((2, 0), (0, 5))),
+        (6, (7,), ((3,),)),
+        (6, (7, 7), ((3, 0), (0, 5))),
+        (6, (7, 9), ((3, 0), (0, 2))),
+        (6, (2, 2), ((0, 1), (1, 1))),
+        (12, (13,), ((2,),)),
+        (12, (13, 13), ((2, 0), (0, 6))),
+        (12, (13, 5), ((2, 0), (0, 2))),
+    )
+
+    def test_powers_of_the_action_frozen(self, capsys, tmp_path):
+        """The SHA-256 over every single power of an action: act_pow for
+        j in [-2m, 2m] and quandle_op_inverse on random elements, both
+        lambda2 variants with their lambda2_inverse (also on a tampered
+        copy) and CLI move --lambda2 at m = 4, 6 and 12, make_group's
+        values and NotOrderM, FixedPoints and BadParameters messages on
+        random actions with m up to 60, and structured_lift's values and
+        LiftFailure and BudgetExceeded messages on random specs and five
+        fixed ones, among them C_6 x| (Z/9 x Z/3) with action
+        ((2, 6), (1, 2)), whose row-wise reduction mod n_i^2 would be
+        inexact."""
+        rng = random.Random(30)
+        digest = hashlib.sha256()
+        seen = set()
+
+        def record(*parts):
+            digest.update(repr(parts).encode())
+
+        def kind(got):
+            return got[0].__name__ if isinstance(got, tuple) and \
+                isinstance(got[0], type) else type(got).__name__
+
+        specs = [abelian.make_group(*g) for g in self.GROUPS]
+        specs += [random_group_spec(rng, equal, True, m_choices=(4, 6, 12))
+                  for equal in (True, False) for _ in range(3)]
+        for spec in specs:
+            m, orders = spec.m, spec.orders
+            elems = [abelian.element(spec, [rng.randrange(n) for n in orders])
+                     for _ in range(3)]
+            for e in elems:
+                record("act_pow", spec, e.coords,
+                       [abelian.act_pow(e, j).coords
+                        for j in range(-2 * m, 2 * m + 1)])
+            for x, b in zip(elems, elems[1:] + elems[:1]):
+                a = diagram.quandle_op_inverse(x, b, spec)
+                assert diagram.quandle_op(a, b, spec) == x
+                record("quandle_op_inverse", spec, x.coords, b.coords,
+                       a.coords)
+            for M in (TREFOIL_L, FIG8_L):
+                data = surface_data.SurfaceData(spec, M, elems[:2])
+                if rng.randrange(2):
+                    data = surface_data.connect_sum(data, data)
+                path = tmp_path / "data.json"
+                path.write_text(json.dumps(surface_data.data_to_json(data)))
+                for variant in (1, 2):
+                    c = [rng.randrange(-3, 4) for _ in range(data.size)]
+                    moved = surface_data.lambda2(data, c, variant)
+                    assert surface_data.lambda2_inverse(moved) == data
+                    bad = surface_data.SurfaceData(
+                        spec, moved.matrix,
+                        moved.vector[:-1] + (abelian.add(
+                            moved.vector[-1], elems[0]),))
+                    record("lambda2", c, variant, moved, moved._products,
+                           outcome(surface_data.lambda2_inverse, bad))
+                    argv = ["move", "--data", str(path), "--lambda2",
+                            ",".join(map(str, c)), "--variant", str(variant)]
+                    code, out = run(capsys, argv)
+                    assert code == 0, out
+                    record(argv[3:], out)
+                    seen.add(("lambda2", m, len(orders), len(set(orders))))
+        for _ in range(300):
+            orders = tuple(rng.choice((2, 3, 4, 5, 7, 8, 9, 13))
+                           for _ in range(rng.randrange(1, 4)))
+            m = rng.choice((rng.randrange(1, 61), rng.choice((2, 3, 4, 6))
+                            * rng.randrange(1, 11)))
+            action = [[rng.randrange(0, a, a // gcd(a, b)) +
+                       a * rng.randrange(-2, 3) for b in orders]
+                      for a in orders]
+            if rng.randrange(8) == 0:
+                i, j = rng.randrange(len(orders)), rng.randrange(len(orders))
+                action[i][j] += 1
+            got = outcome(abelian.make_group, m, orders, action)
+            record("make_group", m, orders, action, got)
+            seen.add(("make_group", kind(got)))
+        lift_specs = [abelian.make_group(*g) for g in (
+            (6, (9, 3), ((2, 6), (1, 2))), (4, (3, 5), ((2, 0), (0, 4))),
+            (6, (27,), ((17,),)), (6, (9, 9), ((5, 0), (0, 5))),
+            (2, (5, 7, 11), ((-1, 0, 0), (0, -1, 0), (0, 0, -1))))]
+        lift_specs += [random_group_spec(rng, equal, True,
+                                         m_choices=(2, 3, 4, 6), top=7)
+                       for equal in (True, False) for _ in range(40)]
+        for spec in lift_specs:
+            got = outcome(invariants.structured_lift, spec)
+            record("structured_lift", spec, got)
+            seen.add(("structured_lift", kind(got)))
+        assert {k for k in seen if k[0] == "lambda2"} >= {
+            ("lambda2", m, r, d) for m in (4, 6, 12)
+            for r, d in ((1, 1), (2, 1), (2, 2))}
+        assert {k for k in seen if k[0] != "lambda2"} == {
+            ("make_group", "GroupSpec"), ("make_group", "NotOrderM"),
+            ("make_group", "FixedPoints"), ("make_group", "BadParameters"),
+            ("structured_lift", "tuple"), ("structured_lift", "LiftFailure"),
+            ("structured_lift", "BudgetExceeded")}
+        assert digest.hexdigest() == self.FROZEN_DIGEST, digest.hexdigest()
 
 
 class TestColourDiagram:

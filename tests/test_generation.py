@@ -13,12 +13,12 @@ import knotcolour
 from knotcolour import _intlin, abelian, classify, diagram, errors, \
     surface_data
 from knotcolour._intlin import (
-    inverse_unimodular, mat_mul, mat_pow, smith_mod)
+    inverse_unimodular, mat_mul, smith_mod)
 from knotcolour.errors import BadParameters, BudgetExceeded
 
 from util import (
     TREFOIL_L, construction_spy, rand_unimodular, slow_coords_generate,
-    slow_orbit_generate)
+    slow_mat_pow, slow_orbit_generate)
 
 ORDERS = (2, 4, 6, 12, 225)
 M_CHOICES = (2, 3, 4, 7)
@@ -58,7 +58,7 @@ def random_orbit_spec(rng):
             for j, x in enumerate(row):
                 N[at + i][at + j] = x % orders[at + i]
         at += len(block)
-    Nm = mat_pow(N, m)
+    Nm = slow_mat_pow(N, m)
     assert all((Nm[i][j] - (i == j)) % orders[i] == 0
                for i in range(r) for j in range(r))
     return abelian.GroupSpec(m, tuple(orders), tuple(map(tuple, N)))

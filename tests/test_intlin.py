@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from knotcolour import _intlin as lin, abelian
 from knotcolour.errors import BadParameters, BudgetExceeded, NotUnimodular
 from util import (
-    BAD_BUDGETS, dense_unimodular, rand_unimodular, slow_inverse_unimodular,
-    slow_kernel_mod, slow_mat_mul)
+    BAD_BUDGETS, dense_unimodular, rand_unimodular, random_group_spec,
+    slow_inverse_unimodular, slow_kernel_mod, slow_mat_mul, slow_mat_pow)
 
 small = st.integers(-9, 9)
 
@@ -271,13 +271,18 @@ def test_mat_vec_matches_index_loop():
 
 def test_mat_pow():
     A = [[1, 1], [0, 1]]
-    assert lin.mat_pow(A, 0) == lin.identity(2)
-    assert lin.mat_pow(A, 5) == [[1, 5], [0, 1]]
+    assert lin.mat_pow(A, 0, (7, 7)) == lin.identity(2)
+    assert lin.mat_pow(A, 5, (7, 7)) == [[1, 5], [0, 1]]
+    assert lin.mat_pow(A, 12, (7, 7)) == [[1, 5], [0, 1]]
 
 
 def test_mat_pow_matches_repeated_product():
-    """mat_pow(A, k) is the k-fold product for k = 0..9 on random 1x1 to
-    4x4 matrices, and leaves A as it was."""
+    """mat_pow(A, k, mods) is the k-fold product for k = 0..9 on random
+    1x1 to 4x4 matrices, and leaves A as it was: one common modulus 2^64
+    is over twice every |entry| (at most 16^9), so reducing by it loses
+    nothing."""
+    big = 2 ** 64
+
     @settings(deadline=None, max_examples=40, derandomize=True)
     @given(st.integers(0, 10 ** 6))
     def check(seed):
@@ -287,11 +292,45 @@ def test_mat_pow_matches_repeated_product():
         before = [list(row) for row in A]
         want = lin.identity(n)
         for k in range(10):
-            assert lin.mat_pow(A, k) == want
+            assert lin.mat_pow(A, k, (big,) * n) == \
+                [[x % big for x in row] for row in want]
             assert A == before
             want = lin.mat_mul(want, A)
 
     check()
+
+
+def test_mat_pow_is_the_reduced_power():
+    """mat_pow(A, k, mods) is slow_mat_pow(A, k) with row i reduced mod
+    mods[i], for k = 0..40: on compatible actions of random_group_spec
+    over equal and unequal orders (row-wise moduli, row i shifted by
+    random multiples of n_i), and on arbitrary integer A under one
+    common modulus. k = 0 gives the identity."""
+    seen = set()
+
+    @settings(deadline=None, max_examples=25, derandomize=True)
+    @given(st.integers(0, 10 ** 6))
+    def check(seed):
+        rng = random.Random(seed)
+        cases = []
+        for equal in (True, False):
+            spec = random_group_spec(rng, equal, False)
+            cases.append(([[x + n * rng.randrange(-3, 4) for x in row]
+                           for row, n in zip(spec.action, spec.orders)],
+                          spec.orders))
+        n = rng.randrange(1, 4)
+        cases.append(([[rng.randrange(-50, 51) for _ in range(n)]
+                       for _ in range(n)], (rng.randrange(2, 100),) * n))
+        for A, mods in cases:
+            assert lin.mat_pow(A, 0, mods) == lin.identity(len(A))
+            for k in range(41):
+                want = [[x % q for x in row]
+                        for row, q in zip(slow_mat_pow(A, k), mods)]
+                assert lin.mat_pow(A, k, mods) == want
+            seen.add(len(set(mods)))
+
+    check()
+    assert seen == {1, 2}
 
 
 MODS_OUT = ((2,), (3,), (4,), (9,), (2, 4), (3, 3), (6,), (2, 2, 2))

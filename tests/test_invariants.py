@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from knotcolour import _intlin, abelian, classify, invariants, surface_data
 from knotcolour._intlin import (
-    inverse_unimodular, mat_mul, mat_pow, mat_vec, transpose)
+    inverse_unimodular, mat_mul, mat_vec, transpose)
 from knotcolour.errors import (
     BadParameters,
     BudgetExceeded,
@@ -18,7 +18,7 @@ from test_surface_data import random_seifert
 from util import (
     TREFOIL_L, FIG8_L, invariant_triple, lift_pool, move_chain, move_pool,
     odd_pool, outcome, rand_unimodular, random_group_spec, random_move,
-    slow_cu, slow_hensel_lift,
+    slow_cu, slow_hensel_lift, slow_mat_pow,
     slow_structured_lift, slow_su, slow_validate, slow_vector_class)
 
 FIXTURE_GROUPS = ("d6", "d10", "d14", "c3z7", "c4z5", "a4", "c2_33",
@@ -120,7 +120,6 @@ class TestStructuredLift:
         Z/3 x Z/5 with diagonal action (2, 4) and m = 4 the first lift
         has cross entries, while the per-factor Hensel lifts give
         diag(8, 24), also a lift but later in row-major order."""
-        from knotcolour._intlin import mat_pow
         spec = abelian.make_group(4, (3, 5), ((2, 0), (0, 4)))
         first = ((2, 3), (5, 4))
         assert invariants.structured_lift(spec) == first
@@ -129,15 +128,14 @@ class TestStructuredLift:
                  for n, xi in ((3, 2), (5, 4))]
         assert parts == [[[8]], [[24]]]
         for C in (first, ((8, 0), (0, 24))):
-            P = mat_pow([list(r) for r in C], 4)
+            P = slow_mat_pow([list(r) for r in C], 4)
             assert all((P[i][j] - (i == j)) % n ** 2 == 0
                        for i, n in enumerate((3, 5)) for j in range(2))
         assert first < ((8, 0), (0, 24))
 
     def test_lift_is_structured(self, c3_55):
-        from knotcolour._intlin import mat_pow
         C = invariants.structured_lift(c3_55)
-        P = mat_pow([list(r) for r in C], c3_55.m)
+        P = slow_mat_pow([list(r) for r in C], c3_55.m)
         for i in range(2):
             for j in range(2):
                 assert (P[i][j] - (1 if i == j else 0)) % 25 == 0
@@ -211,7 +209,7 @@ class TestStructuredLift:
                                   ((4, 0, 0), (0, 13, 0), (0, 0, 16)))
         C = invariants.structured_lift(spec)
         assert C == ((38, 0, 0), (0, 251, 0), (0, 0, 288))
-        P = mat_pow([list(row) for row in C], 4)
+        P = slow_mat_pow([list(row) for row in C], 4)
         for i, (row, action) in enumerate(zip(C, spec.action)):
             assert all((c - a) % 17 == 0 for c, a in zip(row, action))
             assert all((P[i][j] - (i == j)) % 17 ** 2 == 0
@@ -253,7 +251,7 @@ class TestStructuredLift:
             invariants.structured_lift(spec)
             D = [[n * n - 1 if i == j else 0 for j in range(spec.rank)]
                  for i, n in enumerate(spec.orders)]
-            P = mat_pow(D, 2)
+            P = slow_mat_pow(D, 2)
             for i, n in enumerate(spec.orders):
                 for j in range(spec.rank):
                     assert (D[i][j] - spec.action[i][j]) % n == 0

@@ -1,5 +1,6 @@
 """Shared test helpers: reference Seifert matrices, random unimodular
-matrices, the index-loop oracle for _intlin.mat_mul, the Smith-form
+matrices, the index-loop oracle for _intlin.mat_mul and the
+repeated-product oracle for _intlin.mat_pow, the Smith-form
 oracles for _intlin.inverse_unimodular and _intlin.kernel_mod, the
 echelon and explicit-orbit oracles for abelian._coords_generate, random
 S-equivalence moves, the fixture data pool, the backtracking oracle for
@@ -9,8 +10,8 @@ invariants.su and invariants.cu, the inverting oracle for
 invariants.vector_class, the search oracle for
 invariants.structured_lift, the listing oracle for
 invariants._hensel_lift, random group specs for them, and the
-per-entry oracle for classify._block, and a spy on element construction
-and Smith calls."""
+per-entry oracle for classify._block, a spy on element construction
+and Smith calls, and a spy on _intlin.mat_mul."""
 
 from contextlib import contextmanager
 from functools import lru_cache
@@ -22,8 +23,8 @@ import pytest
 from knotcolour import (
     _intlin, abelian, classify, diagram, invariants, surface_data)
 from knotcolour._intlin import (
-    echelon_mod, inverse_unimodular, kernel_mod, mat_mul, mat_pow, mat_vec,
-    smith, smith_mod, solve_mod, transpose)
+    echelon_mod, inverse_unimodular, kernel_mod, mat_mul, mat_vec, smith,
+    smith_mod, solve_mod, transpose)
 from knotcolour.errors import (
     ArtifactError,
     BadParameters,
@@ -75,6 +76,15 @@ def slow_mat_mul(A, B):
     cols = len(B[0]) if B else 0
     return [[sum(A[i][k] * B[k][j] for k in range(len(B)))
              for j in range(cols)] for i in range(len(A))]
+
+
+def slow_mat_pow(A, k):
+    """Over-Z oracle for _intlin.mat_pow: the identity times A, k times
+    over, by slow_mat_mul and with no reduction."""
+    out = [[int(i == j) for j in range(len(A))] for i in range(len(A))]
+    for _ in range(k):
+        out = slow_mat_mul(out, A)
+    return out
 
 
 def slow_inverse_unimodular(A):
@@ -362,7 +372,7 @@ def _slow_lift_search(spec):
                                     for k in range(orders[i])))
     for flat in product(*cand_lists):
         C = [list(flat[i * r:(i + 1) * r]) for i in range(r)]
-        P = mat_pow(C, m)
+        P = slow_mat_pow(C, m)
         if all((P[i][j] - (1 if i == j else 0)) % (orders[i] ** 2) == 0
                for i in range(r) for j in range(r)):
             return tuple(tuple(row) for row in C)
@@ -375,7 +385,7 @@ def slow_hensel_lift(m, n, N):
     powers of N, every solution x0 + k listed through kernel_mod, and
     N + n X for the least, or None when there is none."""
     r = len(N)
-    powers = [mat_pow(N, a) for a in range(m + 1)]
+    powers = [slow_mat_pow(N, a) for a in range(m + 1)]
     residue = [powers[m][i][j] - (i == j) for i in range(r) for j in range(r)]
     if any(x % n for x in residue):
         return None
@@ -510,3 +520,20 @@ def construction_spy():
         mp.setattr(_intlin, "smith",
                    lambda A: smith_calls.append(A) or smith(A))
         yield built, smith_calls
+
+
+@contextmanager
+def mat_mul_spy():
+    """Yields a list: inside the block, every _intlin.mat_mul call
+    appends its (A, B, A B), so a test can count the products a call
+    forms and bound their entries."""
+    calls, mat_mul = [], _intlin.mat_mul
+
+    def spy(A, B):
+        P = mat_mul(A, B)
+        calls.append((A, B, P))
+        return P
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_intlin, "mat_mul", spy)
+        yield calls

@@ -13,7 +13,8 @@ so clarity wins over asymptotics, except for sparsity that costs nothing
 to use: mat_mul skips the zero entries of its left factor, and
 inverse_unimodular touches only the rows that have a nonzero entry in
 the pivot column. mat_mul and mat_vec are every dense integer product
-in the package (the product pair, the orbit steps, the action on
+in the package (the product pair, the Gram matrix X^T (MX), the
+colouring equation's (MX) N^T, the lift hooks' steps, the action on
 coordinates, the F_p action in abelian's generation test); mat_pow is
 every single power of an action, reduced row by row. The moves'
 sparse U is the one exception: surface_data._ut_times forms U^T R from

@@ -92,8 +92,9 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
 
     Why this is exact. V, and with it every integer lift the invariants
     use (the coordinate rows X, su's orbit lifts X (N^T)^j, cu's blocks
-    X (C^T)^a), is fixed on the block, and on a certified block M is
-    affine in (k, l) and M^T - M is constant:
+    X (C^T)^a, read through the Gram matrix X^T (MX) or block by block),
+    is fixed on the block, and on a certified block M is affine in
+    (k, l) and M^T - M is constant:
     - s = x_p^T (M^T - M) x_q is the samples' value, and det(M - M^T) = 1
       holds on the block once the first sample passes the constructor.
     - Every pairing entry w of su and cu is linear in M, so affine in

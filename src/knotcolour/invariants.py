@@ -11,10 +11,13 @@ All three run on the integer coordinate matrix X of the vector (one row
 per entry) and read M only through the datum's product pair (MX, M^T X)
 over Z (SurfaceData._products). The moves carry the pair from their
 source's, so a moved datum forms no product of its own; it is still
-validated before an invariant reads it. The lifts that su and cu pair
-are X times an r x r right factor (powers of N^T for su's orbit, of C^T
-for cu's blocks), so their products are the pair times the same factor,
-stacked by surface_data._steps: su reads the datum's cached orbit.
+validated before an invariant reads it. Every lift that su and cu pair
+is X times an r x r right factor, so each total is a pairing of the
+datum's Gram matrix G = X^T (MX) (SurfaceData._gram) with an r x r
+matrix of the spec alone, cached per spec: W_c for su (_su_forms) and
+Z_c for cu at m <= 3 (_cu_forms); s reads G itself. The lift hooks and
+cu at m >= 4 keep the per-block path: the lifts' products, stacked by
+surface_data._steps, divided entry by entry (_divided_sum).
 GroupElement and WedgeElement2 appear only in their values.
 """
 
@@ -25,7 +28,8 @@ from operator import floordiv, mod, mul, sub
 
 from . import abelian
 from ._intlin import (
-    _euclid, check_budget, echelon_mod, identity, mat_mul, mat_pow, solve_mod)
+    _euclid, check_budget, echelon_mod, identity, mat_mul, mat_pow, solve_mod,
+    transpose)
 from .errors import (
     BadParameters,
     DivisibilityFailure,
@@ -58,8 +62,16 @@ def su(data, lifts=None):
 
     The lifts are the orbit Y_j = X (N^T)^j for j < m, X the coordinate
     matrix of V and N the action, closed at Y_0 = X (Y_m = X (N^T)^m is
-    congruent to X, not equal). Then M Y_j and M^T Y_j are the product
-    pair (MX, M^T X) times (N^T)^j: the datum's cached orbit, read here.
+    congruent to X, not equal). Column c of Y_j is X a_j^T, a_j the row
+    c of N^j, so with G = X^T (MX) (the datum's cached Gram matrix, and
+    x^T M^T x = x^T M x) term j is a_j G (a_{j+1} - a_j)^T, a_m := a_0,
+    and the total is <G, W_c> (see _su_forms). On valid data every
+    pairing entry divides (below), so the total does, and su_c is
+    (<G, W_c> mod n^2) / n mod n: W_c is needed only mod n^2, and no
+    work grows with m past the O(r^3 log m) of W_c, once per spec. A
+    total that does not divide is InternalInconsistency, as it would
+    contradict the derivation below; a DivisibilityFailure, which names
+    an entry, comes only from the per-block path (below).
 
     Why su mod n does not depend on the lifts, on valid data: replace
     x_j by x_j + n k. The term j changes by n k^T (M x_{j+1} - M^T x_j)
@@ -73,16 +85,26 @@ def su(data, lifts=None):
     divisible by n under any lifts.
 
     ``lifts`` may supply the m integer lift matrices (one row of r ints
-    per vector entry) instead; their products with M are computed here.
-    Any choice congruent to the coordinates gives the same value, which
-    the property suite exercises.
+    per vector entry) instead; their products with M are computed here
+    and divided entry by entry, a DivisibilityFailure naming the first
+    entry that does not divide. Any choice congruent to the coordinates
+    gives the same value, which the property suite exercises. Over a
+    raw GroupSpec whose action is not an automorphism of A with
+    N^m = I (make_group checks both; see _acts), the orbit takes the
+    same per-block path.
     """
     if not validate(data).valid:
         raise InvalidData("su needs valid surface data")
     spec = data.spec
     m, r, size = spec.m, spec.rank, data.size
     if lifts is None:
-        orbit = data._orbit[:m]
+        if _acts(spec):
+            g = tuple(chain.from_iterable(data._gram))
+            return abelian.element(spec, tuple(
+                _paired(g, W, n, c) % n
+                for c, (n, W) in enumerate(zip(spec.orders,
+                                               _su_forms(spec)))))
+        orbit = _steps(data._coords, data._products, spec.action, m)
     else:
         if not isinstance(lifts, (list, tuple)) or len(lifts) != m or \
                 any(not isinstance(b, (list, tuple)) or len(b) != size
@@ -100,6 +122,86 @@ def su(data, lifts=None):
                                  for j in range(m))
         out.append(_divided_sum(ys, ws, n, c, "pairing entry") % n)
     return abelian.element(spec, tuple(out))
+
+
+def _paired(g, F, n, c):
+    """<G, F> / n for G flattened to g and F flattened alike; a total
+    that n does not divide is InternalInconsistency (su's and cu's
+    docstrings show that on valid data every entry, so the total,
+    divides)."""
+    t = sum(map(mul, g, F))
+    if t % n:
+        raise InternalInconsistency(
+            f"pairing total {t} not divisible by {n} in factor {c}")
+    return t // n
+
+
+@lru_cache(maxsize=None)
+def _acts(spec):
+    """Whether the action is well defined on A (n_i | N_ij n_j) with
+    N^m = I there, as make_group checks and a raw GroupSpec need not be:
+    the closed forms of su and cu rest on both."""
+    orders, N = spec.orders, spec.action
+    return all(a * d % n == 0 for row, n in zip(N, orders)
+               for a, d in zip(row, orders)) and \
+        mat_pow(N, spec.m, orders) == identity(spec.rank)
+
+
+def _orbit_sums(N, c, k, sq):
+    """(N^k, S_k) mod sq, S_k = sum_{j<k} a_j^T a_j with a_j the row c of
+    N^j, by doubling as mat_pow does: S_2k = S_k + (N^k)^T S_k N^k and
+    S_(k+1) = S_k + a_k^T a_k, O(r^3 log k) in all."""
+    if k == 0:
+        r = len(N)
+        return identity(r), [[0] * r for _ in range(r)]
+    if k & 1:
+        P, S = _orbit_sums(N, c, k - 1, sq)
+        a = P[c]
+        return ([[x % sq for x in row] for row in mat_mul(P, N)],
+                [[(s + x * y) % sq for s, y in zip(row, a)]
+                 for row, x in zip(S, a)])
+    P, S = _orbit_sums(N, c, k >> 1, sq)
+    T = mat_mul(mat_mul(transpose(P), S), P)
+    return ([[x % sq for x in row] for row in mat_mul(P, P)],
+            [[(s + t) % sq for s, t in zip(u, v)] for u, v in zip(S, T)])
+
+
+@lru_cache(maxsize=None)
+def _su_forms(spec):
+    """W_c mod n_c^2 per factor c, flattened row by row: su_c is
+    <G, W_c> / n_c mod n_c. W_c = sum_{j<m} a_j^T (a_{j+1} - a_j) with
+    a_j the row c of N^j and a_m := a_0 (su's docstring). As
+    a_j^T a_{j+1} = a_j^T a_j N, that is S_(m-1) (N - I)
+    + a_{m-1}^T (e_c - a_{m-1}), S_k as in _orbit_sums."""
+    N, r = spec.action, spec.rank
+    out = []
+    for c, n in enumerate(spec.orders):
+        sq = n * n
+        P, S = _orbit_sums(N, c, spec.m - 1, sq)
+        a = P[c]
+        SN = mat_mul(S, N)
+        out.append(tuple(
+            (SN[p][q] - S[p][q] + a[p] * ((q == c) - a[q])) % sq
+            for p in range(r) for q in range(r)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _cu_forms(spec):
+    """Z_c per factor c at m <= 3, flattened row by row: cu's total
+    <x, L x> is <G, Z_c>. Block a of the lift is X b_a^T with b_0 = e_c
+    and, at m = 3, b_1 = b the row c of N, and
+    <x, L x> = sum_a 2 x_a^T M x_a + 2 sum_a x_{a+1}^T M x_a, so
+    Z_c = 2 E_c at m = 2 and 2 (E_c + b^T e_c + b^T b) at m = 3, with
+    E_c = e_c^T e_c."""
+    r = spec.rank
+    out = []
+    for c, b in enumerate(spec.action):
+        e = [int(i == c) for i in range(r)]
+        u = b if spec.m == 3 else [0] * r
+        out.append(tuple(2 * ((x + y) * e[q] + y * u[q])
+                         for x, y in zip(e, u) for q in range(r)))
+    return tuple(out)
 
 
 def _hensel_lift(m, n, N):
@@ -198,28 +300,44 @@ def cu(data, nlift=None, vlift=None):
     is even and the value is Q/2 mod n. L(M) has diagonal blocks M + M^T,
     superdiagonal M^T and subdiagonal M, so block a of L x is
     M (x_a + x_{a-1}) + M^T (x_a + x_{a+1}) with x_{-1} = x_{m-1} = 0;
-    it is applied block by block, never built.
-    Block a is X (C^T)^a, so M x_a and M^T x_a are the product pair
-    (MX, M^T X) times (C^T)^a (_steps under C): the same integers as
-    multiplying by M directly, so a DivisibilityFailure names the same
-    entry.
+    it is never built. Block a is X (C^T)^a, C the action N at m <= 3
+    and the structured lift only at m >= 4.
 
-    C is the action N at m <= 3 and the structured lift only at m >= 4.
-    At m = 2 there is one block, x_0 = V, and C is not read. At m = 3
-    the blocks X and X N^T are the first two steps of su's orbit. Both
-    derivations below use the colouring equation M^T V = M t.V, which
+    At m <= 3 with no hook, Q is the total <G, Z_c> divided by n, G the
+    datum's Gram matrix X^T (MX) and Z_c a matrix of the spec
+    (_cu_forms). The derivations below show that on valid data every
+    entry of L x is divisible by n there, so the total is, and Q is the
+    sum of the per-entry quotients. A total that n does not divide would
+    contradict them, so it is InternalInconsistency: the per-entry
+    DivisibilityFailure names an entry, which the total does not hold.
+    Otherwise M x_a and M^T x_a are the product pair (MX, M^T X) times
+    (C^T)^a (_steps under C): the same integers as multiplying by M
+    directly, divided entry by entry, so a DivisibilityFailure names the
+    same entry.
+
+    The derivations use the colouring equation M^T V = M t.V, which
     gives M^T x_a = M x_{a+1} mod n, x_{a+1} any lift of t^{a+1} V in
-    column c (as in su).
+    column c (as in su), and that t - 1 is invertible on A: by the
+    equation V = S^-1 M (t - 1) V with S = M^T - M, so every entry of V
+    lies in (t - 1) A, and V generates A.
 
-    m = 3: cu is the same for every integer C whose row c is N's mod
-    n_c, N itself and every structured lift among them. Here <x, L x> is
-    x_0^T (M + M^T) x_0 + 2 x_1^T M x_0 + x_1^T (M + M^T) x_1; replacing
-    x_1 by x_1 + n e changes it by 2 n e^T (M x_0 + (M + M^T) x_1)
-    + 2 n^2 e^T M e. Here M x_0 + (M + M^T) x_1 = M (1 + t + t^2) V = 0
-    mod n, since N^3 = I with N - I invertible forces N^2 + N + I = 0 on
-    A; call it n w. So Q changes by 2 n (e^T w + e^T M e), and Q mod n,
-    Q/2 mod n for even n and the parity of Q are unchanged. Every entry
-    of L x changes by a multiple of n, so no divisibility verdict moves.
+    m = 2: there is one block, x_0 = V, and C is not read. N^2 = I on A
+    and (N - I)(N + I) = N^2 - I, so N = -I on A. Hence
+    M^T x_0 = M x_1 = -M x_0 mod n, and L x = (M + M^T) x_0 = 0 mod n:
+    every entry divides.
+
+    m = 3: N^3 = I on A and (N - I)(N^2 + N + I) = N^3 - I, so
+    N^2 + N + I = 0 on A. Block 0 of L x is M x_0 + M^T (x_0 + x_1) and
+    block 1 is M x_0 + (M + M^T) x_1; both are M (x_0 + x_1 + x_2) =
+    M (1 + t + t^2) V = 0 mod n, x_2 a lift of t^2 V, so every entry
+    divides. And cu is the same for every integer C whose row c is N's
+    mod n_c, N itself and every structured lift among them. Here
+    <x, L x> is x_0^T (M + M^T) x_0 + 2 x_1^T M x_0 + x_1^T (M + M^T) x_1;
+    replacing x_1 by x_1 + n e changes it by 2 n e^T (M x_0 + (M + M^T)
+    x_1) + 2 n^2 e^T M e, and M x_0 + (M + M^T) x_1 is block 1, n w say.
+    So Q changes by 2 n (e^T w + e^T M e), and Q mod n, Q/2 mod n for
+    even n and the parity of Q are unchanged. Every entry of L x changes
+    by a multiple of n, so no divisibility verdict moves.
 
     m >= 4: no valid datum passes the per-entry division, so cu raises
     DivisibilityFailure (after the lift's own LiftFailure or
@@ -235,7 +353,8 @@ def cu(data, nlift=None, vlift=None):
     override C and the minimal vector lift (testing hooks for the
     well-definedness properties); a ``vlift``'s products with M are
     computed here. An ``nlift`` overrides C at every m and is
-    shape-checked at every m.
+    shape-checked at every m. Over a raw GroupSpec that fails _acts,
+    cu at m <= 3 also takes the per-block path.
     """
     if not validate(data).valid:
         raise InvalidData("cu needs valid surface data")
@@ -243,6 +362,11 @@ def cu(data, nlift=None, vlift=None):
     m, orders, r = spec.m, spec.orders, spec.rank
     if m < 2:
         raise BadParameters("cu needs m >= 2")
+    if nlift is None and vlift is None and m <= 3 and _acts(spec):
+        g = tuple(chain.from_iterable(data._gram))
+        return abelian.element(spec, tuple(
+            _halved(_paired(g, Z, n, c), n)
+            for c, (n, Z) in enumerate(zip(orders, _cu_forms(spec)))))
     size = data.size
     if nlift is not None:
         C = abelian.int_rows(nlift, "nlift", r, r)
@@ -265,23 +389,28 @@ def cu(data, nlift=None, vlift=None):
         ws = chain.from_iterable(
             map(sum, zip(cols[a][P], cols[a - 1][P], cols[a][Q],
                          cols[a + 1][Q])) for a in range(1, m))
-        q = _divided_sum(ys, ws, n, c, "L(M) pairing entry")
-        if n % 2:
-            out.append(q % n)
-        else:
-            if q % 2:
-                raise InternalInconsistency(
-                    "pairing value is odd over an even-order factor")
-            out.append((q // 2) % n)
+        out.append(_halved(
+            _divided_sum(ys, ws, n, c, "L(M) pairing entry"), n))
     return abelian.element(spec, tuple(out))
+
+
+def _halved(q, n):
+    """cu_c from the total Q: Q mod n for odd n, Q/2 mod n for even n,
+    where Q must be even."""
+    if n % 2:
+        return q % n
+    if q % 2:
+        raise InternalInconsistency(
+            "pairing value is odd over an even-order factor")
+    return (q // 2) % n
 
 
 def vector_class(data):
     """The symplectic class s in A ^ A: coordinate (p, q), p < q, is
-    x_p^T (M^T - M) x_q = sum_i (x_iq (MX)_ip - x_ip (MX)_iq), x_p the
-    column p of the coordinate matrix X of V, summed over the integers and
-    reduced once mod gcd(n_p, n_q); MX is read from the datum's product
-    pair. It is the adjacent-pair wedge of
+    x_p^T (M^T - M) x_q = G_qp - G_pq, x_p the column p of the
+    coordinate matrix X of V and G = X^T (MX) the datum's Gram matrix,
+    summed over the integers and reduced once mod gcd(n_p, n_q). It is
+    the adjacent-pair wedge of
     W = P^-1 X for any P with P^T S P = J (S = M - M^T, J the block sum
     of [[0, -1], [1, 0]]): S = P^-T J P^-1, and expanding bilinearly,
     sum_b W_2b ^ W_2b+1 = sum_{i<j} (P^-T (-J) P^-1)_ij X_i ^ X_j =
@@ -289,10 +418,9 @@ def vector_class(data):
     A ^ A is safe. Structural, so defined on non-validating data too (the
     canonical vectors).
     """
-    X, MX = abelian._expect(data, SurfaceData)._coords, data._products[0]
+    G = abelian._expect(data, SurfaceData)._gram
     return abelian.WedgeElement2(data.spec, tuple(
-        sum(x[q] * y[p] - x[p] * y[q] for x, y in zip(X, MX))
-        for p, q in abelian.pair_indices(data.spec)))
+        G[q][p] - G[p][q] for p, q in abelian.pair_indices(data.spec)))
 
 
 def y_obstruction(triples):

@@ -9,13 +9,16 @@ only as coordinate rows reduced mod the orders (SurfaceData._coords,
 the size x r matrix X); .vector builds the GroupElement tuple from X
 when first read. A datum also caches one product pair
 (SurfaceData._products = (MX, M^T X) over Z, one row per entry), formed
-when first read. Validation and the invariants read M only through it.
-_steps stacks it into the orbit SurfaceData._orbit, (Y_j; M Y_j;
-M^T Y_j) for Y_j = X (N^T)^j, that validation and su read. The empty
-0x0 datum is permitted (it can never validate over a nontrivial A, but
-keeps connect sums total).
+when first read. Validation and the invariants read M only through it:
+validation checks the colouring equation as M^T X = (MX) N^T, one
+product by the action N, and s, su and cu at m <= 3 read the cached
+r x r Gram matrix SurfaceData._gram = X^T (MX). _steps stacks the pair
+into the steps (Y_j; M Y_j; M^T Y_j), Y_j = X (F^T)^j, that only the
+invariants' lift hooks and cu at m >= 4 pair. The empty 0x0 datum is
+permitted (it can never validate over a nontrivial A, but keeps connect
+sums total).
 
-The pair and the orbit steps are _intlin.mat_mul products. The moves
+The pair, G and the steps are _intlin.mat_mul products. The moves
 and connect sums derive their output's pair exactly from their sources'
 pairs, at the cost of the rows they change, so a chain of moves forms
 the pair once, for its head. The validation report is not carried:
@@ -27,7 +30,7 @@ the orders.
 """
 
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, cycle
 from math import lcm
 from operator import add, mod, sub
 
@@ -143,15 +146,18 @@ class SurfaceData(_Record):
 
     @cached_property
     def _products(self):
-        # (MX, M^T X) over Z, the only products of M that the orbit, cu
-        # and vector_class read
+        # (MX, M^T X) over Z, the only products of M that validation and
+        # the invariants read
         return _product_pair(self.matrix, self._coords)
 
     @cached_property
-    def _orbit(self):
-        # max(m, 2) steps: validation reads step 1 even at m = 1
-        return _steps(self._coords, self._products, self.spec.action,
-                      max(self.spec.m, 2))
+    def _gram(self):
+        # G = X^T (MX), r x r over Z (zeros for the 0x0 datum): s, su and
+        # cu at m <= 3 are pairings of G with a matrix of the spec
+        X, r = self._coords, self.spec.rank
+        if not X:
+            return ((0,) * r,) * r
+        return tuple(map(tuple, mat_mul(transpose(X), self._products[0])))
 
 
 def make_data(spec, matrix, coords):
@@ -218,11 +224,14 @@ def _validate(data):
     spec, X = data.spec, data._coords
     # per factor c: M^T x_c = M (t.X)_c mod n_c, x_c the column c of X.
     # (t.X)_c = sum_d N_cd x_d mod n_c, and reducing x_d mod n_d is
-    # harmless as n_c | N_cd n_d, so the sides are the M^T part of step 0
-    # and the M part of step 1; all() stops at the first factor failing
-    P, Q = slice(len(X), 2 * len(X)), slice(2 * len(X), None)
-    equation = all(not any(map(mod, map(sub, b[P], a[Q]), repeat(n)))
-                   for a, b, n in zip(*data._orbit[:2], spec.orders))
+    # harmless as n_c | N_cd n_d, so the sides are column c of M^T X and
+    # of (MX) N^T, compared entry by entry with the orders cycled along
+    # each row; any() stops at the first entry failing
+    MX, MTX = data._products
+    equation = not any(map(mod, map(
+        sub, chain.from_iterable(MTX),
+        chain.from_iterable(mat_mul(MX, transpose(spec.action)))),
+        cycle(spec.orders)))
     gen = abelian._coords_generate(spec, tuple(sorted(set(X))))
     genus_ok = len(X) >= _min_generators(spec)
     return ValidationReport(gen, equation, genus_ok,

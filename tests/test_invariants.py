@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +17,11 @@ from knotcolour.errors import (
 )
 from test_surface_data import random_seifert
 from util import (
-    TREFOIL_L, FIG8_L, invariant_triple, lift_pool, move_chain, move_pool,
-    odd_pool, outcome, rand_unimodular, random_group_spec, random_move,
-    slow_cu, slow_hensel_lift, slow_mat_pow,
-    slow_structured_lift, slow_su, slow_validate, slow_vector_class)
+    TREFOIL_L, FIG8_L, invariant_triple, lift_pool, mat_mul_spy,
+    move_chain, move_pool, odd_pool, outcome, rand_unimodular,
+    random_group_spec, random_move, slow_cu, slow_hensel_lift, slow_mat_mul,
+    slow_mat_pow, slow_structured_lift, slow_su, slow_validate,
+    slow_vector_class)
 
 FIXTURE_GROUPS = ("d6", "d10", "d14", "c3z7", "c4z5", "a4", "c2_33",
                   "c2_35", "c3_55", "c7_222", "z46", "z333")
@@ -718,6 +720,131 @@ class TestCuDomain:
         assert surface_data.validate(data).valid
         with pytest.raises(BadParameters, match="cu needs m >= 2"):
             invariants.cu(data)
+
+
+# a genus-2 colouring over C6 x| (Z/3)^2 with su = (2, 2)
+RANK2_M = ((3, -3, -2, -3), (-2, 0, -2, -3), (-2, -2, 2, -2),
+           (-3, -3, -1, 0))
+RANK2_V = ((1, 1), (1, 1), (1, 1), (0, 1))
+RANK2_ACTION = ((0, 2), (1, 1))
+
+
+class TestClosedForms:
+    """su and cu at m <= 3 pair the datum's Gram matrix G with a matrix
+    of the spec; the lift hooks keep the per-block path, which divides
+    entry by entry. On move chains from lift_pool, the A4 and
+    C3 x| (Z/4)^2 tables (even orders, so cu halves its total), trefoil
+    colourings over C600 x| Z/7 (action 3) and a C6 x| (Z/3)^2 datum
+    with su = (2, 2), the closed forms equal the per-block path on the
+    orbit X (N^T)^j over Z and on vlift = X, and the oracles."""
+
+    @staticmethod
+    def orbit_lifts(data):
+        """Y_j = X (N^T)^j over Z for j < m, by slow_mat_mul."""
+        NT = transpose(data.spec.action)
+        lifts = [[list(row) for row in data._coords]]
+        for _ in range(data.spec.m - 1):
+            lifts.append(slow_mat_mul(lifts[-1], NT))
+        return lifts
+
+    def test_match_per_block_and_oracles(self, d6, d10, d14, c3z7, a4,
+                                         c2_33, c2_35, c3_55):
+        pool = lift_pool(d6, d10, d14, c3z7, a4, c2_33, c2_35, c3_55)
+        four = classify.rank2_nondiag_table(3, 4, ((0, 1), (3, 3)))
+        pool += [e.data for e in four.entries[::5]]
+        c600 = abelian.make_group(600, (7,), ((3,),))
+        pool += [surface_data.SurfaceData(c600, TREFOIL_L, V) for V in
+                 surface_data.enumerate_colourings(TREFOIL_L, c600)]
+        c6_33 = abelian.make_group(6, (3, 3), RANK2_ACTION)
+        pool.append(surface_data.make_data(c6_33, RANK2_M, RANK2_V))
+        seen = set()
+
+        @settings(deadline=None, max_examples=80, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            steps = move_chain(rng, pool, rng.randrange(4))
+            data = steps[-1][1] if steps else rng.choice(pool)
+            spec = data.spec
+            su = invariants.su(data)
+            assert su == invariants.su(data, lifts=self.orbit_lifts(data))
+            assert su == slow_su(data)
+            cu = outcome(invariants.cu, data)
+            assert cu == outcome(invariants.cu, data, vlift=data._coords)
+            if spec.m <= 3:
+                assert cu == outcome(slow_cu, data, spec.action)
+            seen.add(spec)
+            seen.update(("even", any(cu.coords)) for n in spec.orders
+                        if n % 2 == 0)
+
+        check()
+        assert seen >= {a4, four.group, c600, c6_33, c3_55, ("even", True),
+                        ("even", False)}
+
+    def test_raw_specs_keep_per_block_path(self):
+        """Raw GroupSpecs whose action has N^m != I on A (make_group
+        refuses them) fail _acts, so su and cu take the per-block path:
+        the trefoil colourings validate, and both raise the
+        DivisibilityFailure, message included, of the lift hooks on the
+        same lifts."""
+        seen = set()
+        for m, n, xi in ((1, 3, 2), (2, 7, 3), (3, 7, 3)):
+            spec = abelian.GroupSpec(m, (n,), ((xi,),))
+            assert not invariants._acts(spec)
+            for V in surface_data.enumerate_colourings(TREFOIL_L, spec):
+                data = surface_data.SurfaceData(spec, TREFOIL_L, V)
+                assert surface_data.validate(data).valid
+                got = outcome(invariants.su, data)
+                assert got == outcome(invariants.su, data,
+                                      self.orbit_lifts(data))
+                seen.add(got[0])
+                if m > 1:
+                    got = outcome(invariants.cu, data)
+                    assert got == outcome(invariants.cu, data,
+                                          vlift=data._coords)
+                    seen.add(got[0])
+        assert seen == {DivisibilityFailure}
+
+
+class TestGramScaling:
+    """validate and su at m = 6 * 10^6: validation is one product by N on
+    the product pair, and su one pairing of G with W_c, which doubling
+    builds from powers reduced mod n^2. So both form a bounded count of
+    mat_mul products on entries that do not grow with m, in well under a
+    second; stacking the orbit X (N^T)^j, j < m, over Z would not
+    finish. The minimal lifts t^j V repeat with period 6, so su at
+    m = 6 K is K times su at m = 6; here K = 10^6 = 1 mod 3 and mod 7."""
+
+    M = 6 * 10 ** 6
+
+    def check(self, orders, action, matrix, coords):
+        spec = abelian.make_group(self.M, orders, action)
+        data = surface_data.make_data(spec, matrix, coords)
+        start = time.perf_counter()
+        # the pair, validation and G, then per factor and for the
+        # N^m check about 4 products per bit of m
+        limit = 4 * (len(orders) + 1) * self.M.bit_length()
+        with mat_mul_spy(limit) as calls:
+            assert surface_data.validate(data).valid
+            got = invariants.su(data)
+        elapsed = time.perf_counter() - start
+        assert all(abs(x) < 2 ** 32 for product in calls for F in product
+                   for row in F for x in row)
+        assert elapsed < 0.25
+        six = abelian.make_group(6, orders, action)
+        assert got.coords == invariants.su(
+            surface_data.make_data(six, matrix, coords)).coords
+        return got.coords
+
+    def test_trefoil(self):
+        """The trefoil over C_m x| Z/7, action 3 (su is 0 here)."""
+        V = surface_data.enumerate_colourings(
+            TREFOIL_L, abelian.make_group(6, (7,), ((3,),)))[0]
+        coords = [v.coords for v in V]
+        assert self.check((7,), ((3,),), TREFOIL_L, coords) == (0,)
+
+    def test_rank2(self):
+        assert self.check((3, 3), RANK2_ACTION, RANK2_M, RANK2_V) == (2, 2)
 
 
 class TestProductPair:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from functools import cached_property
 from itertools import product
 from operator import ne
 
@@ -212,35 +213,44 @@ class TestValidateOnce:
         # a4_class may also check its own reference data on a cold cache
         assert [d for d in calls if d is data] == [data]
 
-    def test_orbit_formed_once(self, a4, c6_93, monkeypatch):
-        """On a fresh datum, validate forms the N-orbit, max(m, 2) steps,
-        in one call of surface_data._steps; su reads it and forms no step
-        of its own; cu stacks its m - 1 blocks through the same builder."""
-        body = surface_data._steps
-        calls = []
+    def test_pair_and_gram_formed_once(self, a4, c6_93, monkeypatch):
+        """On a fresh datum, validate, su, cu at m <= 3 and vector_class
+        form the product pair once and the Gram matrix G once, and none
+        of them calls surface_data._steps; cu under a vector lift stacks
+        its m - 1 blocks through _steps and reads no G."""
+        pairs, grams, steps = [], [], []
+        pair_body = surface_data._product_pair
+        gram_body = surface_data.SurfaceData._gram.func
+        steps_body = surface_data._steps
 
-        def spy(Y, products, F, count):
-            calls.append((F, count))
-            return body(Y, products, F, count)
+        def steps_spy(Y, products, F, count):
+            steps.append((F, count))
+            return steps_body(Y, products, F, count)
 
-        monkeypatch.setattr(surface_data, "_steps", spy)
-        monkeypatch.setattr(invariants, "_steps", spy)
+        gram = cached_property(lambda d: grams.append(d) or gram_body(d))
+        gram.__set_name__(surface_data.SurfaceData, "_gram")
+        monkeypatch.setattr(surface_data.SurfaceData, "_gram", gram)
+        monkeypatch.setattr(surface_data, "_product_pair",
+                            lambda M, X: pairs.append(X) or pair_body(M, X))
+        monkeypatch.setattr(surface_data, "_steps", steps_spy)
+        monkeypatch.setattr(invariants, "_steps", steps_spy)
         M = ((-2, -3), (-2, -2))
-        for data in (surface_data.make_data(a4, ((1, 0), (1, 1)),
-                                            [(1, 1), (0, 1)]),
-                     surface_data.SurfaceData(
-                         c6_93, M, surface_data.enumerate_colourings(
-                             M, c6_93)[0])):
-            calls.clear()
+        a4_data = surface_data.make_data(a4, ((1, 0), (1, 1)),
+                                         [(1, 1), (0, 1)])
+        for data in (a4_data, surface_data.SurfaceData(
+                c6_93, M, surface_data.enumerate_colourings(M, c6_93)[0])):
+            pairs.clear(), grams.clear()
             assert surface_data.validate(data).valid
+            assert grams == []
             invariants.su(data)
-            assert calls == [(data.spec.action, data.spec.m)]
-            assert len(data._orbit) == data.spec.m
-        data = surface_data.make_data(a4, ((1, 0), (1, 1)), [(1, 1), (0, 1)])
-        calls.clear()
-        assert surface_data.validate(data).valid
-        invariants.cu(data)
-        assert calls == [(a4.action, 3), (a4.action, 2)]
+            invariants.vector_class(data)
+            if data.spec.m <= 3:
+                invariants.cu(data)
+            assert pairs == [data._coords] and grams == [data]
+            assert steps == []
+        grams.clear()
+        invariants.cu(a4_data, vlift=a4_data._coords)
+        assert steps == [(a4.action, 2)] and grams == []
 
     def test_memo_leaves_identity_alone(self, d6):
         """A validated datum and an equal fresh one compare, hash, print
@@ -275,9 +285,9 @@ class TestValidateOracle:
         """Pool data after 0-3 random moves, with their vector or a random
         one (a shifted lift, any integers): validate equals the
         GroupElement oracle, and so does vector_class, valid or not. So
-        does validate at the edges of the orbit's step count: an m = 1
-        datum that generates but fails the equation (validation reads
-        step 1 all the same) and the 0x0 datum (r empty columns)."""
+        does validate at the edges: an m = 1 datum that generates but
+        fails the equation (validation applies N all the same) and the
+        0x0 datum, whose Gram matrix is r x r zeros."""
         m1 = surface_data.make_data(abelian.unsafe_spec((3,)), TREFOIL_L,
                                     [(1,), (0,)])
         empty = surface_data.make_data(a4, (), [])
@@ -286,7 +296,7 @@ class TestValidateOracle:
         report = surface_data.validate(m1)
         assert report.generates and not report.equation_holds
         assert surface_data.validate(empty).equation_holds
-        assert all(len(step) == a4.rank for step in empty._orbit)
+        assert empty._gram == ((0, 0), (0, 0))
         pool = move_pool(d6, d10, a4, c2_35)
         pool.append(surface_data.make_data(
             c7_222, surface_data.standard_matrix(2),
@@ -365,11 +375,10 @@ class TestCarriedPair:
 
     def test_exact_over_move_chains(self, d6, d10, a4, c2_35, c6_93):
         """After every move of a random chain the carried pair equals a
-        fresh (MX, M^T X), the output still validates, and each of the
-        max(m, 2) steps of its cached orbit equals the stacked
-        (Y_j; M Y_j; M^T Y_j), Y_j = X (N^T)^j; the pair and the orbit
-        come from the index-loop oracle slow_mat_mul, not mat_mul, which
-        _product_pair and _steps call. lambda1
+        fresh (MX, M^T X), the output still validates, and its Gram
+        matrix equals X^T (MX); the pair and G come from the index-loop
+        oracle slow_mat_mul, not mat_mul, which _product_pair and
+        SurfaceData._gram call. lambda1
         draws the U of carry_unimodular, and K = U Y - X is seen both zero
         and nonzero; lambda2 runs in both variants, lambda2_inverse right
         after it, and connect_sum with a pool datum on either side."""
@@ -401,25 +410,19 @@ class TestCarriedPair:
                 else:
                     moved = surface_data.lambda2_inverse(data)
                 assert "_products" in vars(moved)
-                M, X, spec = moved.matrix, moved._coords, moved.spec
-                MT, NT = transpose(M), transpose(spec.action)
+                M, X = moved.matrix, moved._coords
                 assert moved._products == tuple(
-                    tuple(map(tuple, slow_mat_mul(P, X))) for P in (M, MT))
+                    tuple(map(tuple, slow_mat_mul(P, X)))
+                    for P in (M, transpose(M)))
                 assert surface_data.validate(moved).valid
-                assert len(moved._orbit) == max(spec.m, 2)
-                Y = X
-                for step in moved._orbit:
-                    rows = [*Y, *slow_mat_mul(M, Y), *slow_mat_mul(MT, Y)]
-                    assert step == tuple(tuple(row[c] for row in rows)
-                                         for c in range(spec.rank))
-                    Y = slow_mat_mul(Y, NT)
-                seen.update((kind, moved.spec, ("steps", len(moved._orbit))))
+                assert moved._gram == tuple(map(tuple, slow_mat_mul(
+                    transpose(X), slow_mat_mul(M, X))))
+                seen.update((kind, moved.spec))
                 data, stabilised = moved, kind in (1, 2)
 
         check()
         assert seen == {0, 1, 2, 3, 4, d10, a4, c2_35, c6_93,
-                        ("K != 0", False), ("K != 0", True),
-                        ("steps", 2), ("steps", 3), ("steps", 6)}
+                        ("K != 0", False), ("K != 0", True)}
 
     def test_pair_formed_once_per_chain(self, d6, d10, a4, c2_35, c6_93,
                                         monkeypatch):

@@ -11,7 +11,8 @@ invariants.vector_class, the search oracle for
 invariants.structured_lift, the listing oracle for
 invariants._hensel_lift, random group specs for them, and the
 per-entry oracle for classify._block, a spy on element construction
-and Smith calls, and a spy on _intlin.mat_mul."""
+and Smith calls, and a spy on _intlin.mat_mul that can bound its
+call count."""
 
 from contextlib import contextmanager
 from functools import lru_cache
@@ -523,17 +524,26 @@ def construction_spy():
 
 
 @contextmanager
-def mat_mul_spy():
+def mat_mul_spy(limit=None):
     """Yields a list: inside the block, every _intlin.mat_mul call
     appends its (A, B, A B), so a test can count the products a call
-    forms and bound their entries."""
+    forms and bound their entries. With a limit the spy also stands in
+    for the name in every package module that imported it, and past
+    limit calls it raises AssertionError instead of forming another
+    product, so a call whose product count grows with m fails fast."""
     calls, mat_mul = [], _intlin.mat_mul
 
     def spy(A, B):
+        if limit is not None and len(calls) >= limit:
+            raise AssertionError(f"more than {limit} mat_mul calls")
         P = mat_mul(A, B)
         calls.append((A, B, P))
         return P
 
+    modules = (_intlin,) if limit is None else (
+        _intlin, abelian, surface_data, invariants)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_intlin, "mat_mul", spy)
+        for module in modules:
+            if getattr(module, "mat_mul", None) is mat_mul:
+                mp.setattr(module, "mat_mul", spy)
         yield calls

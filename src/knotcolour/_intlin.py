@@ -23,7 +23,7 @@ and surface_data.lambda1 inverts only the block of U on those columns.
 """
 
 from math import prod
-from operator import mul
+from operator import add, mod, mul
 
 from .errors import BadParameters, BudgetExceeded, NotUnimodular
 
@@ -81,11 +81,11 @@ def _euclid(vecs, i):
     live = [v for v in vecs if v[i]]
     while len(live) > 1:
         p = min(live, key=lambda v: abs(v[i]))
-        a = p[i]
+        a, tail = p[i], p[i:]
         for v in live:
             if v is not p:
                 q = v[i] // a
-                v[i:] = [x - q * y for x, y in zip(v[i:], p[i:])]
+                v[i:] = [x - q * y for x, y in zip(v[i:], tail)]
         live = [v for v in live if v[i]]
     return live[0] if live else None
 
@@ -286,7 +286,8 @@ def check_budget(count, budget, what):
 
 
 def kernel_mod(F, mods_in, mods_out, budget):
-    """Every x in prod Z/mods_in with F x = 0 mod mods_out, sorted. F is
+    """Every x in prod Z/mods_in with F x = 0 mod mods_out, as tuples
+    reduced coordinate by coordinate mod mods_in, sorted. F is
     well defined there (mods_out[i] | F[i][j] mods_in[j]) and has a row
     if it has a column. In (index, K) = echelon_mod(F, mods_out), the k =
     len(mods_in) columns of K span the kernel over Z, and there are
@@ -298,11 +299,11 @@ def kernel_mod(F, mods_in, mods_out, budget):
     check_budget(prod(mods_in) * index // prod(mods_out), budget, "solutions")
     span = {(0,) * k}
     for col in K:
-        g = tuple(v % n for v, n in zip(col, mods_in))
+        g = tuple(map(mod, col, mods_in))
         steps, x = [], g  # coset representatives of span in span+<g>
         while x not in span:
             steps.append(x)
-            x = tuple((a + b) % n for a, b, n in zip(x, g, mods_in))
-        span |= {tuple((a + b) % n for a, b, n in zip(s, x, mods_in))
+            x = tuple(map(mod, map(add, x, g), mods_in))
+        span |= {tuple(map(mod, map(add, s, x), mods_in))
                  for x in steps for s in span}
     return sorted(span)

@@ -249,7 +249,7 @@ def make_group(m, orders, action):
     spec = GroupSpec(m, orders, tuple(tuple(row) for row in N))
     cols1 = [tuple((N[i][j] - (1 if i == j else 0)) % orders[i]
                    for i in range(r)) for j in range(r)]
-    if not _coords_generate(spec, tuple(sorted(set(cols1)))):
+    if not _coords_generate(spec, frozenset(cols1)):
         raise FixedPoints("action - id is singular on A")
     return spec
 
@@ -320,7 +320,9 @@ def linear_kernel(P, Q, spec, budget):
     """Every V in A^n with (P + Q.t) V = 0, for integer matrices P and Q
     of one shape, as n reduced coordinate rows in lexicographic order
     (see kernel_mod). Entry (i, j) acts on A as P_ij I + Q_ij N, N the action.
-    BadParameters unless spec is a GroupSpec and P and Q share one shape.
+    Each flat solution is cut into its n rows by zip over r references
+    to one iterator (at rank r = 0, into n empty rows). BadParameters
+    unless spec is a GroupSpec and P and Q share one shape.
     """
     _expect(spec, GroupSpec)
     try:
@@ -334,7 +336,7 @@ def linear_kernel(P, Q, spec, budget):
     F = [[P[i][j] * (c == d) + Q[i][j] * N[c][d]
           for j in range(n) for d in range(r)]
          for i in range(len(P)) for c in range(r)]
-    return [tuple(x[j * r:(j + 1) * r] for j in range(n))
+    return [tuple(zip(*[iter(x)] * r)) or ((),) * n
             for x in kernel_mod(F, orders * n, orders * len(P), budget)]
 
 
@@ -430,8 +432,9 @@ def _spans(rows, p, I, Np):
 
 
 @lru_cache(maxsize=None)
-def _coords_generate(spec, coord_tuples, orbit=False):
-    """Whether the given coordinate tuples generate A; with orbit, whether
+def _coords_generate(spec, rows, orbit=False):
+    """Whether the set of coordinate rows (a frozenset at every caller,
+    so one set takes one cache entry) generates A; with orbit, whether
     their t-orbits do (for a spec from make_group, where N^m = I).
 
     Burnside's basis theorem (M. Hall, The Theory of Groups, 1959, ch.
@@ -439,7 +442,7 @@ def _coords_generate(spec, coord_tuples, orbit=False):
     prime p dividing |A|, its image spans A/pA. The t-orbits generate A
     exactly when those images span A/pA under N_p (see _frattini).
     """
-    return all(_spans(coord_tuples, p, I, Np if orbit else None)
+    return all(_spans(rows, p, I, Np if orbit else None)
                for p, I, Np in _frattini(spec))
 
 
@@ -465,7 +468,7 @@ def generates(elems, spec=None):
     found = _same_spec(*elems)
     if spec is not None and spec != found:
         raise GroupMismatch("elements do not belong to the given spec")
-    return _coords_generate(found, tuple(sorted({e.coords for e in elems})))
+    return _coords_generate(found, frozenset(e.coords for e in elems))
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ def _validate(data):
         sub, chain.from_iterable(MTX),
         chain.from_iterable(mat_mul(MX, transpose(spec.action)))),
         cycle(spec.orders)))
-    gen = abelian._coords_generate(spec, tuple(sorted(set(X))))
+    gen = abelian._coords_generate(spec, frozenset(X))
     genus_ok = len(X) >= _min_generators(spec)
     return ValidationReport(gen, equation, genus_ok,
                             gen and equation and genus_ok)
@@ -250,7 +250,7 @@ def enumerate_colourings(matrix, spec, budget=10 ** 7):
     found = abelian.linear_kernel(transpose(M), negM, spec, budget)
     return abelian.elements_of_rows(spec, [
         V for V in found
-        if abelian._coords_generate(spec, tuple(sorted(set(V))))])
+        if abelian._coords_generate(spec, frozenset(V))])
 
 
 # ---------------------------------------------------------------------------

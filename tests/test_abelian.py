@@ -1,6 +1,6 @@
 import random
 import time
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +13,8 @@ from knotcolour.errors import (
     GroupMismatch,
     NotOrderM,
 )
-from util import TREFOIL_L, mat_mul_spy, slow_mat_pow
+from util import (
+    TREFOIL_L, mat_mul_spy, slow_linear_kernel, slow_mat_pow)
 
 
 def closure_generates(spec, coord_tuples):
@@ -355,6 +356,47 @@ class TestLinearKernel:
     def test_rejects_missing_spec(self):
         with pytest.raises(BadParameters, match="expected a GroupSpec"):
             abelian.linear_kernel(((1,),), ((1,),), None, 10 ** 7)
+
+    def test_matches_brute_force(self):
+        """linear_kernel equals the walk over A^n, order and row shape
+        included: P and Q with 0-3 rows and 0-3 columns, square or not,
+        over compatible actions of rank 1-3 on equal and mixed orders,
+        and over the raw rank-0 spec, whose one solution is n empty
+        rows."""
+        seen = set()
+
+        @settings(deadline=None, max_examples=200, derandomize=True)
+        @given(st.integers(0, 10 ** 6))
+        def check(seed):
+            rng = random.Random(seed)
+            r = rng.randrange(4)
+            if rng.randrange(2):
+                orders = (rng.choice((2, 3, 4, 5)),) * r
+            else:
+                orders = tuple(rng.choice((2, 3, 4, 6)) for _ in range(r))
+            # n_i | N_ij n_j: N_ij a multiple of n_i / gcd(n_i, n_j)
+            spec = abelian.GroupSpec(2, orders, tuple(
+                tuple(rng.randrange(0, a, a // gcd(a, b)) for b in orders)
+                for a in orders))
+            rows, cols = rng.randrange(4), rng.randrange(4)
+            while prod(orders) ** cols > 5000:
+                cols -= 1
+            P, Q = ([[rng.randrange(-2, 3) for _ in range(cols)]
+                     for _ in range(rows)] for _ in range(2))
+            want = slow_linear_kernel(P, Q, spec)
+            assert abelian.linear_kernel(P, Q, spec, 10 ** 7) == want
+            seen.add(("rank", r, len(set(orders)) > 1))
+            seen.add(("shape", rows, cols if rows else None))
+
+        check()
+        assert {k for k in seen if k[0] == "rank"} == {
+            ("rank", 0, False), ("rank", 1, False), ("rank", 2, False),
+            ("rank", 2, True), ("rank", 3, False), ("rank", 3, True)}
+        assert {k for k in seen if k[0] == "shape"} == {("shape", 0, None)} | {
+            ("shape", i, j) for i in (1, 2, 3) for j in (0, 1, 2, 3)}
+        raw = abelian.GroupSpec(2, (), ())
+        assert abelian.linear_kernel([[1, 0]], [[0, 1]], raw, 10 ** 7) == \
+            slow_linear_kernel([[1, 0]], [[0, 1]], raw) == [((), ())]
 
 
 class TestWedge:

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from knotcolour import (
     abelian, classify, cli, diagram, invariants, surface_data)
 from util import (
-    FIG8_L, TREFOIL_L, outcome, rand_unimodular, random_group_spec)
+    FIG8_L, FIG8_R, TREFOIL_L, TREFOIL_R, outcome, rand_unimodular,
+    random_group_spec)
 
 D6_JSON = {"m": 2, "orders": [3], "action": [[2]]}
 A4_JSON = {"m": 3, "orders": [2, 2], "action": [[0, 1], [1, 1]]}
@@ -662,6 +663,100 @@ class TestPowerCorpus:
             ("make_group", "FixedPoints"), ("make_group", "BadParameters"),
             ("structured_lift", "tuple"), ("structured_lift", "LiftFailure"),
             ("structured_lift", "BudgetExceeded")}
+        assert digest.hexdigest() == self.FROZEN_DIGEST, digest.hexdigest()
+
+class TestEnumerateCorpus:
+    FROZEN_DIGEST = (
+        "ecbdb8c0c102f07933fb943cb4392418c5454f5a4a088c36577ec461550b0364")
+    # the groups, Seifert matrices and cases of the enumerate workload
+    GROUPS = {
+        "D6": D6_JSON,
+        "D10": {"m": 2, "orders": [5], "action": [[4]]},
+        "D14": {"m": 2, "orders": [7], "action": [[6]]},
+        "A4": A4_JSON,
+        "C2(Z3)^2": {"m": 2, "orders": [3, 3], "action": [[2, 0], [0, 2]]},
+        "C2(Z3xZ5)": {"m": 2, "orders": [3, 5], "action": [[2, 0], [0, 4]]},
+        "C7(Z2)^3": {"m": 7, "orders": [2, 2, 2],
+                     "action": [[0, 0, 1], [1, 0, 1], [0, 1, 0]]},
+    }
+    SEIFERT = {
+        "3_1^l": TREFOIL_L, "3_1^r": TREFOIL_R,
+        "4_1^l": FIG8_L, "4_1^r": FIG8_R,
+        "c6_g1": ((3, 1), (2, 3)),
+        "c6_g2": ((3, 1, 0, 0), (2, 0, 0, 0), (0, 0, 5, 2), (0, 0, 3, 0)),
+    }
+    SURFACE_CASES = (
+        ("3_1^l", "D6"), ("4_1^l", "D6"), ("3_1^r#4_1^r", "D6"),
+        ("3_1^l#3_1^l#4_1^l", "D6"),
+        ("3_1^l", "D10"), ("4_1^r", "D10"), ("3_1^l#4_1^l", "D10"),
+        ("3_1^r#3_1^r#4_1^l", "D10"),
+        ("3_1^l", "D14"), ("4_1^l#4_1^r", "D14"),
+        ("3_1^l", "A4"), ("3_1^l#3_1^l", "A4"), ("3_1^l#4_1^l#3_1^r", "A4"),
+        ("c6_g1", "C2(Z3)^2"), ("c6_g1#3_1^l", "C2(Z3)^2"),
+        ("c6_g2", "C2(Z3xZ5)"),
+        ("3_1^l", "C7(Z2)^3"), ("4_1^l#3_1^l", "C7(Z2)^3"),
+    )
+    DIAGRAM_GROUPS = ("D6", "D10", "A4")
+
+    def block_sum(self, knot):
+        parts = [self.SEIFERT[p] for p in knot.split("#")]
+        size = sum(map(len, parts))
+        out, at = [], 0
+        for part in parts:
+            out += [[0] * at + list(row) + [0] * (size - at - len(row))
+                    for row in part]
+            at += len(part)
+        return out
+
+    def test_colourings_and_bytes_frozen(self, capsys, tmp_path):
+        """The SHA-256 over the coordinate rows of every colouring, in
+        order, of the enumerate workload's 18 surface cases (each matrix
+        moved to U^T M U by a seeded unimodular U) and 27 catalog-diagram
+        cases, and over the stdout of CLI enumerate and colour-diagram on
+        each of them."""
+        rng = random.Random(32)
+        digest = hashlib.sha256()
+        counts = []
+
+        def record(*parts):
+            digest.update(repr(parts).encode())
+
+        def write(name, obj):
+            path = tmp_path / name
+            path.write_text(json.dumps(obj))
+            return str(path)
+
+        for knot, g in self.SURFACE_CASES:
+            spec = abelian.group_from_json(self.GROUPS[g])
+            M = self.block_sum(knot)
+            U = rand_unimodular(rng, len(M))
+            M = [[sum(U[k][i] * M[k][l] * U[l][j]
+                      for k in range(len(M)) for l in range(len(M)))
+                  for j in range(len(M))] for i in range(len(M))]
+            found = surface_data.enumerate_colourings(M, spec)
+            record(knot, g, M, [tuple(e.coords for e in V) for V in found])
+            code, out = run(capsys, [
+                "enumerate", "--group", write("g.json", self.GROUPS[g]),
+                "--matrix", write("m.json", M)])
+            assert code == 0 and json.loads(out)["count"] == len(found)
+            record(out)
+            counts.append(len(found))
+        for name, d in diagram.catalog().items():
+            for g in self.DIAGRAM_GROUPS:
+                spec = abelian.group_from_json(self.GROUPS[g])
+                found = diagram.enumerate_diagram_colourings(d, spec)
+                record(name, g, [[(arc, e.coords)
+                                  for arc, e in col.labels.items()]
+                                 for col in found])
+                code, out = run(capsys, [
+                    "colour-diagram", "--group",
+                    write("g.json", self.GROUPS[g]),
+                    "--pd", write("pd.json", diagram.diagram_to_json(d))])
+                assert code == 0 and json.loads(out)["count"] == len(found)
+                record(out)
+                counts.append(len(found))
+        assert len(counts) == 45 and counts.count(0) > 0
+        assert max(counts) == 624
         assert digest.hexdigest() == self.FROZEN_DIGEST, digest.hexdigest()
 
 

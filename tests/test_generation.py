@@ -1,7 +1,8 @@
 """Generation through the Frattini quotients A/pA: abelian._coords_generate
 (plain and with orbit closure) against the echelon and explicit-orbit
-oracles, _min_generators against the Smith count, what the two colouring
-enumerators run, and generates on any iterable."""
+oracles, one verdict and one cache entry per row set, _min_generators
+against the Smith count, what the two colouring enumerators run, and
+generates on any iterable."""
 
 import random
 import time
@@ -18,7 +19,7 @@ from knotcolour.errors import BadParameters, BudgetExceeded
 
 from util import (
     TREFOIL_L, construction_spy, rand_unimodular, slow_coords_generate,
-    slow_mat_pow, slow_orbit_generate)
+    random_group_spec, slow_mat_pow, slow_orbit_generate)
 
 ORDERS = (2, 4, 6, 12, 225)
 M_CHOICES = (2, 3, 4, 7)
@@ -154,6 +155,50 @@ def test_orbit_generation_matches_explicit_orbit():
 
     check()
     assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_generation_verdict_ignores_row_order():
+    """_coords_generate gives one verdict for a frozenset, a sorted tuple
+    and a reversed list (through the uncached function, as a list is not
+    hashable) of the same rows, with and without orbit, on make_group
+    specs with mixed orders."""
+    seen = set()
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(st.integers(0, 10 ** 6))
+    def check(seed):
+        rng = random.Random(seed)
+        spec = random_group_spec(rng, False, True)
+        rows = {tuple(rng.randrange(n) for n in spec.orders)
+                for _ in range(rng.randrange(5))}
+        if rng.randrange(4) == 0:  # scaled by a prime p | n_0: no span
+            p = next(p for p in range(2, 14) if spec.orders[0] % p == 0)
+            rows = {tuple(p * x % n for x, n in zip(row, spec.orders))
+                    for row in rows}
+        rows = sorted(rows)
+        for orbit in (False, True):
+            got = abelian._coords_generate(spec, frozenset(rows), orbit)
+            assert abelian._coords_generate(spec, tuple(rows), orbit) == got
+            assert abelian._coords_generate.__wrapped__(
+                spec, rows[::-1], orbit) == got
+            seen.add((orbit, got))
+
+    check()
+    assert seen == {(False, False), (False, True), (True, False),
+                    (True, True)}
+
+
+def test_validate_and_generates_share_one_cache_entry(a4):
+    """validate on a datum and then generates on its vector ask about
+    one row set, so the second call hits the entry the first made."""
+    V = surface_data.enumerate_colourings(TREFOIL_L, a4)[0]
+    data = surface_data.SurfaceData(a4, TREFOIL_L, V)
+    abelian._coords_generate.cache_clear()
+    assert surface_data.validate(data).valid
+    assert abelian._coords_generate.cache_info().currsize == 1
+    assert abelian.generates(data.vector)
+    info = abelian._coords_generate.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("orders", [

@@ -2,7 +2,8 @@
 matrices, the index-loop oracle for _intlin.mat_mul and the
 repeated-product oracle for _intlin.mat_pow, the Smith-form
 oracles for _intlin.inverse_unimodular and _intlin.kernel_mod, the
-echelon and explicit-orbit oracles for abelian._coords_generate, random
+brute-force oracle for abelian.linear_kernel, the echelon and
+explicit-orbit oracles for abelian._coords_generate, random
 S-equivalence moves, the fixture data pool, the backtracking oracle for
 diagram colourings, the GroupElement oracle for an integer matrix
 acting on a vector, the GroupElement oracles for validate,
@@ -117,6 +118,24 @@ def slow_kernel_mod(F, mods_in, mods_out):
         span |= {tuple((a + b) % n for a, b, n in zip(s, x, mods_in))
                  for x in steps for s in span}
     return sorted(span)
+
+
+def slow_linear_kernel(P, Q, spec):
+    """Brute-force oracle for abelian.linear_kernel: walk every V in A^n,
+    n the column count of P, row by row in lexicographic order, and keep
+    each V with sum_j (P_ij v_j + Q_ij N v_j) = 0 in A for every row i
+    of P, N the action."""
+    orders, N = spec.orders, spec.action
+    r = len(orders)
+
+    def vanishes(prow, qrow, V):
+        return all(sum(p * v[c] + q * sum(N[c][d] * v[d] for d in range(r))
+                       for p, q, v in zip(prow, qrow, V)) % orders[c] == 0
+                   for c in range(r))
+
+    return [V for V in product(product(*map(range, orders)),
+                               repeat=len(P[0]) if P else 0)
+            if all(vanishes(prow, qrow, V) for prow, qrow in zip(P, Q))]
 
 
 def slow_coords_generate(spec, coord_tuples):

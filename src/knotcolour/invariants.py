@@ -9,27 +9,25 @@ per cyclic factor with that factor's modulus and return a group element;
 s is the form M^T - M on the columns of X.
 All three run on the integer coordinate matrix X of the vector (one row
 per entry) and read M only through the datum's product pair (MX, M^T X)
-over Z (SurfaceData._products). The moves carry the pair from their
-source's, so a moved datum forms no product of its own; it is still
-validated before an invariant reads it. Every lift that su and cu pair
-is X times an r x r right factor, so each total is a pairing of the
-datum's Gram matrix G = X^T (MX) (SurfaceData._gram) with an r x r
-matrix of the spec alone, cached per spec: W_c for su (_su_forms) and
-Z_c for cu at m <= 3 (_cu_forms); s reads G itself. The lift hooks and
-cu at m >= 4 keep the per-block path: the lifts' products, stacked by
-surface_data._steps, divided entry by entry (_divided_sum).
+over Z (SurfaceData._products). Every lift that su and cu pair is X
+times an r x r right factor, so each total is a pairing of the datum's
+Gram matrix G = X^T (MX) (SurfaceData._gram) with an r x r matrix of the
+spec alone, cached per spec: W_c for su (_su_forms) and Z_c for cu at
+m <= 3 (_cu_forms); s reads G itself. The lift hooks and cu at m >= 4
+keep the per-block path: per factor, one lazy stream of the lifts'
+columns (_steps), each entry divided as it comes (_divided_sum).
 GroupElement and WedgeElement2 appear only in their values.
 """
 
 from functools import lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, cycle, islice, pairwise, product
 from math import lcm, prod
-from operator import floordiv, mod, mul, sub
+from operator import mul, sub
 
 from . import abelian
 from ._intlin import (
-    _euclid, check_budget, echelon_mod, identity, mat_mul, mat_pow, solve_mod,
-    transpose)
+    _euclid, check_budget, echelon_mod, identity, mat_mul, mat_pow, mat_vec,
+    solve_mod, transpose)
 from .errors import (
     BadParameters,
     DivisibilityFailure,
@@ -38,21 +36,32 @@ from .errors import (
     InvalidData,
     LiftFailure,
 )
-from .surface_data import SurfaceData, _product_pair, _steps, validate
+from .surface_data import SurfaceData, _product_pair, validate
 
 # most lift candidates searched over unequal orders
 LIFT_BUDGET = 10 ** 7
 
 
-def _divided_sum(ys, ws, n, c, what):
-    """sum of y w / n over the integers ys and ws in step; the division is
-    exact, or DivisibilityFailure names the first w that is not."""
-    ws = tuple(ws)
-    if any(map(mod, ws, repeat(n))):
-        w = next(w for w in ws if w % n)
-        raise DivisibilityFailure(
-            f"{what} {w} not divisible by {n} in factor {c}")
-    return sum(map(mul, ys, map(floordiv, ws, repeat(n))))
+def _divided_sum(pairs, n, c, what):
+    """sum of y w / n over the integer pairs (y, w) in order, read up to
+    the first w that n does not divide, which DivisibilityFailure names."""
+    total = 0
+    for y, w in pairs:
+        if w % n:
+            raise DivisibilityFailure(
+                f"{what} {w} not divisible by {n} in factor {c}")
+        total += y * (w // n)
+    return total
+
+
+def _steps(Y, products, F, c):
+    """Column c of (Y_j; M Y_j; M^T Y_j), Y_j = Y (F^T)^j, for j = 0, 1,
+    ... as read: S a_j, S the rows of Y, MY, M^T Y and a_j = e_c F^j."""
+    S, a = (*Y, *products[0], *products[1]), identity(len(F))[c]
+    FT = transpose(F)
+    while True:
+        yield mat_vec(S, a)
+        a = mat_vec(FT, a)
 
 
 def su(data, lifts=None):
@@ -96,7 +105,7 @@ def su(data, lifts=None):
     if not validate(data).valid:
         raise InvalidData("su needs valid surface data")
     spec = data.spec
-    m, r, size = spec.m, spec.rank, data.size
+    m, r, size, N = spec.m, spec.rank, data.size, spec.action
     if lifts is None:
         if _acts(spec):
             g = tuple(chain.from_iterable(data._gram))
@@ -104,23 +113,23 @@ def su(data, lifts=None):
                 _paired(g, W, n, c) % n
                 for c, (n, W) in enumerate(zip(spec.orders,
                                                _su_forms(spec)))))
-        orbit = _steps(data._coords, data._products, spec.action, m)
+        lifts, k = [(data._coords, data._products)], max(m, 0)
+    elif not isinstance(lifts, (list, tuple)) or len(lifts) != m or \
+            any(not isinstance(b, (list, tuple)) or len(b) != size
+                for b in lifts):
+        raise BadParameters("lifts must give m blocks of one row per entry")
     else:
-        if not isinstance(lifts, (list, tuple)) or len(lifts) != m or \
-                any(not isinstance(b, (list, tuple)) or len(b) != size
-                    for b in lifts):
-            raise BadParameters("lifts must give m blocks of one row per entry")
-        orbit = [_steps(Y, _product_pair(data.matrix, Y), spec.action, 1)[0]
-                 for Y in (abelian.int_rows(b, "lifts", size, r)
-                           for b in lifts)]
+        lifts, k = [(Y, _product_pair(data.matrix, Y)) for Y in (
+            abelian.int_rows(b, "lifts", size, r) for b in lifts)], 1
     Y, P, Q = slice(size), slice(size, 2 * size), slice(2 * size, None)
     out = []
     for c, n in enumerate(spec.orders):
-        cols = [step[c] for step in orbit]
-        ys = chain.from_iterable(col[Y] for col in cols)
-        ws = chain.from_iterable(map(sub, cols[(j + 1) % m][P], cols[j][Q])
-                                 for j in range(m))
-        out.append(_divided_sum(ys, ws, n, c, "pairing entry") % n)
+        # m orbit columns or each lift's first; pairs closed at x_m := x_0
+        cols = chain.from_iterable(islice(_steps(*s, N, c), k) for s in lifts)
+        pairs = chain.from_iterable(
+            zip(a[Y], map(sub, b[P], a[Q]))
+            for a, b in islice(pairwise(cycle(cols)), max(m, 0)))
+        out.append(_divided_sum(pairs, n, c, "pairing entry") % n)
     return abelian.element(spec, tuple(out))
 
 
@@ -207,19 +216,23 @@ def _cu_forms(spec):
 def _hensel_lift(m, n, N):
     """N + n X for the least X with (N + n X)^m = I mod n^2, or None:
     X runs over x0 (solve_mod) plus L = {X : F X = 0 mod n}, which holds
-    n Z^(r^2). A _euclid pass at each position i over L's echelon_mod span,
+    n Z^(r^2). As (N + n E)^m = N^m + n sum_a N^a E N^(m-1-a) mod n^2,
+    column (k, l) of F is ((N + n E_kl)^m - N^m) / n mod n, one mat_pow
+    each. A _euclid pass at each position i over L's echelon_mod span,
     retiring each pivot p, leaves a triangular basis (p[i] | n), so X[i]
     mod |p[i]| in order of i is the lex-least X; no point of L is listed."""
     r, sq = len(N), n * n
-    powers = [identity(r)]
-    for _ in range(m):
-        powers.append([[x % sq for x in row] for row in mat_mul(powers[-1], N)])
-    residue = [powers[m][i][j] - (i == j) for i in range(r) for j in range(r)]
+    Nm = mat_pow(N, m, [sq] * r)
+    residue = [Nm[i][j] - (i == j) for i in range(r) for j in range(r)]
     if any(x % n for x in residue):
         return None
-    F = [[sum(powers[a][i][k] * powers[m - 1 - a][l][j] for a in range(m))
-          for k in range(r) for l in range(r)]
-         for i in range(r) for j in range(r)]
+
+    def column(k):
+        E = [list(row) for row in N]
+        E[k // r][k % r] += n
+        return [(x - y) % sq // n for u, v in zip(mat_pow(E, m, [sq] * r), Nm)
+                for x, y in zip(u, v)]
+    F = transpose([column(k) for k in range(r * r)])
     mods = [n] * (r * r)
     x0 = solve_mod(F, [-x // n for x in residue], mods)
     if x0 is None:
@@ -261,7 +274,7 @@ def structured_lift(spec):
     -(N^m - I)/n mod n (Hensel's one-step lift), and row-major order on C
     is lex order on X mod n. So C is N + n X for the least X in a
     particular solution (solve_mod) plus the kernel lattice, read off its
-    triangular basis with no listing and so no budget (_hensel_lift).
+    triangular basis with no listing, budget or O(m) work (_hensel_lift).
     Unequal orders: with C = N + diag(n_i) X the second-order terms need
     not vanish mod n_i^2, and the first lift can have cross entries that
     the linearised system misses, so the box is searched, BudgetExceeded
@@ -311,9 +324,9 @@ def cu(data, nlift=None, vlift=None):
     contradict them, so it is InternalInconsistency: the per-entry
     DivisibilityFailure names an entry, which the total does not hold.
     Otherwise M x_a and M^T x_a are the product pair (MX, M^T X) times
-    (C^T)^a (_steps under C): the same integers as multiplying by M
-    directly, divided entry by entry, so a DivisibilityFailure names the
-    same entry.
+    (C^T)^a, streamed per factor (_steps under C): the same integers as
+    multiplying by M directly, divided in order, so a DivisibilityFailure
+    names the same entry and no later block is formed.
 
     The derivations use the colouring equation M^T V = M t.V, which
     gives M^T x_a = M x_{a+1} mod n, x_{a+1} any lift of t^{a+1} V in
@@ -341,13 +354,14 @@ def cu(data, nlift=None, vlift=None):
 
     m >= 4: no valid datum passes the per-entry division, so cu raises
     DivisibilityFailure (after the lift's own LiftFailure or
-    BudgetExceeded). Suppose every entry divides, in every factor.
-    Block 0 of L x is M (1 + t + t^2) V and block 1 is
-    M (1 + t + t^2 + t^3) V mod n, so M sigma = 0 in A^2g for both sums
-    sigma. Then M^T sigma = t.(M sigma) = 0 by the colouring equation,
-    so (M - M^T) sigma = 0, and M - M^T is unimodular: both sums are 0.
-    Their difference t^3 V is 0, so V = 0, which does not generate A.
-    The lift only picks which entry the message names.
+    BudgetExceeded). Block 0 of L x is M (1 + t + t^2) V and block 1 is
+    M (1 + t + t^2 + t^3) V mod n. If both divide, M sigma = 0 for both
+    sums sigma, so M^T sigma = t.(M sigma) = 0 by the colouring equation
+    and sigma = 0 (M - M^T is unimodular); then t^3 V = 0, and V = 0
+    does not generate A. For a diagonal action this holds in each factor
+    c alone, as row c of C is xi_c e_c mod n_c and xi_c a unit: so each
+    factor fails within blocks 0-1, and its stream forms at most three
+    steps. The lift only picks which entry the message names.
 
     ``nlift`` (r x r) and ``vlift`` (one row of r ints per entry) may
     override C and the minimal vector lift (testing hooks for the
@@ -379,18 +393,18 @@ def cu(data, nlift=None, vlift=None):
             raise BadParameters("vector lift must have one row per entry")
         base = abelian.int_rows(vlift, "vector lift", size, r)
         products = _product_pair(data.matrix, base)
-    blocks = _steps(base, products, C, m - 1)
     zero = (0,) * (3 * size)
     Y, P, Q = slice(size), slice(size, 2 * size), slice(2 * size, None)
     out = []
     for c, n in enumerate(orders):
-        cols = [zero] + [b[c] for b in blocks] + [zero]
-        ys = chain.from_iterable(col[Y] for col in cols[1:m])
-        ws = chain.from_iterable(
-            map(sum, zip(cols[a][P], cols[a - 1][P], cols[a][Q],
-                         cols[a + 1][Q])) for a in range(1, m))
-        out.append(_halved(
-            _divided_sum(ys, ws, n, c, "L(M) pairing entry"), n))
+        # blocks 0 .. m-2 between zero columns, read in windows of three
+        cols = chain((zero,), islice(_steps(base, products, C, c), m - 1),
+                     (zero,))
+        pairs = chain.from_iterable(
+            zip(b[Y], map(sum, zip(b[P], a[P], b[Q], d[Q])))
+            for (a, b), (_, d) in pairwise(pairwise(cols)))
+        out.append(_halved(_divided_sum(pairs, n, c, "L(M) pairing entry"),
+                           n))
     return abelian.element(spec, tuple(out))
 
 

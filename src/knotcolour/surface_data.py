@@ -12,13 +12,11 @@ when first read. A datum also caches one product pair
 when first read. Validation and the invariants read M only through it:
 validation checks the colouring equation as M^T X = (MX) N^T, one
 product by the action N, and s, su and cu at m <= 3 read the cached
-r x r Gram matrix SurfaceData._gram = X^T (MX). _steps stacks the pair
-into the steps (Y_j; M Y_j; M^T Y_j), Y_j = X (F^T)^j, that only the
-invariants' lift hooks and cu at m >= 4 pair. The empty 0x0 datum is
-permitted (it can never validate over a nontrivial A, but keeps connect
-sums total).
+r x r Gram matrix SurfaceData._gram = X^T (MX); the invariants' per-block
+path streams from the pair. The empty 0x0 datum is permitted (it can
+never validate over a nontrivial A, but keeps connect sums total).
 
-The pair, G and the steps are _intlin.mat_mul products. The moves
+The pair and G are _intlin.mat_mul products. The moves
 and connect sums derive their output's pair exactly from their sources'
 pairs, at the cost of the rows they change, so a chain of moves forms
 the pair once, for its head. The validation report is not carried:
@@ -188,18 +186,6 @@ def _product_pair(M, X):
     of M."""
     return (tuple(map(tuple, mat_mul(M, X))),
             tuple(map(tuple, mat_mul(transpose(M), X))))
-
-
-def _steps(Y, products, F, count):
-    """The first count steps (Y_j; M Y_j; M^T Y_j), Y_j = Y (F^T)^j and
-    products = (MY, M^T Y), as one stacked column per factor (r empty
-    ones for an empty Y): step j + 1 is F times step j, so F applies to
-    all three parts at once."""
-    MY, MTY = products
-    steps = [tuple(zip(*Y, *MY, *MTY)) if Y else ((),) * len(F)]
-    for _ in range(count - 1):
-        steps.append(tuple(map(tuple, mat_mul(F, steps[-1]))))
-    return tuple(steps)
 
 
 def _min_generators(spec):

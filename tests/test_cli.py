@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from knotcolour import (
     abelian, classify, cli, diagram, invariants, surface_data)
 from util import (
-    FIG8_L, FIG8_R, TREFOIL_L, TREFOIL_R, outcome, rand_unimodular,
-    random_group_spec)
+    FIG8_L, FIG8_R, TREFOIL_L, TREFOIL_R, mat_mul_spy, outcome,
+    rand_unimodular, random_group_spec)
 
 D6_JSON = {"m": 2, "orders": [3], "action": [[2]]}
 A4_JSON = {"m": 3, "orders": [2, 2], "action": [[0, 1], [1, 1]]}
@@ -156,6 +156,46 @@ class TestInvariant:
         code, got = run_json(capsys, ["invariant", "--data",
                                       files("c3.json", data)])
         assert code == 0 and got["cu"] == [0, 0]
+
+
+class TestLargeM:
+    """classify and invariant at m = 6 * 10^6 over C_m x| Z/7 (action 3)
+    print m = 6's bytes, in well under a second under a product bound
+    that does not grow with m: cu's stream stops at the first entry of
+    L x that n does not divide, within blocks 0-1 for a diagonal action,
+    and the lift is a few powers reduced mod n^2."""
+
+    M = 6 * 10 ** 6
+
+    def bounded(self, capsys, argv):
+        start = time.perf_counter()
+        with mat_mul_spy(16 * self.M.bit_length()):
+            got = run(capsys, argv)
+        assert time.perf_counter() - start < 0.25
+        return got
+
+    def test_classify_metacyclic(self, capsys):
+        argv = ["classify", "metacyclic", "--n", "7", "--xi", "3", "--m"]
+        got = self.bounded(capsys, argv + [str(self.M)])
+        assert got == run(capsys, argv + ["6"])
+        assert got[0] == 2 and \
+            "L(M) pairing entry 328 not divisible by 7 in factor 0" in got[1]
+
+    def test_invariant(self, capsys, files):
+        """The first trefoil colouring."""
+        V = surface_data.enumerate_colourings(
+            TREFOIL_L, abelian.make_group(6, (7,), ((3,),)))[0]
+
+        def data(m):
+            return files(f"c{m}.json", {
+                "group": {"m": m, "orders": [7], "action": [[3]]},
+                "seifert": [list(row) for row in TREFOIL_L],
+                "vector": [list(v.coords) for v in V]})
+
+        got = self.bounded(capsys, ["invariant", "--data", data(self.M)])
+        assert got == run(capsys, ["invariant", "--data", data(6)])
+        assert got[0] == 2 and \
+            "entry -30 not divisible by 7 in factor 0" in got[1]
 
 
 class TestEnumerate:

@@ -847,6 +847,119 @@ class TestGramScaling:
         assert self.check((3, 3), RANK2_ACTION, RANK2_M, RANK2_V) == (2, 2)
 
 
+class TestLiftScaling:
+    """structured_lift at m = 6 * 10^6 over equal orders: N^m and each
+    column of the one-step system are single powers reduced mod n^2
+    (_hensel_lift), r^2 + 1 mat_pow calls on entries below n^4, in well
+    under a second; a list of the powers N^0 .. N^m would not finish."""
+
+    M = 6 * 10 ** 6
+
+    @pytest.mark.parametrize("orders, action, want", [
+        ((7,), ((3,),), ((31,),)),
+        ((13,) * 3, ((5, 0, 0), (0, 8, 0), (0, 0, 12)),
+         ((70, 0, 0), (0, 99, 0), (0, 0, 168)))])
+    def test_diagonal(self, orders, action, want):
+        """Each diagonal entry is the least N_cc + k n with
+        (N_cc + k n)^m = 1 mod n^2, by Python's pow."""
+        spec = abelian.make_group(self.M, orders, action)
+        r = len(orders)
+        invariants._lift.cache_clear()
+        start = time.perf_counter()
+        with mat_mul_spy(2 * (r * r + 1) * self.M.bit_length()) as calls:
+            got = invariants.structured_lift(spec)
+        assert time.perf_counter() - start < 0.25
+        assert all(abs(x) < 2 ** 32 for product in calls for F in product
+                   for row in F for x in row)
+        assert got == want
+        for c, (n, row) in enumerate(zip(orders, action)):
+            assert got[c][c] == next(
+                row[c] + k * n for k in range(n)
+                if pow(row[c] + k * n, self.M, n * n) == 1)
+
+
+class TestStream:
+    """su's per-block path and cu at m >= 4 read the columns of L x and
+    of the orbit from one lazy stream per factor (invariants._steps),
+    dividing each entry as it comes."""
+
+    @staticmethod
+    def agree(rng, data):
+        """su, cu, su under shifted lifts, cu under a shifted vector lift
+        and cu under the action against the oracles, messages included;
+        returns the five outcomes. su is compared on the orbit
+        X (N^T)^j over Z, which the per-block path pairs when a raw
+        action fails _acts."""
+        spec, V = data.spec, data.vector
+
+        def shift(coords):
+            return [x + n * rng.randrange(-2, 3)
+                    for x, n in zip(coords, spec.orders)]
+
+        lifts = [[shift(abelian.act_pow(v, j).coords) for v in V]
+                 for j in range(spec.m)]
+        vlift = [shift(v.coords) for v in V]
+        got = [outcome(invariants.su, data), outcome(invariants.cu, data),
+               outcome(invariants.su, data, lifts),
+               outcome(invariants.cu, data, vlift=vlift),
+               outcome(invariants.cu, data, spec.action)]
+        assert got == [
+            outcome(slow_su, data, TestClosedForms.orbit_lifts(data)),
+            outcome(slow_cu, data), outcome(slow_su, data, lifts),
+            outcome(slow_cu, data, vlift=vlift),
+            outcome(slow_cu, data, spec.action)]
+        return got
+
+    def test_matches_oracles_at_m4_and_up(self):
+        """Random specs with m in {4, 5, 6, 8}, equal and unequal orders
+        <= 7, from make_group (m = 5 only raw: no make_group spec of such
+        orders has it) or raw; colourings of random genus-1 and genus-2
+        matrices. The draws hold a non-diagonal make_group action, and a
+        failure in factor 1 after factor 0 divides."""
+        seen = set()
+
+        @settings(deadline=None, max_examples=60, derandomize=True)
+        @given(st.integers(0, 10 ** 6), st.booleans(), st.booleans())
+        def check(seed, equal, validated):
+            rng = random.Random(seed)
+            spec = random_group_spec(
+                rng, equal, validated, top=7,
+                m_choices=(4, 6, 8) if validated else (4, 5, 6, 8))
+            for _ in range(10):
+                M, _ = random_seifert(rng, [(spec, 2, None)])
+                found = surface_data.enumerate_colourings(M, spec)
+                if found:
+                    break
+            else:
+                return
+            diagonal = all(x == 0 for i, row in enumerate(spec.action)
+                           for j, x in enumerate(row) if i != j)
+            seen.add(("make_group" if validated else "raw", diagonal))
+            for V in rng.sample(found, min(2, len(found))):
+                for x in self.agree(rng, surface_data.SurfaceData(spec, M, V)):
+                    if not isinstance(x, tuple):
+                        seen.add(type(x))
+                    else:
+                        seen.add((x[0], x[1][-1]))  # x[1] ends "factor c"
+
+        check()
+        assert seen >= {("make_group", False), abelian.GroupElement,
+                        (DivisibilityFailure, "0"),
+                        (DivisibilityFailure, "1")}, seen
+
+    def test_failure_in_factor_1(self):
+        """Over the raw GroupSpec(6, (3, 2), ((2, 0), (0, 0))), whose
+        action fails _acts, su divides in factor 0 and not in factor 1."""
+        spec = abelian.GroupSpec(6, (3, 2), ((2, 0), (0, 0)))
+        data = surface_data.make_data(spec, ((-2, -3), (-2, -2)),
+                                      ((1, 0), (1, 1)))
+        assert surface_data.validate(data).valid
+        assert not invariants._acts(spec)
+        assert self.agree(random.Random(0), data)[0] == (
+            DivisibilityFailure,
+            "pairing entry -3 not divisible by 2 in factor 1")
+
+
 class TestProductPair:
     """validate, su, cu and s read M only through the datum's product pair
     (MX, M^T X); against the oracles of tests/util.py on C6 x| (Z/9 x Z/3)

@@ -216,23 +216,26 @@ class TestValidateOnce:
     def test_pair_and_gram_formed_once(self, a4, c6_93, monkeypatch):
         """On a fresh datum, validate, su, cu at m <= 3 and vector_class
         form the product pair once and the Gram matrix G once, and none
-        of them calls surface_data._steps; cu under a vector lift stacks
-        its m - 1 blocks through _steps and reads no G."""
+        of them opens an invariants._steps stream; cu under a vector lift
+        opens one stream per factor under the action, reads its m - 1
+        columns and reads no G."""
         pairs, grams, steps = [], [], []
         pair_body = surface_data._product_pair
         gram_body = surface_data.SurfaceData._gram.func
-        steps_body = surface_data._steps
+        steps_body = invariants._steps
 
-        def steps_spy(Y, products, F, count):
-            steps.append((F, count))
-            return steps_body(Y, products, F, count)
+        def steps_spy(Y, products, F, c):
+            read = []
+            steps.append((F, c, read))
+            for col in steps_body(Y, products, F, c):
+                read.append(col)
+                yield col
 
         gram = cached_property(lambda d: grams.append(d) or gram_body(d))
         gram.__set_name__(surface_data.SurfaceData, "_gram")
         monkeypatch.setattr(surface_data.SurfaceData, "_gram", gram)
         monkeypatch.setattr(surface_data, "_product_pair",
                             lambda M, X: pairs.append(X) or pair_body(M, X))
-        monkeypatch.setattr(surface_data, "_steps", steps_spy)
         monkeypatch.setattr(invariants, "_steps", steps_spy)
         M = ((-2, -3), (-2, -2))
         a4_data = surface_data.make_data(a4, ((1, 0), (1, 1)),
@@ -250,7 +253,8 @@ class TestValidateOnce:
             assert steps == []
         grams.clear()
         invariants.cu(a4_data, vlift=a4_data._coords)
-        assert steps == [(a4.action, 2)] and grams == []
+        assert [(F, c, len(read)) for F, c, read in steps] == \
+            [(a4.action, 0, 2), (a4.action, 1, 2)] and grams == []
 
     def test_memo_leaves_identity_alone(self, d6):
         """A validated datum and an equal fresh one compare, hash, print

@@ -12,8 +12,8 @@ invariants.vector_class, the search oracle for
 invariants.structured_lift, the listing oracle for
 invariants._hensel_lift, random group specs for them, and the
 per-entry oracle for classify._block, a spy on element construction
-and Smith calls, and a spy on _intlin.mat_mul that can bound its
-call count."""
+and Smith calls, and a spy on _intlin.mat_mul and _intlin.mat_vec that
+can bound their call counts."""
 
 from contextlib import contextmanager
 from functools import lru_cache
@@ -542,27 +542,43 @@ def construction_spy():
         yield built, smith_calls
 
 
+class _Products(list):
+    """The (A, B, A B) of every mat_mul call; the (A, v, A v) of every
+    mat_vec call apart, in .vecs."""
+
+
 @contextmanager
 def mat_mul_spy(limit=None):
     """Yields a list: inside the block, every _intlin.mat_mul call
     appends its (A, B, A B), so a test can count the products a call
-    forms and bound their entries. With a limit the spy also stands in
-    for the name in every package module that imported it, and past
-    limit calls it raises AssertionError instead of forming another
-    product, so a call whose product count grows with m fails fast."""
-    calls, mat_mul = [], _intlin.mat_mul
+    forms and bound their entries, and every _intlin.mat_vec call
+    appends its (A, v, A v) to the list's .vecs, kept apart. With a
+    limit the spy also stands in for both names in every package module
+    that imported them, and past limit calls of either it raises
+    AssertionError instead of forming another product, so a call whose
+    product count grows with m fails fast."""
+    calls = _Products()
+    calls.vecs = []
+    real = {"mat_mul": (_intlin.mat_mul, calls),
+            "mat_vec": (_intlin.mat_vec, calls.vecs)}
 
-    def spy(A, B):
-        if limit is not None and len(calls) >= limit:
-            raise AssertionError(f"more than {limit} mat_mul calls")
-        P = mat_mul(A, B)
-        calls.append((A, B, P))
-        return P
+    def spying(name):
+        body, seen = real[name]
 
+        def spy(A, B):
+            if limit is not None and len(seen) >= limit:
+                raise AssertionError(f"more than {limit} {name} calls")
+            P = body(A, B)
+            seen.append((A, B, P))
+            return P
+        return spy
+
+    spies = {name: spying(name) for name in real}
     modules = (_intlin,) if limit is None else (
         _intlin, abelian, surface_data, invariants)
     with pytest.MonkeyPatch.context() as mp:
         for module in modules:
-            if getattr(module, "mat_mul", None) is mat_mul:
-                mp.setattr(module, "mat_mul", spy)
+            for name, (body, _) in real.items():
+                if getattr(module, name, None) is body:
+                    mp.setattr(module, name, spies[name])
         yield calls

@@ -89,7 +89,8 @@ class _Record:
 
 
 class GroupSpec(_Record):
-    """Validated by make_group; direct construction performs no checks.
+    """Validated by make_group; direct construction checks only that m
+    is an int >= 1 (make_group's message), as every power of N needs it.
 
     Direct construction is deliberate for abelian-only carriers: some
     order tuples (e.g. (4, 6)) admit no fixed-point-free action at all,
@@ -101,6 +102,9 @@ class GroupSpec(_Record):
     action: tuple
 
     def __post_init__(self):
+        if type(self.m) is not int or self.m < 1:
+            raise BadParameters(
+                f"m must be a positive integer, got {self.m!r}")
         # the record hash re-hashes the nested tuples on every cache
         # lookup keyed on a spec; the value is the same
         object.__setattr__(

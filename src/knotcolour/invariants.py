@@ -13,9 +13,9 @@ over Z (SurfaceData._products). Every lift that su and cu pair is X
 times an r x r right factor, so each total is a pairing of the datum's
 Gram matrix G = X^T (MX) (SurfaceData._gram) with an r x r matrix of the
 spec alone, cached per spec: W_c for su (_su_forms) and Z_c for cu at
-m <= 3 (_cu_forms); s reads G itself. The lift hooks and cu at m >= 4
-keep the per-block path: per factor, one lazy stream of the lifts'
-columns (_steps), each entry divided as it comes (_divided_sum).
+m <= 3 (_cu_forms); s reads G itself. cu at m >= 4 and raw specs that
+fail _acts keep the per-block path: per factor, one lazy stream of the
+lifts' columns (_steps), each entry divided as it comes (_divided_sum).
 GroupElement and WedgeElement2 appear only in their values.
 """
 
@@ -36,7 +36,7 @@ from .errors import (
     InvalidData,
     LiftFailure,
 )
-from .surface_data import SurfaceData, _product_pair, validate
+from .surface_data import SurfaceData, validate
 
 # most lift candidates searched over unequal orders
 LIFT_BUDGET = 10 ** 7
@@ -54,17 +54,18 @@ def _divided_sum(pairs, n, c, what):
     return total
 
 
-def _steps(Y, products, F, c):
-    """Column c of (Y_j; M Y_j; M^T Y_j), Y_j = Y (F^T)^j, for j = 0, 1,
-    ... as read: S a_j, S the rows of Y, MY, M^T Y and a_j = e_c F^j."""
-    S, a = (*Y, *products[0], *products[1]), identity(len(F))[c]
+def _steps(data, F, c):
+    """Column c of (Y_j; M Y_j; M^T Y_j), Y_j = X (F^T)^j, for j = 0, 1,
+    ... as read: S a_j, S the rows of X, MX, M^T X and a_j = e_c F^j."""
+    MX, MTX = data._products
+    S, a = (*data._coords, *MX, *MTX), identity(len(F))[c]
     FT = transpose(F)
     while True:
         yield mat_vec(S, a)
         a = mat_vec(FT, a)
 
 
-def su(data, lifts=None):
+def su(data):
     """Orbit sum of the epsilon pairing: per factor c with modulus n,
     su_c = sum over j of <x_j, (M x_{j+1} - M^T x_j) / n>, x_j the column
     c of an integer lift of t^j V (j mod m).
@@ -80,7 +81,9 @@ def su(data, lifts=None):
     work grows with m past the O(r^3 log m) of W_c, once per spec. A
     total that does not divide is InternalInconsistency, as it would
     contradict the derivation below; a DivisibilityFailure, which names
-    an entry, comes only from the per-block path (below).
+    an entry, comes only from the per-block path, taken over a raw
+    GroupSpec that fails _acts: the orbit X (N^T)^j over Z, closed at X,
+    one stream of its m columns per factor (_steps).
 
     Why su mod n does not depend on the lifts, on valid data: replace
     x_j by x_j + n k. The term j changes by n k^T (M x_{j+1} - M^T x_j)
@@ -92,43 +95,24 @@ def su(data, lifts=None):
     gives M^T x_i = M x_{i+1} mod n for every i, as x_{i+1} = t.x_i mod
     n in column c. The same congruence makes every pairing entry
     divisible by n under any lifts.
-
-    ``lifts`` may supply the m integer lift matrices (one row of r ints
-    per vector entry) instead; their products with M are computed here
-    and divided entry by entry, a DivisibilityFailure naming the first
-    entry that does not divide. Any choice congruent to the coordinates
-    gives the same value, which the property suite exercises. Over a
-    raw GroupSpec whose action is not an automorphism of A with
-    N^m = I (make_group checks both; see _acts), the orbit takes the
-    same per-block path.
     """
     if not validate(data).valid:
         raise InvalidData("su needs valid surface data")
     spec = data.spec
-    m, r, size, N = spec.m, spec.rank, data.size, spec.action
-    if lifts is None:
-        if _acts(spec):
-            g = tuple(chain.from_iterable(data._gram))
-            return abelian.element(spec, tuple(
-                _paired(g, W, n, c) % n
-                for c, (n, W) in enumerate(zip(spec.orders,
-                                               _su_forms(spec)))))
-        lifts, k = [(data._coords, data._products)], max(m, 0)
-    elif not isinstance(lifts, (list, tuple)) or len(lifts) != m or \
-            any(not isinstance(b, (list, tuple)) or len(b) != size
-                for b in lifts):
-        raise BadParameters("lifts must give m blocks of one row per entry")
-    else:
-        lifts, k = [(Y, _product_pair(data.matrix, Y)) for Y in (
-            abelian.int_rows(b, "lifts", size, r) for b in lifts)], 1
+    if _acts(spec):
+        g = tuple(chain.from_iterable(data._gram))
+        return abelian.element(spec, tuple(
+            _paired(g, W, n, c) % n
+            for c, (n, W) in enumerate(zip(spec.orders, _su_forms(spec)))))
+    m, size = spec.m, data.size
     Y, P, Q = slice(size), slice(size, 2 * size), slice(2 * size, None)
     out = []
     for c, n in enumerate(spec.orders):
-        # m orbit columns or each lift's first; pairs closed at x_m := x_0
-        cols = chain.from_iterable(islice(_steps(*s, N, c), k) for s in lifts)
+        # the m orbit columns, pairs closed at x_m := x_0
+        cols = islice(_steps(data, spec.action, c), m)
         pairs = chain.from_iterable(
             zip(a[Y], map(sub, b[P], a[Q]))
-            for a, b in islice(pairwise(cycle(cols)), max(m, 0)))
+            for a, b in islice(pairwise(cycle(cols)), m))
         out.append(_divided_sum(pairs, n, c, "pairing entry") % n)
     return abelian.element(spec, tuple(out))
 
@@ -306,7 +290,7 @@ def _lift(spec):
     return None if C is None else tuple(tuple(row) for row in C)
 
 
-def cu(data, nlift=None, vlift=None):
+def cu(data):
     """Pair the lift x = (x_0; ...; x_{m-2}) of (V; t.V; ...; t^{m-2}.V)
     against the block tridiagonal linking form L(M), per factor c:
     Q = <x, L x / n>; for odd n return Q mod n, for even n the pairing
@@ -316,7 +300,7 @@ def cu(data, nlift=None, vlift=None):
     it is never built. Block a is X (C^T)^a, C the action N at m <= 3
     and the structured lift only at m >= 4.
 
-    At m <= 3 with no hook, Q is the total <G, Z_c> divided by n, G the
+    At m <= 3, Q is the total <G, Z_c> divided by n, G the
     datum's Gram matrix X^T (MX) and Z_c a matrix of the spec
     (_cu_forms). The derivations below show that on valid data every
     entry of L x is divisible by n there, so the total is, and Q is the
@@ -363,43 +347,27 @@ def cu(data, nlift=None, vlift=None):
     factor fails within blocks 0-1, and its stream forms at most three
     steps. The lift only picks which entry the message names.
 
-    ``nlift`` (r x r) and ``vlift`` (one row of r ints per entry) may
-    override C and the minimal vector lift (testing hooks for the
-    well-definedness properties); a ``vlift``'s products with M are
-    computed here. An ``nlift`` overrides C at every m and is
-    shape-checked at every m. Over a raw GroupSpec that fails _acts,
-    cu at m <= 3 also takes the per-block path.
+    Over a raw GroupSpec that fails _acts, cu at m <= 3 also takes the
+    per-block path, under C = N.
     """
     if not validate(data).valid:
         raise InvalidData("cu needs valid surface data")
     spec = data.spec
-    m, orders, r = spec.m, spec.orders, spec.rank
+    m, orders, size = spec.m, spec.orders, data.size
     if m < 2:
         raise BadParameters("cu needs m >= 2")
-    if nlift is None and vlift is None and m <= 3 and _acts(spec):
+    if m <= 3 and _acts(spec):
         g = tuple(chain.from_iterable(data._gram))
         return abelian.element(spec, tuple(
             _halved(_paired(g, Z, n, c), n)
             for c, (n, Z) in enumerate(zip(orders, _cu_forms(spec)))))
-    size = data.size
-    if nlift is not None:
-        C = abelian.int_rows(nlift, "nlift", r, r)
-    else:
-        C = spec.action if m <= 3 else structured_lift(spec)
-    if vlift is None:
-        base, products = data._coords, data._products
-    else:
-        if not isinstance(vlift, (list, tuple)) or len(vlift) != size:
-            raise BadParameters("vector lift must have one row per entry")
-        base = abelian.int_rows(vlift, "vector lift", size, r)
-        products = _product_pair(data.matrix, base)
+    C = spec.action if m <= 3 else structured_lift(spec)
     zero = (0,) * (3 * size)
     Y, P, Q = slice(size), slice(size, 2 * size), slice(2 * size, None)
     out = []
     for c, n in enumerate(orders):
         # blocks 0 .. m-2 between zero columns, read in windows of three
-        cols = chain((zero,), islice(_steps(base, products, C, c), m - 1),
-                     (zero,))
+        cols = chain((zero,), islice(_steps(data, C, c), m - 1), (zero,))
         pairs = chain.from_iterable(
             zip(b[Y], map(sum, zip(b[P], a[P], b[Q], d[Q])))
             for (a, b), (_, d) in pairwise(pairwise(cols)))

@@ -33,10 +33,14 @@ def closure_generates(spec, coord_tuples):
 
 class TestMakeGroup:
     def test_rejects_bad_m(self):
-        with pytest.raises(BadParameters):
-            abelian.make_group(0, (3,), ((2,),))
-        with pytest.raises(BadParameters):
-            abelian.make_group("2", (3,), ((2,),))
+        """make_group and a raw GroupSpec refuse m alike, message
+        included."""
+        for build in (abelian.make_group, abelian.GroupSpec):
+            for m in (0, -1, True, "2", 2.0):
+                with pytest.raises(BadParameters) as err:
+                    build(m, (3,), ((2,),))
+                assert str(err.value) == \
+                    f"m must be a positive integer, got {m!r}"
 
     def test_rejects_bad_orders(self):
         with pytest.raises(BadParameters):

@@ -66,6 +66,9 @@ MALFORMED = {
     "braid_closure": lambda d6: diagram.braid_closure(5, 2),
     "Diagram": lambda d6: diagram.Diagram(5, 0),
     "Diagram_short": lambda d6: diagram.Diagram(((1,),), 0),
+    "GroupSpec_m_zero": lambda d6: abelian.GroupSpec(0, (3,), ((2,),)),
+    "GroupSpec_m_negative": lambda d6: abelian.GroupSpec(-1, (3,), ((2,),)),
+    "GroupSpec_m_bool": lambda d6: abelian.GroupSpec(True, (3,), ((2,),)),
 }
 
 

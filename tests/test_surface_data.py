@@ -213,21 +213,25 @@ class TestValidateOnce:
         # a4_class may also check its own reference data on a cold cache
         assert [d for d in calls if d is data] == [data]
 
-    def test_pair_and_gram_formed_once(self, a4, c6_93, monkeypatch):
+    def test_pair_and_gram_formed_once(self, a4, c4z5, c6_93,
+                                       monkeypatch):
         """On a fresh datum, validate, su, cu at m <= 3 and vector_class
         form the product pair once and the Gram matrix G once, and none
-        of them opens an invariants._steps stream; cu under a vector lift
-        opens one stream per factor under the action, reads its m - 1
-        columns and reads no G."""
+        of them opens an invariants._steps stream. The per-block path
+        forms no G: cu at m = 4 over a diagonal action opens one stream
+        per factor under the structured lift and reads at most three
+        columns of it (cu's docstring), and su over a raw spec that fails
+        _acts one stream per factor under the action, which reads its m
+        columns."""
         pairs, grams, steps = [], [], []
         pair_body = surface_data._product_pair
         gram_body = surface_data.SurfaceData._gram.func
         steps_body = invariants._steps
 
-        def steps_spy(Y, products, F, c):
+        def steps_spy(data, F, c):
             read = []
             steps.append((F, c, read))
-            for col in steps_body(Y, products, F, c):
+            for col in steps_body(data, F, c):
                 read.append(col)
                 yield col
 
@@ -252,9 +256,20 @@ class TestValidateOnce:
             assert pairs == [data._coords] and grams == [data]
             assert steps == []
         grams.clear()
-        invariants.cu(a4_data, vlift=a4_data._coords)
-        assert [(F, c, len(read)) for F, c, read in steps] == \
-            [(a4.action, 0, 2), (a4.action, 1, 2)] and grams == []
+        c4z5_data = surface_data.make_data(c4z5, ((8, 0), (1, 1)),
+                                           [(1,), (3,)])
+        with pytest.raises(DivisibilityFailure):
+            invariants.cu(c4z5_data)
+        C = invariants.structured_lift(c4z5)
+        assert [(F, c) for F, c, _ in steps] == [(C, 0)]
+        assert 0 < len(steps[0][2]) <= 3 and grams == []
+        raw = abelian.GroupSpec(3, (7,), ((3,),))
+        V = surface_data.enumerate_colourings(TREFOIL_L, raw)[0]
+        steps.clear()
+        with pytest.raises(DivisibilityFailure):
+            invariants.su(surface_data.SurfaceData(raw, TREFOIL_L, V))
+        assert [(F, c) for F, c, _ in steps] == [(raw.action, 0)]
+        assert len(steps[0][2]) == raw.m and grams == []
 
     def test_memo_leaves_identity_alone(self, d6):
         """A validated datum and an equal fresh one compare, hash, print

@@ -7,7 +7,7 @@ explicit-orbit oracles for abelian._coords_generate, random
 S-equivalence moves, the fixture data pool, the backtracking oracle for
 diagram colourings, the GroupElement oracle for an integer matrix
 acting on a vector, the GroupElement oracles for validate,
-invariants.su and invariants.cu, the inverting oracle for
+invariants.su and invariants.cu (on any lifts), the inverting oracle for
 invariants.vector_class, the search oracle for
 invariants.structured_lift, the listing oracle for
 invariants._hensel_lift, random group specs for them, and the
@@ -335,7 +335,10 @@ def slow_validate(data):
 
 def slow_su(data, lifts=None):
     """Slow oracle for invariants.su: the orbit lifts from act_pow on each
-    element, and the pairing by explicit index loops over M and M^T."""
+    element, or the m given lift blocks, and the pairing by explicit
+    index loops over M and M^T. It is the lift-independence oracle: su
+    takes only the datum, so the tests compare su with this oracle on
+    shifted lifts."""
     if not slow_validate(data).valid:
         raise InvalidData("su needs valid surface data")
     spec, M, V = data.spec, data.matrix, data.vector
@@ -421,13 +424,18 @@ def slow_hensel_lift(m, n, N):
     return [[N[i][j] + n * X[i * r + j] for j in range(r)] for i in range(r)]
 
 
+# draws of m and orders before random_group_spec gives up
+SPEC_DRAWS = 1000
+
+
 def random_group_spec(rng, equal, validated, m_choices=(2, 3, 4),
                       top=13):
     """A random spec with m from m_choices and orders in [2, top]: equal
     orders of rank 1 or 2, or two distinct orders. Validated specs come
-    from make_group, redrawn until one passes; unvalidated ones are
-    GroupSpec with any compatible action, which may have no lift."""
-    while True:
+    from make_group, redrawn until one passes, for at most SPEC_DRAWS
+    draws of m and orders (AssertionError past them); unvalidated ones
+    are GroupSpec with any compatible action, which may have no lift."""
+    for _ in range(SPEC_DRAWS):
         m, r = rng.choice(m_choices), rng.choice((1, 2))
         if equal:
             orders = (rng.randrange(2, top + 1),) * r
@@ -443,6 +451,8 @@ def random_group_spec(rng, equal, validated, m_choices=(2, 3, 4),
                 return abelian.make_group(m, orders, N)
             except ArtifactError:
                 pass
+    raise AssertionError(f"no make_group spec in {SPEC_DRAWS} draws with m "
+                         f"in {m_choices} and orders <= {top}")
 
 
 def linking_form_matrix(matrix, m):
@@ -464,7 +474,10 @@ def linking_form_matrix(matrix, m):
 def slow_cu(data, nlift=None, vlift=None):
     """Slow oracle for invariants.cu: the dense linking form
     linking_form_matrix(M, m) applied to the stacked lift, one mat_vec
-    per lift block."""
+    per lift block. The action lift nlift (by default
+    slow_structured_lift) and the vector lift vlift (by default the
+    coordinates) may be given: it is the lift-independence oracle, as cu
+    takes only the datum."""
     if not slow_validate(data).valid:
         raise InvalidData("cu needs valid surface data")
     spec, M, V = data.spec, data.matrix, data.vector

@@ -89,12 +89,16 @@ class _Record:
 
 
 class GroupSpec(_Record):
-    """Validated by make_group; direct construction checks only that m
-    is an int >= 1 (make_group's message), as every power of N needs it.
+    """G = C_m |x A, A = Z/n_1 x ... x Z/n_r, t acting by the action N.
+    Construction runs make_group's checks but the fixed-point one, in
+    its order and with its messages: m an int >= 1, the orders, N an
+    r x r integer matrix, compatibility (n_i | N_ij n_j) and N^m = I on
+    A (by mat_pow). N is stored reduced, row i mod n_i, and is an
+    automorphism of A: N^(m-1) N = N^m = I there.
 
-    Direct construction is deliberate for abelian-only carriers: some
-    order tuples (e.g. (4, 6)) admit no fixed-point-free action at all,
-    yet the wedge layer only ever reads .orders.
+    Direct construction is for carriers with fixed points: some order
+    tuples (e.g. (4, 6)) admit no fixed-point-free action, yet the wedge
+    layer only reads .orders (unsafe_spec).
     """
 
     m: int
@@ -102,13 +106,31 @@ class GroupSpec(_Record):
     action: tuple
 
     def __post_init__(self):
-        if type(self.m) is not int or self.m < 1:
-            raise BadParameters(
-                f"m must be a positive integer, got {self.m!r}")
+        m = self.m
+        if type(m) is not int or m < 1:
+            raise BadParameters(f"m must be a positive integer, got {m!r}")
+        orders = _orders(self.orders)
+        r = len(orders)
+        action = int_rows(self.action, "action", r, r)
+        # homomorphism compatibility: n_j * column j must vanish, i.e.
+        # n_i | action[i][j] * n_j
+        for i in range(r):
+            for j in range(r):
+                if (action[i][j] * orders[j]) % orders[i] != 0:
+                    raise BadParameters(
+                        f"action entry ({i},{j}) is not compatible with "
+                        f"orders {orders[i]}, {orders[j]}")
+        N = tuple(tuple(x % n for x in row) for row, n in zip(action, orders))
+        for i, row in enumerate(mat_pow(N, m, orders)):
+            for j, x in enumerate(row):
+                if x != (i == j):
+                    raise NotOrderM(
+                        f"action^{m} != identity on A (entry {i},{j})")
+        fields = self.__dict__
+        fields["orders"], fields["action"] = orders, N
         # the record hash re-hashes the nested tuples on every cache
         # lookup keyed on a spec; the value is the same
-        object.__setattr__(
-            self, "_hash", hash((self.m, self.orders, self.action)))
+        fields["_hash"] = hash((m, orders, N))
 
     def __hash__(self):
         return self._hash
@@ -224,33 +246,11 @@ def _orders(orders):
 
 
 def make_group(m, orders, action):
-    """Validating factory for GroupSpec.
-
-    Checks, in order: well-formedness of the parameters, that the action
-    is a homomorphism for the given orders, N^m = I on A (by mat_pow,
-    reduced mod the orders), and invertibility of action - id (no
-    nonzero fixed points). The action is then an automorphism of A with
-    no further check: N^(m-1) N = N^m = I on A, so N^(m-1) inverts it.
-    """
-    if type(m) is not int or m < 1:
-        raise BadParameters(f"m must be a positive integer, got {m!r}")
-    orders = _orders(orders)
-    r = len(orders)
-    action = int_rows(action, "action", r, r)
-    # homomorphism compatibility: n_j * column j must vanish, i.e.
-    # n_i | action[i][j] * n_j
-    for i in range(r):
-        for j in range(r):
-            if (action[i][j] * orders[j]) % orders[i] != 0:
-                raise BadParameters(
-                    f"action entry ({i},{j}) is not compatible with orders "
-                    f"{orders[i]}, {orders[j]}")
-    N = [[action[i][j] % orders[i] for j in range(r)] for i in range(r)]
-    for i, row in enumerate(mat_pow(N, m, orders)):
-        for j, x in enumerate(row):
-            if x != (i == j):
-                raise NotOrderM(f"action^{m} != identity on A (entry {i},{j})")
-    spec = GroupSpec(m, orders, tuple(tuple(row) for row in N))
+    """Validating factory for GroupSpec: the spec's own checks (see
+    GroupSpec), then invertibility of action - id (no nonzero fixed
+    points), FixedPoints otherwise."""
+    spec = GroupSpec(m, orders, action)
+    N, orders, r = spec.action, spec.orders, spec.rank
     cols1 = [tuple((N[i][j] - (1 if i == j else 0)) % orders[i]
                    for i in range(r)) for j in range(r)]
     if not _coords_generate(spec, frozenset(cols1)):
@@ -325,8 +325,8 @@ def linear_kernel(P, Q, spec, budget):
     of one shape, as n reduced coordinate rows in lexicographic order
     (see kernel_mod). Entry (i, j) acts on A as P_ij I + Q_ij N, N the action.
     Each flat solution is cut into its n rows by zip over r references
-    to one iterator (at rank r = 0, into n empty rows). BadParameters
-    unless spec is a GroupSpec and P and Q share one shape.
+    to one iterator. BadParameters unless spec is a GroupSpec and P and
+    Q share one shape.
     """
     _expect(spec, GroupSpec)
     try:
@@ -340,7 +340,7 @@ def linear_kernel(P, Q, spec, budget):
     F = [[P[i][j] * (c == d) + Q[i][j] * N[c][d]
           for j in range(n) for d in range(r)]
          for i in range(len(P)) for c in range(r)]
-    return [tuple(zip(*[iter(x)] * r)) or ((),) * n
+    return [tuple(zip(*[iter(x)] * r))
             for x in kernel_mod(F, orders * n, orders * len(P), budget)]
 
 
@@ -439,7 +439,7 @@ def _spans(rows, p, I, Np):
 def _coords_generate(spec, rows, orbit=False):
     """Whether the set of coordinate rows (a frozenset at every caller,
     so one set takes one cache entry) generates A; with orbit, whether
-    their t-orbits do (for a spec from make_group, where N^m = I).
+    their t-orbits do.
 
     Burnside's basis theorem (M. Hall, The Theory of Groups, 1959, ch.
     12): a set generates the finite abelian A exactly when, for every
@@ -624,10 +624,10 @@ def group_from_json(obj):
 
 
 def unsafe_spec(orders):
-    """Raw abelian-only carrier: GroupSpec with m = 1 and the identity
-    action; only the orders are checked, as make_group checks them. For
-    the wedge layer over order tuples that admit no fixed-point-free
-    action; do not feed to su/cu.
+    """Abelian-only carrier: the GroupSpec with m = 1 and the identity
+    action, whose checks are those of the orders alone. For the wedge
+    layer over order tuples that admit no fixed-point-free action; its
+    data never validate (N = I leaves V = 0), so su and cu refuse them.
     """
     orders = _orders(orders)
-    return GroupSpec(1, orders, tuple(tuple(row) for row in identity(len(orders))))
+    return GroupSpec(1, orders, identity(len(orders)))

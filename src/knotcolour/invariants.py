@@ -13,16 +13,16 @@ over Z (SurfaceData._products). Every lift that su and cu pair is X
 times an r x r right factor, so each total is a pairing of the datum's
 Gram matrix G = X^T (MX) (SurfaceData._gram) with an r x r matrix of the
 spec alone, cached per spec: W_c for su (_su_forms) and Z_c for cu at
-m <= 3 (_cu_forms); s reads G itself. cu at m >= 4 and raw specs that
-fail _acts keep the per-block path: per factor, one lazy stream of the
-lifts' columns (_steps), each entry divided as it comes (_divided_sum).
+m <= 3 (_cu_forms); s reads G itself. cu at m >= 4 keeps the per-block
+path: per factor, one lazy stream of the lifts' columns (_steps), each
+entry divided as it comes (_divided_sum).
 GroupElement and WedgeElement2 appear only in their values.
 """
 
 from functools import lru_cache
-from itertools import chain, cycle, islice, pairwise, product
+from itertools import chain, islice, pairwise, product
 from math import lcm, prod
-from operator import mul, sub
+from operator import mul
 
 from . import abelian
 from ._intlin import (
@@ -42,14 +42,14 @@ from .surface_data import SurfaceData, validate
 LIFT_BUDGET = 10 ** 7
 
 
-def _divided_sum(pairs, n, c, what):
+def _divided_sum(pairs, n, c):
     """sum of y w / n over the integer pairs (y, w) in order, read up to
     the first w that n does not divide, which DivisibilityFailure names."""
     total = 0
     for y, w in pairs:
         if w % n:
             raise DivisibilityFailure(
-                f"{what} {w} not divisible by {n} in factor {c}")
+                f"L(M) pairing entry {w} not divisible by {n} in factor {c}")
         total += y * (w // n)
     return total
 
@@ -80,10 +80,7 @@ def su(data):
     (<G, W_c> mod n^2) / n mod n: W_c is needed only mod n^2, and no
     work grows with m past the O(r^3 log m) of W_c, once per spec. A
     total that does not divide is InternalInconsistency, as it would
-    contradict the derivation below; a DivisibilityFailure, which names
-    an entry, comes only from the per-block path, taken over a raw
-    GroupSpec that fails _acts: the orbit X (N^T)^j over Z, closed at X,
-    one stream of its m columns per factor (_steps).
+    contradict the derivation below, so su raises no DivisibilityFailure.
 
     Why su mod n does not depend on the lifts, on valid data: replace
     x_j by x_j + n k. The term j changes by n k^T (M x_{j+1} - M^T x_j)
@@ -99,22 +96,10 @@ def su(data):
     if not validate(data).valid:
         raise InvalidData("su needs valid surface data")
     spec = data.spec
-    if _acts(spec):
-        g = tuple(chain.from_iterable(data._gram))
-        return abelian.element(spec, tuple(
-            _paired(g, W, n, c) % n
-            for c, (n, W) in enumerate(zip(spec.orders, _su_forms(spec)))))
-    m, size = spec.m, data.size
-    Y, P, Q = slice(size), slice(size, 2 * size), slice(2 * size, None)
-    out = []
-    for c, n in enumerate(spec.orders):
-        # the m orbit columns, pairs closed at x_m := x_0
-        cols = islice(_steps(data, spec.action, c), m)
-        pairs = chain.from_iterable(
-            zip(a[Y], map(sub, b[P], a[Q]))
-            for a, b in islice(pairwise(cycle(cols)), m))
-        out.append(_divided_sum(pairs, n, c, "pairing entry") % n)
-    return abelian.element(spec, tuple(out))
+    g = tuple(chain.from_iterable(data._gram))
+    return abelian.element(spec, tuple(
+        _paired(g, W, n, c) % n
+        for c, (n, W) in enumerate(zip(spec.orders, _su_forms(spec)))))
 
 
 def _paired(g, F, n, c):
@@ -127,17 +112,6 @@ def _paired(g, F, n, c):
         raise InternalInconsistency(
             f"pairing total {t} not divisible by {n} in factor {c}")
     return t // n
-
-
-@lru_cache(maxsize=None)
-def _acts(spec):
-    """Whether the action is well defined on A (n_i | N_ij n_j) with
-    N^m = I there, as make_group checks and a raw GroupSpec need not be:
-    the closed forms of su and cu rest on both."""
-    orders, N = spec.orders, spec.action
-    return all(a * d % n == 0 for row, n in zip(N, orders)
-               for a, d in zip(row, orders)) and \
-        mat_pow(N, spec.m, orders) == identity(spec.rank)
 
 
 def _orbit_sums(N, c, k, sq):
@@ -307,7 +281,7 @@ def cu(data):
     sum of the per-entry quotients. A total that n does not divide would
     contradict them, so it is InternalInconsistency: the per-entry
     DivisibilityFailure names an entry, which the total does not hold.
-    Otherwise M x_a and M^T x_a are the product pair (MX, M^T X) times
+    At m >= 4, M x_a and M^T x_a are the product pair (MX, M^T X) times
     (C^T)^a, streamed per factor (_steps under C): the same integers as
     multiplying by M directly, divided in order, so a DivisibilityFailure
     names the same entry and no later block is formed.
@@ -317,6 +291,10 @@ def cu(data):
     column c (as in su), and that t - 1 is invertible on A: by the
     equation V = S^-1 M (t - 1) V with S = M^T - M, so every entry of V
     lies in (t - 1) A, and V generates A.
+
+    m = 1: N = I on A, so the equation gives (M^T - M) V = 0, hence
+    V = 0, which cannot generate A (rank >= 1): no datum is valid, and
+    su and cu raise InvalidData first.
 
     m = 2: there is one block, x_0 = V, and C is not read. N^2 = I on A
     and (N - I)(N + I) = N^2 - I, so N = -I on A. Hence
@@ -346,22 +324,17 @@ def cu(data):
     c alone, as row c of C is xi_c e_c mod n_c and xi_c a unit: so each
     factor fails within blocks 0-1, and its stream forms at most three
     steps. The lift only picks which entry the message names.
-
-    Over a raw GroupSpec that fails _acts, cu at m <= 3 also takes the
-    per-block path, under C = N.
     """
     if not validate(data).valid:
         raise InvalidData("cu needs valid surface data")
     spec = data.spec
     m, orders, size = spec.m, spec.orders, data.size
-    if m < 2:
-        raise BadParameters("cu needs m >= 2")
-    if m <= 3 and _acts(spec):
+    if m <= 3:
         g = tuple(chain.from_iterable(data._gram))
         return abelian.element(spec, tuple(
             _halved(_paired(g, Z, n, c), n)
             for c, (n, Z) in enumerate(zip(orders, _cu_forms(spec)))))
-    C = spec.action if m <= 3 else structured_lift(spec)
+    C = structured_lift(spec)
     zero = (0,) * (3 * size)
     Y, P, Q = slice(size), slice(size, 2 * size), slice(2 * size, None)
     out = []
@@ -371,8 +344,7 @@ def cu(data):
         pairs = chain.from_iterable(
             zip(b[Y], map(sum, zip(b[P], a[P], b[Q], d[Q])))
             for (a, b), (_, d) in pairwise(pairwise(cols)))
-        out.append(_halved(_divided_sum(pairs, n, c, "L(M) pairing entry"),
-                           n))
+        out.append(_halved(_divided_sum(pairs, n, c), n))
     return abelian.element(spec, tuple(out))
 
 

@@ -33,7 +33,7 @@ def closure_generates(spec, coord_tuples):
 
 class TestMakeGroup:
     def test_rejects_bad_m(self):
-        """make_group and a raw GroupSpec refuse m alike, message
+        """make_group and GroupSpec refuse m alike, message
         included."""
         for build in (abelian.make_group, abelian.GroupSpec):
             for m in (0, -1, True, "2", 2.0):
@@ -93,10 +93,11 @@ class TestMakeGroup:
         assert abelian.act(s2).coords == (1, 1)
 
     def test_accepted_actions_are_automorphisms(self):
-        """Whenever make_group accepts an action, its columns generate A
+        """Whenever GroupSpec accepts an action, its columns generate A
         (walked by the closure oracle) and N^(m-1) inverts N on A, so
-        make_group needs no automorphism check of its own. Actions are
-        drawn compatible with the orders, over ranks 1 to 3 and m = 1..6."""
+        neither GroupSpec nor make_group needs an automorphism check of
+        its own. Actions are drawn compatible with the orders, over ranks
+        1 to 3 and m = 1..6."""
         seen = set()
 
         @settings(deadline=None, max_examples=60, derandomize=True)
@@ -111,7 +112,7 @@ class TestMakeGroup:
                 N = [[rng.randrange(0, a, a // gcd(a, b)) for b in orders]
                      for a in orders]
                 try:
-                    spec = abelian.make_group(m, orders, N)
+                    spec = abelian.GroupSpec(m, orders, N)
                 except ArtifactError:
                     continue
                 cols = {tuple(row[j] for row in spec.action)
@@ -167,14 +168,18 @@ class TestPowerScaling:
 class TestSpecHash:
     def test_hash_is_the_generated_one(self, d6, a4, c2_35):
         """The cached hash is the record hash of (m, orders, action),
-        and == still compares the three fields."""
-        raw = abelian.GroupSpec(2, (3,), ((2,),))
-        for spec in (d6, a4, c2_35, raw, abelian.unsafe_spec((4, 6))):
+        and == still compares the three fields. GroupSpec stores lists as
+        tuples and the action reduced mod the orders."""
+        raws = [abelian.GroupSpec(2, (3,), ((2,),)),
+                abelian.GroupSpec(2, [3], [[2]]),
+                abelian.GroupSpec(2, (3,), ((5,),))]
+        for spec in (d6, a4, c2_35, *raws, abelian.unsafe_spec((4, 6))):
             assert hash(spec) == hash((spec.m, spec.orders, spec.action))
-        assert raw == d6 and hash(raw) == hash(d6)
-        assert len({raw, d6}) == 1
+        for raw in raws:
+            assert raw == d6 and hash(raw) == hash(d6)
+        assert len({*raws, d6}) == 1
         assert abelian.GroupSpec(2, (3,), ((1,),)) != d6
-        assert abelian.GroupSpec(3, (3,), ((2,),)) != d6
+        assert abelian.GroupSpec(4, (3,), ((2,),)) != d6
         assert repr(d6) == "GroupSpec(m=2, orders=(3,), action=((2,),))"
 
 
@@ -365,23 +370,34 @@ class TestLinearKernel:
         """linear_kernel equals the walk over A^n, order and row shape
         included: P and Q with 0-3 rows and 0-3 columns, square or not,
         over compatible actions of rank 1-3 on equal and mixed orders,
-        and over the raw rank-0 spec, whose one solution is n empty
-        rows."""
+        each with m its order on A (an action with none is redrawn). A
+        rank-0 spec does not exist: GroupSpec refuses empty orders."""
         seen = set()
 
         @settings(deadline=None, max_examples=200, derandomize=True)
         @given(st.integers(0, 10 ** 6))
         def check(seed):
             rng = random.Random(seed)
-            r = rng.randrange(4)
+            r = rng.randrange(1, 4)
             if rng.randrange(2):
                 orders = (rng.choice((2, 3, 4, 5)),) * r
             else:
                 orders = tuple(rng.choice((2, 3, 4, 6)) for _ in range(r))
-            # n_i | N_ij n_j: N_ij a multiple of n_i / gcd(n_i, n_j)
-            spec = abelian.GroupSpec(2, orders, tuple(
-                tuple(rng.randrange(0, a, a // gcd(a, b)) for b in orders)
-                for a in orders))
+            one = tuple(map(tuple, lin.identity(r)))
+            while True:
+                # n_i | N_ij n_j: N_ij a multiple of n_i / gcd(n_i, n_j)
+                N = tuple(tuple(rng.randrange(0, a, a // gcd(a, b))
+                                for b in orders) for a in orders)
+                # the powers of N up to the first repeat end at I exactly
+                # when N has an order on A, which is then their count
+                powers, P = [], N
+                while P not in powers:
+                    powers.append(P)
+                    P = tuple(tuple(x % n for x in row)
+                              for row, n in zip(lin.mat_mul(P, N), orders))
+                if powers[-1] == one:
+                    break
+            spec = abelian.GroupSpec(len(powers), orders, N)
             rows, cols = rng.randrange(4), rng.randrange(4)
             while prod(orders) ** cols > 5000:
                 cols -= 1
@@ -394,13 +410,12 @@ class TestLinearKernel:
 
         check()
         assert {k for k in seen if k[0] == "rank"} == {
-            ("rank", 0, False), ("rank", 1, False), ("rank", 2, False),
-            ("rank", 2, True), ("rank", 3, False), ("rank", 3, True)}
+            ("rank", 1, False), ("rank", 2, False), ("rank", 2, True),
+            ("rank", 3, False), ("rank", 3, True)}
         assert {k for k in seen if k[0] == "shape"} == {("shape", 0, None)} | {
             ("shape", i, j) for i in (1, 2, 3) for j in (0, 1, 2, 3)}
-        raw = abelian.GroupSpec(2, (), ())
-        assert abelian.linear_kernel([[1, 0]], [[0, 1]], raw, 10 ** 7) == \
-            slow_linear_kernel([[1, 0]], [[0, 1]], raw) == [((), ())]
+        with pytest.raises(BadParameters, match="orders must be nonempty"):
+            abelian.GroupSpec(2, (), ())
 
 
 class TestWedge:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from knotcolour import _intlin, abelian, classify, diagram, surface_data
-from knotcolour.errors import BadParameters, BudgetExceeded
+from knotcolour.errors import ArtifactError, BadParameters, BudgetExceeded
 
 from util import TREFOIL_L
 
@@ -71,11 +71,39 @@ MALFORMED = {
     "GroupSpec_m_bool": lambda d6: abelian.GroupSpec(True, (3,), ((2,),)),
 }
 
+# GroupSpec arguments past m that make_group refuses before its
+# fixed-point check (TestMakeGroup::test_rejects_bad_m compares m); all
+# but the NotOrderM case are BadParameters
+SPEC_REFUSED = {
+    "GroupSpec_incompatible": (2, (2, 3), ((1, 1), (0, 2))),
+    "GroupSpec_orders_empty": (2, (), ()),
+    "GroupSpec_orders_zero": (2, (0,), ((0,),)),
+    "GroupSpec_orders_one": (2, (1,), ((0,),)),
+    "GroupSpec_action_str": (2, (3,), "ab"),
+}
+MALFORMED.update((name, lambda d6, args=args: abelian.GroupSpec(*args))
+                 for name, args in SPEC_REFUSED.items())
+SPEC_REFUSED["GroupSpec_not_order_m"] = (3, (7,), ((3,),))
+
 
 @pytest.mark.parametrize("call", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_arguments_are_bad_parameters(d6, call):
     with pytest.raises(BadParameters):
         call(d6)
+
+
+@pytest.mark.parametrize("args", SPEC_REFUSED.values(),
+                         ids=SPEC_REFUSED.keys())
+def test_group_spec_refuses_as_make_group(args):
+    """A GroupSpec is a C_m-action on A: construction raises make_group's
+    error, type and message, for every input that make_group refuses
+    before its fixed-point check."""
+    with pytest.raises(ArtifactError) as want:
+        abelian.make_group(*args)
+    with pytest.raises(ArtifactError) as got:
+        abelian.GroupSpec(*args)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("build, args, message", [

@@ -220,9 +220,7 @@ class TestValidateOnce:
         of them opens an invariants._steps stream. The per-block path
         forms no G: cu at m = 4 over a diagonal action opens one stream
         per factor under the structured lift and reads at most three
-        columns of it (cu's docstring), and su over a raw spec that fails
-        _acts one stream per factor under the action, which reads its m
-        columns."""
+        columns of it (cu's docstring)."""
         pairs, grams, steps = [], [], []
         pair_body = surface_data._product_pair
         gram_body = surface_data.SurfaceData._gram.func
@@ -263,13 +261,6 @@ class TestValidateOnce:
         C = invariants.structured_lift(c4z5)
         assert [(F, c) for F, c, _ in steps] == [(C, 0)]
         assert 0 < len(steps[0][2]) <= 3 and grams == []
-        raw = abelian.GroupSpec(3, (7,), ((3,),))
-        V = surface_data.enumerate_colourings(TREFOIL_L, raw)[0]
-        steps.clear()
-        with pytest.raises(DivisibilityFailure):
-            invariants.su(surface_data.SurfaceData(raw, TREFOIL_L, V))
-        assert [(F, c) for F, c, _ in steps] == [(raw.action, 0)]
-        assert len(steps[0][2]) == raw.m and grams == []
 
     def test_memo_leaves_identity_alone(self, d6):
         """A validated datum and an equal fresh one compare, hash, print

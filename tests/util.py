@@ -431,10 +431,12 @@ SPEC_DRAWS = 1000
 def random_group_spec(rng, equal, validated, m_choices=(2, 3, 4),
                       top=13):
     """A random spec with m from m_choices and orders in [2, top]: equal
-    orders of rank 1 or 2, or two distinct orders. Validated specs come
-    from make_group, redrawn until one passes, for at most SPEC_DRAWS
-    draws of m and orders (AssertionError past them); unvalidated ones
-    are GroupSpec with any compatible action, which may have no lift."""
+    orders of rank 1 or 2, or two distinct orders, and a compatible
+    action, redrawn until it passes, for at most SPEC_DRAWS draws of m
+    and orders (AssertionError past them). Validated specs come from
+    make_group; unvalidated ones from GroupSpec, an action with N^m = I
+    on A that may have fixed points and may have no lift."""
+    build = abelian.make_group if validated else abelian.GroupSpec
     for _ in range(SPEC_DRAWS):
         m, r = rng.choice(m_choices), rng.choice((1, 2))
         if equal:
@@ -445,14 +447,12 @@ def random_group_spec(rng, equal, validated, m_choices=(2, 3, 4),
             # n_i | N_ij n_j: N_ij a multiple of n_i / gcd(n_i, n_j)
             N = tuple(tuple(rng.randrange(0, a, a // gcd(a, b))
                             for b in orders) for a in orders)
-            if not validated:
-                return abelian.GroupSpec(m, orders, N)
             try:
-                return abelian.make_group(m, orders, N)
+                return build(m, orders, N)
             except ArtifactError:
                 pass
-    raise AssertionError(f"no make_group spec in {SPEC_DRAWS} draws with m "
-                         f"in {m_choices} and orders <= {top}")
+    raise AssertionError(f"no {build.__name__} spec in {SPEC_DRAWS} draws "
+                         f"with m in {m_choices} and orders <= {top}")
 
 
 def linking_form_matrix(matrix, m):
@@ -482,8 +482,6 @@ def slow_cu(data, nlift=None, vlift=None):
         raise InvalidData("cu needs valid surface data")
     spec, M, V = data.spec, data.matrix, data.vector
     m, orders, r = spec.m, spec.orders, spec.rank
-    if m < 2:
-        raise BadParameters("cu needs m >= 2")
     size = len(M)
     C = nlift if nlift is not None else slow_structured_lift(spec)
     C = [list(row) for row in C]

@@ -2,7 +2,9 @@
 
 One Euclid pass (_euclid) lies under the determinant, the unimodular
 inverse and the column echelon that gives the kernels over prod Z/n_i
-and their index (which sizes them). Smith normal form, built on one
+and their index (which sizes them); the echelon reduces row i mod n_i
+before its pass, a column operation with the modulus column, so its
+entries stay residues (Cohen 2.4.2). Smith normal form, built on one
 block matrix [[A, I], [I, 0]], serves the solves over prod Z/n_i and
 the NotUnimodular message. Neither decides generation or the minimal
 generator count of A: abelian reads both off the quotients A/pA.
@@ -246,16 +248,23 @@ def solve_mod(C, target, mods):
 
 def echelon_mod(F, mods):
     """The index and kernel lattice of F modulo per-row moduli, by one
-    column (Hermite) echelon over Z (Cohen, A Course in Computational
-    Algebraic Number Theory, 2.4) instead of Smith's two-sided form.
+    column (Hermite) echelon over Z, kept on residues as in a Hermite form
+    modulo D (Cohen, A Course in Computational Algebraic Number Theory,
+    2.4.2) instead of Smith's two-sided form.
 
     F has l = len(mods) rows of k entries each. Column-reduce
-    [[F, diag(mods)], [I_k, 0]] on its top l rows. In row i, _euclid
-    reduces the columns until a single one is nonzero in row i; it is
-    that row's pivot and is retired. [F | diag(mods)] has full row rank, so every
-    row gets a pivot and the top rows end lower triangular. Column
-    operations are unimodular, so:
-    - index = prod |pivot| is the order of (prod Z/mods) / F(Z^k), which
+    [[F, diag(mods)], [I_k, 0]] on its top l rows. The modulus column
+    n_i e_i is zero outside row i, so no pass before row i touches it and
+    it joins the columns only there. At row i, first reduce that entry of
+    every column mod n_i: subtracting q n_i e_i changes row i alone, so
+    it is a column operation too, and a column that is 0 mod n_i leaves
+    the pass. Then _euclid reduces the columns, on entries in [0, n_i],
+    until a single one is nonzero in row i; it is that row's pivot, positive,
+    and is retired. [F | diag(mods)] has full row rank, so every row gets
+    a pivot and the top rows end lower triangular. Column operations are
+    unimodular, so the reduction moves neither the lattice, nor the index,
+    nor any listing read from it:
+    - index = prod pivot is the order of (prod Z/mods) / F(Z^k), which
       is prod(smith_mod(F, mods)[1]);
     - the k columns left over vanish on the top rows, and their bottom
       rows span {x in Z^k : F x = 0 mod mods} over Z.
@@ -263,15 +272,16 @@ def echelon_mod(F, mods):
     """
     l = len(mods)
     k = len(F[0]) if F else 0
-    cols = [[F[i][j] for i in range(l)] + [int(j == c) for c in range(k)]
-            for j in range(k)]
-    cols += [[n if c == i else 0 for c in range(l)] + [0] * k
-             for i, n in enumerate(mods)]
+    cols = [list(col) + [int(j == c) for c in range(k)]
+            for j, col in enumerate(zip(*F))]
     index = 1
-    for i in range(l):
+    for i, n in enumerate(mods):
+        for v in cols:
+            v[i] %= n
+        cols.append([0] * i + [n] + [0] * (l - 1 - i + k))
         p = _euclid(cols, i)
-        index *= abs(p[i])
-        cols.remove(p)  # every other column is 0 at i
+        index *= p[i]
+        cols = [v for v in cols if v is not p]  # every other is 0 at i
     return index, [c[l:] for c in cols]
 
 

@@ -66,8 +66,16 @@ class TestMetacyclic:
             classify.metacyclic_table(2, 3, xi)
 
     def test_rejects_tiny_modulus(self):
-        with pytest.raises(BadParameters):
-            classify.metacyclic_table(2, 1, 1)
+        """n = 1 fails the size check; n = 2 passes it and is refused
+        only because xi or xi - 1 is even."""
+        for m in (1, 2, 3):
+            for xi in range(4):
+                with pytest.raises(BadParameters,
+                                   match=r"^need integers m >= 1, n >= 2$"):
+                    classify.metacyclic_table(m, 1, xi)
+                with pytest.raises(BadParameters, match=r"^xi and xi - 1 "
+                                   r"must be units mod n$"):
+                    classify.metacyclic_table(m, 2, xi)
 
     def test_m4_propagates_divisibility_failure(self):
         with pytest.raises(DivisibilityFailure):

@@ -399,6 +399,79 @@ def test_echelon_matches_smith_oracle():
                     (False, False)}
 
 
+ECHELON_MODS = (1, 4, 6, 8, 9, 27)
+
+
+def large_matrix(rng, mods, k):
+    """len(mods) rows of k entries up to +-10^6; about a quarter of them
+    a multiple of the row's modulus, nonzero where the modulus allows."""
+    return [[n * rng.choice((-1, 1)) * rng.randrange(1, 10 ** 6 // n + 1)
+             if rng.randrange(4) == 0 else rng.randrange(-10 ** 6, 10 ** 6 + 1)
+             for _ in range(k)] for n in mods]
+
+
+def test_echelon_passes_see_residues(monkeypatch):
+    """echelon_mod reduces row i of every column mod n_i before its
+    _euclid pass, so the pass at row i, one per row and in order, sees
+    entries in [0, n_i] only, the modulus column n_i e_i among them; F
+    has entries up to +-10^6 and nonzero multiples of the moduli."""
+    passes, real = [], lin._euclid
+
+    def spy(vecs, i):
+        passes.append((i, [v[i] for v in vecs]))
+        return real(vecs, i)
+
+    monkeypatch.setattr(lin, "_euclid", spy)
+    rng = random.Random(36)
+    for _ in range(200):
+        mods = [rng.choice(ECHELON_MODS) for _ in range(rng.randrange(1, 4))]
+        passes.clear()
+        lin.echelon_mod(large_matrix(rng, mods, rng.randrange(5)), mods)
+        assert [i for i, _ in passes] == list(range(len(mods)))
+        for i, entries in passes:
+            assert mods[i] in entries
+            assert all(0 <= x <= mods[i] for x in entries), (mods, i, entries)
+
+
+def test_echelon_on_large_entries():
+    """Over F with entries up to +-10^6, nonzero multiples of the row
+    moduli among them, and moduli from ECHELON_MODS: echelon_mod's index
+    is the product of smith_mod's invariant factors; each of its k kernel
+    columns x has F x = 0 mod the moduli, and |det| of those columns is
+    prod(mods) / index, the index of the kernel in Z^k, so they span it.
+    On such an F rounded to be well defined on small mods_in, kernel_mod
+    equals the Smith-form listing."""
+    seen = set()
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(st.integers(0, 10 ** 6))
+    def check(seed):
+        rng = random.Random(seed)
+        mods = tuple(rng.choice(ECHELON_MODS)
+                     for _ in range(rng.randrange(1, 4)))
+        k = rng.randrange(5)
+        F = large_matrix(rng, mods, k)
+        index, K = lin.echelon_mod(F, mods)
+        assert index == prod(lin.smith_mod(F, mods)[1])
+        assert len(K) == k
+        for x in K:
+            assert all(y % n == 0 for y, n in zip(lin.mat_vec(F, x), mods))
+        assert abs(lin.det(K)) * index == prod(mods)
+        mods_in = tuple(rng.choice((2, 3, 4, 6, 9))
+                        for _ in range(rng.randrange(1, 4)))
+        # n | G_ij mods_in[j]: round each entry down to a multiple of
+        # n / gcd(n, mods_in[j]), which keeps the multiples of n
+        G = [[f - f % (n // gcd(n, q)) for f, q in zip(row, mods_in)]
+             for row, n in zip(large_matrix(rng, mods, len(mods_in)), mods)]
+        assert lin.kernel_mod(G, mods_in, mods, 10 ** 6) == \
+            slow_kernel_mod(G, mods_in, mods)
+        seen.add((k > 0, 1 in mods))
+
+    check()
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
 def test_coords_generate_matches_smith_verdict():
     """_coords_generate agrees with the Smith verdict (some tuple given
     and every invariant factor 1) on random coordinate tuples over random

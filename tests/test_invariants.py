@@ -11,6 +11,7 @@ from knotcolour.errors import (
     BadParameters,
     BudgetExceeded,
     DivisibilityFailure,
+    FixedPoints,
     GroupMismatch,
     InvalidData,
     LiftFailure,
@@ -18,8 +19,8 @@ from knotcolour.errors import (
 import util
 from test_surface_data import random_seifert
 from util import (
-    TREFOIL_L, FIG8_L, invariant_triple, lift_pool, mat_mul_spy,
-    move_chain, move_pool, odd_pool, outcome, rand_unimodular,
+    TREFOIL_L, FIG8_L, dense_unimodular, invariant_triple, lift_pool,
+    mat_mul_spy, move_chain, move_pool, odd_pool, outcome, rand_unimodular,
     random_group_spec, random_move, slow_cu, slow_hensel_lift, slow_mat_mul,
     slow_mat_pow, slow_structured_lift, slow_su, slow_validate,
     slow_vector_class)
@@ -191,6 +192,39 @@ class TestStructuredLift:
         check()
         assert seen == {(True, True), (True, False), (False, True),
                         (False, False)}
+
+    def test_hensel_lift_ignores_kernel_basis(self, monkeypatch, request):
+        """_hensel_lift reads the lex-least lift off any basis of the
+        kernel lattice: with echelon_mod's kernel columns replaced by
+        their product with a random unimodular matrix (transvections,
+        swaps and sign flips), structured_lift is unchanged on equal-order
+        specs at m >= 4 and still matches the row-major search."""
+        specs = [request.getfixturevalue(name) for name in FIXTURE_GROUPS]
+        rng = random.Random(36)
+        specs += [random_group_spec(rng, True, validated, top=7,
+                                    m_choices=(4, 6, 8))
+                  for validated in (True, False) for _ in range(15)]
+        specs = list(dict.fromkeys(
+            s for s in specs if s.m >= 4 and len(set(s.orders)) == 1))
+        invariants._lift.cache_clear()
+        want = [outcome(invariants.structured_lift, s) for s in specs]
+        echelon, bases = invariants.echelon_mod, []
+
+        def mixed(F, mods):
+            index, K = echelon(F, mods)
+            U = dense_unimodular(rng, len(K))
+            bases.append(U)
+            return index, transpose(mat_mul(transpose(K), U))
+
+        monkeypatch.setattr(invariants, "echelon_mod", mixed)
+        invariants._lift.cache_clear()
+        got = [outcome(invariants.structured_lift, s) for s in specs]
+        invariants._lift.cache_clear()
+        assert got == want
+        assert got == [outcome(slow_structured_lift, s) for s in specs]
+        lifts = [C for C in got if type(C[0]) is tuple]
+        assert len(lifts) > 10 and any(len(C) > 1 for C in lifts)
+        assert len(bases) == len(lifts)  # one basis per lift
 
     def test_lift_past_the_listing_budget(self):
         """At m = 4 over (Z/17)^3 with diag(4, 13, 16) the lift system has
@@ -832,6 +866,8 @@ class TestStream:
     """cu at m >= 4 reads the columns of L x from one lazy stream per
     factor (invariants._steps), dividing each entry as it comes."""
 
+    COLOURED_DRAWS = 1000
+
     @staticmethod
     def agree(rng, data):
         """su and cu against the oracles, messages included; returns the
@@ -863,24 +899,37 @@ class TestStream:
     def test_matches_oracles_at_m4_and_up(self):
         """Random specs with m in {4, 6, 8}, equal and unequal orders
         <= 7, from make_group or GroupSpec; colourings of random genus-1
-        and genus-2 matrices. The draws hold a non-diagonal make_group
-        action. No failure in factor 1 after factor 0 divides is asked
-        for: 6,000 draws of this kind met none."""
+        and genus-2 matrices, the spec and matrix redrawn (at most
+        COLOURED_DRAWS specs, 10 matrices each) until they have one, so
+        that every example is checked. A GroupSpec with nonzero fixed
+        points is redrawn without a matrix: it has no colouring, since
+        Delta(1) = +-1 makes t - 1 invertible on a coloured A. The draws
+        hold a non-diagonal make_group action. No failure in factor 1
+        after factor 0 divides is asked for: 6,000 draws of this kind met
+        none."""
         seen = set()
 
         @settings(deadline=None, max_examples=60, derandomize=True)
         @given(st.integers(0, 10 ** 6), st.booleans(), st.booleans())
         def check(seed, equal, validated):
             rng = random.Random(seed)
-            spec = random_group_spec(rng, equal, validated, top=7,
-                                     m_choices=(4, 6, 8))
-            for _ in range(10):
-                M, _ = random_seifert(rng, [(spec, 2, None)])
-                found = surface_data.enumerate_colourings(M, spec)
+            for _ in range(self.COLOURED_DRAWS):
+                spec = random_group_spec(rng, equal, validated, top=7,
+                                         m_choices=(4, 6, 8))
+                try:
+                    abelian.make_group(spec.m, spec.orders, spec.action)
+                except FixedPoints:
+                    continue
+                for _ in range(10):
+                    M, _ = random_seifert(rng, [(spec, 2, None)])
+                    found = surface_data.enumerate_colourings(M, spec)
+                    if found:
+                        break
                 if found:
                     break
             else:
-                return
+                raise AssertionError(f"no colouring in {self.COLOURED_DRAWS}"
+                                     " spec draws")
             diagonal = all(x == 0 for i, row in enumerate(spec.action)
                            for j, x in enumerate(row) if i != j)
             seen.add(("make_group" if validated else "raw", diagonal))

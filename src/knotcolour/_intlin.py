@@ -14,14 +14,16 @@ row-major. Sizes in this package stay small (at most a few dozen rows),
 so clarity wins over asymptotics, except for sparsity that costs nothing
 to use: mat_mul skips the zero entries of its left factor, and
 inverse_unimodular touches only the rows that have a nonzero entry in
-the pivot column. mat_mul and mat_vec are every dense integer product
-in the package (the product pair, the Gram matrix X^T (MX), the
-colouring equation's (MX) N^T, the invariants' streams, the action on
-coordinates, the F_p action in abelian's generation test); mat_pow is
-every power of an action or of a lift candidate, reduced row by row. The moves'
-sparse U is the one exception: surface_data._ut_times forms U^T R from
-the nonzero entries of U's columns where U differs from the identity,
-and surface_data.lambda1 inverts only the block of U on those columns.
+the pivot column. mat_mul and mat_vec form the dense integer products
+of invariants and abelian (the invariants' streams and forms, the action
+on coordinates, the F_p action in abelian's generation test); mat_pow is
+every power of an action or of a lift candidate, reduced row by row.
+surface_data forms its per-datum products (the product pair, the Gram
+matrix X^T (MX), the colouring equation) as column dot products summed
+at C level, and reads the moves' sparse U from its nonzeros:
+surface_data._ut_times forms U^T R from the nonzero entries of U's
+columns where U differs from the identity, and surface_data.lambda1
+inverts only the block of U on those columns.
 """
 
 from math import prod

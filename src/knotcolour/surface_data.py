@@ -10,27 +10,29 @@ the size x r matrix X); .vector builds the GroupElement tuple from X
 when first read. A datum also caches one product pair
 (SurfaceData._products = (MX, M^T X) over Z, one row per entry), formed
 when first read. Validation and the invariants read M only through it:
-validation checks the colouring equation as M^T X = (MX) N^T, one
-product by the action N, and s, su and cu at m <= 3 read the cached
-r x r Gram matrix SurfaceData._gram = X^T (MX); the invariants' per-block
-path streams from the pair. The empty 0x0 datum is permitted (it can
-never validate over a nontrivial A, but keeps connect sums total).
+validation checks the colouring equation per factor c as column c of
+M^T X against sum_d N_cd (column d of MX), N the action, and s, su and
+cu at m <= 3 read the cached r x r Gram matrix SurfaceData._gram =
+X^T (MX); the invariants' per-block path streams from the pair. The
+empty 0x0 datum is permitted (it can never validate over a nontrivial
+A, but keeps connect sums total).
 
-The pair and G are _intlin.mat_mul products. The moves
-and connect sums derive their output's pair exactly from their sources'
-pairs, at the cost of the rows they change, so a chain of moves forms
-the pair once, for its head. The validation report is not carried:
-validate still checks each moved datum, from its carried pair. lambda1
-reads U only on the columns J where U differs from the identity:
-_ut_times forms U^T R from those columns, M U is (U^T M^T)^T, and the
-carried pair is corrected only by the residue of reducing U^-1 X mod
-the orders.
+The pair and G are column dot products summed at C level (_dots), so
+only O(r^2) work per datum runs as bytecode. The moves and connect
+sums derive their output's pair exactly from their sources' pairs, at
+the cost of the rows they change, so a chain of moves forms the pair
+once, for its head. The validation report is not carried: validate
+still checks each moved datum, from its carried pair. lambda1 reads U
+only on the rows that are not rows of the identity, forms M U one
+column in J (the columns where U differs from the identity) at a time
+and rebuilds only the rows it changes, and corrects the carried pair
+only by the residue of reducing U^-1 X mod the orders.
 """
 
 from functools import cached_property
-from itertools import chain, compress, cycle
+from itertools import chain, compress, repeat
 from math import lcm
-from operator import add, mod, sub
+from operator import add, itemgetter, mod, mul, ne, sub
 
 from . import abelian
 from .abelian import _Record, _expect
@@ -58,15 +60,28 @@ from .errors import (
 )
 
 
+# the row types _as_matrix admits in its C-level pass
+_ROW = frozenset((list, tuple))
+
+
 def _as_matrix(matrix):
+    """matrix as a square tuple of int tuples, coercing nothing:
+    BadParameters if it is not iterable, naming the first row that is not
+    a list or tuple of ints (a bool is not an int here), or unless every
+    row is as long as there are rows. One C-level pass over the types
+    admits the common case; only a failing matrix is read row by row."""
     try:
         it = iter(matrix)
     except TypeError:
         raise BadParameters(
             f"matrix must be a sequence of rows, got {matrix!r}") from None
-    rows = tuple(abelian.int_tuple(row, "matrix row") for row in it)
-    size = len(rows)
-    if any(len(row) != size for row in rows):
+    rows = tuple(it)
+    if _ROW.issuperset(map(type, rows)) and \
+            abelian._INT.issuperset(map(type, chain.from_iterable(rows))):
+        rows = tuple(map(tuple, rows))
+    else:
+        rows = tuple(abelian.int_tuple(row, "matrix row") for row in rows)
+    if not {len(rows)}.issuperset(map(len, rows)):
         raise BadParameters("matrix must be square")
     return rows
 
@@ -150,12 +165,13 @@ class SurfaceData(_Record):
 
     @cached_property
     def _gram(self):
-        # G = X^T (MX), r x r over Z (zeros for the 0x0 datum): s, su and
-        # cu at m <= 3 are pairings of G with a matrix of the spec
+        # G = X^T (MX), r x r over Z (zeros for the 0x0 datum), G_pq the
+        # column p of X dotted with the column q of MX: s, su and cu at
+        # m <= 3 are pairings of G with a matrix of the spec
         X, r = self._coords, self.spec.rank
         if not X:
             return ((0,) * r,) * r
-        return tuple(map(tuple, mat_mul(transpose(X), self._products[0])))
+        return _dots(tuple(zip(*X)), zip(*self._products[0]))
 
 
 def make_data(spec, matrix, coords):
@@ -178,14 +194,32 @@ class ValidationReport(_Record):
 
 def _axpy(u, t, v):
     """The integer row u + t v."""
-    return tuple(x + t * y for x, y in zip(u, v))
+    return tuple(map(add, u, map(mul, v, repeat(t))))
+
+
+def _combo(terms):
+    """The integer vector sum t v, lazily, over the (t, v) in terms, at
+    least one; each v an iterable of ints."""
+    acc = None
+    for t, v in terms:
+        if t != 1:
+            v = map(mul, v, repeat(t))
+        acc = v if acc is None else map(add, acc, v)
+    return acc
+
+
+def _dots(rows, cols):
+    """The integer matrix of dot products (row p . col q) as tuples of
+    rows, rows a sequence: column q is one C-level pass down rows."""
+    return tuple(zip(*[map(sum, map(map, repeat(mul), rows, repeat(col)))
+                       for col in cols]))
 
 
 def _product_pair(M, X):
     """(MX, M^T X) over Z as tuples of rows, X one integer row per entry
-    of M."""
-    return (tuple(map(tuple, mat_mul(M, X))),
-            tuple(map(tuple, mat_mul(transpose(M), X))))
+    of M: the rows of M and of M^T dotted with the columns of X."""
+    cols = tuple(zip(*X))
+    return _dots(M, cols), _dots(tuple(zip(*M)), cols)
 
 
 def _min_generators(spec):
@@ -211,13 +245,13 @@ def _validate(data):
     # per factor c: M^T x_c = M (t.X)_c mod n_c, x_c the column c of X.
     # (t.X)_c = sum_d N_cd x_d mod n_c, and reducing x_d mod n_d is
     # harmless as n_c | N_cd n_d, so the sides are column c of M^T X and
-    # of (MX) N^T, compared entry by entry with the orders cycled along
-    # each row; any() stops at the first entry failing
+    # sum_d N_cd (column d of MX), compared entry by entry; any() stops
+    # at the first entry failing, all() at the first factor failing
     MX, MTX = data._products
-    equation = not any(map(mod, map(
-        sub, chain.from_iterable(MTX),
-        chain.from_iterable(mat_mul(MX, transpose(spec.action)))),
-        cycle(spec.orders)))
+    cols = tuple(zip(*MX))
+    equation = all(
+        not any(map(mod, map(sub, lhs, _combo(zip(row, cols))), repeat(n)))
+        for lhs, row, n in zip(zip(*MTX), spec.action, spec.orders))
     gen = abelian._coords_generate(spec, frozenset(X))
     genus_ok = len(X) >= _min_generators(spec)
     return ValidationReport(gen, equation, genus_ok,
@@ -257,35 +291,60 @@ def lambda1(data, U):
     - U^T R, for any rows R, differs from R only in the rows in J, and
       row k sums the rows U_jk R_j over the nonzeros of column k of U
       (_ut_times);
-    - so W = M U = (U^T M^T)^T differs from M only in the columns in J,
-      and M' = U^T M U is _ut_times on W.
+    - W = M U differs from M only in the columns in J, column k summing
+      U_jk times column j of M, so only the rows where such a column
+      changed are rebuilt; M' = U^T M U is _ut_times on W.
+    J and the nonzeros of its columns are read from the rows D of U that
+    are not rows of the identity: a nonzero U_jk off the diagonal, or a
+    U_kk != 1, lies in a row of D.
     The output's rows are Y = E mod the orders, and the product pair is
     carried from the source's through the residue R = E - Y, nonzero
     only in the rows E changed:
     - M' Y = U^T (MX) - M' R and M'^T Y = U^T (M^T X) - M'^T R;
     - row i of R subtracts R_i times column i of M' from the first, and
-      times row i of M' from the second.
-    Past the read of U, a U of a few transvections (walks and
-    shorten_vector) costs O(n |J|), the pair O(n |supp R| r), and a
-    dense U what a dense product costs. The failure message names the
-    Smith diagonal of the whole U.
+      times row i of M' from the second, on the rows p where that column
+      or row of M' is nonzero.
+    Past the read of U (C-level passes over its n^2 entries), a U of a
+    few transvections (walks and shorten_vector) costs O(n) at C level
+    per nonzero in its columns J and O(|J|) per rebuilt row, the pair
+    O(n |supp R|), and a dense U what a dense product costs. Every row
+    of M that the move leaves as it was is carried as the same object.
+    The failure message names the Smith diagonal of the whole U.
     """
     size = _expect(data, SurfaceData).size
     Ur = _as_matrix(U)
     if len(Ur) != size:
         raise BadParameters(f"U must be {size}x{size}")
+    # every entry is an int, so count(0) counts the zeros
+    D = [i for i, row in enumerate(Ur)
+         if row[i] != 1 or row.count(0) != size - 1]
     entries = range(size)
-    J = sorted({j for i, row in enumerate(Ur)
-                for j in compress(entries, row) if j != i}.union(
-        i for i, row in enumerate(Ur) if row[i] != 1))
+    J = sorted({j for i in D for j in compress(entries, Ur[i]) if j != i}
+               .union(i for i in D if Ur[i][i] != 1))
     try:
         inv = inverse_unimodular([[Ur[i][j] for j in J] for i in J])
     except NotUnimodular:
         raise not_unimodular(Ur) from None
-    # the nonzero entries (j, U_jk) of each column k in J
-    cols = {k: [(j, Ur[j][k]) for j in entries if Ur[j][k]] for k in J}
+    # the nonzero entries (j, U_jk) of each column k in J: they lie in
+    # the rows D and k, as a row k outside D is e_k
+    cols = {k: [(j, Ur[j][k]) for j in {k, *D} if Ur[j][k]] for k in J}
     M = data.matrix
-    Mp = _ut_times(cols, transpose(_ut_times(cols, transpose(M))))
+    # column k of W = M U, and the rows where some column changed
+    W = {k: tuple(_combo((a, map(itemgetter(j), M)) for j, a in col))
+         for k, col in cols.items()}
+    changed = set()
+    for k, w in W.items():
+        changed.update(compress(entries, map(ne, w, map(itemgetter(k), M))))
+    rows = list(M)
+    for p in changed:
+        row = list(M[p])
+        for k, w in W.items():
+            row[k] = w[p]
+        rows[p] = tuple(row)
+    Mp = _ut_times(cols, rows)
+    for k in J:  # a row that comes back as it was stays the same object
+        if Mp[k] == M[k]:
+            Mp[k] = M[k]
     orders, X = data.spec.orders, data._coords
     E = dict(zip(J, mat_mul(inv, [X[j] for j in J])))
     for k in J:
@@ -293,31 +352,28 @@ def lambda1(data, U):
             if i not in cols:  # a row outside J with an entry in J
                 E[i] = _axpy(E.get(i, X[i]), -a, E[k])
     Y = list(X)
-    MX, MTX = (list(_ut_times(cols, P)) for P in data._products)
+    MX, MTX = (_ut_times(cols, P) for P in data._products)
     for i, e in E.items():
         Y[i] = y = tuple(map(mod, e, orders))
         r = tuple(map(sub, y, e))  # -R_i
         if any(r):
-            for p, (a, b) in enumerate(zip((row[i] for row in Mp), Mp[i])):
-                if a:
-                    MX[p] = _axpy(MX[p], a, r)
-                if b:
-                    MTX[p] = _axpy(MTX[p], b, r)
-    return SurfaceData._moved(data.spec, Mp, tuple(Y),
+            col, row = tuple(map(itemgetter(i), Mp)), Mp[i]
+            for p in compress(entries, col):
+                MX[p] = _axpy(MX[p], col[p], r)
+            for p in compress(entries, row):
+                MTX[p] = _axpy(MTX[p], row[p], r)
+    return SurfaceData._moved(data.spec, tuple(Mp), tuple(Y),
                               (tuple(MX), tuple(MTX)))
 
 
 def _ut_times(cols, R):
-    """U^T R for the integer rows R, U given by the nonzeros (j, U_jk) of
-    each column k in cols: every other column of U is e_k, so the other
-    rows are R's."""
-    out = list(map(tuple, R))
+    """U^T R as a list of rows, R a sequence of integer rows and U given
+    by the nonzeros (j, U_jk) of each column k in cols: every other
+    column of U is e_k, so the other rows are R's own."""
+    out = list(R)
     for k, col in cols.items():
-        acc = (0,) * len(R[0])
-        for j, a in col:
-            acc = _axpy(acc, a, R[j])
-        out[k] = acc
-    return tuple(out)
+        out[k] = tuple(_combo((a, R[j]) for j, a in col))
+    return out
 
 
 def _lambda2_tail(spec, X, c, variant):
@@ -349,15 +405,14 @@ def lambda2(data, c, variant):
         raise BadParameters(f"variant must be 1 or 2, got {variant!r}")
     M = data.matrix
     p, q, u, w = _CORNERS[variant - 1]
-    rows = [list(M[i]) + [c[i], 0] for i in range(size)]
-    rows.append(list(c) + [p, q])
-    rows.append([0] * size + [u, w])
+    rows = tuple(map(add, M, zip(c, repeat(0)))) + (
+        c + (p, q), (0,) * size + (u, w))
     a, tail = _lambda2_tail(data.spec, data._coords, c, variant)
     zero, y = tail
     wy = _axpy(zero, w, y)
     MX, MTX = data._products
     return SurfaceData._moved(
-        data.spec, tuple(tuple(r) for r in rows), data._coords + tail,
+        data.spec, rows, data._coords + tail,
         (MX + (_axpy(a, q, y), wy), MTX + (_axpy(a, u, y), wy)))
 
 

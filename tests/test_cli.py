@@ -78,6 +78,7 @@ class TestH3:
         code, got = run_json(capsys, ["h3", "--group", group])
         assert code == 2 and got["error"]["type"] == "BadParameters"
 
+    @pytest.mark.wallclock
     def test_unfactorable_order_is_budget_error(self, capsys, files):
         """A prime order past the trial-division bound, 10^24 + 7, is
         refused within a second, as an error object with exit code 2."""

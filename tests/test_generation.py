@@ -90,6 +90,7 @@ def test_primes_by_trial_division():
     assert abelian._primes(999983 ** 2 * 4) == [2, 999983]
 
 
+@pytest.mark.wallclock
 def test_primes_bounded_trial_division():
     """Trial division stops at 10^7: the square of the largest prime
     below it still factors, and the prime 10^24 + 7 is refused, by

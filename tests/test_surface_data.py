@@ -7,7 +7,7 @@ from operator import ne
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotcolour import abelian, classify, invariants, surface_data
+from knotcolour import _intlin, abelian, classify, invariants, surface_data
 from knotcolour._intlin import (
     det, identity, inverse_unimodular, mat_mul, mat_vec, transpose)
 from knotcolour.errors import (
@@ -130,6 +130,53 @@ class TestConstruction:
         assert data.size == 2 and data.genus == 1
 
 
+# each a factory, as a generator is used up by one read, and the message
+# every matrix reader raises for it
+BAD_MATRICES = {
+    "bool": (lambda: ((-1, 1), (0, True)),
+             "matrix row must be integers, got (0, True)"),
+    "float": (lambda: ((-1, 1.0), (0, -1)),
+              "matrix row must be integers, got (-1, 1.0)"),
+    "str": (lambda: ((-1, 1), ("0", -1)),
+            "matrix row must be integers, got ('0', -1)"),
+    "ragged": (lambda: ((-1, 1), (0,)), "matrix must be square"),
+    "non-sequence row": (lambda: ((-1, 1), range(2)),
+                         "matrix row must be a list or tuple, got "
+                         "range(0, 2)"),
+    "first bad row": (lambda: [[-1, 1.0], 7],
+                      "matrix row must be integers, got [-1, 1.0]"),
+    "generator": (lambda: (row for row in ((-1, 1), (0, True))),
+                  "matrix row must be integers, got (0, True)"),
+}
+
+MATRIX_READERS = {
+    "lambda1": lambda spec, M: surface_data.lambda1(
+        surface_data.make_data(spec, TREFOIL_L, [(1,), (2,)]), M),
+    "make_data": lambda spec, M: surface_data.make_data(
+        spec, M, [(1,), (2,)]),
+    "enumerate_colourings": lambda spec, M:
+        surface_data.enumerate_colourings(M, spec),
+}
+
+
+class TestMatrixErrors:
+    """The matrix readers name the first bad row, with the same type and
+    message whichever reads it."""
+
+    @pytest.mark.parametrize("reader", MATRIX_READERS)
+    @pytest.mark.parametrize("name", BAD_MATRICES)
+    def test_message(self, d6, reader, name):
+        make, message = BAD_MATRICES[name]
+        assert outcome(MATRIX_READERS[reader], d6, make()) == \
+            (BadParameters, message)
+
+    @pytest.mark.parametrize("reader", MATRIX_READERS)
+    def test_generator_of_rows_reads_as_tuple(self, d6, reader):
+        call = MATRIX_READERS[reader]
+        rows = ((1, 0), (1, 1)) if reader == "lambda1" else TREFOIL_L
+        assert call(d6, (row for row in rows)) == call(d6, rows)
+
+
 class TestValidate:
     def test_valid_trefoil(self, d6):
         report = surface_data.validate(
@@ -155,7 +202,10 @@ class TestValidate:
 
     def test_equation_matches_s_inverse_form(self, d6, d10, a4, c2_35):
         """M^T V = M (t.V) is V = S^-1 M (t-1)V for S = M^T - M, computed
-        here per factor over Z on moved data and on random vectors."""
+        here per factor over Z on moved data and on random vectors. Over
+        the rank-2 groups A4 and C2 x| (Z/3 x Z/5) the first factor that
+        fails is seen to be 0 and to be 1, so the check of factor 1 runs
+        after factor 0 holds."""
         pool = move_pool(d6, d10, a4, c2_35)
         seen = set()
 
@@ -168,24 +218,33 @@ class TestValidate:
                 data = random_move(rng, data)
             spec, M, size = data.spec, data.matrix, data.size
             if rng.random() < 0.5:
-                data = surface_data.make_data(
-                    spec, M, [[rng.randrange(n) for n in spec.orders]
-                              for _ in range(size)])
+                # random entries; half the time only the last coordinate
+                # is redrawn, which leaves a diagonal action's other
+                # factors holding
+                kept = rng.randrange(2) * (spec.rank - 1)
+                data = surface_data.make_data(spec, M, [
+                    x[:kept] + tuple(rng.randrange(n)
+                                     for n in spec.orders[kept:])
+                    for x in data._coords])
             S = [[M[j][i] - M[i][j] for j in range(size)] for i in range(size)]
             Sinv = inverse_unimodular(S)
             assert mat_mul(S, Sinv) == identity(size)
-            form = True
+            failing = []
             for c, n in enumerate(spec.orders):
                 x = [v.coords[c] for v in data.vector]
                 tx = [abelian.act(v).coords[c] for v in data.vector]
                 y = mat_vec(Sinv, mat_vec(M, [a - b for a, b in zip(tx, x)]))
-                form &= all((a - b) % n == 0 for a, b in zip(x, y))
+                if not all((a - b) % n == 0 for a, b in zip(x, y)):
+                    failing.append(c)
             holds = surface_data.validate(data).equation_holds
-            assert holds == form
+            assert holds == (not failing)
             seen.add(holds)
+            if failing and spec.rank == 2:
+                seen.add(("first failing", failing[0]))
 
         check()
-        assert seen == {True, False}
+        assert seen == {True, False, ("first failing", 0),
+                        ("first failing", 1)}
 
     @pytest.mark.parametrize("orders, want", [
         ((2, 2, 2), 3), ((4, 6), 2), ((3, 5), 1), ((6, 10, 15), 2),
@@ -387,11 +446,11 @@ class TestCarriedPair:
         """After every move of a random chain the carried pair equals a
         fresh (MX, M^T X), the output still validates, and its Gram
         matrix equals X^T (MX); the pair and G come from the index-loop
-        oracle slow_mat_mul, not mat_mul, which _product_pair and
-        SurfaceData._gram call. lambda1
-        draws the U of carry_unimodular, and K = U Y - X is seen both zero
-        and nonzero; lambda2 runs in both variants, lambda2_inverse right
-        after it, and connect_sum with a pool datum on either side."""
+        oracle slow_mat_mul, not from the column dot products of
+        _product_pair and SurfaceData._gram. lambda1 draws the U of
+        carry_unimodular, and K = U Y - X is seen both zero and nonzero;
+        lambda2 runs in both variants, lambda2_inverse right after it,
+        and connect_sum with a pool datum on either side."""
         pool = self.pool(d6, d10, a4, c2_35, c6_93)
         seen = set()
 
@@ -736,6 +795,30 @@ class TestEnumerate:
         assert len(built) == 9 and smith_calls == []
 
 
+def dense_formula(data, U):
+    """(U^T M U, U^-1 V) by dense products and the Smith-form inverse."""
+    M = mat_mul(mat_mul(transpose(U), data.matrix), U)
+    V = slow_mat_apply(slow_inverse_unimodular(U), data.vector, data.spec)
+    return tuple(tuple(r) for r in M), V
+
+
+def walk_datum(data, size, rng):
+    """data grown to at least size as a walk grows it: one transvection
+    with t = +-1, then a stabilisation with c = +-1 at two entries, in
+    either variant."""
+    while data.size < size:
+        n = data.size
+        U = identity_rows(n)
+        i, j = rng.sample(range(n), 2)
+        U[i][j] = rng.choice((-1, 1))
+        data = surface_data.lambda1(data, U)
+        c = [0] * n
+        for i in rng.sample(range(n), 2):
+            c[i] = rng.choice((-1, 1))
+        data = surface_data.lambda2(data, c, rng.choice((1, 2)))
+    return data
+
+
 class TestLambda1:
     def test_transforms(self, d6):
         data = surface_data.make_data(d6, TREFOIL_L, [(1,), (2,)])
@@ -766,13 +849,6 @@ class TestLambda1:
         on V, on move-chain data stabilised up to genus 20, for sparse
         (1 to 3 transvections) and dense U, and on the 0x0 datum."""
         pool = move_pool(d6, d10, a4, c2_35)
-
-        def dense_formula(data, U):
-            M = mat_mul(mat_mul(transpose(U), data.matrix), U)
-            V = slow_mat_apply(slow_inverse_unimodular(U), data.vector,
-                               data.spec)
-            return tuple(tuple(r) for r in M), V
-
         empty = surface_data.make_data(d6, (), [])
         moved = surface_data.lambda1(empty, ())
         assert (moved.matrix, moved.vector) == dense_formula(empty, ())
@@ -794,6 +870,44 @@ class TestLambda1:
                 assert (moved.matrix, moved.vector) == dense_formula(data, U)
 
         check()
+
+    def test_transvection_carries_rows(self, d10, a4, monkeypatch):
+        """One transvection U = I + t e_i e_j^T on size-40 walk data:
+        lambda1 transposes nothing, every row of the output equal to the
+        source's row is that same object, and the output is the dense
+        formula's. Row j comes back as it was when row i of M is zero,
+        which a variant-1 stabilisation leaves; both cases are seen."""
+        transposed = []
+
+        def spy(A):
+            transposed.append(A)
+            return transpose(A)
+
+        monkeypatch.setattr(_intlin, "transpose", spy)
+        monkeypatch.setattr(surface_data, "transpose", spy)
+        rng = random.Random(37)
+        seen = set()
+        for base in (surface_data.make_data(d10, FIG8_L, [(1,), (3,)]),
+                     surface_data.make_data(a4, TREFOIL_L,
+                                            [(0, 1), (1, 1)])):
+            data = walk_datum(base, 40, rng)
+            M, n = data.matrix, data.size
+            zero = [i for i, row in enumerate(M) if not any(row)]
+            for trial in range(10):
+                i, j = rng.sample(range(n), 2)
+                if trial % 2 and zero:
+                    i = rng.choice(zero)
+                    j = rng.choice([k for k in range(n) if k != i])
+                U = identity_rows(n)
+                U[i][j] = rng.choice((-1, 1))
+                moved = surface_data.lambda1(data, U)
+                assert transposed == []
+                for new, old in zip(moved.matrix, M):
+                    assert new is old or new != old
+                seen.add(moved.matrix[j] is M[j])
+                # the oracle's names were bound before the spy went in
+                assert (moved.matrix, moved.vector) == dense_formula(data, U)
+        assert seen == {False, True}
 
 
 def grown(data, size, seed):

@@ -7,13 +7,12 @@ coordinate). Sources that write the action on row vectors should pass the
 transpose.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, product
 from math import gcd, prod
 from operator import attrgetter, mod
 
-from ._intlin import (
-    det, identity, kernel_mod, mat_mul, mat_pow, mat_vec, transpose)
+from ._intlin import det, identity, kernel_mod, mat_pow, mat_vec
 from .errors import (
     BadParameters,
     BudgetExceeded,
@@ -138,6 +137,13 @@ class GroupSpec(_Record):
     @property
     def rank(self):
         return len(self.orders)
+
+    @cached_property
+    def _inverse(self):
+        # N^(m-1), t^-1 on A as N^m = I there, rows reduced: formed once
+        # per spec (cached_property writes the instance dict directly)
+        return tuple(map(tuple, mat_pow(self.action, self.m - 1,
+                                        self.orders)))
 
 
 class GroupElement(_Record):
@@ -308,16 +314,6 @@ def act_pow(a, j):
     _check_scalar(j)
     return GroupElement(spec, mat_vec(
         mat_pow(spec.action, j % spec.m, spec.orders), a.coords))
-
-
-def act_rows(rows, spec):
-    """t applied to each coordinate row, reduced mod the orders: the
-    integer form of act, for loops that never build an element.
-    BadParameters unless rows is a list or tuple of rank-length rows of
-    ints."""
-    X = int_rows(rows, "coordinates", None, _expect(spec, GroupSpec).rank)
-    return [tuple(map(mod, row, spec.orders))
-            for row in mat_mul(X, transpose(spec.action))]
 
 
 def linear_kernel(P, Q, spec, budget):
@@ -499,14 +495,6 @@ def _wedge_orders(spec, degree):
                  for idx in _basis(spec, degree))
 
 
-def pair_orders(spec):
-    return _wedge_orders(spec, 2)
-
-
-def triple_orders(spec):
-    return _wedge_orders(spec, 3)
-
-
 class _Wedge(_Record):
     """Element of the degree-fold exterior power of A (the subclass sets
     the degree); + needs equal degree and spec."""
@@ -544,14 +532,6 @@ class WedgeElement3(_Wedge):
     degree = 3
 
 
-def wedge2_zero(spec):
-    return WedgeElement2(spec, (0,) * len(pair_indices(spec)))
-
-
-def wedge3_zero(spec):
-    return WedgeElement3(spec, (0,) * len(triple_indices(spec)))
-
-
 def _minors(cls, *elems):
     """The wedge of elems as a cls: coordinate idx is the determinant of
     the elements' coordinate rows restricted to the index tuple idx."""
@@ -570,18 +550,11 @@ def wedge3(a, b, c):
     return _minors(WedgeElement3, a, b, c)
 
 
-def _wedge_scale(k, w, cls):
-    """k w; BadParameters unless k is an int and w a cls."""
-    _check_scalar(k)
-    return cls(_expect(w, cls).spec, tuple(k * c for c in w.coords))
-
-
-def wedge2_scale(k, w):
-    return _wedge_scale(k, w, WedgeElement2)
-
-
 def wedge3_scale(k, w):
-    return _wedge_scale(k, w, WedgeElement3)
+    """k w; BadParameters unless k is an int and w a WedgeElement3."""
+    _check_scalar(k)
+    return WedgeElement3(_expect(w, WedgeElement3).spec,
+                         tuple(k * c for c in w.coords))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ count formulas are recorded in the table's notes rather than asserted.
 """
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
-from operator import mod, sub
+from operator import add, mod, mul, sub
 
 from . import abelian, invariants, surface_data
 from ._intlin import check_budget, solve_mod
@@ -79,24 +79,40 @@ def _checked(data, name, certified=True):
 def _block(spec, name, i, coords, matrix_at, rows, cols=None):
     """The entries (k, l) -> (matrix_at(k, l), coords), k = 1..rows and
     l = 1..cols (l is None without cols), in table order, named by
-    name.format(k=k). Only the samples (1, 1), (1, 2), (2, 1) (without
-    cols: k = 1, 2) run the full per-entry path. Every other entry shares
-    the first sample's coordinate rows and validation report, takes su
-    and cu from the affine law below and s from the samples, and is
-    certified first: the steps D_k = M(2, 1) - M(1, 1) and
-    D_l = M(1, 2) - M(1, 1) must be symmetric, and M(k, l) must equal
-    M(1, 1) + (k-1) D_k + (l-1) D_l exactly (InternalInconsistency
-    otherwise, as for a failed validation). The builders list their
-    blocks for _entries, and their M moves with (k, l) only through
-    k n_1 and l n_2 on the diagonal, so they pass.
+    name.format(k=k).
+
+    Samples. The first, (1, 1) (without cols: k = 1), runs the full
+    per-entry path. The others, (1, 2) and (2, 1) (without cols: k = 2),
+    are built by SurfaceData._moved on the first sample's checked
+    coordinate rows when their M - M^T equals the first's exactly; each
+    is validated in full, from its own product pair, and takes su and
+    cu from the library and s from the first sample. A sample whose
+    M - M^T differs takes the full path.
+
+    Derived entries. Every other entry shares the first sample's
+    coordinate rows and validation report, takes su and cu from the
+    affine law below and s from the first sample, and is certified
+    first: every sample must share the first's M - M^T (so the steps
+    D_k = M(2, 1) - M(1, 1) and D_l = M(1, 2) - M(1, 1) are symmetric),
+    and M(k, l) must equal M(1, 1) + (k-1) D_k + (l-1) D_l exactly
+    (InternalInconsistency otherwise, as for a failed validation).
+    validate still runs on each, and returns the shared report. The
+    builders list their blocks for _entries, and their M moves with
+    (k, l) only through k n_1 and l n_2 on the diagonal, so they pass.
+    The steps (x0, dk, dl) of the flat matrix, su and cu are int lists
+    taken once per block; row k adds (k-1) dk once, at C level, and an
+    entry adds (l-1) dl only for l > 1. su and cu are one element per
+    distinct coordinate tuple of the block.
 
     Why this is exact. V, and with it every integer lift the invariants
     use (the coordinate rows X, su's orbit lifts X (N^T)^j, cu's blocks
     X (C^T)^a, read through the Gram matrix X^T (MX) or block by block),
     is fixed on the block, and on a certified block M is affine in
     (k, l) and M^T - M is constant:
-    - s = x_p^T (M^T - M) x_q is the samples' value, and det(M - M^T) = 1
-      holds on the block once the first sample passes the constructor.
+    - s = x_p^T (M^T - M) x_q reads M only through M^T - M, so a sample
+      or entry that shares the first sample's X and M - M^T shares its
+      s. So do det(M - M^T) = 1, the even size and the checks on the
+      coordinate rows, which the first sample passed in the constructor.
     - Every pairing entry w of su and cu is linear in M, so affine in
       (k, l): w(k, l) = w(1,1) + (k-1) dk + (l-1) dl. If n divides w at
       the three samples it divides dk and dl, so it divides w on the
@@ -117,47 +133,79 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
       affinity in l, on all of row k = 1; so the first entry that raises
       (a DivisibilityFailure, which only m >= 4 can raise and there
       always does, see invariants.cu; an odd Q over an even factor) is
-      a sample, and it raises the per-entry error and message.
+      a sample, and it raises the per-entry error and message. A sample
+      whose M - M^T differs from the first's takes the per-entry path,
+      so it raises what that path raises (BadParameters on
+      det(M - M^T) != 1).
     """
     ls = range(1, cols + 1) if cols else (None,)
-    points = [(k, l) for k in range(1, rows + 1) for l in ls]
-    samples = points[:2] + ([(2, 1)] if cols else [])
-    got = {p: _entry(spec, *p, i, name.format(k=p[0]), matrix_at(*p), coords)
-           for p in samples}
-    base, along_k = got[points[0]], got[(2, ls[0])]
-    along_l = got[(1, 2)] if cols else base
+    first, *later = ((1, 1), (1, 2), (2, 1)) if cols else ((1, None),
+                                                           (2, None))
+    base = _entry(spec, *first, i, name.format(k=1), matrix_at(*first),
+                  coords)
+    X, skew = base.data._coords, _skew(base.data.matrix)
+    got, symmetric = {first: base}, True
+    for k, l in later:
+        label, M = name.format(k=k), surface_data._as_matrix(matrix_at(k, l))
+        if _skew(M) == skew:
+            data = _checked(surface_data.SurfaceData._moved(spec, M, X),
+                            label)
+            got[k, l] = FamilyEntry(k, l, i, label, data, invariants.su(data),
+                                    invariants.cu(data), base.s)
+        else:
+            symmetric = False
+            got[k, l] = _entry(spec, k, l, i, label, M, coords)
+    along_k = got[2, ls[0]]
+    along_l = got[1, 2] if cols else base
 
-    def affine(value):
-        # (a, b) -> x0 + a dk + b dl, from the int rows value(e) of samples
-        x0, xk, xl = (value(e) for e in (base, along_k, along_l))
-        steps = tuple(zip(x0, map(sub, xk, x0), map(sub, xl, x0)))
-        return lambda a, b: [x + a * dk + b * dl for x, dk, dl in steps]
+    def steps(value):
+        # the int lists x0, dk, dl of value(e) over the samples
+        x0, xk, xl = (list(value(e)) for e in (base, along_k, along_l))
+        return x0, list(map(sub, xk, x0)), list(map(sub, xl, x0))
 
-    def element(row):
-        return abelian.GroupElement._trusted(
-            spec, tuple(map(mod, row, spec.orders)))
-
-    su_at = affine(lambda e: e.su.coords)
-    cu_at = affine(lambda e: e.cu.coords)
-    flat_at = affine(lambda e: list(chain(*e.data.matrix)))
-    # the steps are symmetric exactly when the samples share M - M^T
-    symmetric = len({tuple(map(sub, chain(*M), chain(*zip(*M))))
-                     for M in (e.data.matrix for e in got.values())}) == 1
-    X, report = base.data._coords, base.data._report
+    f0, fk, fl = steps(lambda e: chain(*e.data.matrix))
+    s0, sk, sl = steps(lambda e: e.su.coords)
+    c0, ck, cl = steps(lambda e: e.cu.coords)
+    orders, report, s = spec.orders, base.data._report, base.s
+    new, trusted = object.__new__, abelian.GroupElement._trusted
+    made = {}  # one element per distinct coordinate tuple
     entries = []
-    for k, l in points:
-        e = got.get((k, l))
-        if e is None:
-            label = name.format(k=k)
-            a, b = k - 1, (l or 1) - 1
-            M = matrix_at(k, l)
-            data = _checked(
-                surface_data.SurfaceData._moved(spec, M, X, report=report),
-                label, symmetric and list(chain(*M)) == flat_at(a, b))
-            e = FamilyEntry(k, l, i, label, data, element(su_at(a, b)),
-                            element(cu_at(a, b)), base.s)
-        entries.append(e)
+    for k in range(1, rows + 1):
+        label, a = name.format(k=k), repeat(k - 1)
+        fa = list(map(add, f0, map(mul, fk, a)))
+        sa = list(map(add, s0, map(mul, sk, a)))
+        ca = list(map(add, c0, map(mul, ck, a)))
+        for l in ls:
+            e = got.get((k, l))
+            if e is None:
+                if l is None or l == 1:
+                    f, su, cu = fa, sa, ca
+                else:
+                    b = repeat(l - 1)
+                    f = list(map(add, fa, map(mul, fl, b)))
+                    su = map(add, sa, map(mul, sl, b))
+                    cu = map(add, ca, map(mul, cl, b))
+                su = tuple(map(mod, su, orders))
+                cu = tuple(map(mod, cu, orders))
+                su = made.get(su) or made.setdefault(su, trusted(spec, su))
+                cu = made.get(cu) or made.setdefault(cu, trusted(spec, cu))
+                M = matrix_at(k, l)
+                # built as SurfaceData._moved builds a datum, with the
+                # proved report in its cache slot
+                data = new(surface_data.SurfaceData)
+                data.__dict__.update(spec=spec, matrix=M, _coords=X,
+                                     _report=report)
+                _checked(data, label, symmetric and list(chain(*M)) == f)
+                e = new(FamilyEntry)
+                e.__dict__.update(k=k, l=l, i=i, name=label, data=data,
+                                  su=su, cu=cu, s=s)
+            entries.append(e)
     return entries
+
+
+def _skew(M):
+    """M - M^T as a list of row tuples, M a square tuple of int rows."""
+    return [tuple(map(sub, row, col)) for row, col in zip(M, zip(*M))]
 
 
 def _entries(blocks, budget):
@@ -173,7 +221,8 @@ def _entries(blocks, budget):
 def _table(family, spec, entries, lower, notes):
     """The table, bounded above by h3_order of the kernel; its notes are
     the builder's, then one on repeated (s, su) pairs."""
-    pairs = len(set((e.s, e.su) for e in entries))
+    # a table has one spec, so coordinate tuples count the pairs
+    pairs = len({(e.s.coords, e.su.coords) for e in entries})
     if pairs != len(entries):
         notes.append(f"only {pairs} distinct (s, su) pairs among "
                      f"{len(entries)} entries")
@@ -334,7 +383,7 @@ def rank2_nondiag_table(m, n, N, budget=TABLE_BUDGET):
     # both families are present: only m = 3 gets here
     for g, formula in ((1, n * sum(n // gcd(n, j) for j in range(1, n))),
                        (2, n * abelian.additive_order(n22 - n21 + 1, n))):
-        seen = len({e.su for e in entries if e.name == f"g{g}"})
+        seen = len({e.su.coords for e in entries if e.name == f"g{g}"})
         if seen != formula:
             notes.append(f"genus-{g} su takes {seen} distinct values; the "
                          f"expected count formula gives {formula}")

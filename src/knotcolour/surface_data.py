@@ -41,7 +41,6 @@ from ._intlin import (
     identity,
     inverse_unimodular,
     mat_mul,
-    mat_pow,
     mat_vec,
     not_unimodular,
     solve_mod,
@@ -126,18 +125,14 @@ class SurfaceData(_Record):
                 f"vector={self.vector!r})")
 
     @classmethod
-    def _moved(cls, spec, matrix, coords, products=None, report=None):
+    def _moved(cls, spec, matrix, coords, products=None):
         """Unchecked: moves keep det(M - M^T) = 1 on checked inputs, and
         coords must be reduced mod the orders. products, when given, is
-        the exact pair (MX, M^T X) the move carried; report, when given,
-        is the datum's ValidationReport, which the caller has proved (the
-        family tables' derived entries, see classify._block)."""
+        the exact pair (MX, M^T X) the move carried."""
         data = object.__new__(cls)
         data.__dict__.update(spec=spec, matrix=matrix, _coords=coords)
         if products is not None:
             data.__dict__["_products"] = products
-        if report is not None:
-            data.__dict__["_report"] = report
         return data
 
     @property
@@ -379,10 +374,10 @@ def _ut_times(cols, R):
 def _lambda2_tail(spec, X, c, variant):
     """a = sum c_i x_i over Z (X the coordinate rows of the vector) and
     the appended rows (0; y) for the chosen variant: y = t.a - a, or
-    (t-1)/t . a = a - t^(m-1).a for variant 1, each t^k one mat_pow."""
+    (t-1)/t . a = a - t^(m-1).a for variant 1, t^(m-1) the spec's
+    cached N^(m-1)."""
     a = mat_mul((c,), X)[0] if X else (0,) * spec.rank
-    b = mat_vec(mat_pow(spec.action, spec.m - 1 if variant == 1 else 1,
-                        spec.orders), a)
+    b = mat_vec(spec._inverse if variant == 1 else spec.action, a)
     y = map(sub, a, b) if variant == 1 else map(sub, b, a)
     return a, ((0,) * spec.rank, tuple(map(mod, y, spec.orders)))
 

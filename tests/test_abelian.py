@@ -14,7 +14,8 @@ from knotcolour.errors import (
     NotOrderM,
 )
 from util import (
-    TREFOIL_L, mat_mul_spy, slow_linear_kernel, slow_mat_pow)
+    TREFOIL_L, mat_mul_spy, pair_orders, slow_linear_kernel, slow_mat_pow,
+    triple_orders, wedge2_scale, wedge2_zero, wedge3_zero)
 
 
 def closure_generates(spec, coord_tuples):
@@ -268,7 +269,7 @@ class TestElements:
         lambda e: abelian.sub(e, None), lambda e: abelian.sub(e.coords, e),
         lambda e: abelian.neg(5), lambda e: abelian.mul(2, (1,)),
         lambda e: abelian.act(5), lambda e: abelian.act_pow(5, 1),
-        lambda e: abelian.add(abelian.wedge2_zero(e.spec), e),
+        lambda e: abelian.add(wedge2_zero(e.spec), e),
     ], ids=["add_left", "add_right", "sub_right", "sub_coords", "neg",
             "mul", "act", "act_pow", "add_wedge"])
     def test_arithmetic_rejects_non_elements(self, d10, call):
@@ -422,11 +423,11 @@ class TestWedge:
     def test_pair_indices(self, z333):
         assert abelian.pair_indices(z333) == ((0, 1), (0, 2), (1, 2))
         assert abelian.triple_indices(z333) == ((0, 1, 2),)
-        assert abelian.pair_orders(z333) == (3, 3, 3)
-        assert abelian.triple_orders(z333) == (3,)
+        assert pair_orders(z333) == (3, 3, 3)
+        assert triple_orders(z333) == (3,)
 
     def test_mixed_orders(self, z46):
-        assert abelian.pair_orders(z46) == (2,)
+        assert pair_orders(z46) == (2,)
 
     def test_antisymmetry(self, c3_55):
         a = abelian.element(c3_55, (2, 3))
@@ -455,8 +456,8 @@ class TestWedge:
         a = abelian.element(z333, (1, 0, 0))
         b = abelian.element(z333, (0, 1, 0))
         w = abelian.wedge2(a, b)
-        assert abelian.wedge2_scale(3, w).is_zero()
-        assert abelian.wedge2_scale(2, w) == w + w
+        assert wedge2_scale(3, w).is_zero()
+        assert wedge2_scale(2, w) == w + w
 
     @pytest.mark.parametrize("coords", [(1.5,), (1.0,), (True,), ("1",)])
     def test_wedge2_rejects_non_integers(self, a4, coords):
@@ -479,22 +480,22 @@ class TestWedge:
         with pytest.raises(BadParameters):
             abelian.wedge3_scale(k, w3)
         with pytest.raises(BadParameters):
-            abelian.wedge2_scale(k, w2)
+            wedge2_scale(k, w2)
 
     def test_scales_reject_other_degree(self):
         """A wedge of the other degree is refused, also over a rank-1
         spec where both degrees have no coordinates at all."""
         with pytest.raises(BadParameters):
-            abelian.wedge2_scale(2, abelian.wedge3_zero(
+            wedge2_scale(2, wedge3_zero(
                 abelian.unsafe_spec((3,))))
         with pytest.raises(BadParameters):
-            abelian.wedge3_scale(2, abelian.wedge2_zero(
+            abelian.wedge3_scale(2, wedge2_zero(
                 abelian.unsafe_spec((3, 3))))
 
     @pytest.mark.parametrize("w", [5, None, (1, 2)])
     def test_scales_reject_non_wedges(self, w):
         with pytest.raises(BadParameters):
-            abelian.wedge2_scale(2, w)
+            wedge2_scale(2, w)
         with pytest.raises(BadParameters):
             abelian.wedge3_scale(2, w)
 
@@ -504,10 +505,10 @@ class TestWedge:
 
     def test_spec_mismatch(self, z333, a4):
         with pytest.raises(GroupMismatch):
-            abelian.wedge2_zero(z333) + abelian.wedge2_zero(a4)
+            wedge2_zero(z333) + wedge2_zero(a4)
 
     def test_degree_classes(self, z333):
-        w2, w3 = abelian.wedge2_zero(z333), abelian.wedge3_zero(z333)
+        w2, w3 = wedge2_zero(z333), wedge3_zero(z333)
         assert repr(w2).startswith("WedgeElement2(spec=GroupSpec(")
         assert repr(w3).startswith("WedgeElement3(spec=GroupSpec(")
         assert w2 == abelian.WedgeElement2(z333, (3, 0, 6))
@@ -571,8 +572,7 @@ class TestJson:
 class TestAsSpec:
     @pytest.mark.parametrize("call", [
         lambda s: abelian.element(s, (1,)), abelian.zero,
-        abelian.group_order, abelian.elements, abelian.wedge2_zero,
-        abelian.wedge3_zero,
+        abelian.group_order, abelian.elements, wedge2_zero, wedge3_zero,
     ], ids=["element", "zero", "group_order", "elements", "wedge2_zero",
             "wedge3_zero"])
     @pytest.mark.parametrize("spec", [5, None, (3,)])

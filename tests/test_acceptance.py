@@ -19,7 +19,8 @@ from knotcolour import abelian, classify, diagram, invariants, surface_data
 from knotcolour.errors import DivisibilityFailure
 
 from util import (FIG8_L, FIG8_R, TREFOIL_L, TREFOIL_R, invariant_triple,
-                  lift_pool, move_pool, odd_pool, random_move, slow_cu)
+                  lift_pool, move_pool, odd_pool, pair_orders, random_move,
+                  slow_cu, wedge2_scale, wedge2_zero)
 
 
 def report(num, failures):
@@ -366,10 +367,9 @@ def test_criterion_07_wedge_round_trip(a4, z46, z333):
         pairs = abelian.pair_indices(spec)
 
         def rebuild(coords):
-            w = abelian.wedge2_zero(spec)
+            w = wedge2_zero(spec)
             for (i, j), c in zip(pairs, coords):
-                w = w + abelian.wedge2_scale(c, abelian.wedge2(basis[i],
-                                                               basis[j]))
+                w = w + wedge2_scale(c, abelian.wedge2(basis[i], basis[j]))
             return w
 
         for a in elems:
@@ -378,7 +378,7 @@ def test_criterion_07_wedge_round_trip(a4, z46, z333):
                 if rebuild(w.coords) != w:
                     failures.append(f"{label}: {a.coords}^{b.coords} does "
                                     "not survive the round trip")
-        for coords in product(*(range(o) for o in abelian.pair_orders(spec))):
+        for coords in product(*(range(o) for o in pair_orders(spec))):
             if rebuild(coords).coords != coords:
                 failures.append(f"{label}: coordinates {coords} do not "
                                 "survive the round trip")

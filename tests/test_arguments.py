@@ -14,7 +14,7 @@ import pytest
 from knotcolour import _intlin, abelian, classify, diagram, surface_data
 from knotcolour.errors import ArtifactError, BadParameters, BudgetExceeded
 
-from util import TREFOIL_L
+from util import TREFOIL_L, act_rows, pair_orders, triple_orders
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "knotcolour"
 
@@ -33,14 +33,14 @@ MALFORMED = {
         abelian.zero(d6), abelian.zero(d6), 5),
     "pair_indices": lambda d6: abelian.pair_indices(5),
     "triple_indices": lambda d6: abelian.triple_indices(5),
-    "pair_orders": lambda d6: abelian.pair_orders(5),
-    "triple_orders": lambda d6: abelian.triple_orders(5),
+    "pair_orders": lambda d6: pair_orders(5),
+    "triple_orders": lambda d6: triple_orders(5),
     "group_to_json": lambda d6: abelian.group_to_json(5),
     "diagram_to_json": lambda d6: diagram.diagram_to_json(5),
-    "act_rows": lambda d6: abelian.act_rows([(1,)], 5),
-    "act_rows_rows": lambda d6: abelian.act_rows(5, d6),
-    "act_rows_float": lambda d6: abelian.act_rows([(1.5,)], d6),
-    "act_rows_width": lambda d6: abelian.act_rows([(1, 2)], d6),
+    "act_rows": lambda d6: act_rows([(1,)], 5),
+    "act_rows_rows": lambda d6: act_rows(5, d6),
+    "act_rows_float": lambda d6: act_rows([(1.5,)], d6),
+    "act_rows_width": lambda d6: act_rows([(1, 2)], d6),
     "elements_of_rows": lambda d6: abelian.elements_of_rows(5, [((1,),)]),
     "elements_of_rows_none": lambda d6: abelian.elements_of_rows(5, []),
     "elements_of_rows_vectors": lambda d6: abelian.elements_of_rows(d6, 5),

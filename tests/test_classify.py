@@ -555,6 +555,61 @@ class TestAffineBuild:
                            match="family entry g1 failed validation"):
             classify._block(a4, "g1", 1, coords, matrix_at, 3, 2)
 
+    @pytest.mark.parametrize("case", AFFINE_CASES, ids=case_id)
+    def test_full_path_once_per_block(self, case, monkeypatch):
+        """Only the first sample of a block runs the constructor's
+        Seifert check and vector_class: the later samples share its
+        M - M^T, so they are built on its checked coordinate rows and
+        take its s."""
+        seifert, vector_class = (surface_data._check_seifert,
+                                 invariants.vector_class)
+        checked, classes = [], []
+        monkeypatch.setattr(
+            surface_data, "_check_seifert",
+            lambda M, *args: checked.append(M) or seifert(M, *args))
+        monkeypatch.setattr(invariants, "vector_class",
+                            lambda d: classes.append(d) or vector_class(d))
+        build, params = case
+        t = build(*params)
+        blocks = sum(e.k == 1 and e.l in (None, 1) for e in t.entries)
+        assert len(checked) == len(classes) == blocks
+        assert {e.s for e in t.entries} <= {vector_class(d) for d in classes}
+
+    @pytest.mark.parametrize("cols", [None, 2])
+    def test_unlike_sample_takes_full_path(self, a4, cols, monkeypatch):
+        """A sample whose M - M^T differs from the first sample's, here
+        with det(M - M^T) = 4, goes through the constructor and raises the
+        per-entry error and message; a sample that shares it does not."""
+
+        def matrix_at(k, l):
+            return ((1 + 2 * k, 3 * k - 4), (0, 1 + 2 * (l or 1)))
+
+        coords = ((1, 0), (0, 1))
+        want = outcome(per_entry_block, a4, "g1", 1, coords, matrix_at, 3,
+                       cols)
+        assert want == (BadParameters, "det(M - M^T) = 4, expected 1")
+        seifert, checked = surface_data._check_seifert, []
+        monkeypatch.setattr(
+            surface_data, "_check_seifert",
+            lambda M, *args: checked.append(M) or seifert(M, *args))
+        assert outcome(classify._block, a4, "g1", 1, coords, matrix_at, 3,
+                       cols) == want
+        assert checked == [matrix_at(1, 1), matrix_at(2, 1)]
+
+    @pytest.mark.parametrize("case", AFFINE_CASES, ids=case_id)
+    def test_pair_note_counts_records(self, case):
+        """_table counts the (s, su) pairs by coordinate tuples; the note
+        agrees with a count by record equality, which also compares the
+        specs."""
+        build, params = case
+        for t in (build(*params), classify.a4_representatives()):
+            pairs = len(set((e.s, e.su) for e in t.entries))
+            notes = [n for n in t.notes if "distinct (s, su) pairs" in n]
+            want = [] if pairs == len(t.entries) else [
+                f"only {pairs} distinct (s, su) pairs among "
+                f"{len(t.entries)} entries"]
+            assert notes == want
+
 
 class TestA4Representatives:
     def test_table_shape(self, a4):

@@ -2,7 +2,7 @@ import hashlib
 import random
 from functools import cached_property
 from itertools import product
-from operator import ne
+from operator import mod, ne
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +24,10 @@ from knotcolour.errors import (
 from test_acceptance import brute_force
 from util import (
     BAD_BUDGETS, TREFOIL_L, FIG8_L, construction_spy, dense_unimodular,
-    move_chain, move_pool, odd_pool, outcome, rand_unimodular, random_move,
-    slow_inverse_unimodular, slow_mat_apply, slow_mat_mul, slow_validate,
-    slow_vector_class)
+    invariant_triple, move_chain, move_pool, odd_pool, outcome,
+    rand_unimodular, random_move, slow_inverse_unimodular, slow_mat_apply,
+    slow_mat_mul, slow_mat_pow, slow_validate, slow_vector_class,
+    wedge2_zero, wedge3_zero)
 
 
 def random_seifert(rng, specs):
@@ -625,7 +626,7 @@ class TestNotData:
 
     def test_canonical_vector_rejects_non_class(self, d6):
         for junk in (5, abelian.element(d6, (1,)),
-                     abelian.wedge3_zero(abelian.unsafe_spec((3, 3, 3)))):
+                     wedge3_zero(abelian.unsafe_spec((3, 3, 3)))):
             with pytest.raises(BadParameters, match="expected a WedgeElement2"):
                 surface_data.canonical_vector(junk)
 
@@ -1093,6 +1094,46 @@ class TestLambda2:
         with pytest.raises(BadParameters):
             surface_data.lambda2(data, c, 2)
 
+    def test_chain_forms_one_power(self):
+        """A chain of lambda2 moves over one spec forms N^(m-1) at most
+        once, as it is held on the spec. Each move appends the rows
+        (0; y) of the definition, y = a - N^(m-1) a (variant 1) or
+        N a - a (variant 2) with a = sum c_i x_i, here from the
+        repeated-product power, and keeps the datum valid and its
+        invariants."""
+        # a fresh spec, C3 x| (Z/5)^2, so nothing is cached on it yet
+        t = classify.rank2_nondiag_table(3, 5, ((0, 1), (4, 4)))
+        spec, data = t.group, t.entries[0].data
+        N, orders = spec.action, spec.orders
+        inverse = slow_mat_pow(N, spec.m - 1)
+        want = invariant_triple(data)
+        powers, real = [], _intlin.mat_pow
+        rng = random.Random(38)
+        with pytest.MonkeyPatch.context() as mp:
+            # _intlin.mat_pow recurses through its own binding; count the
+            # calls from the modules that imported it by name
+            for module in (abelian, surface_data, invariants):
+                if getattr(module, "mat_pow", None) is real:
+                    mp.setattr(module, "mat_pow",
+                               lambda A, k, mods: powers.append(k) or
+                               real(A, k, mods))
+            for step in range(12):
+                variant = 1 + step % 2
+                c = [rng.randrange(-3, 4) for _ in range(data.size)]
+                moved = surface_data.lambda2(data, c, variant)
+                a = [sum(ci * x[j] for ci, x in zip(c, data._coords))
+                     for j in range(spec.rank)]
+                P = inverse if variant == 1 else N
+                b = [sum(p * x for p, x in zip(row, a)) for row in P]
+                y = [u - v for u, v in zip(a, b)] if variant == 1 else \
+                    [v - u for u, v in zip(a, b)]
+                assert moved._coords == data._coords + (
+                    (0,) * spec.rank, tuple(map(mod, y, orders)))
+                assert surface_data.validate(moved).valid
+                data = moved
+        assert len(powers) <= 1
+        assert invariant_triple(data) == want
+
     def test_inverse_pattern_mismatch(self, d6):
         data = surface_data.make_data(d6, TREFOIL_L, [(1,), (2,)])
         with pytest.raises(PatternMismatch):
@@ -1331,7 +1372,7 @@ class TestCanonicalVector:
             [(1, 0), (0, 1), (0, 0), (1, 0), (0, 0), (0, 1)]
 
     def test_zero_class_tail_only(self, a4):
-        vec = surface_data.canonical_vector(abelian.wedge2_zero(a4))
+        vec = surface_data.canonical_vector(wedge2_zero(a4))
         assert [v.coords for v in vec] == \
             [(0, 0), (1, 0), (0, 0), (0, 1)]
 

@@ -12,13 +12,16 @@ invariants.vector_class, the search oracle for
 invariants.structured_lift, the listing oracle for
 invariants._hensel_lift, random group specs for them, and the
 per-entry oracle for classify._block, a spy on element construction
-and Smith calls, and a spy on _intlin.mat_mul and _intlin.mat_vec that
-can bound their call counts."""
+and Smith calls, a spy on _intlin.mat_mul and _intlin.mat_vec that can
+bound their call counts, and the abelian helpers that the library never
+calls (act_rows, pair_orders, triple_orders, wedge2_zero, wedge3_zero
+and wedge2_scale)."""
 
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from operator import mod
 
 import pytest
 
@@ -138,6 +141,45 @@ def slow_linear_kernel(P, Q, spec):
             if all(vanishes(prow, qrow, V) for prow, qrow in zip(P, Q))]
 
 
+# abelian helpers that the library itself never calls
+
+
+def act_rows(rows, spec):
+    """t applied to each coordinate row, reduced mod the orders: the
+    integer form of abelian.act. BadParameters unless spec is a GroupSpec
+    and rows a list or tuple of rank-length rows of ints."""
+    X = abelian.int_rows(rows, "coordinates", None,
+                         abelian._expect(spec, abelian.GroupSpec).rank)
+    return [tuple(map(mod, row, spec.orders))
+            for row in mat_mul(X, transpose(spec.action))]
+
+
+def pair_orders(spec):
+    """Per basis wedge of A ^ A, the gcd of its two factors' orders."""
+    return abelian._wedge_orders(spec, 2)
+
+
+def triple_orders(spec):
+    return abelian._wedge_orders(spec, 3)
+
+
+def wedge2_zero(spec):
+    return abelian.WedgeElement2(spec, (0,) * len(abelian.pair_indices(spec)))
+
+
+def wedge3_zero(spec):
+    return abelian.WedgeElement3(spec,
+                                 (0,) * len(abelian.triple_indices(spec)))
+
+
+def wedge2_scale(k, w):
+    """k w; BadParameters unless k is an int and w a WedgeElement2."""
+    abelian._check_scalar(k)
+    return abelian.WedgeElement2(
+        abelian._expect(w, abelian.WedgeElement2).spec,
+        tuple(k * c for c in w.coords))
+
+
 def slow_coords_generate(spec, coord_tuples):
     """Echelon oracle for abelian._coords_generate: the tuples generate A
     exactly when the columns of the relation matrix
@@ -155,7 +197,7 @@ def slow_orbit_generate(spec, rows):
     orbit, rows = set(), list(rows)
     for _ in range(spec.m):
         orbit.update(rows)
-        rows = abelian.act_rows(rows, spec)
+        rows = act_rows(rows, spec)
     return slow_coords_generate(spec, tuple(sorted(orbit)))
 
 
@@ -306,7 +348,7 @@ def slow_vector_class(data):
     checks det(M - M^T) = 1 again), P^-1 by inverse_unimodular, then the
     transformed vector wedged in adjacent pairs."""
     spec = data.spec
-    total = abelian.wedge2_zero(spec)
+    total = wedge2_zero(spec)
     if data.size == 0:
         return total
     P = surface_data.symplectic_reduce(data.matrix)

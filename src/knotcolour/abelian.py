@@ -7,7 +7,7 @@ coordinate). Sources that write the action on row vectors should pass the
 transpose.
 """
 
-from functools import cached_property, lru_cache
+from functools import wraps
 from itertools import chain, combinations, product
 from math import gcd, prod
 from operator import attrgetter, mod
@@ -97,7 +97,7 @@ class GroupSpec(_Record):
 
     Direct construction is for carriers with fixed points: some order
     tuples (e.g. (4, 6)) admit no fixed-point-free action, yet the wedge
-    layer only reads .orders (unsafe_spec).
+    layer only reads .orders (unsafe_spec). State of G alone is in _memo.
     """
 
     m: int
@@ -126,24 +126,28 @@ class GroupSpec(_Record):
                     raise NotOrderM(
                         f"action^{m} != identity on A (entry {i},{j})")
         fields = self.__dict__
-        fields["orders"], fields["action"] = orders, N
-        # the record hash re-hashes the nested tuples on every cache
-        # lookup keyed on a spec; the value is the same
-        fields["_hash"] = hash((m, orders, N))
-
-    def __hash__(self):
-        return self._hash
+        fields["orders"], fields["action"], fields["_memo"] = orders, N, {}
 
     @property
     def rank(self):
         return len(self.orders)
 
-    @cached_property
-    def _inverse(self):
-        # N^(m-1), t^-1 on A as N^m = I there, rows reduced: formed once
-        # per spec (cached_property writes the instance dict directly)
-        return tuple(map(tuple, mat_pow(self.action, self.m - 1,
-                                        self.orders)))
+
+def _per_spec(fn):
+    """fn(spec, *args), kept per args in spec._memo: it dies with the spec."""
+    @wraps(fn)
+    def kept(spec, *args):
+        try:
+            return spec._memo[kept, args]
+        except KeyError:
+            return spec._memo.setdefault((kept, args), fn(spec, *args))
+    return kept
+
+
+@_per_spec
+def _inverse(spec):
+    # N^(m-1), t^-1 on A as N^m = I there, rows reduced
+    return tuple(map(tuple, mat_pow(spec.action, spec.m - 1, spec.orders)))
 
 
 class GroupElement(_Record):
@@ -312,8 +316,10 @@ def act_pow(a, j):
     """t^j.a for any integer j: one product by N^(j mod m), as N^m = I."""
     spec = _expect(a, GroupElement).spec
     _check_scalar(j)
-    return GroupElement(spec, mat_vec(
-        mat_pow(spec.action, j % spec.m, spec.orders), a.coords))
+    j %= spec.m
+    return GroupElement(spec, mat_vec(_inverse(spec) if j == spec.m - 1 else
+                                      mat_pow(spec.action, j, spec.orders),
+                                      a.coords))
 
 
 def linear_kernel(P, Q, spec, budget):
@@ -390,7 +396,7 @@ def _primes(n):
         f"10^7 and could be composite")
 
 
-@lru_cache(maxsize=None)
+@_per_spec
 def _frattini(spec):
     """A/pA per prime p dividing |A|, as (p, I_p, N_p) in ascending p:
     A/pA = F_p^{I_p} with I_p = (i : p | n_i), and N_p the action on it,
@@ -431,10 +437,10 @@ def _spans(rows, p, I, Np):
     return False
 
 
-@lru_cache(maxsize=None)
+@_per_spec
 def _coords_generate(spec, rows, orbit=False):
     """Whether the set of coordinate rows (a frozenset at every caller,
-    so one set takes one cache entry) generates A; with orbit, whether
+    so one set takes one memo entry) generates A; with orbit, whether
     their t-orbits do.
 
     Burnside's basis theorem (M. Hall, The Theory of Groups, 1959, ch.

@@ -114,7 +114,7 @@ def quandle_op_inverse(x, b, spec):
 def _surjective(rows, spec):
     # the cosets t.a_i generate G iff the phi-orbits of the label rows
     # generate A (the base label is zero); the orbits are closed over
-    # each A/pA inside the cached test, which is keyed on the set of
+    # each A/pA inside the memoised test, which is keyed on the set of
     # rows, so no orbit is formed per solution
     return abelian._coords_generate(spec, frozenset(rows), True)
 

@@ -12,14 +12,13 @@ per entry) and read M only through the datum's product pair (MX, M^T X)
 over Z (SurfaceData._products). Every lift that su and cu pair is X
 times an r x r right factor, so each total is a pairing of the datum's
 Gram matrix G = X^T (MX) (SurfaceData._gram) with an r x r matrix of the
-spec alone, cached per spec: W_c for su (_su_forms) and Z_c for cu at
-m <= 3 (_cu_forms); s reads G itself. cu at m >= 4 keeps the per-block
-path: per factor, one lazy stream of the lifts' columns (_steps), each
-entry divided as it comes (_divided_sum).
+spec alone, kept on the spec (abelian._per_spec): W_c for su (_su_forms)
+and Z_c for cu at m <= 3 (_cu_forms); s reads G itself. cu at m >= 4
+keeps the per-block path: per factor, one lazy stream of the lifts'
+columns (_steps), each entry divided as it comes (_divided_sum).
 GroupElement and WedgeElement2 appear only in their values.
 """
 
-from functools import lru_cache
 from itertools import chain, islice, pairwise, product
 from math import lcm, prod
 from operator import mul
@@ -133,7 +132,7 @@ def _orbit_sums(N, c, k, sq):
             [[(s + t) % sq for s, t in zip(u, v)] for u, v in zip(S, T)])
 
 
-@lru_cache(maxsize=None)
+@abelian._per_spec
 def _su_forms(spec):
     """W_c mod n_c^2 per factor c, flattened row by row: su_c is
     <G, W_c> / n_c mod n_c. W_c = sum_{j<m} a_j^T (a_{j+1} - a_j) with
@@ -153,7 +152,7 @@ def _su_forms(spec):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@abelian._per_spec
 def _cu_forms(spec):
     """Z_c per factor c at m <= 3, flattened row by row: cu's total
     <x, L x> is <G, Z_c>. Block a of the lift is X b_a^T with b_0 = e_c
@@ -251,10 +250,10 @@ def structured_lift(spec):
     return C
 
 
-@lru_cache(maxsize=None)
+@abelian._per_spec
 def _lift(spec):
     """structured_lift's lift as a tuple of rows, or None when none
-    exists: both outcomes are cached, so a spec is searched once."""
+    exists: both outcomes are kept, so a spec is searched once."""
     m, orders = spec.m, spec.orders
     N = [[x % n for x in row] for row, n in zip(spec.action, orders)]
     if len(set(orders)) == 1:

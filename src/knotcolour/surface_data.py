@@ -375,9 +375,9 @@ def _lambda2_tail(spec, X, c, variant):
     """a = sum c_i x_i over Z (X the coordinate rows of the vector) and
     the appended rows (0; y) for the chosen variant: y = t.a - a, or
     (t-1)/t . a = a - t^(m-1).a for variant 1, t^(m-1) the spec's
-    cached N^(m-1)."""
+    N^(m-1) (abelian._inverse)."""
     a = mat_mul((c,), X)[0] if X else (0,) * spec.rank
-    b = mat_vec(spec._inverse if variant == 1 else spec.action, a)
+    b = mat_vec(abelian._inverse(spec) if variant == 1 else spec.action, a)
     y = map(sub, a, b) if variant == 1 else map(sub, b, a)
     return a, ((0,) * spec.rank, tuple(map(mod, y, spec.orders)))
 

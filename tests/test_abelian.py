@@ -1,21 +1,30 @@
+import gc
+import importlib
+import inspect
+import pkgutil
 import random
 import time
+import weakref
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotcolour import _intlin as lin, abelian, diagram, surface_data
+import knotcolour
+from knotcolour import (
+    _intlin as lin, abelian, diagram, invariants, surface_data)
 from knotcolour.errors import (
     ArtifactError,
     BadParameters,
+    DivisibilityFailure,
     FixedPoints,
     GroupMismatch,
+    LiftFailure,
     NotOrderM,
 )
 from util import (
-    TREFOIL_L, mat_mul_spy, pair_orders, slow_linear_kernel, slow_mat_pow,
-    triple_orders, wedge2_scale, wedge2_zero, wedge3_zero)
+    TREFOIL_L, mat_mul_spy, outcome, pair_orders, slow_linear_kernel,
+    slow_mat_pow, triple_orders, wedge2_scale, wedge2_zero, wedge3_zero)
 
 
 def closure_generates(spec, coord_tuples):
@@ -155,22 +164,32 @@ class TestPowerScaling:
         self.check(m, (7,), lambda: abelian.make_group(m, (7,), ((3,),)))
 
     def test_act_pow_quandle_inverse_and_lambda2(self):
-        spec = abelian.make_group(6 * 10 ** 5, (7,), ((3,),))
-        a, b = abelian.element(spec, (2,)), abelian.element(spec, (5,))
-        data = surface_data.SurfaceData(spec, TREFOIL_L, (a, b))
-        for call in (lambda: abelian.act_pow(a, -1),
-                     lambda: diagram.quandle_op_inverse(a, b, spec),
-                     lambda: surface_data.lambda2(data, (1, 2), 1)):
-            self.check(spec.m, spec.orders, call)
+        """Each call runs on its own fresh spec, which forms N^(m-1) once:
+        a second call on that spec forms no power."""
+        calls = (lambda spec, a, b, data: abelian.act_pow(a, -1),
+                 lambda spec, a, b, data: diagram.quandle_op_inverse(
+                     a, b, spec),
+                 lambda spec, a, b, data: surface_data.lambda2(
+                     data, (1, 2), 1))
+        for call in calls:
+            spec = abelian.make_group(6 * 10 ** 5, (7,), ((3,),))
+            a, b = abelian.element(spec, (2,)), abelian.element(spec, (5,))
+            args = spec, a, b, surface_data.SurfaceData(spec, TREFOIL_L,
+                                                        (a, b))
+            self.check(spec.m, spec.orders, lambda: call(*args))
+            with mat_mul_spy() as again:
+                call(*args)
+            assert again == []
         # t^-1 = t^5 on Z/7 under x -> 3x: 2 -> 2 * 5 = 3
         assert abelian.act_pow(a, -1).coords == (3,)
 
 
 class TestSpecHash:
     def test_hash_is_the_generated_one(self, d6, a4, c2_35):
-        """The cached hash is the record hash of (m, orders, action),
-        and == still compares the three fields. GroupSpec stores lists as
-        tuples and the action reduced mod the orders."""
+        """The hash is the record hash of (m, orders, action), as for
+        any record, and == compares the three fields, not the memo.
+        GroupSpec stores lists as tuples and the action reduced mod the
+        orders."""
         raws = [abelian.GroupSpec(2, (3,), ((2,),)),
                 abelian.GroupSpec(2, [3], [[2]]),
                 abelian.GroupSpec(2, (3,), ((5,),))]
@@ -182,6 +201,74 @@ class TestSpecHash:
         assert abelian.GroupSpec(2, (3,), ((1,),)) != d6
         assert abelian.GroupSpec(4, (3,), ((2,),)) != d6
         assert repr(d6) == "GroupSpec(m=2, orders=(3,), action=((2,),))"
+
+
+class TestPerSpecMemo:
+    """What su, cu and the generation test keep of a group lives in its
+    spec's memo (abelian._per_spec): it goes with the spec, and an equal
+    spec built apart keeps its own."""
+
+    # (make_group arguments, a Seifert matrix with colourings over it,
+    # what cu gives on its first colouring): A4, where cu runs at m = 3;
+    # C4 x Z/5, whose lift exists; C6 x (Z/9 x Z/3), with no lift
+    GROUPS = [((3, (2, 2), ((0, 1), (1, 1))), TREFOIL_L,
+               abelian.GroupElement),
+              ((4, (5,), ((2,),)), ((8, 0), (1, 1)), DivisibilityFailure),
+              ((6, (9, 3), ((2, 0), (1, 2))), ((-2, -3), (-2, -2)),
+               LiftFailure)]
+
+    @staticmethod
+    def run(spec, matrix):
+        """Both enumerators, then validate, su and cu on the first
+        colouring and on both of its lambda2 stabilisations."""
+        found = surface_data.enumerate_colourings(matrix, spec)
+        out = [found, diagram.enumerate_diagram_colourings(
+            diagram.catalog()["3_1^l"], spec)]
+        data = surface_data.SurfaceData(spec, matrix, found[0])
+        for moved in (data, *(surface_data.lambda2(data, (1, 0), variant)
+                              for variant in (1, 2))):
+            out += [moved, surface_data.validate(moved),
+                    outcome(invariants.su, moved),
+                    outcome(invariants.cu, moved)]
+        return out
+
+    @pytest.mark.parametrize("group, matrix, cu", GROUPS)
+    def test_spec_is_freed(self, group, matrix, cu):
+        spec = abelian.make_group(*group)
+        self.run(spec, matrix)
+        ref = weakref.ref(spec)
+        del spec
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("group, matrix, cu", GROUPS)
+    def test_equal_specs_keep_apart(self, group, matrix, cu):
+        first, second = (abelian.make_group(*group) for _ in range(2))
+        kept = dict(second._memo)
+        want = self.run(first, matrix)
+        got = want[5]  # cu on the first colouring
+        assert (got[0] if type(got) is tuple else type(got)) is cu
+        assert second._memo == kept
+        assert self.run(second, matrix) == want
+        assert first._memo is not second._memo
+        assert first._memo.keys() == second._memo.keys()
+
+
+def test_module_caches_are_constant_tables():
+    """Every module-level function of the package with a functools cache
+    takes no parameters, so the only process-wide caches are constant
+    tables; state keyed on an input lives on its spec (_per_spec)."""
+    cached = {}
+    for info in pkgutil.iter_modules(knotcolour.__path__):
+        module = importlib.import_module(f"knotcolour.{info.name}")
+        for name, value in vars(module).items():
+            if callable(value) and hasattr(value, "cache_info"):
+                cached[f"{info.name}.{name}"] = value
+    assert sorted(cached) == ["classify._a4_reference_cu",
+                              "classify.a4_representatives",
+                              "classify.a4_spec", "diagram.catalog"]
+    for name, fn in cached.items():
+        assert not inspect.signature(fn).parameters, name
 
 
 class TestIntTuple:

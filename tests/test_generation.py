@@ -1,6 +1,6 @@
 """Generation through the Frattini quotients A/pA: abelian._coords_generate
 (plain and with orbit closure) against the echelon and explicit-orbit
-oracles, one verdict and one cache entry per row set, _min_generators
+oracles, one verdict and one memo entry per row set, _min_generators
 against the Smith count, what the two colouring enumerators run, and
 generates on any iterable."""
 
@@ -18,8 +18,9 @@ from knotcolour._intlin import (
 from knotcolour.errors import BadParameters, BudgetExceeded
 
 from util import (
-    TREFOIL_L, construction_spy, rand_unimodular, slow_coords_generate,
-    random_group_spec, slow_mat_pow, slow_orbit_generate)
+    TREFOIL_L, construction_spy, fresh_spec, rand_unimodular,
+    slow_coords_generate, random_group_spec, slow_mat_pow,
+    slow_orbit_generate)
 
 ORDERS = (2, 4, 6, 12, 225)
 M_CHOICES = (2, 3, 4, 7)
@@ -189,17 +190,28 @@ def test_generation_verdict_ignores_row_order():
                     (True, True)}
 
 
-def test_validate_and_generates_share_one_cache_entry(a4):
+def test_validate_and_generates_share_one_cache_entry(a4, monkeypatch):
     """validate on a datum and then generates on its vector ask about
-    one row set, so the second call hits the entry the first made."""
+    one row set: on a fresh A4 spec the first call adds one row-set
+    entry to the spec's memo and spans A/2A, its one Frattini quotient,
+    once; the second reads that entry and spans nothing."""
     V = surface_data.enumerate_colourings(TREFOIL_L, a4)[0]
-    data = surface_data.SurfaceData(a4, TREFOIL_L, V)
-    abelian._coords_generate.cache_clear()
+    spec = fresh_spec(a4)
+    data = surface_data.make_data(spec, TREFOIL_L, [e.coords for e in V])
+    spans, real = [], abelian._spans
+    monkeypatch.setattr(abelian, "_spans",
+                        lambda *args: spans.append(args) or real(*args))
+
+    def row_sets():
+        return [key for key in spec._memo
+                if key[0] is abelian._coords_generate]
+
+    assert row_sets() == []
     assert surface_data.validate(data).valid
-    assert abelian._coords_generate.cache_info().currsize == 1
+    made = row_sets()
+    assert len(made) == 1 and len(spans) == 1
     assert abelian.generates(data.vector)
-    info = abelian._coords_generate.cache_info()
-    assert (info.currsize, info.hits) == (1, 1)
+    assert row_sets() == made and len(spans) == 1
 
 
 @pytest.mark.parametrize("orders", [
@@ -220,7 +232,7 @@ def test_enumerators_run_one_echelon_and_no_orbit(kind, a4):
     calls smith: generation is decided over each A/pA, the diagram
     orbits included, and the library has no orbit walker to call (the
     explicit one, act_rows, is a test helper in util)."""
-    abelian._coords_generate.cache_clear()
+    spec = fresh_spec(a4)
     echelons = []
     with construction_spy() as (_, smith_calls), \
             pytest.MonkeyPatch.context() as mp:
@@ -232,10 +244,10 @@ def test_enumerators_run_one_echelon_and_no_orbit(kind, a4):
                            lambda F, mods, real=real:
                            echelons.append(F) or real(F, mods))
         if kind == "surface":
-            found = surface_data.enumerate_colourings(TREFOIL_L, a4)
+            found = surface_data.enumerate_colourings(TREFOIL_L, spec)
         else:
             found = diagram.enumerate_diagram_colourings(
-                diagram.catalog()["3_1^l"], a4)
+                diagram.catalog()["3_1^l"], spec)
     assert found
     assert len(echelons) == 1
     assert smith_calls == []

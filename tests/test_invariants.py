@@ -19,11 +19,11 @@ from knotcolour.errors import (
 import util
 from test_surface_data import random_seifert
 from util import (
-    TREFOIL_L, FIG8_L, dense_unimodular, invariant_triple, lift_pool,
-    mat_mul_spy, move_chain, move_pool, odd_pool, outcome, rand_unimodular,
-    random_group_spec, random_move, slow_cu, slow_hensel_lift, slow_mat_mul,
-    slow_mat_pow, slow_structured_lift, slow_su, slow_validate,
-    slow_vector_class)
+    TREFOIL_L, FIG8_L, dense_unimodular, fresh_spec, invariant_triple,
+    lift_pool, mat_mul_spy, move_chain, move_pool, odd_pool, outcome,
+    rand_unimodular, random_group_spec, random_move, slow_cu,
+    slow_hensel_lift, slow_mat_mul, slow_mat_pow, slow_structured_lift,
+    slow_su, slow_validate, slow_vector_class)
 
 FIXTURE_GROUPS = ("d6", "d10", "d14", "c3z7", "c4z5", "a4", "c2_33",
                   "c2_35", "c3_55", "c7_222", "z46", "z333")
@@ -206,8 +206,8 @@ class TestStructuredLift:
                   for validated in (True, False) for _ in range(15)]
         specs = list(dict.fromkeys(
             s for s in specs if s.m >= 4 and len(set(s.orders)) == 1))
-        invariants._lift.cache_clear()
-        want = [outcome(invariants.structured_lift, s) for s in specs]
+        want = [outcome(invariants.structured_lift, fresh_spec(s))
+                for s in specs]
         echelon, bases = invariants.echelon_mod, []
 
         def mixed(F, mods):
@@ -217,9 +217,8 @@ class TestStructuredLift:
             return index, transpose(mat_mul(transpose(K), U))
 
         monkeypatch.setattr(invariants, "echelon_mod", mixed)
-        invariants._lift.cache_clear()
-        got = [outcome(invariants.structured_lift, s) for s in specs]
-        invariants._lift.cache_clear()
+        got = [outcome(invariants.structured_lift, fresh_spec(s))
+               for s in specs]
         assert got == want
         assert got == [outcome(slow_structured_lift, s) for s in specs]
         lifts = [C for C in got if type(C[0]) is tuple]
@@ -252,8 +251,8 @@ class TestStructuredLift:
 
         for module in (_intlin, invariants, abelian):
             monkeypatch.setattr(module, "kernel_mod", spy, raising=False)
-        invariants._lift.cache_clear()
-        specs = [request.getfixturevalue(name) for name in FIXTURE_GROUPS]
+        specs = [fresh_spec(request.getfixturevalue(name))
+                 for name in FIXTURE_GROUPS]
         specs = [s for s in specs if len(set(s.orders)) == 1]
         specs.append(abelian.make_group(
             4, (13,) * 3, ((5, 0, 0), (0, 8, 0), (0, 0, 12))))
@@ -303,9 +302,9 @@ class TestStructuredLift:
             invariants.structured_lift(spec)
 
     def test_lift_failure_searched_once(self, c6_93, monkeypatch):
-        """A LiftFailure is cached too: the second call raises the same
-        error without searching again."""
-        calls = []
+        """A LiftFailure is kept too: the second call on a fresh spec
+        raises the same error without searching again."""
+        spec, calls = fresh_spec(c6_93), []
         searched = invariants._searched_lift
 
         def counted(*args):
@@ -313,11 +312,10 @@ class TestStructuredLift:
             return searched(*args)
 
         monkeypatch.setattr(invariants, "_searched_lift", counted)
-        invariants._lift.cache_clear()
         messages = []
         for _ in range(2):
             with pytest.raises(LiftFailure) as info:
-                invariants.structured_lift(c6_93)
+                invariants.structured_lift(spec)
             messages.append(str(info.value))
         assert len(calls) == 1 and messages[0] == messages[1]
 
@@ -848,7 +846,6 @@ class TestLiftScaling:
         (N_cc + k n)^m = 1 mod n^2, by Python's pow."""
         spec = abelian.make_group(self.M, orders, action)
         r = len(orders)
-        invariants._lift.cache_clear()
         start = time.perf_counter()
         with mat_mul_spy(2 * (r * r + 1) * self.M.bit_length()) as calls:
             got = invariants.structured_lift(spec)
@@ -943,6 +940,37 @@ class TestStream:
         check()
         assert seen >= {("make_group", False), abelian.GroupElement,
                         (DivisibilityFailure, "0")}, seen
+
+    def test_first_failure_in_block_1(self, monkeypatch):
+        """A datum whose first non-dividing entry lies in block 1 of L x,
+        where about a fifth of searched factors first fail: C6 x Z/7
+        under x -> 2x, M = ((2, 1), (2, 0)), V = (0; 1), the first hit of
+        a seeded search (seeds 0-399, random_group_spec from make_group
+        with top 7 and m in {4, 6, 8}, one genus-1 random_seifert matrix
+        each). Its lift is 30 and det M = -2 a unit mod 7: block 0 is
+        (63, 0), which 7 divides, and block 1 is (1891, 0). So the
+        stream reads Y_0 .. Y_2, three columns, where the C4 x Z/5 datum,
+        failing in block 0, reads two."""
+        read, steps = [], invariants._steps
+
+        def counted(data, F, c):
+            for column in steps(data, F, c):
+                read.append(c)
+                yield column
+
+        monkeypatch.setattr(invariants, "_steps", counted)
+        for group, M, V, entry, columns in [
+                ((6, (7,), ((2,),)), ((2, 1), (2, 0)), [(0,), (1,)],
+                 "1891 not divisible by 7", 3),
+                ((4, (5,), ((2,),)), ((8, 0), (1, 1)), [(1,), (3,)],
+                 "96 not divisible by 5", 2)]:
+            data = surface_data.make_data(abelian.make_group(*group), M, V)
+            message = f"L(M) pairing entry {entry} in factor 0"
+            read.clear()
+            with pytest.raises(DivisibilityFailure) as info:
+                invariants.cu(data)
+            assert (str(info.value), read) == (message, [0] * columns)
+            assert outcome(slow_cu, data) == (DivisibilityFailure, message)
 
 
 class TestProductPair:

@@ -10,12 +10,12 @@ acting on a vector, the GroupElement oracles for validate,
 invariants.su and invariants.cu (on any lifts), the inverting oracle for
 invariants.vector_class, the search oracle for
 invariants.structured_lift, the listing oracle for
-invariants._hensel_lift, random group specs for them, and the
-per-entry oracle for classify._block, a spy on element construction
-and Smith calls, a spy on _intlin.mat_mul and _intlin.mat_vec that can
-bound their call counts, and the abelian helpers that the library never
-calls (act_rows, pair_orders, triple_orders, wedge2_zero, wedge3_zero
-and wedge2_scale)."""
+invariants._hensel_lift, random group specs for them, a fresh copy
+of a spec, the per-entry oracle for classify._block, a spy on element
+construction and Smith calls, a spy on _intlin.mat_mul and
+_intlin.mat_vec that can bound their call counts, and the abelian
+helpers that the library never calls (act_rows, pair_orders,
+triple_orders, wedge2_zero, wedge3_zero and wedge2_scale)."""
 
 from contextlib import contextmanager
 from functools import lru_cache
@@ -495,6 +495,12 @@ def random_group_spec(rng, equal, validated, m_choices=(2, 3, 4),
                 pass
     raise AssertionError(f"no {build.__name__} spec in {SPEC_DRAWS} draws "
                          f"with m in {m_choices} and orders <= {top}")
+
+
+def fresh_spec(spec):
+    """A spec equal to spec but built apart, so nothing is kept on it yet
+    (abelian._per_spec)."""
+    return abelian.GroupSpec(spec.m, spec.orders, spec.action)
 
 
 def linking_form_matrix(matrix, m):

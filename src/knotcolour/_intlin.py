@@ -15,7 +15,7 @@ so clarity wins over asymptotics, except for sparsity that costs nothing
 to use: mat_mul skips the zero entries of its left factor, and
 inverse_unimodular touches only the rows that have a nonzero entry in
 the pivot column. mat_mul and mat_vec form the dense integer products
-of invariants and abelian (the invariants' streams and forms, the action
+of invariants and abelian (the invariants' forms and blocks, the action
 on coordinates, the F_p action in abelian's generation test); mat_pow is
 every power of an action or of a lift candidate, reduced row by row.
 surface_data forms its per-datum products (the product pair, the Gram

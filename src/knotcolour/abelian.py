@@ -159,15 +159,16 @@ class GroupElement(_Record):
         fields["spec"], fields["coords"] = spec, coords
         self.__post_init__()
 
-    # the record's == and hash with the field tuple spelt inline, which
-    # costs these hot records about half of _Record's attrgetter call
+    # == spells the field tuple inline, about half the cost of _Record's
+    # attrgetter call; the hash reads coords alone (equal records have
+    # equal coords), so it never re-hashes the spec's nested tuples
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.spec, self.coords) == (other.spec, other.coords)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.spec, self.coords))
+        return hash(self.coords)
 
     def __post_init__(self):
         spec = self.spec

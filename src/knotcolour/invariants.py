@@ -14,12 +14,12 @@ times an r x r right factor, so each total is a pairing of the datum's
 Gram matrix G = X^T (MX) (SurfaceData._gram) with an r x r matrix of the
 spec alone, kept on the spec (abelian._per_spec): W_c for su (_su_forms)
 and Z_c for cu at m <= 3 (_cu_forms); s reads G itself. cu at m >= 4
-keeps the per-block path: per factor, one lazy stream of the lifts'
-columns (_steps), each entry divided as it comes (_divided_sum).
+forms only blocks 0 and 1 of L x in factor 0, from the product pair
+and the structured lift, and names the first entry that does not divide.
 GroupElement and WedgeElement2 appear only in their values.
 """
 
-from itertools import chain, islice, pairwise, product
+from itertools import chain, product
 from math import lcm, prod
 from operator import mul
 
@@ -39,29 +39,6 @@ from .surface_data import SurfaceData, validate
 
 # most lift candidates searched over unequal orders
 LIFT_BUDGET = 10 ** 7
-
-
-def _divided_sum(pairs, n, c):
-    """sum of y w / n over the integer pairs (y, w) in order, read up to
-    the first w that n does not divide, which DivisibilityFailure names."""
-    total = 0
-    for y, w in pairs:
-        if w % n:
-            raise DivisibilityFailure(
-                f"L(M) pairing entry {w} not divisible by {n} in factor {c}")
-        total += y * (w // n)
-    return total
-
-
-def _steps(data, F, c):
-    """Column c of (Y_j; M Y_j; M^T Y_j), Y_j = X (F^T)^j, for j = 0, 1,
-    ... as read: S a_j, S the rows of X, MX, M^T X and a_j = e_c F^j."""
-    MX, MTX = data._products
-    S, a = (*data._coords, *MX, *MTX), identity(len(F))[c]
-    FT = transpose(F)
-    while True:
-        yield mat_vec(S, a)
-        a = mat_vec(FT, a)
 
 
 def su(data):
@@ -281,9 +258,8 @@ def cu(data):
     contradict them, so it is InternalInconsistency: the per-entry
     DivisibilityFailure names an entry, which the total does not hold.
     At m >= 4, M x_a and M^T x_a are the product pair (MX, M^T X) times
-    (C^T)^a, streamed per factor (_steps under C): the same integers as
-    multiplying by M directly, divided in order, so a DivisibilityFailure
-    names the same entry and no later block is formed.
+    a_a, a_0 = e_0, a_1 = C[0] and a_2 = C^T a_1: the same integers as
+    multiplying by M directly, for factor 0 and blocks 0 and 1 alone.
 
     The derivations use the colouring equation M^T V = M t.V, which
     gives M^T x_a = M x_{a+1} mod n, x_{a+1} any lift of t^{a+1} V in
@@ -313,38 +289,44 @@ def cu(data):
     even n and the parity of Q are unchanged. Every entry of L x changes
     by a multiple of n, so no divisibility verdict moves.
 
-    m >= 4: no valid datum passes the per-entry division, so cu raises
-    DivisibilityFailure (after the lift's own LiftFailure or
-    BudgetExceeded). Block 0 of L x is M (1 + t + t^2) V and block 1 is
-    M (1 + t + t^2 + t^3) V mod n. If both divide, M sigma = 0 for both
-    sums sigma, so M^T sigma = t.(M sigma) = 0 by the colouring equation
-    and sigma = 0 (M - M^T is unimodular); then t^3 V = 0, and V = 0
-    does not generate A. For a diagonal action this holds in each factor
-    c alone, as row c of C is xi_c e_c mod n_c and xi_c a unit: so each
-    factor fails within blocks 0-1, and its stream forms at most three
-    steps. The lift only picks which entry the message names.
+    m >= 4: on valid data every factor fails the per-entry division
+    within blocks 0 and 1, for every action and every det M. Let
+    U = M V; the colouring equation M^T V = t.U gives (M^T - M) V =
+    (t - 1) U, so V = S^-1 (t - 1) U with S = M^T - M unimodular. Fix
+    factor c with modulus n, phi_c its coordinate. Mod n, block 1 minus
+    block 0 of L x is M x_1 + M^T x_2 - M^T x_0 = M x_3 (as M^T x_a =
+    M x_{a+1}), x_3 a lift of t^3 V in column c, which is phi_c(t^3 U)
+    entry by entry. If blocks 0 and 1 both divide, every entry of U
+    lies in H = ker(phi_c t^3), a proper subgroup, as phi_c t^3 maps
+    onto Z/n (t is invertible and n >= 2). Then every entry of V lies
+    in (t - 1) H, which has at most |H| < |A| elements, so V does not
+    generate A: the datum is not valid. So cu raises DivisibilityFailure
+    in factor 0, which is read first, at the first entry of block 0 or 1
+    that n_0 does not divide (after the lift's own LiftFailure or
+    BudgetExceeded); blocks that both divide would contradict the proof,
+    so they are InternalInconsistency. The lift only picks which entry
+    the message names.
     """
     if not validate(data).valid:
         raise InvalidData("cu needs valid surface data")
     spec = data.spec
-    m, orders, size = spec.m, spec.orders, data.size
-    if m <= 3:
+    if spec.m <= 3:
         g = tuple(chain.from_iterable(data._gram))
         return abelian.element(spec, tuple(
             _halved(_paired(g, Z, n, c), n)
-            for c, (n, Z) in enumerate(zip(orders, _cu_forms(spec)))))
+            for c, (n, Z) in enumerate(zip(spec.orders, _cu_forms(spec)))))
     C = structured_lift(spec)
-    zero = (0,) * (3 * size)
-    Y, P, Q = slice(size), slice(size, 2 * size), slice(2 * size, None)
-    out = []
-    for c, n in enumerate(orders):
-        # blocks 0 .. m-2 between zero columns, read in windows of three
-        cols = chain((zero,), islice(_steps(data, C, c), m - 1), (zero,))
-        pairs = chain.from_iterable(
-            zip(b[Y], map(sum, zip(b[P], a[P], b[Q], d[Q])))
-            for (a, b), (_, d) in pairwise(pairwise(cols)))
-        out.append(_halved(_divided_sum(pairs, n, c), n))
-    return abelian.element(spec, tuple(out))
+    n, a1 = spec.orders[0], C[0]
+    a = (identity(spec.rank)[0], a1, mat_vec(transpose(C), a1))
+    MX, MTX = data._products
+    p0, p1 = (mat_vec(MX, b) for b in a[:2])
+    q0, q1, q2 = (mat_vec(MTX, b) for b in a)
+    for w in chain(map(sum, zip(p0, q0, q1)), map(sum, zip(p0, p1, q1, q2))):
+        if w % n:
+            raise DivisibilityFailure(
+                f"L(M) pairing entry {w} not divisible by {n} in factor 0")
+    raise InternalInconsistency(
+        f"L(M) blocks 0 and 1 divisible by {n} in factor 0")
 
 
 def _halved(q, n):

@@ -13,7 +13,7 @@ when first read. Validation and the invariants read M only through it:
 validation checks the colouring equation per factor c as column c of
 M^T X against sum_d N_cd (column d of MX), N the action, and s, su and
 cu at m <= 3 read the cached r x r Gram matrix SurfaceData._gram =
-X^T (MX); the invariants' per-block path streams from the pair. The
+X^T (MX); cu at m >= 4 forms two blocks of L x from the pair. The
 empty 0x0 datum is permitted (it can never validate over a nontrivial
 A, but keeps connect sums total).
 

@@ -23,8 +23,9 @@ from knotcolour.errors import (
     NotOrderM,
 )
 from util import (
-    TREFOIL_L, mat_mul_spy, outcome, pair_orders, slow_linear_kernel,
-    slow_mat_pow, triple_orders, wedge2_scale, wedge2_zero, wedge3_zero)
+    TREFOIL_L, fresh_spec, mat_mul_spy, outcome, pair_orders,
+    slow_linear_kernel, slow_mat_pow, triple_orders, wedge2_scale,
+    wedge2_zero, wedge3_zero)
 
 
 def closure_generates(spec, coord_tuples):
@@ -201,6 +202,24 @@ class TestSpecHash:
         assert abelian.GroupSpec(2, (3,), ((1,),)) != d6
         assert abelian.GroupSpec(4, (3,), ((2,),)) != d6
         assert repr(d6) == "GroupSpec(m=2, orders=(3,), action=((2,),))"
+
+    def test_elements_hash_their_coords(self, c7_222, monkeypatch):
+        """GroupElement and the wedges hash their coordinates alone, so
+        hashing one calls no GroupSpec.__hash__. Equal elements of equal
+        specs built apart hash alike, and elements of unequal specs with
+        equal coordinates stay apart in a set."""
+        twin, other = fresh_spec(c7_222), abelian.unsafe_spec((2, 2, 2))
+        xs = [cls(spec, coords) for spec in (c7_222, twin, other)
+              for cls, coords in ((abelian.GroupElement, (1, 0, 1)),
+                                  (abelian.WedgeElement2, (0, 1, 1)),
+                                  (abelian.WedgeElement3, (1,)))]
+        calls = []
+        body = abelian.GroupSpec.__hash__
+        monkeypatch.setattr(abelian.GroupSpec, "__hash__",
+                            lambda spec: calls.append(spec) or body(spec))
+        assert [hash(x) for x in xs] == [hash(x.coords) for x in xs]
+        assert len(set(xs)) == 6 and set(xs[:3]) == set(xs[3:6])
+        assert calls == []
 
 
 class TestPerSpecMemo:

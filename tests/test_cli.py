@@ -162,9 +162,9 @@ class TestInvariant:
 class TestLargeM:
     """classify and invariant at m = 6 * 10^6 over C_m x| Z/7 (action 3)
     print m = 6's bytes, in well under a second under a product bound
-    that does not grow with m: cu's stream stops at the first entry of
-    L x that n does not divide, within blocks 0-1 for a diagonal action,
-    and the lift is a few powers reduced mod n^2."""
+    that does not grow with m: cu forms only blocks 0-1 of L x in factor
+    0, where its docstring proves a valid datum fails, and the lift is a
+    few powers reduced mod n^2."""
 
     M = 6 * 10 ** 6
 

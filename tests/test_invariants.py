@@ -1,5 +1,6 @@
 import random
 import time
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +21,10 @@ import util
 from test_surface_data import random_seifert
 from util import (
     TREFOIL_L, FIG8_L, dense_unimodular, fresh_spec, invariant_triple,
-    lift_pool, mat_mul_spy, move_chain, move_pool, odd_pool, outcome,
-    rand_unimodular, random_group_spec, random_move, slow_cu,
-    slow_hensel_lift, slow_mat_mul, slow_mat_pow, slow_structured_lift,
-    slow_su, slow_validate, slow_vector_class)
+    lift_pool, linking_form_matrix, mat_mul_spy, move_chain, move_pool,
+    odd_pool, outcome, rand_unimodular, random_group_spec, random_move,
+    slow_cu, slow_hensel_lift, slow_mat_mul, slow_mat_pow,
+    slow_structured_lift, slow_su, slow_validate, slow_vector_class)
 
 FIXTURE_GROUPS = ("d6", "d10", "d14", "c3z7", "c4z5", "a4", "c2_33",
                   "c2_35", "c3_55", "c7_222", "z46", "z333")
@@ -860,8 +861,9 @@ class TestLiftScaling:
 
 
 class TestStream:
-    """cu at m >= 4 reads the columns of L x from one lazy stream per
-    factor (invariants._steps), dividing each entry as it comes."""
+    """cu at m >= 4 forms blocks 0 and 1 of L x in factor 0 only and
+    raises at their first entry that does not divide (cu's docstring
+    proves that every factor of a valid datum fails there)."""
 
     COLOURED_DRAWS = 1000
 
@@ -902,8 +904,9 @@ class TestStream:
         points is redrawn without a matrix: it has no colouring, since
         Delta(1) = +-1 makes t - 1 invertible on a coloured A. The draws
         hold a non-diagonal make_group action. No failure in factor 1
-        after factor 0 divides is asked for: 6,000 draws of this kind met
-        none."""
+        after factor 0 divides is asked for: by cu's docstring every
+        factor of a valid datum fails within blocks 0 and 1, so factor 0
+        always fails."""
         seen = set()
 
         @settings(deadline=None, max_examples=60, derandomize=True)
@@ -941,35 +944,79 @@ class TestStream:
         assert seen >= {("make_group", False), abelian.GroupElement,
                         (DivisibilityFailure, "0")}, seen
 
-    def test_first_failure_in_block_1(self, monkeypatch):
+    def test_every_factor_fails_within_blocks_0_1(self):
+        """cu's m >= 4 proof on every factor, not only the one that
+        raises. Random make_group specs with m in {4, 6, 8, 10, 12},
+        equal and unequal orders <= 7, and colourings of random genus-1
+        and genus-2 matrices, redrawn as in the test above: in every
+        factor c, the dense oracle L(M) x of tests/util.py, x the column
+        c of the lifts V, C V, ... under the row-major lift C
+        (slow_structured_lift), has an entry of block 0 or 1 that n_c
+        does not divide, and cu names factor 0 and its first such entry.
+        The draws hold non-diagonal actions and factors with
+        gcd(det M, n_c) > 1, the case that a unit det M does not settle;
+        slow_cu stays the all-blocks oracle."""
+        seen = set()
+
+        @settings(deadline=None, max_examples=40, derandomize=True)
+        @given(st.integers(0, 10 ** 6), st.booleans())
+        def check(seed, equal):
+            rng = random.Random(seed)
+            for _ in range(self.COLOURED_DRAWS):
+                spec = random_group_spec(rng, equal, True, top=7,
+                                         m_choices=(4, 6, 8, 10, 12))
+                M, _ = random_seifert(rng, [(spec, 2, None)])
+                found = surface_data.enumerate_colourings(M, spec)
+                if found:
+                    break
+            else:
+                raise AssertionError(f"no colouring in {self.COLOURED_DRAWS}"
+                                     " spec draws")
+            size, m, C = len(M), spec.m, slow_structured_lift(spec)
+            L = linking_form_matrix(M, m)[:2 * size]
+            seen.add(("diagonal", all(
+                x == 0 for i, row in enumerate(spec.action)
+                for j, x in enumerate(row) if i != j)))
+            for V in rng.sample(found, min(2, len(found))):
+                blocks = [[list(v.coords) for v in V]]
+                for _ in range(m - 2):
+                    blocks.append([mat_vec(C, row) for row in blocks[-1]])
+                firsts = []
+                for c, n in enumerate(spec.orders):
+                    x = [row[c] for block in blocks for row in block]
+                    bad = [w for w in mat_vec(L, x) if w % n]
+                    assert bad, (spec, M, V, c)
+                    firsts.append(bad[0])
+                    seen.update((("shared", gcd(_intlin.det(M), n) > 1),
+                                 ("factor", c)))
+                got = outcome(invariants.cu,
+                              surface_data.SurfaceData(spec, M, V))
+                assert got == (DivisibilityFailure, "L(M) pairing entry "
+                               f"{firsts[0]} not divisible by "
+                               f"{spec.orders[0]} in factor 0")
+
+        check()
+        assert seen >= {("diagonal", False), ("shared", True), ("factor", 1)}
+
+    def test_first_failure_in_block_1(self):
         """A datum whose first non-dividing entry lies in block 1 of L x,
         where about a fifth of searched factors first fail: C6 x Z/7
         under x -> 2x, M = ((2, 1), (2, 0)), V = (0; 1), the first hit of
         a seeded search (seeds 0-399, random_group_spec from make_group
         with top 7 and m in {4, 6, 8}, one genus-1 random_seifert matrix
         each). Its lift is 30 and det M = -2 a unit mod 7: block 0 is
-        (63, 0), which 7 divides, and block 1 is (1891, 0). So the
-        stream reads Y_0 .. Y_2, three columns, where the C4 x Z/5 datum,
-        failing in block 0, reads two."""
-        read, steps = [], invariants._steps
-
-        def counted(data, F, c):
-            for column in steps(data, F, c):
-                read.append(c)
-                yield column
-
-        monkeypatch.setattr(invariants, "_steps", counted)
-        for group, M, V, entry, columns in [
+        (63, 0), which 7 divides, and block 1 is (1891, 0). The C4 x Z/5
+        datum fails in block 0. Both raise the dense oracle's message."""
+        for group, M, V, entry in [
                 ((6, (7,), ((2,),)), ((2, 1), (2, 0)), [(0,), (1,)],
-                 "1891 not divisible by 7", 3),
+                 "1891 not divisible by 7"),
                 ((4, (5,), ((2,),)), ((8, 0), (1, 1)), [(1,), (3,)],
-                 "96 not divisible by 5", 2)]:
+                 "96 not divisible by 5")]:
             data = surface_data.make_data(abelian.make_group(*group), M, V)
             message = f"L(M) pairing entry {entry} in factor 0"
-            read.clear()
             with pytest.raises(DivisibilityFailure) as info:
                 invariants.cu(data)
-            assert (str(info.value), read) == (message, [0] * columns)
+            assert str(info.value) == message
             assert outcome(slow_cu, data) == (DivisibilityFailure, message)
 
 

@@ -1,9 +1,9 @@
 """The record behaviour of the package's twelve record classes: fields in
 declaration order (bases first), construction by position or keyword,
-the Name(field=value, ...) repr, == only within one class, the hash of
-the field tuple, and immutability; QuandleColouring alone is mutable and
-unhashable. Only public behaviour is read, so the checks do not depend
-on how the classes are built."""
+the Name(field=value, ...) repr, == only within one class, equal
+hashes for equal records, and immutability; QuandleColouring alone is
+mutable and unhashable. Only public behaviour is read, so the checks do
+not depend on how the classes are built."""
 
 import pytest
 

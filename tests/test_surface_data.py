@@ -276,29 +276,21 @@ class TestValidateOnce:
     def test_pair_and_gram_formed_once(self, a4, c4z5, c6_93,
                                        monkeypatch):
         """On a fresh datum, validate, su, cu at m <= 3 and vector_class
-        form the product pair once and the Gram matrix G once, and none
-        of them opens an invariants._steps stream. The per-block path
-        forms no G: cu at m = 4 over a diagonal action opens one stream
-        per factor under the structured lift and reads at most three
-        columns of it (cu's docstring)."""
-        pairs, grams, steps = [], [], []
+        form the product pair once and the Gram matrix G once, and cu at
+        m <= 3 asks for no structured lift. cu at m = 4 asks for the
+        structured lift once and forms no G (cu's docstring)."""
+        pairs, grams, lifts = [], [], []
         pair_body = surface_data._product_pair
         gram_body = surface_data.SurfaceData._gram.func
-        steps_body = invariants._steps
-
-        def steps_spy(data, F, c):
-            read = []
-            steps.append((F, c, read))
-            for col in steps_body(data, F, c):
-                read.append(col)
-                yield col
+        lift_body = invariants.structured_lift
 
         gram = cached_property(lambda d: grams.append(d) or gram_body(d))
         gram.__set_name__(surface_data.SurfaceData, "_gram")
         monkeypatch.setattr(surface_data.SurfaceData, "_gram", gram)
         monkeypatch.setattr(surface_data, "_product_pair",
                             lambda M, X: pairs.append(X) or pair_body(M, X))
-        monkeypatch.setattr(invariants, "_steps", steps_spy)
+        monkeypatch.setattr(invariants, "structured_lift",
+                            lambda spec: lifts.append(spec) or lift_body(spec))
         M = ((-2, -3), (-2, -2))
         a4_data = surface_data.make_data(a4, ((1, 0), (1, 1)),
                                          [(1, 1), (0, 1)])
@@ -312,15 +304,13 @@ class TestValidateOnce:
             if data.spec.m <= 3:
                 invariants.cu(data)
             assert pairs == [data._coords] and grams == [data]
-            assert steps == []
+            assert lifts == []
         grams.clear()
         c4z5_data = surface_data.make_data(c4z5, ((8, 0), (1, 1)),
                                            [(1,), (3,)])
         with pytest.raises(DivisibilityFailure):
             invariants.cu(c4z5_data)
-        C = invariants.structured_lift(c4z5)
-        assert [(F, c) for F, c, _ in steps] == [(C, 0)]
-        assert 0 < len(steps[0][2]) <= 3 and grams == []
+        assert lifts == [c4z5] and grams == []
 
     def test_memo_leaves_identity_alone(self, d6):
         """A validated datum and an equal fresh one compare, hash, print

@@ -9,9 +9,9 @@ count formulas are recorded in the table's notes rather than asserted.
 """
 
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from math import gcd
-from operator import add, mod, mul, sub
+from operator import mod, sub
 
 from . import abelian, invariants, surface_data
 from ._intlin import check_budget, solve_mod
@@ -99,10 +99,14 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
     validate still runs on each, and returns the shared report. The
     builders list their blocks for _entries, and their M moves with
     (k, l) only through k n_1 and l n_2 on the diagonal, so they pass.
-    The steps (x0, dk, dl) of the flat matrix, su and cu are int lists
-    taken once per block; row k adds (k-1) dk once, at C level, and an
-    entry adds (l-1) dl only for l > 1. su and cu are one element per
-    distinct coordinate tuple of the block.
+    Each sample is one integer vector x: the flat M, then su, then cu.
+    The steps dk = x(2, .) - x(1, .) and dl = x(1, 2) - x(1, 1) (0
+    without cols) are taken once per block; row k forms x0 + (k-1) dk
+    once, at C level, and an entry adds (l-1) dl only for l > 1. Its
+    first size^2 values are the certificate, the next r su and the last
+    r cu, reduced mod the orders, one element per distinct coordinate
+    tuple of the block. A derived datum is SurfaceData._moved with the
+    first sample's report in its cache slot.
 
     Why this is exact. V, and with it every integer lift the invariants
     use (the coordinate rows X, su's orbit lifts X (N^T)^j, cu's blocks
@@ -155,50 +159,30 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
         else:
             symmetric = False
             got[k, l] = _entry(spec, k, l, i, label, M, coords)
-    along_k = got[2, ls[0]]
-    along_l = got[1, 2] if cols else base
-
-    def steps(value):
-        # the int lists x0, dk, dl of value(e) over the samples
-        x0, xk, xl = (list(value(e)) for e in (base, along_k, along_l))
-        return x0, list(map(sub, xk, x0)), list(map(sub, xl, x0))
-
-    f0, fk, fl = steps(lambda e: chain(*e.data.matrix))
-    s0, sk, sl = steps(lambda e: e.su.coords)
-    c0, ck, cl = steps(lambda e: e.cu.coords)
+    x0, xk, xl = ([*chain(*e.data.matrix), *e.su.coords, *e.cu.coords]
+                  for e in (base, got[2, ls[0]], got[1, 2] if cols else base))
+    dk, dl = list(map(sub, xk, x0)), list(map(sub, xl, x0))
+    cut, r = len(X) ** 2, spec.rank
     orders, report, s = spec.orders, base.data._report, base.s
-    new, trusted = object.__new__, abelian.GroupElement._trusted
+    trusted = abelian.GroupElement._trusted
     made = {}  # one element per distinct coordinate tuple
     entries = []
     for k in range(1, rows + 1):
-        label, a = name.format(k=k), repeat(k - 1)
-        fa = list(map(add, f0, map(mul, fk, a)))
-        sa = list(map(add, s0, map(mul, sk, a)))
-        ca = list(map(add, c0, map(mul, ck, a)))
+        label, xa = name.format(k=k), surface_data._axpy(x0, k - 1, dk)
         for l in ls:
             e = got.get((k, l))
             if e is None:
-                if l is None or l == 1:
-                    f, su, cu = fa, sa, ca
-                else:
-                    b = repeat(l - 1)
-                    f = list(map(add, fa, map(mul, fl, b)))
-                    su = map(add, sa, map(mul, sl, b))
-                    cu = map(add, ca, map(mul, cl, b))
-                su = tuple(map(mod, su, orders))
-                cu = tuple(map(mod, cu, orders))
+                x = surface_data._axpy(xa, l - 1, dl) if l and l > 1 else xa
+                su = tuple(map(mod, x[cut:], orders))
+                cu = tuple(map(mod, x[cut + r:], orders))
                 su = made.get(su) or made.setdefault(su, trusted(spec, su))
                 cu = made.get(cu) or made.setdefault(cu, trusted(spec, cu))
                 M = matrix_at(k, l)
-                # built as SurfaceData._moved builds a datum, with the
-                # proved report in its cache slot
-                data = new(surface_data.SurfaceData)
-                data.__dict__.update(spec=spec, matrix=M, _coords=X,
-                                     _report=report)
-                _checked(data, label, symmetric and list(chain(*M)) == f)
-                e = new(FamilyEntry)
-                e.__dict__.update(k=k, l=l, i=i, name=label, data=data,
-                                  su=su, cu=cu, s=s)
+                data = surface_data.SurfaceData._moved(spec, M, X,
+                                                       _report=report)
+                _checked(data, label,
+                         symmetric and tuple(chain(*M)) == x[:cut])
+                e = FamilyEntry(k, l, i, label, data, su, cu, s)
             entries.append(e)
     return entries
 
@@ -441,13 +425,6 @@ def a4_representatives():
     return _table("a4", spec, entries, 2, [])
 
 
-@lru_cache(maxsize=None)
-def _a4_reference_cu():
-    table = a4_representatives()
-    by_name = {e.name: e for e in table.entries}
-    return by_name["3_1^l"].cu, by_name["4_1^l"].cu
-
-
 def a4_class(data):
     """Which of the two rho-equivalence classes valid A4 data sits in,
     decided by cu."""
@@ -455,11 +432,11 @@ def a4_class(data):
         raise NotA4("data is not coloured by the A4 spec")
     if not surface_data.validate(data).valid:
         raise InvalidData("a4_class needs valid surface data")
-    cu_tref, cu_fig8 = _a4_reference_cu()
+    cu = {e.name: e.cu for e in a4_representatives().entries}
     value = invariants.cu(data)
-    if value == cu_fig8:
+    if value == cu["4_1^l"]:
         return FIGURE8_CLASS
-    if value == cu_tref:
+    if value == cu["3_1^l"]:
         return TREFOIL_CLASS
     raise InternalInconsistency(f"cu value {value} matches neither class")
 

@@ -111,14 +111,6 @@ def quandle_op_inverse(x, b, spec):
     return abelian.add(abelian.act_pow(abelian.sub(x, b), -1), b)
 
 
-def _surjective(rows, spec):
-    # the cosets t.a_i generate G iff the phi-orbits of the label rows
-    # generate A (the base label is zero); the orbits are closed over
-    # each A/pA inside the memoised test, which is keyed on the set of
-    # rows, so no orbit is formed per solution
-    return abelian._coords_generate(spec, frozenset(rows), True)
-
-
 def enumerate_diagram_colourings(diagram, spec, budget=10 ** 7):
     """All colourings with base arc labelled zero, every crossing relation
     satisfied, and the labels generating G; in lexicographic label order
@@ -137,7 +129,12 @@ def enumerate_diagram_colourings(diagram, spec, budget=10 ** 7):
                 Q[row][col[arc]] += q
     found = abelian.linear_kernel(P, Q, spec, budget)
     zero = (0,) * spec.rank
-    kept = [(zero,) + rows for rows in found if _surjective(rows, spec)]
+    # the cosets t.a_i generate G iff the phi-orbits of the label rows
+    # generate A (the base label is zero); the orbits are closed over
+    # each A/pA inside the memoised test, which is keyed on the set of
+    # rows, so no orbit is formed per solution
+    kept = [(zero,) + rows for rows in found
+            if abelian._coords_generate(spec, frozenset(rows), True)]
     arcs = [diagram.base_arc] + free
     return [QuandleColouring(dict(zip(arcs, labels)))
             for labels in abelian.elements_of_rows(spec, kept)]

@@ -21,12 +21,14 @@ The pair and G are column dot products summed at C level (_dots), so
 only O(r^2) work per datum runs as bytecode. The moves and connect
 sums derive their output's pair exactly from their sources' pairs, at
 the cost of the rows they change, so a chain of moves forms the pair
-once, for its head. The validation report is not carried: validate
-still checks each moved datum, from its carried pair. lambda1 reads U
-only on the rows that are not rows of the identity, forms M U one
-column in J (the columns where U differs from the identity) at a time
-and rebuilds only the rows it changes, and corrects the carried pair
-only by the residue of reducing U^-1 X mod the orders.
+once, for its head. The validation report is carried only for
+certified family table entries (classify._block), which share their
+first sample's; validate still checks each moved datum, from its
+carried pair. lambda1 reads U only on the rows that are not rows of
+the identity, forms M U one column in J (the columns where U differs
+from the identity) at a time and rebuilds only the rows it changes,
+and corrects the carried pair only by the residue of reducing U^-1 X
+mod the orders.
 """
 
 from functools import cached_property
@@ -125,14 +127,15 @@ class SurfaceData(_Record):
                 f"vector={self.vector!r})")
 
     @classmethod
-    def _moved(cls, spec, matrix, coords, products=None):
-        """Unchecked: moves keep det(M - M^T) = 1 on checked inputs, and
-        coords must be reduced mod the orders. products, when given, is
-        the exact pair (MX, M^T X) the move carried."""
+    def _moved(cls, spec, matrix, coords, **cached):
+        """Unchecked: the caller has proved det(M - M^T) = 1, and coords
+        must be reduced mod the orders. cached fills only cache slots the
+        caller has proved: _products, the exact pair (MX, M^T X) a move
+        or connect sum carried, or _report, a certified family table
+        entry's report (classify._block)."""
         data = object.__new__(cls)
-        data.__dict__.update(spec=spec, matrix=matrix, _coords=coords)
-        if products is not None:
-            data.__dict__["_products"] = products
+        data.__dict__.update(spec=spec, matrix=matrix, _coords=coords,
+                             **cached)
         return data
 
     @property
@@ -358,7 +361,7 @@ def lambda1(data, U):
             for p in compress(entries, row):
                 MTX[p] = _axpy(MTX[p], row[p], r)
     return SurfaceData._moved(data.spec, tuple(Mp), tuple(Y),
-                              (tuple(MX), tuple(MTX)))
+                              _products=(tuple(MX), tuple(MTX)))
 
 
 def _ut_times(cols, R):
@@ -408,7 +411,7 @@ def lambda2(data, c, variant):
     MX, MTX = data._products
     return SurfaceData._moved(
         data.spec, rows, data._coords + tail,
-        (MX + (_axpy(a, q, y), wy), MTX + (_axpy(a, u, y), wy)))
+        _products=(MX + (_axpy(a, q, y), wy), MTX + (_axpy(a, u, y), wy)))
 
 
 def lambda2_inverse(data):
@@ -440,7 +443,7 @@ def lambda2_inverse(data):
     # rows of M and M^T in zeros: the inner pair is the truncated pair
     MX, MTX = data._products
     return SurfaceData._moved(data.spec, inner_rows, base,
-                              (MX[:inner], MTX[:inner]))
+                              _products=(MX[:inner], MTX[:inner]))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +531,7 @@ def connect_sum(d1, d2):
     # the block sum's pair is the two pairs stacked
     return SurfaceData._moved(
         d1.spec, tuple(tuple(r) for r in rows), d1._coords + d2._coords,
-        tuple(map(add, d1._products, d2._products)))
+        _products=tuple(map(add, d1._products, d2._products)))
 
 
 def canonical_vector(w):

@@ -283,8 +283,7 @@ def test_module_caches_are_constant_tables():
         for name, value in vars(module).items():
             if callable(value) and hasattr(value, "cache_info"):
                 cached[f"{info.name}.{name}"] = value
-    assert sorted(cached) == ["classify._a4_reference_cu",
-                              "classify.a4_representatives",
+    assert sorted(cached) == ["classify.a4_representatives",
                               "classify.a4_spec", "diagram.catalog"]
     for name, fn in cached.items():
         assert not inspect.signature(fn).parameters, name

@@ -388,6 +388,27 @@ AFFINE_CASES = [
     (classify.rank2_nondiag_table, (3, 5, ((0, 1), (4, 4)))),
 ]
 
+
+def _units(m, n):
+    # the admissible xi mod n: xi and xi - 1 units, xi^m = 1
+    return [xi for xi in range(2, n)
+            if gcd(xi, n) == gcd(xi - 1, n) == 1 and pow(xi, m, n) == 1]
+
+
+# every admissible metacyclic (m, n, xi), m in {2, 3} and n <= 13, and
+# rank2diag (m, n1, n2, xi1, xi2), n1, n2 <= 7 (only n1 = n2 can give
+# genus-1 blocks); rank2nondiag at m = 3 needs N21 = N22 = -1 and 3
+# prime to n
+SWEEP_CASES = [case for case in [
+    *((classify.metacyclic_table, (m, n, xi))
+      for m in (2, 3) for n in range(2, 14) for xi in _units(m, n)),
+    *((classify.rank2_diag_table, (m, n1, n2, xi1, xi2))
+      for m in (2, 3) for n1 in range(2, 8) for n2 in range(2, 8)
+      for xi1 in _units(m, n1) for xi2 in _units(m, n2)),
+    *((classify.rank2_nondiag_table, (3, n, ((0, 1), (n - 1, n - 1))))
+      for n in (2, 4, 5, 7)),
+] if case not in AFFINE_CASES]
+
 M4_CASES = [
     (classify.metacyclic_table, (4, 5, 2)),
     (classify.rank2_nondiag_table, (4, 5, ((0, 1), (4, 0)))),
@@ -419,7 +440,7 @@ class TestAffineBuild:
                            invariants.vector_class(data))
             assert (e.su, e.cu) == (slow_su(data), slow_cu(data, C))
 
-    @pytest.mark.parametrize("case", AFFINE_CASES, ids=case_id)
+    @pytest.mark.parametrize("case", AFFINE_CASES + SWEEP_CASES, ids=case_id)
     def test_matches_per_entry_build(self, case, monkeypatch):
         build, params = case
         got = repr(build(*params))

@@ -485,7 +485,7 @@ def generates(elems, spec=None):
 def _basis(spec, degree):
     """The basis wedges of the degree as ascending index tuples, in
     lexicographic order; BadParameters unless spec is a GroupSpec."""
-    return tuple(combinations(range(_expect(spec, GroupSpec).rank), degree))
+    return _wedge_basis(_expect(spec, GroupSpec), degree)[0]
 
 
 def pair_indices(spec):
@@ -497,9 +497,17 @@ def triple_indices(spec):
 
 
 def _wedge_orders(spec, degree):
-    """Per basis wedge of the degree, the gcd of its factors' orders."""
-    return tuple(gcd(*(spec.orders[i] for i in idx))
-                 for idx in _basis(spec, degree))
+    """Per basis wedge of the degree, the gcd of its factors' orders;
+    BadParameters unless spec is a GroupSpec."""
+    return _wedge_basis(_expect(spec, GroupSpec), degree)[1]
+
+
+@_per_spec
+def _wedge_basis(spec, degree):
+    """(_basis, _wedge_orders) of the degree, kept on the spec: the spec
+    is checked by the callers, as the memo is read off it."""
+    basis = tuple(combinations(range(spec.rank), degree))
+    return basis, tuple(gcd(*(spec.orders[i] for i in idx)) for idx in basis)
 
 
 class _Wedge(_Record):

@@ -9,9 +9,9 @@ count formulas are recorded in the table's notes rather than asserted.
 """
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
-from operator import mod, sub
+from operator import add, mod, mul, sub
 
 from . import abelian, invariants, surface_data
 from ._intlin import check_budget, solve_mod
@@ -105,8 +105,9 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
     once, at C level, and an entry adds (l-1) dl only for l > 1. Its
     first size^2 values are the certificate, the next r su and the last
     r cu, reduced mod the orders, one element per distinct coordinate
-    tuple of the block. A derived datum is SurfaceData._moved with the
-    first sample's report in its cache slot.
+    tuple of the block. The row and the certificate's flat M are lists,
+    so no tuple of unknown length is built per entry. A derived datum is
+    SurfaceData._moved with the first sample's report in its cache slot.
 
     Why this is exact. V, and with it every integer lift the invariants
     use (the coordinate rows X, su's orbit lifts X (N^T)^j, cu's blocks
@@ -168,11 +169,13 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
     made = {}  # one element per distinct coordinate tuple
     entries = []
     for k in range(1, rows + 1):
-        label, xa = name.format(k=k), surface_data._axpy(x0, k - 1, dk)
+        label = name.format(k=k)
+        xa = [*map(add, x0, map(mul, dk, repeat(k - 1)))]
         for l in ls:
             e = got.get((k, l))
             if e is None:
-                x = surface_data._axpy(xa, l - 1, dl) if l and l > 1 else xa
+                x = [*map(add, xa, map(mul, dl, repeat(l - 1)))] \
+                    if l and l > 1 else xa
                 su = tuple(map(mod, x[cut:], orders))
                 cu = tuple(map(mod, x[cut + r:], orders))
                 su = made.get(su) or made.setdefault(su, trusted(spec, su))
@@ -181,7 +184,7 @@ def _block(spec, name, i, coords, matrix_at, rows, cols=None):
                 data = surface_data.SurfaceData._moved(spec, M, X,
                                                        _report=report)
                 _checked(data, label,
-                         symmetric and tuple(chain(*M)) == x[:cut])
+                         symmetric and [*chain(*M)] == x[:cut])
                 e = FamilyEntry(k, l, i, label, data, su, cu, s)
             entries.append(e)
     return entries

@@ -13,7 +13,10 @@ over Z (SurfaceData._products). Every lift that su and cu pair is X
 times an r x r right factor, so each total is a pairing of the datum's
 Gram matrix G = X^T (MX) (SurfaceData._gram) with an r x r matrix of the
 spec alone, kept on the spec (abelian._per_spec): W_c for su (_su_forms)
-and Z_c for cu at m <= 3 (_cu_forms); s reads G itself. cu at m >= 4
+and Z_c for cu at m <= 3 (_cu_forms); s reads G itself. The moves and
+connect sums carry G exactly from sources whose G is formed (see
+surface_data.lambda1), so along a chain of moves that reads them
+after each move, G is formed once, for the chain's head. cu at m >= 4
 forms only blocks 0 and 1 of L x in factor 0, from the product pair
 and the structured lift, and names the first entry that does not divide.
 GroupElement and WedgeElement2 appear only in their values.
@@ -73,7 +76,7 @@ def su(data):
         raise InvalidData("su needs valid surface data")
     spec = data.spec
     g = tuple(chain.from_iterable(data._gram))
-    return abelian.element(spec, tuple(
+    return abelian.GroupElement(spec, tuple(
         _paired(g, W, n, c) % n
         for c, (n, W) in enumerate(zip(spec.orders, _su_forms(spec)))))
 
@@ -312,7 +315,7 @@ def cu(data):
     spec = data.spec
     if spec.m <= 3:
         g = tuple(chain.from_iterable(data._gram))
-        return abelian.element(spec, tuple(
+        return abelian.GroupElement(spec, tuple(
             _halved(_paired(g, Z, n, c), n)
             for c, (n, Z) in enumerate(zip(spec.orders, _cu_forms(spec)))))
     C = structured_lift(spec)

@@ -21,7 +21,9 @@ The pair and G are column dot products summed at C level (_dots), so
 only O(r^2) work per datum runs as bytecode. The moves and connect
 sums derive their output's pair exactly from their sources' pairs, at
 the cost of the rows they change, so a chain of moves forms the pair
-once, for its head. The validation report is carried only for
+once, for its head. They carry G the same way, but only from sources
+whose G is already formed, so a chain whose head's G the invariants
+formed forms it once too. The validation report is carried only for
 certified family table entries (classify._block), which share their
 first sample's; validate still checks each moved datum, from its
 carried pair. lambda1 reads U only on the rows that are not rows of
@@ -127,15 +129,20 @@ class SurfaceData(_Record):
                 f"vector={self.vector!r})")
 
     @classmethod
-    def _moved(cls, spec, matrix, coords, **cached):
+    def _moved(cls, spec, matrix, coords, _gram=None, **cached):
         """Unchecked: the caller has proved det(M - M^T) = 1, and coords
-        must be reduced mod the orders. cached fills only cache slots the
-        caller has proved: _products, the exact pair (MX, M^T X) a move
-        or connect sum carried, or _report, a certified family table
-        entry's report (classify._block)."""
+        must be reduced mod the orders. _gram and cached fill only cache
+        slots the caller has proved: _products, the exact pair
+        (MX, M^T X) a move or connect sum carried; _gram, the exact
+        G = X^T (MX) a move or connect sum carried from sources whose G
+        was already formed (None leaves the slot empty, as a move never
+        forms G for it); or _report, a certified family table entry's
+        report (classify._block)."""
         data = object.__new__(cls)
         data.__dict__.update(spec=spec, matrix=matrix, _coords=coords,
                              **cached)
+        if _gram is not None:
+            data.__dict__["_gram"] = _gram
         return data
 
     @property
@@ -308,6 +315,17 @@ def lambda1(data, U):
     O(n |supp R|), and a dense U what a dense product costs. Every row
     of M that the move leaves as it was is carried as the same object.
     The failure message names the Smith diagonal of the whole U.
+
+    When the source's Gram matrix G = X^T (MX) is formed, the output's
+    G' = Y^T (M'Y) is carried too (and never formed here otherwise). As
+    E^T M' E = X^T U^-T U^T M U U^-1 X = G and Y = E - R,
+        G' = E^T M'Y - R^T (M'Y) = G - E^T M' R - R^T (M'Y),
+    summed over the rows b with R_b != 0: G' = G - sum_b (v_b R_b^T +
+    R_b (M'Y)_b^T), v_b = sum_a M'_ab E_a the row b of M'^T E. And
+    M'^T E = U^T M^T U U^-1 X = U^T (M^T X), the carried M^T X before its
+    correction by R, so v_b is read, not formed, and (M'Y)_b is the
+    corrected row. Exact over Z, at O(|supp R| r^2) where a fresh G
+    costs O(n r^2).
     """
     size = _expect(data, SurfaceData).size
     Ur = _as_matrix(U)
@@ -351,17 +369,28 @@ def lambda1(data, U):
                 E[i] = _axpy(E.get(i, X[i]), -a, E[k])
     Y = list(X)
     MX, MTX = (_ut_times(cols, P) for P in data._products)
+    # -R_b and v_b on the rows b with R_b != 0, v_b read before any
+    # correction, as a correction for one row can change another's
+    residues = {}
     for i, e in E.items():
         Y[i] = y = tuple(map(mod, e, orders))
-        r = tuple(map(sub, y, e))  # -R_i
+        r = tuple(map(sub, y, e))
         if any(r):
-            col, row = tuple(map(itemgetter(i), Mp)), Mp[i]
-            for p in compress(entries, col):
-                MX[p] = _axpy(MX[p], col[p], r)
-            for p in compress(entries, row):
-                MTX[p] = _axpy(MTX[p], row[p], r)
+            residues[i] = r, MTX[i]
+    for i, (r, _) in residues.items():
+        col, row = tuple(map(itemgetter(i), Mp)), Mp[i]
+        for p in compress(entries, col):
+            MX[p] = _axpy(MX[p], col[p], r)
+        for p in compress(entries, row):
+            MTX[p] = _axpy(MTX[p], row[p], r)
+    G = vars(data).get("_gram")
+    if G is not None:
+        for b, (r, v) in residues.items():
+            w = MX[b]
+            G = tuple(_axpy(_axpy(g, vp, r), rp, w)
+                      for g, vp, rp in zip(G, v, r))
     return SurfaceData._moved(data.spec, tuple(Mp), tuple(Y),
-                              _products=(tuple(MX), tuple(MTX)))
+                              _products=(tuple(MX), tuple(MTX)), _gram=G)
 
 
 def _ut_times(cols, R):
@@ -394,7 +423,9 @@ def lambda2(data, c, variant):
     """Stabilization: grow the matrix by two rows/columns in one of the two
     patterns and append the transported vector entries. With the new rows
     (0; y) and corner (p, q; u, w), a carried MX keeps its rows and gains
-    a + q y and w y, and M^T X gains a + u y and w y (a = sum c_i x_i)."""
+    a + q y and w y, and M^T X gains a + u y and w y (a = sum c_i x_i).
+    So a formed G = X^T (MX) gains 0^T (a + q y) + y^T (w y): G' =
+    G + w y y^T, and w = 0 in both _CORNERS, so G is carried as it is."""
     size = _expect(data, SurfaceData).size
     c = abelian.int_tuple(c, "c")
     if len(c) != size:
@@ -411,12 +442,15 @@ def lambda2(data, c, variant):
     MX, MTX = data._products
     return SurfaceData._moved(
         data.spec, rows, data._coords + tail,
-        _products=(MX + (_axpy(a, q, y), wy), MTX + (_axpy(a, u, y), wy)))
+        _products=(MX + (_axpy(a, q, y), wy), MTX + (_axpy(a, u, y), wy)),
+        _gram=vars(data).get("_gram"))
 
 
 def lambda2_inverse(data):
     """Undo a lambda2 stabilization; PatternMismatch when the last two
-    rows/columns (or vector entries) do not match either pattern."""
+    rows/columns (or vector entries) do not match either pattern. The
+    removed rows (0; y) add 0^T (a + q y) + y^T (w y) = 0 to G (see
+    lambda2), so a formed G is carried as it is."""
     size = _expect(data, SurfaceData).size
     if size < 2:
         raise PatternMismatch("no stabilized block to remove")
@@ -443,7 +477,8 @@ def lambda2_inverse(data):
     # rows of M and M^T in zeros: the inner pair is the truncated pair
     MX, MTX = data._products
     return SurfaceData._moved(data.spec, inner_rows, base,
-                              _products=(MX[:inner], MTX[:inner]))
+                              _products=(MX[:inner], MTX[:inner]),
+                              _gram=vars(data).get("_gram"))
 
 
 # ---------------------------------------------------------------------------
@@ -523,15 +558,20 @@ def standard_matrix(g):
 
 
 def connect_sum(d1, d2):
+    """The block sum of the two data. Its pair is the two pairs stacked,
+    and its G = X1^T (M1 X1) + X2^T (M2 X2) is G1 + G2, carried when both
+    are formed."""
     if _expect(d1, SurfaceData).spec != _expect(d2, SurfaceData).spec:
         raise GroupMismatch("connect sum requires a common group spec")
     n1, n2 = d1.size, d2.size
     rows = [list(d1.matrix[i]) + [0] * n2 for i in range(n1)]
     rows += [[0] * n1 + list(d2.matrix[i]) for i in range(n2)]
-    # the block sum's pair is the two pairs stacked
+    G1, G2 = vars(d1).get("_gram"), vars(d2).get("_gram")
+    G = None if G1 is None or G2 is None else tuple(
+        tuple(map(add, g1, g2)) for g1, g2 in zip(G1, G2))
     return SurfaceData._moved(
         d1.spec, tuple(tuple(r) for r in rows), d1._coords + d2._coords,
-        _products=tuple(map(add, d1._products, d2._products)))
+        _products=tuple(map(add, d1._products, d2._products)), _gram=G)
 
 
 def canonical_vector(w):

@@ -442,10 +442,20 @@ class TestAffineBuild:
 
     @pytest.mark.parametrize("case", AFFINE_CASES + SWEEP_CASES, ids=case_id)
     def test_matches_per_entry_build(self, case, monkeypatch):
+        """The table equals the per-entry build's, repr for repr: entry by
+        entry, so a failure names the first differing (k, l, i, name) at
+        once instead of diffing two long reprs, then the other fields."""
         build, params = case
-        got = repr(build(*params))
+        got = build(*params)
         monkeypatch.setattr(classify, "_block", per_entry_block)
-        assert got == repr(build(*params))
+        want = build(*params)
+        assert len(got.entries) == len(want.entries)
+        for e, f in zip(got.entries, want.entries):
+            if repr(e) != repr(f):
+                pytest.fail(f"first differing entry {(f.k, f.l, f.i, f.name)}")
+        for name in got._fields:
+            if name != "entries":
+                assert repr(getattr(got, name)) == repr(getattr(want, name))
 
     def test_every_entry_is_validated(self, monkeypatch):
         """validate runs once on every entry, derived ones included, and

@@ -438,10 +438,15 @@ class TestCarriedPair:
         fresh (MX, M^T X), the output still validates, and its Gram
         matrix equals X^T (MX); the pair and G come from the index-loop
         oracle slow_mat_mul, not from the column dot products of
-        _product_pair and SurfaceData._gram. lambda1 draws the U of
-        carry_unimodular, and K = U Y - X is seen both zero and nonzero;
-        lambda2 runs in both variants, lambda2_inverse right after it,
-        and connect_sum with a pool datum on either side."""
+        _product_pair and SurfaceData._gram. The output holds a carried G
+        exactly when its sources' G were formed (both, for connect_sum),
+        and the check reads that slot. A pool datum's G is formed only
+        when it is picked as a connect_sum partner, half the time, and
+        the check forms each output's, so both are seen. lambda1 draws the
+        U of carry_unimodular, and K = U Y - X (so R = -U^-1 K) is seen
+        both zero and nonzero, nonzero also with G carried; lambda2 runs
+        in both variants, lambda2_inverse right after it, and connect_sum
+        with a pool datum on either side."""
         pool = self.pool(d6, d10, a4, c2_35, c6_93)
         seen = set()
 
@@ -453,23 +458,33 @@ class TestCarriedPair:
             stabilised = False
             for _ in range(rng.randrange(1, 7)):
                 kind = rng.randrange(5 if stabilised else 4)
+                had = "_gram" in vars(data)
                 if kind == 0:
                     U = carry_unimodular(rng, data.size)
                     moved = surface_data.lambda1(data, U)
                     UY = map(tuple, mat_mul(U, moved._coords))
-                    seen.add(("K != 0", any(map(ne, UY, data._coords))))
+                    K = any(map(ne, UY, data._coords))
+                    seen.add(("K != 0", K))
+                    if K and had:
+                        seen.add("K != 0, G carried")
                 elif kind in (1, 2):
                     c = [rng.randrange(-3, 4) for _ in range(data.size)]
                     moved = surface_data.lambda2(data, c, kind)
                 elif kind == 3:
                     other = rng.choice([d for d in pool
                                         if d.spec == data.spec])
+                    if rng.randrange(2):
+                        other._gram
                     pair = (data, other) if rng.randrange(2) else \
                         (other, data)
                     moved = surface_data.connect_sum(*pair)
+                    had = "_gram" in vars(data) and "_gram" in vars(other)
+                    seen.add(("sum", had))
                 else:
                     moved = surface_data.lambda2_inverse(data)
                 assert "_products" in vars(moved)
+                assert ("_gram" in vars(moved)) == had
+                seen.add(("G carried", had))
                 M, X = moved.matrix, moved._coords
                 assert moved._products == tuple(
                     tuple(map(tuple, slow_mat_mul(P, X)))
@@ -482,7 +497,42 @@ class TestCarriedPair:
 
         check()
         assert seen == {0, 1, 2, 3, 4, d10, a4, c2_35, c6_93,
-                        ("K != 0", False), ("K != 0", True)}
+                        ("K != 0", False), ("K != 0", True),
+                        "K != 0, G carried", ("G carried", False),
+                        ("G carried", True), ("sum", False), ("sum", True)}
+
+    def test_gram_formed_once_per_chain(self, d6, d10, a4, c2_35, c6_93,
+                                        monkeypatch):
+        """validate, su, cu (at m <= 3) and vector_class on every datum
+        of a move chain form G (run the SurfaceData._gram body) only for
+        the chain's first datum: each move carries it from its source,
+        connect_sum with the first datum itself as the partner."""
+        pool = self.pool(d6, d10, a4, c2_35, c6_93)
+        grams = []
+        body = surface_data.SurfaceData._gram.func
+        gram = cached_property(lambda d: grams.append(d) or body(d))
+        gram.__set_name__(surface_data.SurfaceData, "_gram")
+        monkeypatch.setattr(surface_data.SurfaceData, "_gram", gram)
+
+        def read(data):
+            assert surface_data.validate(data).valid
+            invariants.su(data)
+            invariants.vector_class(data)
+            if data.spec.m <= 3:
+                invariants.cu(data)
+
+        rng = random.Random(42)
+        seen = set()
+        for base in pool:
+            head = fresh_copy(base)
+            grams.clear()
+            read(head)
+            for kind, data in move_chain(rng, [head], 6):
+                read(data)
+                seen.add(kind)
+            assert grams == [head]
+        assert seen == {"lambda1", "lambda2", "connect_sum",
+                        "lambda2_inverse"}
 
     def test_pair_formed_once_per_chain(self, d6, d10, a4, c2_35, c6_93,
                                         monkeypatch):
